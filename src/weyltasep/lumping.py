@@ -8,7 +8,7 @@ small kernel, exactly, row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable
 
 from .errors import InvalidCounts
 from .markov import Dist, Kernel
@@ -109,15 +109,3 @@ def project_distribution(dist: Dist, state_map) -> Dist:
         u = mapping(s)
         probs[u] = probs.get(u, ZERO) + p
     return Dist(probs)
-
-
-def is_stationary_for(dist: Mapping, kernel: Kernel) -> bool:
-    """Exact check of dist . P = dist on the kernel (no uniqueness demanded)."""
-    flow: dict = {}
-    for s, p in dist.items():
-        if p == 0:
-            continue
-        for t, q in kernel.row(s).items():
-            flow[t] = flow.get(t, ZERO) + p * q
-    states = set(flow) | {s for s, p in dist.items() if p != 0}
-    return all(flow.get(s, ZERO) == dist.get(s, ZERO) for s in states)

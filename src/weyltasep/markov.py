@@ -2,9 +2,12 @@
 
 Kernels are row-stochastic with exact rational entries; every row stores its
 holding mass explicitly so rows sum to 1 exactly.  The stationary solver is
-a state-elimination scheme (subtraction-free, so exact over the rationals)
-with a fill-reducing elimination order, and the result is re-verified
-against pi . P = pi before it is returned.
+the subtraction-free state-elimination scheme of Grassmann, Taksar and
+Heyman with a fill-reducing elimination order.  The order is fixed once on
+index sets; the arithmetic runs over Z/p for primes below 2**61, and the
+exact law comes back by Chinese remaindering and rational reconstruction.
+A law is returned only after it passes the exact certificate: it sums to 1
+and pi . P = pi over the rationals.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import NotIrreducible
+from .modular import crt_extend, primes_below, rational_reconstruct
 from .ratio import ONE, R, ZERO, fmt_ratio, parse_ratio
 
 State = Hashable
@@ -48,13 +52,13 @@ class Kernel:
         """Sub-kernel on a closed set of states (rows must not leave it)."""
         keep_set = set(keep)
         states = [s for s in self.states if s in keep_set]
-        idx = {self.index[s] for s in states}
+        new_index = {self.index[s]: k for k, s in enumerate(states)}
         rows = []
         for s in states:
             row = self.rows[self.index[s]]
-            if any(j not in idx for j in row):
+            if any(j not in new_index for j in row):
                 raise ValueError(f"state {s!r} has transitions leaving the set")
-            rows.append({states.index(self.states[j]): p for j, p in row.items()})
+            rows.append({new_index[j]: p for j, p in row.items()})
         return Kernel(states, rows)
 
 
@@ -213,80 +217,152 @@ def exact_stationary(kernel: Kernel) -> Dist:
     """The unique stationary distribution, exactly.
 
     Requires a unique closed communicating class; transient states get
-    probability zero.  Solved by censoring states one at a time (all
-    updates are additions of nonnegative rationals) and back-substituting,
-    with the elimination order chosen greedily to limit fill-in.
+    probability zero.  The elimination order is fixed once on index sets
+    (:func:`_elimination_plan`); the elimination then runs over Z/p for
+    primes below 2**61 (:func:`_solve_mod`), the images are combined by the
+    Chinese remainder theorem and each probability is recovered by rational
+    reconstruction.  A prime that divides a kernel denominator, a pivot or
+    the total is skipped; primes are added until the reconstructed law
+    passes the exact certificate (sum 1 and pi . P = pi), and only a law
+    that passes it is returned.
     """
     classes = communicating_classes(kernel)
     closed = [c for c in classes if c.closed]
     if len(closed) != 1:
         raise NotIrreducible(f"{len(closed)} closed classes")
     members = sorted(kernel.index[s] for s in closed[0].states)
-    pi_idx = _gth(kernel, members)
-    # Exact re-verification of stationarity.
-    if sum(pi_idx.values(), ZERO) != 1:
-        raise AssertionError("stationary vector does not sum to 1")
-    flow: dict[int, object] = {}
-    for i, p in pi_idx.items():
-        for j, q in kernel.rows[i].items():
-            flow[j] = flow.get(j, ZERO) + p * q
-    if any(flow.get(i, ZERO) != p for i, p in pi_idx.items()):
-        raise AssertionError("stationarity check failed")
+    plan = _elimination_plan(kernel, members)
+    modulus, residues = 1, None
+    for p in primes_below():
+        image = _solve_mod(kernel, members, plan, p)
+        if image is None:
+            continue
+        residues = image if residues is None else crt_extend(residues, modulus, image, p)
+        modulus *= p
+        pi_idx = _reconstruct(members, residues, modulus)
+        if pi_idx is not None and _is_stationary(kernel, pi_idx):
+            break
     probs = {s: ZERO for s in kernel.states}
     for i, p in pi_idx.items():
         probs[kernel.states[i]] = p
     return Dist(probs)
 
 
-def _gth(kernel: Kernel, members: list[int]) -> dict[int, object]:
+def _elimination_plan(kernel: Kernel, members: list[int]) -> list[tuple[int, list[int]]]:
+    """Symbolic phase: the elimination order and each pivot's predecessors.
+
+    Censors states one at a time, greedily taking the state with the
+    fewest in-degree x out-degree off-diagonal links among those left, and
+    records which states point into it when it goes.  Index sets only: no
+    arithmetic.  The last state left is not in the plan.
+    """
     member_set = set(members)
-    out = {
-        i: {j: p for j, p in kernel.rows[i].items() if j != i and j in member_set}
-        for i in members
-    }
+    out = {i: {j for j in kernel.rows[i] if j != i and j in member_set} for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
         for j in row:
             inn[j].add(i)
     heap = [(len(inn[i]) * len(out[i]), i) for i in members]
     heapq.heapify(heap)
-    active = set(members)
-    order: list[tuple[int, dict[int, object]]] = []
-    while len(active) > 1:
+    plan = []
+    while len(out) > 1:
         while True:
             cost, k = heapq.heappop(heap)
-            if k in active:
+            if k in out:
                 cur = len(inn[k]) * len(out[k])
                 if cur <= cost:
                     break
                 heapq.heappush(heap, (cur, k))
-        denom = sum(out[k].values(), ZERO)
-        cols_k: dict[int, object] = {}
-        preds = [i for i in inn[k] if i in active]
-        succs = list(out[k].items())
+        preds = list(inn.pop(k))
+        succs = out.pop(k)
         for i in preds:
-            f = out[i].pop(k) / denom
-            cols_k[i] = f
-            row_i = out[i]
-            for j, pkj in succs:
-                if j == i:
-                    continue
-                row_i[j] = row_i.get(j, ZERO) + f * pkj
-                inn[j].add(i)
-        for j, _ in succs:
-            inn[j].discard(k)
-        active.remove(k)
-        out[k] = {}
-        inn[k] = set()
-        order.append((k, cols_k))
+            row = out[i]
+            row.discard(k)
+            row |= succs
+            row.discard(i)
+        for j in succs:
+            col = inn[j]
+            col.discard(k)
+            col.update(preds)
+            col.discard(j)
+        plan.append((k, preds))
         for i in preds:
             heapq.heappush(heap, (len(inn[i]) * len(out[i]), i))
-    root = active.pop()
-    pi = {root: ONE}
-    for k, cols in reversed(order):
-        pi[k] = sum((pi[i] * f for i, f in cols.items()), ZERO)
-    total = sum(pi.values(), ZERO)
-    return {i: p / total for i, p in pi.items()}
+    return plan
+
+
+def _solve_mod(kernel: Kernel, members: list[int], plan, p: int) -> list[int] | None:
+    """Numeric phase: the stationary law mod the prime p, in `members` order.
+
+    Replays the plan over plain ints mod p: censoring k adds
+    out[i][k] / S_k * out[k][j] to out[i][j] for every predecessor i and
+    successor j != i, where S_k is k's off-diagonal row sum.  Returns None
+    when p divides a kernel denominator, an S_k or the final total.
+    """
+    member_set = set(members)
+    inverses: dict[int, int] = {}
+    out: dict[int, dict[int, int]] = {}
+    for i in members:
+        row = {}
+        for j, q in kernel.rows[i].items():
+            if j != i and j in member_set:
+                den = q.denominator
+                inv = inverses.get(den)
+                if inv is None:
+                    if den % p == 0:
+                        return None
+                    inv = inverses[den] = pow(den, -1, p)
+                row[j] = q.numerator * inv % p
+        out[i] = row
+    # Sums are reduced mod p only where they are read.
+    cols = []
+    for k, preds in plan:
+        succs = [(j, x % p) for j, x in out.pop(k).items()]
+        total = sum(x for _, x in succs) % p
+        if total == 0:
+            return None
+        inv = pow(total, -1, p)
+        factors = []
+        for i in preds:
+            row = out[i]
+            f = row.pop(k) % p * inv % p
+            factors.append(f)
+            get = row.get
+            for j, x in succs:
+                row[j] = get(j, 0) + f * x
+            row.pop(i, None)
+        cols.append(factors)
+    (root,) = out
+    pi = {root: 1}
+    for (k, preds), factors in zip(reversed(plan), reversed(cols)):
+        pi[k] = sum(pi[i] * f for i, f in zip(preds, factors)) % p
+    total = sum(pi.values()) % p
+    if total == 0:
+        return None
+    inv = pow(total, -1, p)
+    return [pi[i] * inv % p for i in members]
+
+
+def _reconstruct(members: list[int], residues: list[int], modulus: int) -> dict[int, object] | None:
+    """Rationals with the given residues, or None if one does not reconstruct."""
+    pi_idx = {}
+    for i, x in zip(members, residues):
+        nd = rational_reconstruct(x, modulus)
+        if nd is None:
+            return None
+        pi_idx[i] = R(*nd)
+    return pi_idx
+
+
+def _is_stationary(kernel: Kernel, pi_idx: Mapping[int, object]) -> bool:
+    """Exact certificate: pi sums to 1 and pi . P = pi (pi is 0 off pi_idx)."""
+    if sum(pi_idx.values(), ZERO) != 1:
+        return False
+    flow: dict[int, object] = {}
+    for i, p in pi_idx.items():
+        for j, q in kernel.rows[i].items():
+            flow[j] = flow.get(j, ZERO) + p * q
+    return all(flow.get(j, ZERO) == pi_idx.get(j, ZERO) for j in flow.keys() | pi_idx.keys())
 
 
 def derive_stream(seed: int, trial: int) -> int:

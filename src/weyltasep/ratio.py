@@ -1,23 +1,16 @@
 """Exact rational arithmetic helpers.
 
-All probabilistic computations in this package are exact.  gmpy2's mpq is
-used as the rational type (it is much faster than fractions.Fraction for
-the elimination-heavy solvers); Fraction is a drop-in fallback.
+All probabilistic computations in this package are exact.  The rational
+type R is fractions.Fraction from the standard library; the stationary
+solver does its heavy arithmetic on machine-word residues instead
+(see weyltasep.markov), so no faster rational type is needed.
 """
 from __future__ import annotations
 
-try:
-    from gmpy2 import mpq as R
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as R
+from fractions import Fraction as R
 
 ZERO = R(0)
 ONE = R(1)
-
-
-def ratio(num, den=1):
-    """Exact rational num/den."""
-    return R(num, den)
 
 
 def parse_ratio(text: str):

@@ -2,11 +2,14 @@
 
 These deliberately avoid the library's own formulas: word lengths come from
 breadth-first search over the generators, stationary vectors from floating
-point power iteration, counts from brute enumeration.
+point power iteration or from state elimination over fractions.Fraction,
+counts from brute enumeration.
 """
 from __future__ import annotations
 
+import heapq
 from collections import deque
+from fractions import Fraction
 
 from weyltasep.weyl import WeylKind, apply_generator, identity_window, signed_permutations
 
@@ -47,3 +50,59 @@ def power_iteration(kernel, sweeps: int = 20000) -> dict:
                     new[j] += x * p
         vec = new
     return {kernel.states[i]: vec[i] for i in range(m)}
+
+
+def fraction_gth(kernel, members: list[int]) -> dict[int, Fraction]:
+    """Stationary law on a closed class by state elimination over Fraction.
+
+    The Grassmann-Taksar-Heyman scheme, with every update an addition of
+    nonnegative rationals; meant for small chains only.
+    """
+    member_set = set(members)
+    out = {
+        i: {j: Fraction(p) for j, p in kernel.rows[i].items() if j != i and j in member_set}
+        for i in members
+    }
+    inn: dict[int, set[int]] = {i: set() for i in members}
+    for i, row in out.items():
+        for j in row:
+            inn[j].add(i)
+    heap = [(len(inn[i]) * len(out[i]), i) for i in members]
+    heapq.heapify(heap)
+    active = set(members)
+    order: list[tuple[int, dict[int, Fraction]]] = []
+    while len(active) > 1:
+        while True:
+            cost, k = heapq.heappop(heap)
+            if k in active:
+                cur = len(inn[k]) * len(out[k])
+                if cur <= cost:
+                    break
+                heapq.heappush(heap, (cur, k))
+        denom = sum(out[k].values(), Fraction(0))
+        cols_k: dict[int, Fraction] = {}
+        preds = [i for i in inn[k] if i in active]
+        succs = list(out[k].items())
+        for i in preds:
+            f = out[i].pop(k) / denom
+            cols_k[i] = f
+            row_i = out[i]
+            for j, pkj in succs:
+                if j == i:
+                    continue
+                row_i[j] = row_i.get(j, Fraction(0)) + f * pkj
+                inn[j].add(i)
+        for j, _ in succs:
+            inn[j].discard(k)
+        active.remove(k)
+        out[k] = {}
+        inn[k] = set()
+        order.append((k, cols_k))
+        for i in preds:
+            heapq.heappush(heap, (len(inn[i]) * len(out[i]), i))
+    root = active.pop()
+    pi = {root: Fraction(1)}
+    for k, cols in reversed(order):
+        pi[k] = sum((pi[i] * f for i, f in cols.items()), Fraction(0))
+    total = sum(pi.values(), Fraction(0))
+    return {i: p / total for i, p in pi.items()}

@@ -1,5 +1,10 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import weyltasep.markov as markov
+from weyltasep.closedform import DirectionVector, limdir_closed
 from weyltasep.errors import NotIrreducible
 from weyltasep.markov import (
     Dist,
@@ -11,11 +16,12 @@ from weyltasep.markov import (
     mc_estimate,
     total_variation,
 )
+from weyltasep.modular import primes_below
 from weyltasep.models import DStarParams, build_dstar, build_multi, build_two_species
 from weyltasep.ratio import R
-from weyltasep.weyl import WeylKind
+from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 
-from oracles import power_iteration
+from oracles import fraction_gth, power_iteration
 
 
 def test_kernel_row_sums_enforced():
@@ -122,3 +128,155 @@ def test_symmetry_invariance_of_stationary():
     ker = build_two_species(WeylKind("Ccheck", 4), 4, 2)
     pi = exact_stationary(ker)
     assert Dist({reversal_bijection(s): p for s, p in pi.items()}) == pi
+
+
+def test_restrict_to_closed_class_matches_direct_kernel():
+    # only the left starred rate vanishes: states without a first-site star are transient
+    ker = build_dstar(3, 1, DStarParams(1, 0, 1, R(1, 2)))
+    (cls,) = [c for c in communicating_classes(ker) if c.closed]
+    sub = ker.restrict(cls.states)
+    states = [s for s in ker.states if s in cls.states]
+    direct = build_kernel(states, lambda s: ker.row(s).items())
+    assert len(sub) < len(ker)
+    assert sub.states == direct.states and sub.rows == direct.rows
+    pi = exact_stationary(ker)
+    assert exact_stationary(sub) == Dist({s: p for s, p in pi.items() if s in cls.states})
+
+
+def test_rank5_d_law_gives_closed_form_direction():
+    kind = WeylKind("D", 5)
+    pi = exact_stationary(build_multi(kind, 5))
+    assert len(pi) == 1920
+    psi = [R(0)] * 5
+    for w, p in pi.items():
+        if p and theta_raises(w, kind):
+            for j, c in enumerate(inverse_act_theta(w, kind)):
+                psi[j] += p * c
+    assert DirectionVector(tuple(psi)).proportional_to(limdir_closed(kind, 5))
+
+
+# --- the modular solver against the Fraction elimination ---------------------
+
+
+def _oracle_law(kernel) -> Dist:
+    (cls,) = [c for c in communicating_classes(kernel) if c.closed]
+    members = sorted(kernel.index[s] for s in cls.states)
+    return Dist({kernel.states[i]: p for i, p in fraction_gth(kernel, members).items()})
+
+
+def _draw_row(draw, targets) -> list:
+    """Positive rational weights on the targets; the leftover mass holds."""
+    weights = [Fraction(draw(st.integers(1, 30)), draw(st.integers(1, 30))) for _ in targets]
+    scale = sum(weights) + Fraction(draw(st.integers(0, 30)), draw(st.integers(1, 30)))
+    return [(t, w / scale) for t, w in zip(targets, weights)]
+
+
+@st.composite
+def sparse_chains(draw):
+    n = draw(st.integers(1, 12))
+    cyclic = draw(st.booleans())
+    moves = {}
+    for i in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        if cyclic and (i + 1) % n not in targets:
+            targets.append((i + 1) % n)
+        moves[i] = _draw_row(draw, targets)
+    return build_kernel(range(n), moves.__getitem__)
+
+
+@st.composite
+def two_closed_classes(draw):
+    moves = {}
+    for tag in "ab":
+        m = draw(st.integers(1, 5))
+        for i in range(m):
+            extra = draw(st.lists(st.integers(0, m - 1), max_size=2, unique=True))
+            targets = dict.fromkeys([(i + 1) % m] + extra)
+            moves[(tag, i)] = _draw_row(draw, [(tag, j) for j in targets])
+    for i in range(draw(st.integers(0, 2))):
+        extra = draw(st.lists(st.sampled_from(sorted(moves)), max_size=2, unique=True))
+        targets = dict.fromkeys([(draw(st.sampled_from("ab")), 0)] + extra)
+        moves[("t", i)] = _draw_row(draw, list(targets))
+    return build_kernel(sorted(moves), moves.__getitem__)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_chains())
+def test_modular_solver_matches_fraction_oracle(kernel):
+    if sum(c.closed for c in communicating_classes(kernel)) != 1:
+        with pytest.raises(NotIrreducible):
+            exact_stationary(kernel)
+        return
+    assert exact_stationary(kernel) == _oracle_law(kernel)
+
+
+@settings(max_examples=50, deadline=None)
+@given(two_closed_classes())
+def test_two_closed_classes_raise(kernel):
+    assert sum(c.closed for c in communicating_classes(kernel)) == 2
+    with pytest.raises(NotIrreducible):
+        exact_stationary(kernel)
+
+
+@pytest.fixture
+def primes_used(monkeypatch):
+    """The primes exact_stationary tries, each with whether it was usable."""
+    calls = []
+    solve = markov._solve_mod
+
+    def spy(kernel, members, plan, p):
+        image = solve(kernel, members, plan, p)
+        calls.append((p, image is not None))
+        return image
+
+    monkeypatch.setattr(markov, "_solve_mod", spy)
+    return calls
+
+
+def test_large_denominators_need_chinese_remaindering(primes_used):
+    a, b, c = (1 << 80) + 13, (1 << 79) + 7, (1 << 81) + 27
+    k = Kernel(
+        ("x", "y", "z"),
+        (
+            {0: 1 - R(1, a), 1: R(1, a)},
+            {1: 1 - R(1, b) - R(1, c), 2: R(1, b), 0: R(1, c)},
+            {2: 1 - R(3, a), 0: R(3, a)},
+        ),
+    )
+    pi = exact_stationary(k)
+    assert pi == _oracle_law(k)
+    assert max(p.denominator for p in pi.values()).bit_length() > 61
+    assert len(primes_used) >= 2 and all(ok for _, ok in primes_used)
+
+
+def test_prime_dividing_a_denominator_is_skipped(primes_used):
+    first = next(primes_below())
+    k = Kernel(("a", "b"), ({0: 1 - R(1, 3 * first), 1: R(1, 3 * first)}, {0: R(1, 2), 1: R(1, 2)}))
+    pi = exact_stationary(k)
+    assert pi == _oracle_law(k)
+    assert primes_used[0] == (first, False)
+    assert all(ok for _, ok in primes_used[1:])
+
+
+def test_failed_certificate_adds_a_prime(primes_used, monkeypatch):
+    first = next(primes_below())
+    reconstruct = markov.rational_reconstruct
+
+    def off_by_one_mod_first(a, m):
+        nd = reconstruct(a, m)
+        return (nd[0] + 1, nd[1]) if m == first and nd else nd
+
+    certificates = []
+    certify = markov._is_stationary
+
+    def spy(kernel, pi_idx):
+        certificates.append(certify(kernel, pi_idx))
+        return certificates[-1]
+
+    monkeypatch.setattr(markov, "rational_reconstruct", off_by_one_mod_first)
+    monkeypatch.setattr(markov, "_is_stationary", spy)
+    ker = build_multi(WeylKind("Ccheck", 2), 2)
+    pi = exact_stationary(ker)
+    assert pi == _oracle_law(ker)
+    assert certificates == [False, True]
+    assert [p for p, _ in primes_used] == [first, next(primes_below(first))]
