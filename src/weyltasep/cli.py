@@ -196,8 +196,25 @@ def _cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line on stderr and exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="weyltasep",
         description="Exact exclusion processes, two-row models and alcove walks "
         "on the classical Weyl groups",
@@ -243,15 +260,15 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--method", choices=("closed", "lam", "walk"), default="closed"
     )
-    sp.add_argument("--steps", type=int, default=100_000)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--steps", type=_positive_int, default=100_000)
+    sp.add_argument("--trials", type=_positive_int, default=10)
     sp.add_argument("--seed", type=int, default=_default_seed())
     common(sp, n0=False, kind={"required": True})
     sp.set_defaults(func=_cmd_limdir, format="text")
 
     sp = sub.add_parser("walk", help="Monte Carlo alcove walk")
-    sp.add_argument("--steps", type=int, default=100_000)
-    sp.add_argument("--trials", type=int, default=10)
+    sp.add_argument("--steps", type=_positive_int, default=100_000)
+    sp.add_argument("--trials", type=_positive_int, default=10)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--svg", metavar="PATH", default=None)
     common(sp, n0=False, kind={"required": True})

@@ -6,22 +6,31 @@ by the family's step weights.  A proposal is accepted only if it crosses a
 hyperplane never crossed before (the separation count from the base point
 grows by one); otherwise the walk holds.  All geometry is exact: points
 live on a fixed denominator lattice, so the hot loop is integer-only.
+
+The current alcove is u(A0) for an element u of the affine Weyl group, and
+the state keeps u as its inverse window together with y = u^{-1}(x0), the
+base point x0 seen from the fundamental alcove A0.  Proposing generator g
+crosses a new hyperplane exactly when y lies on x0's side of the wall g of
+A0, and an ascent table caches that answer for every g.  A proposal is one
+draw, one bisection and one table lookup.  An accepted one reflects y and
+the window by s_g and recomputes the table at the Dynkin neighbours of g
+only.  The point x = u(x0) is built only when it is asked for.
 """
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 from .closedform import DirectionVector, limdir_closed
 from .errors import NonGenericPoint
 from .markov import derive_stream
 from .ratio import R
-from .weyl import WeylKind, kac_weights, root_data
-
-Vec = tuple
+from .weyl import WeylKind, apply_generator, identity_window, kac_weights, root_data
 
 
 @lru_cache(maxsize=None)
@@ -84,45 +93,43 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     return total
 
 
-def _reflection_window(kind: WeylKind, g: int, n: int) -> tuple:
-    fam = kind.root_family
-    w = list(range(1, n + 1))
-    if 1 <= g <= n - 1:
-        w[g - 1], w[g] = w[g], w[g - 1]
-    elif g == 0:
-        if fam == "D":
-            w[0], w[1] = -2, -1
-        else:
-            w[0] = -1
-    else:
-        if fam == "C" or n == 1:
-            w[-1] = -w[-1]
-        else:
-            w[-2], w[-1] = -n, -(n - 1)
-    return tuple(w)
-
-
 @lru_cache(maxsize=None)
 def _walk_tables(kind: WeylKind, n: int):
+    """Scale d, scaled base point x0, per-generator moves and the step CDF.
+
+    moves[g] = (p, q, s, shift, refresh).  Right multiplication by s_g maps
+    entries p, q of the inverse window and of y to s times each other (p == q
+    negates one entry); the affine generator then adds shift to y.  refresh
+    holds (h, i0, c0, i1, c1, lev) for every Dynkin neighbour h of g, g
+    included: h is an ascent iff c0*y[i0] + c1*y[i1] > lev.
+    """
     kind = WeylKind(kind.family, n)
     rs = root_data(kind)
     base = fundamental_point(kind, n)
-    d = 1
-    for v in base:
-        d = d * v.denominator // math.gcd(d, v.denominator)
+    d = math.lcm(*(v.denominator for v in base))
     x0 = tuple(int(v * d) for v in base)
-    theta = rs.theta
-    theta_norm = sum(c * c for c in theta)
-    tau = tuple(2 * c // theta_norm for c in theta)  # integral for B, C, D
-    gens = []
-    for g in range(n + 1):
-        alpha = rs.simple_roots[g] if g < n else theta
-        alpha_pairs = tuple((i, c) for i, c in enumerate(alpha) if c)
-        win = _reflection_window(kind, g, n)
-        supp = tuple((v, win[v - 1]) for v in range(1, n + 1) if win[v - 1] != v)
-        tau_pairs = tuple((i, c) for i, c in enumerate(tau) if c) if g == n else ()
-        level = 1 if g == n else 0
-        gens.append((alpha_pairs, supp, tau_pairs, level))
+    walls = rs.simple_roots + (rs.theta,)
+    # x0 is generic, so y never lies on a wall and '>' needs no tie rule
+    ascent = []
+    for g, alpha in enumerate(walls):
+        lev = d if g == n else 0
+        side = 1 if sum(c * v for c, v in zip(alpha, x0)) > lev else -1
+        pairs = [(i, side * c) for i, c in enumerate(alpha) if c] + [(0, 0)]
+        ascent.append((g,) + pairs[0] + pairs[1] + (side * lev,))
+    theta_norm = sum(c * c for c in rs.theta)
+    tau = tuple(d * (2 * c // theta_norm) for c in rs.theta)  # integral for B, C, D
+    moves = []
+    for g, alpha in enumerate(walls):
+        # s_g is a signed transposition of two entries or one sign change
+        win = apply_generator(identity_window(n), g, kind)
+        supp = [i for i in range(n) if win[i] != i + 1]
+        p, q = supp[0], supp[-1]
+        shift = tuple((i, c) for i, c in enumerate(tau) if c) if g == n else ()
+        refresh = tuple(
+            ascent[h] for h, beta in enumerate(walls)
+            if sum(a * b for a, b in zip(alpha, beta))
+        )
+        moves.append((p, q, 1 if win[p] > 0 else -1, shift, refresh))
     weights = kac_weights(kind).weights
     total = sum(weights)
     cum = []
@@ -131,94 +138,86 @@ def _walk_tables(kind: WeylKind, n: int):
         acc += a / total
         cum.append(acc)
     cum[-1] = 1.1
-    return d, x0, tuple(gens), tuple(cum)
+    return d, x0, tuple(moves), tuple(cum)
 
 
 @dataclass
 class WalkState:
+    """The current alcove u(A0), as u's inverse window and y = u^{-1}(x0).
+
+    y is scaled by d.  asc[g] caches whether proposing g would cross a new
+    hyperplane: whether y lies on x0's side of the fundamental wall g.
+    """
+
     kind: WeylKind
     n: int
-    d: int
-    window: list
     winv: list
-    translation: list
-    x_scaled: list
+    y: list
+    asc: list
     crossings: int
 
     def point(self) -> tuple:
-        return tuple(Fraction(v, self.d) for v in self.x_scaled)
+        """The current point u(x0) = x0 + w(x0 - y), with w the window."""
+        d, x0, _, _ = _walk_tables(self.kind, self.n)
+        x = list(x0)
+        for i, a in enumerate(self.winv):
+            if a > 0:
+                x[a - 1] += x0[i] - self.y[i]
+            else:
+                x[-a - 1] -= x0[i] - self.y[i]
+        return tuple(Fraction(v, d) for v in x)
 
 
 def initial_state(kind: WeylKind, n: int) -> WalkState:
-    d, x0, _, _ = _walk_tables(kind, n)
+    _, x0, _, _ = _walk_tables(kind, n)
+    # x0 lies on its own side of every wall: every generator is an ascent
     ident = list(range(1, n + 1))
-    return WalkState(
-        WeylKind(kind.family, n), n, d, ident[:], ident[:], [0] * n, list(x0), 0
-    )
+    return WalkState(WeylKind(kind.family, n), n, ident, list(x0), [True] * (n + 1), 0)
+
+
+def _advance(state: WalkState, proposals, on_accept=None) -> int:
+    """Run the proposed generators in order; returns how many were accepted.
+
+    A held proposal costs one table lookup.  An accepted one moves the state
+    and refreshes the ascent table at the Dynkin neighbours of g only: for h
+    with s_g s_h = s_h s_g, u s_g (alpha_h) = u (alpha_h), so h keeps its status.
+    """
+    moves = _walk_tables(state.kind, state.n)[2]
+    winv, y, asc = state.winv, state.y, state.asc
+    accepted = 0
+    for g in proposals:
+        if asc[g]:
+            p, q, s, shift, refresh = moves[g]
+            winv[p], winv[q] = s * winv[q], s * winv[p]
+            y[p], y[q] = s * y[q], s * y[p]
+            for i, c in shift:
+                y[i] += c
+            for h, i0, c0, i1, c1, lev in refresh:
+                asc[h] = c0 * y[i0] + c1 * y[i1] > lev
+            accepted += 1
+            if on_accept is not None:
+                on_accept(state)
+    state.crossings += accepted
+    return accepted
+
+
+def _proposals(kind: WeylKind, n: int, steps: int, seed: int):
+    """Generators drawn by a seeded walk: per draw r, the first g with r <= cum[g]."""
+    cum = _walk_tables(kind, n)[3]
+    rnd = random.Random(derive_stream(seed, 0)).random
+    # iter(rnd, None) never ends; repeat() stops the map after `steps` draws
+    return map(bisect_left, repeat(cum, steps), iter(rnd, None))
 
 
 def _try_step(state: WalkState, g: int) -> bool:
     """Attempt one proposal in place; returns whether it was accepted."""
-    d, x0, gens, _ = _walk_tables(state.kind, state.n)
-    alpha_pairs, supp, tau_pairs, level = gens[g]
-    winv = state.winv
-    w = state.window
-    t = state.translation
-    x = state.x_scaled
-    lev = level * d
-    s_base = 0
-    s_cur = 0
-    for i0, c in alpha_pairs:
-        a = winv[i0]
-        if a > 0:
-            j0, cc = a - 1, c
-        else:
-            j0, cc = -a - 1, -c
-        s_base += cc * x0[j0]
-        s_cur += cc * x[j0]
-        lev += cc * d * t[j0]
-    if (s_base > lev) != (s_cur > lev):
-        return False
-    if tau_pairs:
-        for i0, c in tau_pairs:
-            a = winv[i0]
-            if a > 0:
-                t[a - 1] += c
-            else:
-                t[-a - 1] -= c
-    changed = set()
-    for v, img in supp:
-        a = winv[v - 1]
-        j0 = a - 1 if a > 0 else -a - 1
-        w[j0] = img if a > 0 else -img
-        changed.add(j0)
-    for j0 in changed:
-        val = w[j0]
-        if val > 0:
-            winv[val - 1] = j0 + 1
-        else:
-            winv[-val - 1] = -(j0 + 1)
-    if tau_pairs:
-        changed.update(range(state.n))  # translation moved: refresh all coords
-    for j0 in changed:
-        val = w[j0]
-        base = x0[val - 1] if val > 0 else -x0[-val - 1]
-        x[j0] = base + d * t[j0]
-    state.crossings += 1
-    return True
+    return _advance(state, (g,)) == 1
 
 
 def step(state: WalkState, g: int) -> WalkState:
     """One proposal of generator g; returns the (possibly held) new state."""
     new = WalkState(
-        state.kind,
-        state.n,
-        state.d,
-        state.window[:],
-        state.winv[:],
-        state.translation[:],
-        state.x_scaled[:],
-        state.crossings,
+        state.kind, state.n, state.winv[:], state.y[:], state.asc[:], state.crossings
     )
     _try_step(new, g)
     return new
@@ -263,20 +262,11 @@ class WalkSummary:
 
 def run_walk(kind: WeylKind, n: int, steps: int, seed: int = 0) -> WalkSummary:
     """Simulate one walk; deterministic in the seed."""
+    if steps <= 0:
+        raise ValueError("steps must be positive")
     kind = WeylKind(kind.family, n)
-    d, x0, gens, cum = _walk_tables(kind, n)
     state = initial_state(kind, n)
-    rng = random.Random(derive_stream(seed, 0))
-    rnd = rng.random
-    accepted = 0
-    ncum = len(cum)
-    for _ in range(steps):
-        r = rnd()
-        g = 0
-        while r > cum[g]:
-            g += 1
-        if _try_step(state, g):
-            accepted += 1
+    accepted = _advance(state, _proposals(kind, n, steps, seed))
     pt = state.point()
     cross = separation_count(pt, kind, n)
     return WalkSummary(pt, accepted, steps, cross, chamber_label(pt, kind), seed)
@@ -313,6 +303,8 @@ def estimate_direction(
     Trials use streams derived from (seed, trial) and may run in parallel;
     the result is deterministic either way.
     """
+    if steps <= 0 or trials <= 0:
+        raise ValueError("steps and trials must be positive")
     kind = WeylKind(kind.family, n)
     jobs = [(kind.family, n, steps, seed, t) for t in range(trials)]
     if processes is None:
@@ -352,17 +344,13 @@ def svg_trajectory(kind: WeylKind, n: int, steps: int, seed: int, path: str) -> 
     if n != 2:
         raise ValueError("SVG dump is only available for rank 2")
     kind = WeylKind(kind.family, n)
-    d, x0, gens, cum = _walk_tables(kind, n)
     state = initial_state(kind, n)
-    rng = random.Random(derive_stream(seed, 0))
-    pts = [tuple(float(v) / d for v in state.x_scaled)]
-    for _ in range(steps):
-        r = rng.random()
-        g = 0
-        while r > cum[g]:
-            g += 1
-        if _try_step(state, g):
-            pts.append(tuple(float(v) / d for v in state.x_scaled))
+    pts = [tuple(map(float, state.point()))]
+    _advance(
+        state,
+        _proposals(kind, n, steps, seed),
+        lambda st: pts.append(tuple(map(float, st.point()))),
+    )
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     lo = min(min(xs), min(ys)) - 1

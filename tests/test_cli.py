@@ -117,3 +117,20 @@ def test_env_var_seed(capsys, monkeypatch):
     parser = cli.make_parser()
     args = parser.parse_args(["walk", "--kind", "b", "--n", "2"])
     assert args.seed == 123
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walk", "--kind", "b", "--n", "2", "--steps", "0"],
+        ["walk", "--kind", "b", "--n", "2", "--trials", "0"],
+        ["limdir", "--kind", "b", "--n", "2", "--method", "walk", "--steps", "0"],
+    ],
+    ids=["walk-steps", "walk-trials", "limdir-steps"],
+)
+def test_zero_counts_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "positive integer" in err

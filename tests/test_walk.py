@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,14 @@ from weyltasep.walk import (
     step,
     svg_trajectory,
 )
-from weyltasep.weyl import WeylKind, root_data
+from weyltasep.weyl import (
+    WeylKind,
+    act,
+    apply_generator,
+    identity_window,
+    root_data,
+    wprod,
+)
 
 B2 = WeylKind("B", 2)
 
@@ -109,3 +117,103 @@ def test_svg_dump(tmp_path):
     assert text.startswith("<svg") and "polyline" in text
     with pytest.raises(ValueError):
         svg_trajectory(WeylKind("B", 3), 3, 10, seed=1, path=str(path))
+
+
+WALK_KINDS = [
+    (family, n)
+    for family in ("B", "C", "Bcheck", "Ccheck", "D")
+    for n in range(3 if family == "D" else 1, 7)
+]
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+@pytest.mark.parametrize("family,n", WALK_KINDS)
+def test_ascent_table_matches_geometry(family, n):
+    """The cached ascent table against the walls of a reference alcove walk.
+
+    The reference keeps the window w and the point x (scaled by d) and
+    reflects x in the crossed hyperplane; wall g of the current alcove is
+    the image of the fundamental wall g under x -> w.x + (x - w.x0).
+    """
+    kind = WeylKind(family, n)
+    base = fundamental_point(kind, n)
+    d = math.lcm(*(v.denominator for v in base))
+    x0 = [int(v * d) for v in base]
+    rs = root_data(kind)
+    walls = rs.simple_roots + (rs.theta,)
+    w, x = identity_window(n), list(x0)
+
+    def wall(g):
+        beta = act(w, walls[g])
+        shift = [a - b for a, b in zip(x, act(w, x0))]
+        return beta, d * (g == n) + _dot(beta, shift)
+
+    def status():
+        out = []
+        for g in range(n + 1):
+            beta, lev = wall(g)
+            out.append((_dot(beta, x0) > lev) == (_dot(beta, x) > lev))
+        return out
+
+    state = initial_state(kind, n)
+    rng = random.Random(n)
+    for _ in range(2000):
+        expected = status()
+        assert state.asc == expected
+        g = rng.randrange(n + 1)
+        assert _try_step(state, g) == expected[g]
+        if expected[g]:
+            beta, lev = wall(g)
+            k = 2 * (_dot(beta, x) - lev) // _dot(beta, beta)
+            x = [a - k * b for a, b in zip(x, beta)]
+            w = wprod(w, apply_generator(identity_window(n), g, kind))
+    assert state.asc == status()
+    assert state.point() == tuple(Fraction(v, d) for v in x)
+    assert state.crossings == separation_count(state.point(), kind, n)
+
+
+# Seeded outputs of the walk, taken before the ascent-table walk replaced the
+# point-tracking loop: the RNG stream, the generator choice and the geometry
+# must reproduce them exactly.
+GOLDEN_WALKS = [
+    ("B", 2, 1, 8201, ("1651/2", "-14749/6")),
+    ("B", 2, 2026, 8159, ("-1669/2", "-14645/6")),
+    ("C", 3, 1, 7816, ("6721/8", "2199/4", "2309/8")),
+    ("C", 3, 2026, 7780, ("-2497/8", "-2161/4", "-6653/8")),
+    ("Ccheck", 2, 1, 8528, ("5821/6", "-4940/3")),
+    ("Ccheck", 2, 2026, 8681, ("-2966/3", "10057/6")),
+    ("Bcheck", 4, 1, 7647, ("6449/10", "2807/10", "-2214/5", "151/2")),
+    ("Bcheck", 4, 2026, 7678, ("-2801/10", "-2291/5", "-847/10", "-1273/2")),
+    ("D", 4, 1, 7703, ("4161/5", "2797/10", "7/2", "538")),
+    ("D", 4, 2026, 7770, ("-2847/10", "-2739/5", "17/2", "-834")),
+    ("B", 6, 1, 7386,
+     ("-211/7", "-1193/14", "1986/7", "-1797/14", "-351/2", "-3263/14")),
+    ("B", 6, 2026, 7175,
+     ("2525/14", "-351/14", "-1595/7", "-927/14", "-891/7", "545/2")),
+]
+
+
+@pytest.mark.parametrize("family,n,seed,accepted,point", GOLDEN_WALKS)
+def test_run_walk_golden(family, n, seed, accepted, point):
+    s = run_walk(WeylKind(family, n), n, 20_000, seed=seed)
+    assert s.accepted == accepted
+    assert s.final_point == tuple(Fraction(v) for v in point)
+
+
+def test_estimate_direction_golden():
+    est = estimate_direction(WeylKind("B", 3), 3, 20_000, 3, seed=5, processes=1)
+    assert est.direction == (
+        0.17510282827433898, 0.5056965314969138, 0.8447544125734522
+    )
+
+
+@pytest.mark.parametrize("steps,trials", [(0, 2), (-5, 2), (100, 0)])
+def test_walk_counts_must_be_positive(steps, trials):
+    with pytest.raises(ValueError):
+        estimate_direction(B2, 2, steps, trials, processes=1)
+    if steps <= 0:
+        with pytest.raises(ValueError):
+            run_walk(B2, 2, steps)
