@@ -45,7 +45,6 @@ from .models import (
     build_two_species,
     DStarParams,
     dstar_states,
-    enumerate_states,
     multi_states,
     STAR,
     two_species_states,

@@ -15,6 +15,7 @@ from . import __version__
 from . import closedform as cf
 from . import tworow as tr
 from . import verify as verify_mod
+from .errors import WeylTasepError
 from .markov import exact_stationary
 from .models import (
     DStarParams,
@@ -76,12 +77,7 @@ def _with_decimal(text: str, digits: int | None) -> str:
 
 
 def _params_from(args) -> DStarParams:
-    return DStarParams(
-        parse_ratio(args.alpha),
-        parse_ratio(args.alpha_star),
-        parse_ratio(args.beta),
-        parse_ratio(args.beta_star),
-    )
+    return DStarParams(args.alpha, args.alpha_star, args.beta, args.beta_star)
 
 
 def _cmd_stationary(args) -> int:
@@ -93,9 +89,7 @@ def _cmd_stationary(args) -> int:
     elif args.model == "dstar":
         kernel = build_dstar(args.n, args.n0, _params_from(args))
     elif args.model == "semiperm":
-        kernel = build_semipermeable(
-            args.n, args.n0, parse_ratio(args.alpha), parse_ratio(args.beta)
-        )
+        kernel = build_semipermeable(args.n, args.n0, args.alpha, args.beta)
     else:  # tworow
         dist, z = tr.stationary(args.n, args.n0, _params_from(args))
         out = _meta(args, model="tworow", n=args.n, n0=args.n0)
@@ -131,9 +125,7 @@ def _cmd_partition(args) -> int:
     elif args.model == "d":
         val = R(cf.z_d(args.n, args.n0))
     elif args.model == "semiperm":
-        val = cf.z_semiperm(
-            args.n, args.n0, parse_ratio(args.alpha), parse_ratio(args.beta)
-        )
+        val = cf.z_semiperm(args.n, args.n0, args.alpha, args.beta)
     else:  # tworow
         val = tr.partition_sum(args.n, args.n0, _params_from(args))
     if args.format == "json":
@@ -206,6 +198,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rational(text: str):
+    try:
+        return parse_ratio(text)
+    except (ValueError, ZeroDivisionError):
+        msg = f"expected p/q or an integer, got {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error as one line on stderr and exit code 2."""
 
@@ -229,10 +229,10 @@ def make_parser() -> argparse.ArgumentParser:
         if kind is not None:
             sp.add_argument("--kind", choices=sorted(FAMILY_FLAGS), **kind)
         if rates:
-            sp.add_argument("--alpha", default="1")
-            sp.add_argument("--alpha-star", dest="alpha_star", default="1")
-            sp.add_argument("--beta", default="1")
-            sp.add_argument("--beta-star", dest="beta_star", default="1")
+            sp.add_argument("--alpha", type=_rational, default="1")
+            sp.add_argument("--alpha-star", dest="alpha_star", type=_rational, default="1")
+            sp.add_argument("--beta", type=_rational, default="1")
+            sp.add_argument("--beta-star", dest="beta_star", type=_rational, default="1")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
         sp.add_argument("--decimal", type=int, default=0, metavar="DIGITS")
 
@@ -291,7 +291,13 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    prog = f"{parser.prog} {args.command}"
+    if args.command == "stationary" and args.model in ("multi", "two") and not args.kind:
+        parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
+    try:
+        return args.func(args)
+    except WeylTasepError as exc:
+        parser.exit(2, f"{prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

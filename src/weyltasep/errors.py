@@ -47,3 +47,7 @@ class NonGenericPoint(WeylTasepError):
 
 class UnsupportedRange(WeylTasepError):
     """No computation route is available for these arguments."""
+
+
+class InvalidRates(WeylTasepError):
+    """The moves out of a state carry more than probability 1."""

@@ -17,7 +17,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
-from .errors import NotIrreducible
+from .errors import InvalidRates, NotIrreducible
 from .modular import crt_extend, primes_below, rational_reconstruct
 from .ratio import ONE, R, ZERO, fmt_ratio, parse_ratio
 
@@ -66,7 +66,10 @@ def build_kernel(
     states: Sequence[State],
     moves: Callable[[State], Iterable[tuple[State, object]]],
 ) -> Kernel:
-    """Assemble a kernel from per-state move lists; leftover mass holds."""
+    """Assemble a kernel from per-state move lists; leftover mass holds.
+
+    Raises InvalidRates when the moves out of a state carry more than 1.
+    """
     states = tuple(states)
     index = {s: i for i, s in enumerate(states)}
     rows = []
@@ -80,6 +83,8 @@ def build_kernel(
             j = index[target]
             row[j] = row.get(j, ZERO) + p
             total += p
+        if total > 1:
+            raise InvalidRates(f"moves out of state {s!r} carry {fmt_ratio(total)} > 1")
         hold = ONE - total
         if hold != 0:
             i = index[s]

@@ -5,20 +5,23 @@ States are tuples.  Multispecies states are signed-permutation windows
 states are words over {-1, 0, 1} with a fixed number of zeros; starred
 states allow ``"*"`` at the boundary sites.
 
-Boundary moves are generated as literal pattern tables (one entry per
-species pair), mirroring how the transition rules are usually written; the
-equivalent "sign of the dominant entry" rule is kept to tests.
+The multispecies, two-species and semipermeable chains share one move rule:
+edge g (0..n) fires exactly when the word lies on the negative side of wall
+g of the fundamental alcove (the simple roots, then -theta), and it moves
+the word by the group generator s_g, the step of the reduced alcove walk.
+The chains differ only in the edge probabilities.  The literal per-pair
+pattern tables the rule replaces are kept in the tests as oracles.  The
+starred chain has boundary rules of its own.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import InvalidCounts, InvalidRank, UnsupportedKind
 from .markov import Kernel, build_kernel
 from .ratio import R
-from .weyl import WeylKind, kac_weights, signed_permutations
+from .weyl import WeylKind, alcove_walls, apply_generator, kac_weights, signed_permutations
 
 STAR = "*"
 
@@ -90,44 +93,6 @@ def dstar_states(n: int, n0: int) -> list:
     return sorted(states, key=state_sort_key)
 
 
-def enumerate_states(descriptor: tuple) -> list:
-    """Dispatch on ('multi', kind, n) / ('two', kind, n, n0) / ('dstar', n, n0)."""
-    tag = descriptor[0]
-    if tag == "multi":
-        return multi_states(descriptor[1], descriptor[2])
-    if tag == "two":
-        return two_species_states(descriptor[2], descriptor[3])
-    if tag == "dstar":
-        return dstar_states(descriptor[1], descriptor[2])
-    raise ValueError(f"unknown state-space descriptor {descriptor!r}")
-
-
-@lru_cache(maxsize=None)
-def theta_move_patterns(n: int) -> dict:
-    """Last-two-site moves (a, b) -> (-b, -a), tabulated pairwise."""
-    pats = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pats[(j, i)] = (-i, -j)
-            pats[(j, -i)] = (i, -j)
-            pats[(i, j)] = (-j, -i)
-            pats[(-i, j)] = (-j, i)
-    return pats
-
-
-@lru_cache(maxsize=None)
-def first_move_patterns_d(n: int) -> dict:
-    """First-two-site moves of the D family, tabulated pairwise."""
-    pats = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            pats[(-i, -j)] = (j, i)
-            pats[(i, -j)] = (j, -i)
-            pats[(-j, -i)] = (i, j)
-            pats[(-j, i)] = (-i, j)
-    return pats
-
-
 def _swap(word, k):
     lst = list(word)
     lst[k], lst[k + 1] = lst[k + 1], lst[k]
@@ -140,18 +105,29 @@ def _replace2(word, k, pair):
     return tuple(lst)
 
 
-def _flip(word, k):
-    lst = list(word)
-    lst[k] = -lst[k]
-    return tuple(lst)
+def _exclusion_kernel(states, kind: WeylKind, probs) -> Kernel:
+    """Edge g moves w to s_g(w) with probability probs[g] when <wall_g, w> < 0."""
+    rule = tuple(zip(range(kind.n + 1), alcove_walls(kind), probs))
+
+    def moves(w):
+        for g, (i0, c0, i1, c1), p in rule:
+            if c0 * w[i0] + c1 * w[i1] < 0:
+                yield apply_generator(w, g, kind), p
+
+    return build_kernel(states, moves)
+
+
+def _kac_probs(kind: WeylKind) -> list:
+    weights = kac_weights(kind)
+    return [R(a, weights.total) for a in weights.weights]
 
 
 def build_multi(kind: WeylKind, n: int) -> Kernel:
     """Kernel of the multispecies process for families Ccheck, B, D.
 
-    Edge l (0..n) is selected with probability a_l / sum(a) where a are the
-    family's step weights; the selected edge then moves deterministically
-    when its pattern matches, otherwise the state holds.
+    Edge g (0..n) is selected with probability a_g / sum(a) where a are the
+    family's step weights; the selected edge then moves by s_g when the
+    state is on the negative side of wall g, otherwise the state holds.
     """
     fam = kind.family
     if fam not in MULTI_FAMILIES:
@@ -159,38 +135,7 @@ def build_multi(kind: WeylKind, n: int) -> Kernel:
     if n < (2 if fam in ("B", "D") else 1):
         raise InvalidRank(f"family {fam} multispecies model needs larger n")
     wk = WeylKind(fam, n)
-    weights = kac_weights(wk)
-    total = weights.total
-    theta_pats = theta_move_patterns(n)
-    d_first = first_move_patterns_d(n) if fam == "D" else None
-
-    def moves(w):
-        for ell in range(n + 1):
-            p = R(weights.weights[ell], total)
-            if 1 <= ell <= n - 1:
-                if w[ell - 1] > w[ell]:
-                    yield _swap(w, ell - 1), p
-            elif ell == 0:
-                if fam == "D":
-                    tgt = d_first.get((w[0], w[1]))
-                    if tgt is not None:
-                        yield _replace2(w, 0, tgt), p
-                elif w[0] < 0:
-                    yield _flip(w, 0), p
-            else:  # ell == n
-                if fam == "Ccheck":
-                    if w[-1] > 0:
-                        yield _flip(w, n - 1), p
-                else:
-                    tgt = theta_pats.get((w[-2], w[-1]))
-                    if tgt is not None:
-                        yield _replace2(w, n - 2, tgt), p
-
-    return build_kernel(multi_states(kind, n), moves)
-
-
-TWO_THETA = {(1, 1): (-1, -1), (0, 1): (-1, 0), (1, 0): (0, -1)}
-TWO_FIRST_D = {(-1, -1): (1, 1), (-1, 0): (0, 1), (0, -1): (1, 0)}
+    return _exclusion_kernel(multi_states(kind, n), wk, _kac_probs(wk))
 
 
 def build_two_species(kind: WeylKind, n: int, n0: int) -> Kernel:
@@ -202,32 +147,8 @@ def build_two_species(kind: WeylKind, n: int, n0: int) -> Kernel:
         raise InvalidCounts(f"need 0 <= n0 <= n, got {n0}")
     if n < (2 if fam in ("B", "D") else 1):
         raise InvalidRank(f"family {fam} two-species model needs larger n")
-    weights = kac_weights(WeylKind(fam, n))
-    total = weights.total
-
-    def moves(w):
-        for ell in range(n + 1):
-            p = R(weights.weights[ell], total)
-            if 1 <= ell <= n - 1:
-                if w[ell - 1] > w[ell]:
-                    yield _swap(w, ell - 1), p
-            elif ell == 0:
-                if fam == "D":
-                    tgt = TWO_FIRST_D.get((w[0], w[1]))
-                    if tgt is not None:
-                        yield _replace2(w, 0, tgt), p
-                elif w[0] == -1:
-                    yield _flip(w, 0), p
-            else:
-                if fam == "Ccheck":
-                    if w[-1] == 1:
-                        yield _flip(w, n - 1), p
-                else:
-                    tgt = TWO_THETA.get((w[-2], w[-1]))
-                    if tgt is not None:
-                        yield _replace2(w, n - 2, tgt), p
-
-    return build_kernel(two_species_states(n, n0), moves)
+    wk = WeylKind(fam, n)
+    return _exclusion_kernel(two_species_states(n, n0), wk, _kac_probs(wk))
 
 
 def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
@@ -273,26 +194,17 @@ def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
 def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:
     """Open-boundary two-species kernel whose middle species never crosses.
 
-    Species 1 enters as a sign flip at the first site (rate alpha relative
-    to bulk), exits at the last site (rate beta); zeros are conserved.  The
-    discrete chain selects among n+1 edges uniformly and scales the
-    boundary moves by the rates.
+    The Ccheck rule with uniform edges: species 1 enters as a sign flip at
+    the first site (rate alpha relative to bulk), exits at the last site
+    (rate beta); zeros are conserved.  The discrete chain selects among n+1
+    edges uniformly and scales the boundary moves by the rates.
     """
     alpha, beta = R(alpha), R(beta)
     if alpha <= 0 or beta <= 0:
         raise InvalidCounts("boundary rates must be positive")
     edge = R(1, n + 1)
-
-    def moves(w):
-        if w[0] == -1:
-            yield _flip(w, 0), edge * alpha
-        for ell in range(1, n):
-            if w[ell - 1] > w[ell]:
-                yield _swap(w, ell - 1), edge
-        if w[-1] == 1:
-            yield _flip(w, n - 1), edge * beta
-
-    return build_kernel(two_species_states(n, n0), moves)
+    probs = [edge * alpha] + [edge] * (n - 1) + [edge * beta]
+    return _exclusion_kernel(two_species_states(n, n0), WeylKind("Ccheck", n), probs)
 
 
 def reversal_bijection(w):

@@ -27,10 +27,12 @@ from functools import lru_cache
 from itertools import repeat
 
 from .closedform import DirectionVector, limdir_closed
-from .errors import NonGenericPoint
+from .errors import NonGenericPoint, UnsupportedRange
 from .markov import derive_stream
 from .ratio import R
-from .weyl import WeylKind, apply_generator, identity_window, kac_weights, root_data
+from .weyl import (
+    WeylKind, alcove_walls, apply_generator, identity_window, kac_weights, root_data
+)
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +66,9 @@ def _solve_exact(rows, rhs):
     n = len(rows)
     a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            raise UnsupportedRange("the alcove walls are linearly dependent (as for D2)")
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
         a[col] = [x * inv for x in a[col]]
@@ -111,11 +115,10 @@ def _walk_tables(kind: WeylKind, n: int):
     walls = rs.simple_roots + (rs.theta,)
     # x0 is generic, so y never lies on a wall and '>' needs no tie rule
     ascent = []
-    for g, alpha in enumerate(walls):
-        lev = d if g == n else 0
-        side = 1 if sum(c * v for c, v in zip(alpha, x0)) > lev else -1
-        pairs = [(i, side * c) for i, c in enumerate(alpha) if c] + [(0, 0)]
-        ascent.append((g,) + pairs[0] + pairs[1] + (side * lev,))
+    for g, (i0, c0, i1, c1) in enumerate(alcove_walls(kind)):
+        lev = -d if g == n else 0  # wall n is <-theta, y> = -d
+        side = 1 if c0 * x0[i0] + c1 * x0[i1] > lev else -1
+        ascent.append((g, i0, side * c0, i1, side * c1, side * lev))
     theta_norm = sum(c * c for c in rs.theta)
     tau = tuple(d * (2 * c // theta_norm) for c in rs.theta)  # integral for B, C, D
     moves = []
@@ -306,6 +309,7 @@ def estimate_direction(
     if steps <= 0 or trials <= 0:
         raise ValueError("steps and trials must be positive")
     kind = WeylKind(kind.family, n)
+    fundamental_point(kind, n)  # a degenerate alcove fails here, before any fork
     jobs = [(kind.family, n, steps, seed, t) for t in range(trials)]
     if processes is None:
         import os

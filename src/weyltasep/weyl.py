@@ -184,31 +184,40 @@ def length(w: Window, kind: WeylKind) -> int:
     return sum(1 for alpha in pos if act(w, alpha) not in pos)
 
 
+@lru_cache(maxsize=None)
+def alcove_walls(kind: WeylKind) -> tuple:
+    """Normals of the fundamental alcove's walls as two-term pairings.
+
+    Wall g (0..n-1) is the simple root alpha_g and wall n is -theta, so the
+    alcove lies on the positive side of every wall.  Each entry is
+    (i0, c0, i1, c1) with <wall_g, v> = c0*v[i0] + c1*v[i1]; a one-term
+    wall pads with (0, 0).
+    """
+    rs = root_data(kind)
+    walls = []
+    for alpha in rs.simple_roots + (tuple(-c for c in rs.theta),):
+        terms = [(i, c) for i, c in enumerate(alpha) if c] + [(0, 0)]
+        walls.append(terms[0] + terms[1])
+    return tuple(walls)
+
+
 def theta_raises(w: Window, kind: WeylKind) -> bool:
     """Whether applying the highest-root generator increases the length.
 
-    Characterized on the window: for C-type the last entry is positive; for
-    B/D-type the entry of larger absolute value among the last two is
-    positive.  Agreement with the length-based definition is a test.
+    That is <theta, w> > 0 on the window entries, the g = n case of the
+    wall test that drives the exclusion chains.  Agreement with the
+    length-based definition is a test.
     """
-    if kind.root_family == "C" or len(w) == 1:
-        return w[-1] > 0
-    a, b = w[-2], w[-1]
-    return (a if abs(a) > abs(b) else b) > 0
+    i0, c0, i1, c1 = alcove_walls(kind)[kind.n]
+    return c0 * w[i0] + c1 * w[i1] < 0
 
 
 def inverse_act_theta(w: Window, kind: WeylKind) -> Vector:
-    """w^{-1} applied to the highest root, via the window pattern."""
-    n = len(w)
-    v = [0] * n
-    if kind.root_family == "C":
-        v[abs(w[-1]) - 1] = 2 if w[-1] > 0 else -2
-        return tuple(v)
-    if n == 1:
-        v[0] = 1 if w[0] > 0 else -1
-        return tuple(v)
-    for a in (w[-2], w[-1]):
-        v[abs(a) - 1] += 1 if a > 0 else -1
+    """w^{-1} applied to the highest root, read off the window entries."""
+    i0, c0, i1, c1 = alcove_walls(kind)[kind.n]  # the terms of -theta
+    v = [0] * len(w)
+    for i, c in ((i0, c0), (i1, c1)):
+        v[abs(w[i]) - 1] -= c if w[i] > 0 else -c
     return tuple(v)
 
 

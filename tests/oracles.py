@@ -3,15 +3,26 @@
 These deliberately avoid the library's own formulas: word lengths come from
 breadth-first search over the generators, stationary vectors from floating
 point power iteration or from state elimination over fractions.Fraction,
-counts from brute enumeration.
+counts from brute enumeration, and exclusion-chain kernels from literal
+per-pair pattern tables instead of the wall rule.
 """
 from __future__ import annotations
 
 import heapq
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
 
-from weyltasep.weyl import WeylKind, apply_generator, identity_window, signed_permutations
+from weyltasep.markov import build_kernel
+from weyltasep.models import multi_states, two_species_states
+from weyltasep.ratio import R
+from weyltasep.weyl import (
+    WeylKind,
+    apply_generator,
+    identity_window,
+    kac_weights,
+    signed_permutations,
+)
 
 
 def bfs_word_lengths(kind: WeylKind) -> dict:
@@ -106,3 +117,92 @@ def fraction_gth(kernel, members: list[int]) -> dict[int, Fraction]:
         pi[k] = sum((pi[i] * f for i, f in cols.items()), Fraction(0))
     total = sum(pi.values(), Fraction(0))
     return {i: p / total for i, p in pi.items()}
+
+
+# --- exclusion chains from pattern tables -----------------------------------
+
+
+@lru_cache(maxsize=None)
+def theta_move_patterns(n: int) -> dict:
+    """Last-two-site moves (a, b) -> (-b, -a), tabulated pairwise."""
+    pats = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pats[(j, i)] = (-i, -j)
+            pats[(j, -i)] = (i, -j)
+            pats[(i, j)] = (-j, -i)
+            pats[(-i, j)] = (-j, i)
+    return pats
+
+
+@lru_cache(maxsize=None)
+def first_move_patterns_d(n: int) -> dict:
+    """First-two-site moves of the D family, tabulated pairwise."""
+    pats = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            pats[(-i, -j)] = (j, i)
+            pats[(i, -j)] = (j, -i)
+            pats[(-j, -i)] = (i, j)
+            pats[(-j, i)] = (-i, j)
+    return pats
+
+
+TWO_THETA = {(1, 1): (-1, -1), (0, 1): (-1, 0), (1, 0): (0, -1)}
+TWO_FIRST_D = {(-1, -1): (1, 1), (-1, 0): (0, 1), (0, -1): (1, 0)}
+
+
+def _table_moves(family: str, n: int, probs, first_d: dict, last_bd: dict):
+    """Per-state moves: bulk swaps, then the boundary edges read off the tables."""
+
+    def put(w, k, pair):
+        return w[:k] + pair + w[k + 2:]
+
+    def moves(w):
+        for ell in range(n + 1):
+            p = probs[ell]
+            if 1 <= ell <= n - 1:
+                if w[ell - 1] > w[ell]:
+                    yield put(w, ell - 1, (w[ell], w[ell - 1])), p
+            elif ell == 0:
+                if family == "D":
+                    tgt = first_d.get((w[0], w[1]))
+                    if tgt is not None:
+                        yield put(w, 0, tgt), p
+                elif w[0] < 0:
+                    yield (-w[0],) + w[1:], p
+            elif family == "Ccheck":
+                if w[-1] > 0:
+                    yield w[:-1] + (-w[-1],), p
+            else:
+                tgt = last_bd.get((w[-2], w[-1]))
+                if tgt is not None:
+                    yield put(w, n - 2, tgt), p
+
+    return moves
+
+
+def _kac_probs(family: str, n: int) -> list:
+    kw = kac_weights(WeylKind(family, n))
+    return [R(a, kw.total) for a in kw.weights]
+
+
+def table_multi_kernel(family: str, n: int):
+    """The multispecies kernel built from the pairwise pattern tables."""
+    moves = _table_moves(
+        family, n, _kac_probs(family, n), first_move_patterns_d(n), theta_move_patterns(n)
+    )
+    return build_kernel(multi_states(WeylKind(family, n), n), moves)
+
+
+def table_two_species_kernel(family: str, n: int, n0: int):
+    """The two-species kernel built from the TWO_* tables."""
+    moves = _table_moves(family, n, _kac_probs(family, n), TWO_FIRST_D, TWO_THETA)
+    return build_kernel(two_species_states(n, n0), moves)
+
+
+def table_semipermeable_kernel(n: int, n0: int, alpha, beta):
+    """The semipermeable kernel: Ccheck boundary flips scaled by the rates."""
+    edge = R(1, n + 1)
+    probs = [edge * R(alpha)] + [edge] * (n - 1) + [edge * R(beta)]
+    return build_kernel(two_species_states(n, n0), _table_moves("Ccheck", n, probs, {}, {}))

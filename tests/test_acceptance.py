@@ -9,19 +9,15 @@ from fractions import Fraction
 import pytest
 
 import weyltasep.closedform as cf
-import weyltasep.tworow as tr
 from weyltasep.markov import exact_stationary
-from weyltasep.models import DStarParams, build_multi
-from weyltasep.ratio import R, ZERO, fmt_ratio
+from weyltasep.models import build_multi
+from weyltasep.ratio import R, ZERO
 from weyltasep.verify import (
-    PARAM_POINTS,
     TABLE_B_PAIRS_N4,
-    TABLE_BCHECK_CI,
-    TABLE_C_CI,
-    TABLE_D_CI,
     suite_conjecture_b,
     suite_identities,
     suite_lumping,
+    suite_tables,
     suite_tworow,
 )
 from weyltasep.walk import estimate_direction
@@ -30,6 +26,20 @@ from weyltasep.weyl import WeylKind
 
 def _passed(k, text):
     print(f"ACCEPTANCE {k}: PASS - {text}")
+
+
+def _checks(report):
+    return {c["name"]: c for c in report["checks"]}
+
+
+@pytest.fixture(scope="module")
+def tworow_report():
+    return suite_tworow()
+
+
+@pytest.fixture(scope="module")
+def tables_report():
+    return suite_tables()
 
 
 def _frac(text):
@@ -79,23 +89,18 @@ def test_criterion_03_direction_b():
     _passed(3, "B direction equals ((2k-1)/(n(2n-1)))_k exactly, n<=4")
 
 
-def test_criterion_04_direction_d_table():
-    for n, row in TABLE_D_CI.items():
-        got = cf.limdir_closed(WeylKind("D", n), n).coeffs
-        assert tuple(fmt_ratio(c) for c in got) == row, n
+def test_criterion_04_direction_d_table(tables_report):
+    assert _checks(tables_report)["directions-d"]["pass"]
     for n in range(2, 5):
         lam = cf.limdir_exact_lam(WeylKind("D", n), n)
         assert lam.coeffs == cf.limdir_closed(WeylKind("D", n), n).coeffs
     _passed(4, "D direction table rows n=2..6 and exact equality n<=4")
 
 
-def test_criterion_05_direction_c_and_bcheck_tables():
-    for n, row in TABLE_C_CI.items():
-        got = cf.limdir_closed(WeylKind("C", n), n).coeffs
-        assert tuple(fmt_ratio(c) for c in got) == row, ("C", n)
-    for n, row in TABLE_BCHECK_CI.items():
-        got = cf.limdir_closed(WeylKind("Bcheck", n), n).coeffs
-        assert tuple(fmt_ratio(c) for c in got) == row, ("Bcheck", n)
+def test_criterion_05_direction_c_and_bcheck_tables(tables_report):
+    checks = _checks(tables_report)
+    assert checks["directions-c"]["pass"]
+    assert checks["directions-bcheck"]["pass"]
     for n in range(1, 6):
         d = cf.limdir_closed(WeylKind("D", n + 1), n + 1).coeffs
         c = cf.limdir_closed(WeylKind("C", n), n).coeffs
@@ -103,27 +108,18 @@ def test_criterion_05_direction_c_and_bcheck_tables():
     _passed(5, "C and Bcheck direction tables; D/C coincidence n<=5")
 
 
-def test_criterion_06_partition_functions():
-    for n in range(2, 9):
-        for n0 in range(n + 1):
-            zb = tr.partition_sum(n + 1, n0, DStarParams(1, 0, R(1, 2), R(1, 2)))
-            assert zb == cf.z_b(n, n0), ("B", n, n0)
-            zd = tr.partition_sum(n, n0, DStarParams(*(R(1, 2),) * 4))
-            if n0 >= 1:
-                assert zd == cf.z_d(n, n0), ("D", n, n0)
-            else:
-                # zero-free case: the closed constant counts both sign
-                # choices at each starred border
-                assert 4 * zd == cf.z_d(n, 0), ("D", n, 0)
-    for n in range(1, 7):
-        for n0 in range(n + 1):
-            zc = tr.partition_sum(n + 2, n0, DStarParams(1, 0, 1, 0))
-            assert zc == cf.ballot(n + n0 + 1, n - n0), ("semiperm", n, n0)
+def test_criterion_06_partition_functions(tworow_report):
+    # suite_tworow compares the two-row weight sums with z_b and z_d for
+    # n <= 8 (4 z_d at n0 = 0) and with the ballot numbers for n <= 6
+    checks = _checks(tworow_report)
+    assert checks["partition-b"]["pass"] and checks["partition-b"]["n_max"] == 8
+    assert checks["partition-d"]["pass"] and checks["partition-d"]["n_max"] == 8
+    assert checks["partition-semipermeable"]["pass"]
     _passed(6, "two-row weight sums match all partition formulas, n<=8")
 
 
-def test_criterion_07_two_row_core():
-    report = suite_tworow()
+def test_criterion_07_two_row_core(tworow_report):
+    report = tworow_report
     names = {c["name"]: c["pass"] for c in report["checks"]}
     assert names["wall-map-bijective"]
     assert names["transfer-identity"]

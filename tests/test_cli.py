@@ -134,3 +134,27 @@ def test_zero_counts_rejected(capsys, argv):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["walk", "--kind", "d", "--n", "2", "--steps", "10", "--trials", "1"], "linearly dependent"),
+        (["stationary", "--model", "two", "--kind", "b", "--n", "3", "--n0", "5"], "n0 <= n"),
+        (["limdir", "--kind", "d", "--n", "1"], "rank >= 2"),
+        (["partition", "--model", "semiperm", "--n", "3", "--alpha", "3/0"], "3/0"),
+        (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "abc"], "abc"),
+        (["stationary", "--model", "multi", "--n", "3"], "needs --kind"),
+        (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "5"], "state (-1, -1)"),
+    ],
+    ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
+         "missing-kind", "semiperm-oversized-rate"],
+)
+def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"weyltasep {argv[0]}: error: ")
+    assert captured.err.count("\n") == 1 and message in captured.err

@@ -1,6 +1,6 @@
 import pytest
 
-from weyltasep.errors import InvalidCounts, UnsupportedKind
+from weyltasep.errors import InvalidCounts, InvalidRates, UnsupportedKind
 from weyltasep.markov import communicating_classes
 from weyltasep.models import (
     DStarParams,
@@ -9,15 +9,20 @@ from weyltasep.models import (
     build_semipermeable,
     build_two_species,
     dstar_states,
-    enumerate_states,
-    first_move_patterns_d,
     multi_states,
     reversal_bijection,
-    theta_move_patterns,
     two_species_states,
 )
 from weyltasep.ratio import R, ZERO
 from weyltasep.weyl import WeylKind, kac_weights, theta_raises
+
+from oracles import (
+    first_move_patterns_d,
+    table_multi_kernel,
+    table_semipermeable_kernel,
+    table_two_species_kernel,
+    theta_move_patterns,
+)
 
 CCHECK = WeylKind("Ccheck", 1)
 B = WeylKind("B", 2)
@@ -35,7 +40,6 @@ def test_state_space_sizes():
         ("*", 1, 0),
     ]
     assert len(two_species_states(4, 2)) == 6 * 4
-    assert enumerate_states(("dstar", 3, 1)) == dstar_states(3, 1)
 
 
 def test_unsupported_kinds():
@@ -128,6 +132,39 @@ def test_pattern_tables_match_sign_rule():
     for (a, b), (c, d) in first.items():
         assert (c, d) == (-b, -a)
         assert (a if abs(a) > abs(b) else b) < 0
+
+
+def _entries(ker):
+    # rows with their insertion order: a zero-pairing "move" is a self-loop
+    # and changes where the holding entry sits, though not its value
+    return ker.states, [list(row.items()) for row in ker.rows]
+
+
+@pytest.mark.parametrize("family", ["Ccheck", "B", "D"])
+def test_wall_rule_matches_pattern_tables(family):
+    # the kernels built from the wall rule equal the ones read off the
+    # literal pattern tables, state for state and row for row
+    for n in range(2 if family in ("B", "D") else 1, 6):
+        kind = WeylKind(family, n)
+        assert _entries(build_multi(kind, n)) == _entries(table_multi_kernel(family, n)), n
+        for n0 in range(n + 1):
+            ker = build_two_species(kind, n, n0)
+            assert _entries(ker) == _entries(table_two_species_kernel(family, n, n0)), (n, n0)
+
+
+def test_semipermeable_rule_matches_pattern_tables():
+    rates = ((1, 1), (R(2, 3), R(3, 5)), (R(1, 7), 1), (R(3, 2), R(1, 2)))
+    for n in range(1, 6):
+        for n0 in range(n + 1):
+            for alpha, beta in rates:
+                ker = build_semipermeable(n, n0, alpha, beta)
+                ref = table_semipermeable_kernel(n, n0, alpha, beta)
+                assert _entries(ker) == _entries(ref), (n, n0, alpha, beta)
+
+
+def test_oversized_rates_name_the_state():
+    with pytest.raises(InvalidRates, match=r"state \(-1, -1\) carry 5/3"):
+        build_semipermeable(2, 0, 5, 1)
 
 
 def test_edge_probabilities_match_weights():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from weyltasep.errors import NonGenericPoint
+from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
     WalkState,
     _try_step,
@@ -217,3 +217,12 @@ def test_walk_counts_must_be_positive(steps, trials):
     if steps <= 0:
         with pytest.raises(ValueError):
             run_walk(B2, 2, steps)
+
+
+def test_d2_walk_is_unsupported():
+    # theta = alpha_0 for D2, so the n+1 walls of its alcove are dependent
+    d2 = WeylKind("D", 2)
+    with pytest.raises(UnsupportedRange):
+        run_walk(d2, 2, 10)
+    with pytest.raises(UnsupportedRange):
+        estimate_direction(d2, 2, 10, 2)
