@@ -294,6 +294,8 @@ def main(argv=None) -> int:
     prog = f"{parser.prog} {args.command}"
     if args.command == "stationary" and args.model in ("multi", "two") and not args.kind:
         parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
+    if args.command == "walk" and args.svg and args.n != 2:
+        parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")
     try:
         return args.func(args)
     except WeylTasepError as exc:

@@ -82,22 +82,35 @@ def enumerate_bicolored_motzkin(k: int, alpha, beta):
     Steps: up, down, and two colors of level step.  A second-color level
     step on the axis weighs 1/beta; up-steps from the axis and first-color
     level steps on the axis weigh 1/alpha, except that alpha-weights to the
-    right of any beta-weight are not counted.  Independent oracle for
-    :func:`v_poly`.
+    right of any beta-weight are not counted.  Every step word is walked
+    once per k (:func:`_motzkin_exponents`), giving the number m of paths
+    of weight alpha^-i beta^-j; the sum of m/(alpha^i beta^j) is then
+    evaluated at the given rates.  Independent oracle for :func:`v_poly`.
     """
     alpha, beta = R(alpha), R(beta)
     if alpha == 0 or beta == 0:
         raise ZeroParameter("alpha and beta must be nonzero")
-    total = ZERO
+    return sum(
+        (m / (alpha**i * beta**j) for (i, j), m in _motzkin_exponents(k)),
+        ZERO,
+    )
+
+
+@lru_cache(maxsize=None)
+def _motzkin_exponents(k: int) -> tuple:
+    """Histogram ((i, j), m) of the weights of the k-step paths, by brute force.
+
+    Walks every word over the four steps and counts, for each path, the
+    number i of alpha-weighted and j of beta-weighted steps.
+    """
+    hist: dict = {}
     for steps in itertools.product(("u", "d", "r", "b"), repeat=k):
-        h = 0
+        h = i = j = 0
         ok = True
-        w = ONE
-        seen_beta = False
         for s in steps:
             if s == "u":
-                if h == 0 and not seen_beta:
-                    w = w / alpha
+                if h == 0 and not j:
+                    i += 1
                 h += 1
             elif s == "d":
                 h -= 1
@@ -105,15 +118,13 @@ def enumerate_bicolored_motzkin(k: int, alpha, beta):
                     ok = False
                     break
             elif s == "r":
-                if h == 0 and not seen_beta:
-                    w = w / alpha
-            else:
-                if h == 0:
-                    w = w / beta
-                    seen_beta = True
+                if h == 0 and not j:
+                    i += 1
+            elif h == 0:
+                j += 1
         if ok and h == 0:
-            total += w
-    return total
+            hist[i, j] = hist.get((i, j), 0) + 1
+    return tuple(sorted(hist.items()))
 
 
 def z_semiperm(n: int, n0: int, alpha, beta):

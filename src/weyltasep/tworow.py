@@ -20,6 +20,7 @@ product-form stationary law computed by :func:`stationary`.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +32,7 @@ from .errors import (
     ZeroParameter,
 )
 from .markov import Dist, Kernel, build_kernel
-from .models import STAR, DStarParams, state_sort_key
+from .models import STAR, DStarParams
 from .ratio import ONE, R, ZERO
 
 Config = tuple[tuple, tuple]  # (top row, bottom row)
@@ -44,14 +45,6 @@ COL_DOWN = (-1, -1)
 COL_RISE = (-1, 1)  # level step, bottom particle positive
 COL_FALL = (1, -1)  # level step, bottom particle negative
 MID_COLS = (COL_ZERO, COL_UP, COL_DOWN, COL_RISE, COL_FALL)
-
-
-def columns(c: Config):
-    return list(zip(c[0], c[1]))
-
-
-def from_columns(cols) -> Config:
-    return tuple(t for t, _ in cols), tuple(b for _, b in cols)
 
 
 def zero_count(c: Config) -> int:
@@ -88,8 +81,21 @@ def validate(c: Config) -> bool:
     return height == 0
 
 
-def enumerate_configs(n: int, n0: int) -> list[Config]:
-    """All valid configurations with n columns and n0 zero-columns."""
+# Sort rank of a row entry: -1 < 0 < 1 < "*", the order of models.state_sort_key.
+_RANK = {-1: -1, 0: 0, 1: 1, STAR: 2}
+
+
+def _config_rank(c: Config) -> tuple:
+    return tuple(map(_RANK.__getitem__, c[0] + c[1]))
+
+
+@lru_cache(maxsize=None)
+def enumerate_configs(n: int, n0: int) -> tuple[Config, ...]:
+    """All valid configurations with n columns and n0 zero-columns.
+
+    Sorted by top row, then bottom row, with "*" above 1.  The space is
+    enumerated once per (n, n0) and shared, hence an immutable tuple.
+    """
     if n < 1 or not 0 <= n0 <= n:
         raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
     out: list[Config] = []
@@ -98,7 +104,7 @@ def enumerate_configs(n: int, n0: int) -> list[Config]:
     def rec(pos: int, height: int, zeros: int):
         if pos == n:
             if height == 0 and zeros == n0:
-                out.append(from_columns(cols))
+                out.append(tuple(zip(*cols)))
             return
         if pos in (0, n - 1):
             choices = (COL_ZERO, COL_STAR)
@@ -127,8 +133,8 @@ def enumerate_configs(n: int, n0: int) -> list[Config]:
             cols.pop()
 
     rec(0, 0, 0)
-    out.sort(key=lambda c: (state_sort_key(c[0]), state_sort_key(c[1])))
-    return out
+    out.sort(key=_config_rank)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,11 @@ def label_counts(c: Config) -> LabelCounts:
     """
     if not validate(c):
         raise InvalidConfig(f"invalid configuration {c!r}")
+    return _labels(c)
+
+
+def _labels(c: Config) -> LabelCounts:
+    """:func:`label_counts` of a configuration known to be valid."""
     top, bot = c
     n = len(top)
     zpos = [k for k in range(n) if top[k] == 0]
@@ -192,7 +203,10 @@ def q_weight(c: Config, params: DStarParams):
     only arise inside the corresponding restricted class, where the flag
     is constant); a zero rate on a y or z label is an error.
     """
-    lab = label_counts(c)
+    return _label_weight(label_counts(c), params)
+
+
+def _label_weight(lab: LabelCounts, params: DStarParams):
     q = ONE
     for count, rate, starred in (
         (lab.n_y, params.alpha, False),
@@ -368,19 +382,26 @@ def restricted_class(configs, params: DStarParams):
 def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     """Product-form stationary law and its normalizing constant.
 
-    Weights are the label products of :func:`q_weight`; when a starred rate
-    vanishes the law lives on the class of configurations whose matching
-    border is a *-column, and other configurations get probability zero.
+    A configuration's weight is the label product of :func:`q_weight`, so
+    it depends only on its :class:`LabelCounts`: the weight q and the
+    probability q/Z are evaluated once per distinct label vector, and Z is
+    the sum of q times the number of configurations carrying it.  When a
+    starred rate vanishes the law lives on the class of configurations
+    whose matching border is a *-column, and other configurations get
+    probability zero.
     """
     configs = enumerate_configs(n, n0)
     keep = restricted_class(configs, params)
     if not keep:
         raise NotIrreducible("no configurations in the restricted class")
-    weights = {c: q_weight(c, params) for c in keep}
-    z = sum(weights.values(), ZERO)
-    probs = {c: ZERO for c in configs}
-    for c, w in weights.items():
-        probs[c] = w / z
+    labels = [_labels(c) for c in keep]
+    counts = Counter(labels)
+    weights = {lab: _label_weight(lab, params) for lab in counts}
+    z = sum((m * weights[lab] for lab, m in counts.items()), ZERO)
+    law = {lab: w / z for lab, w in weights.items()}
+    probs = dict.fromkeys(configs, ZERO)
+    for c, lab in zip(keep, labels):
+        probs[c] = law[lab]
     return Dist(probs), z
 
 

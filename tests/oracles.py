@@ -3,16 +3,20 @@
 These deliberately avoid the library's own formulas: word lengths come from
 breadth-first search over the generators, stationary vectors from floating
 point power iteration or from state elimination over fractions.Fraction,
-counts from brute enumeration, and exclusion-chain kernels from literal
-per-pair pattern tables instead of the wall rule.
+counts from brute enumeration, exclusion-chain kernels from literal
+per-pair pattern tables instead of the wall rule, two-row laws from one
+weight per configuration instead of one per label class, and Motzkin sums
+from one weight product per path instead of an exponent histogram.
 """
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 
+from weyltasep import tworow as tr
 from weyltasep.markov import build_kernel
 from weyltasep.models import multi_states, two_species_states
 from weyltasep.ratio import R
@@ -206,3 +210,71 @@ def table_semipermeable_kernel(n: int, n0: int, alpha, beta):
     edge = R(1, n + 1)
     probs = [edge * R(alpha)] + [edge] * (n - 1) + [edge * R(beta)]
     return build_kernel(two_species_states(n, n0), _table_moves("Ccheck", n, probs, {}, {}))
+
+
+# --- two-row weights and Motzkin paths, one product per object ---------------
+
+
+def tworow_weight(c, params) -> Fraction:
+    """Product of inverse boundary rates over the labels of one configuration."""
+    lab = tr.label_counts(c)
+    q = Fraction(1)
+    for count, rate, starred in (
+        (lab.n_y, params.alpha, False),
+        (lab.n_ystar, params.alpha_star, True),
+        (lab.n_z, params.beta, False),
+        (lab.n_zstar, params.beta_star, True),
+    ):
+        if count == 0 or (rate == 0 and starred):
+            continue
+        q = q / Fraction(rate) ** count
+    return q
+
+
+def tworow_stationary(n: int, n0: int, params):
+    """(law, Z) with a weight per configuration of the restricted class and law q/Z.
+
+    The law is a dict over every configuration in enumeration order; None
+    when the restricted class is empty.
+    """
+    configs = tr.enumerate_configs(n, n0)
+    keep = tr.restricted_class(configs, params)
+    if not keep:
+        return None
+    weights = {c: tworow_weight(c, params) for c in keep}
+    z = sum(weights.values(), Fraction(0))
+    probs = {c: Fraction(0) for c in configs}
+    for c, w in weights.items():
+        probs[c] = w / z
+    return probs, z
+
+
+def bicolored_motzkin_sum(k: int, alpha, beta) -> Fraction:
+    """Sum over the k-step bicolored Motzkin paths of each path's weight product."""
+    alpha, beta = Fraction(alpha), Fraction(beta)
+    total = Fraction(0)
+    for steps in itertools.product(("u", "d", "r", "b"), repeat=k):
+        h = 0
+        ok = True
+        w = Fraction(1)
+        seen_beta = False
+        for s in steps:
+            if s == "u":
+                if h == 0 and not seen_beta:
+                    w = w / alpha
+                h += 1
+            elif s == "d":
+                h -= 1
+                if h < 0:
+                    ok = False
+                    break
+            elif s == "r":
+                if h == 0 and not seen_beta:
+                    w = w / alpha
+            else:
+                if h == 0:
+                    w = w / beta
+                    seen_beta = True
+        if ok and h == 0:
+            total += w
+    return total

@@ -158,3 +158,21 @@ def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     assert captured.out == ""
     assert captured.err.startswith(f"weyltasep {argv[0]}: error: ")
     assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_walk_svg_off_rank_2_rejected_before_any_work(capsys, monkeypatch, tmp_path):
+    from weyltasep import cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran before --svg was checked")
+
+    monkeypatch.setattr(cli, "estimate_direction", no_estimate)
+    path = tmp_path / "walk.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", "--kind", "b", "--n", "3", "--steps", "10", "--trials", "1",
+              "--svg", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "weyltasep walk: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n"
+    assert not path.exists()

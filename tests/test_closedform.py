@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import oracles
 import weyltasep.closedform as cf
 from weyltasep.errors import RangeError
 from weyltasep.markov import exact_stationary
@@ -46,6 +47,12 @@ def test_motzkin_enumeration_matches_double_sum(k):
     for a, b in ((R(2, 3), R(5, 7)), (R(1, 2), R(1, 2)), (R(7, 5), R(3, 11))):
         assert cf.enumerate_bicolored_motzkin(k, a, b) == cf.v_poly(k, a, b)
     assert cf.enumerate_bicolored_motzkin(2, 1, 1) == 5
+
+
+@pytest.mark.parametrize("k", range(0, 8))
+def test_motzkin_histogram_matches_per_path_products(k):
+    for a, b in ((R(2, 3), R(5, 7)), (R(7, 5), R(3, 11)), (R(1), R(1, 4))):
+        assert cf.enumerate_bicolored_motzkin(k, a, b) == oracles.bicolored_motzkin_sum(k, a, b)
 
 
 def test_ballot_sum_identities():

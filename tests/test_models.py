@@ -107,13 +107,14 @@ def test_highest_root_edge_matches_raising(family, n):
     wk = kac_weights(kind)
     p_edge = R(wk.weights[n], wk.total)
     pats = theta_move_patterns(n)
+    kernel = build_multi(kind, n)
     for w in multi_states(kind, n):
         has_move = (w[-2], w[-1]) in pats
         assert has_move == theta_raises(w, kind)
         if has_move:
             target = w[:-2] + pats[(w[-2], w[-1])]
             assert not theta_raises(target, kind)
-            ker_prob = build_multi(kind, n).prob(w, target)
+            ker_prob = kernel.prob(w, target)
             assert ker_prob >= p_edge
         if family == "D":
             first = first_move_patterns_d(n)

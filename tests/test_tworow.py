@@ -1,9 +1,16 @@
-import pytest
+import hashlib
+from fractions import Fraction
 
-from weyltasep.errors import InvalidConfig, InvalidWall, ZeroParameter
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from weyltasep.errors import InvalidConfig, InvalidWall, NotIrreducible, ZeroParameter
 from weyltasep.markov import exact_stationary
 from weyltasep.models import DStarParams, STAR, build_dstar
 from weyltasep.ratio import R, ZERO
+from weyltasep.verify import PARAM_POINTS
 import weyltasep.tworow as tr
 from weyltasep.tworow import (
     count_segment,
@@ -215,3 +222,117 @@ def test_count_segment():
     for k in range(0, 10):
         for n0 in range(k + 1):
             assert count_segment(k, n0) == ballot(k + n0 + 1, k - n0)
+
+
+# sha256 of repr(tuple(enumerate_configs(n, n0))), taken when the space was
+# still enumerated per call and sorted by models.state_sort_key.
+CONFIG_ORDER_SHA256 = {
+    (1, 0): "d0c5fdd840a5e8d836a6e02a46d58b80b410af0cddb568bbddc6250a88f8d78b",
+    (1, 1): "b211071526ec7b0b8860c23e9b98553b5563d313895c2db09ea72f24f852e1dd",
+    (2, 0): "8e6a530e6dfaeaa424755657260f0c4ef9c002e52562b89ebbba24f5e3b899f8",
+    (2, 1): "05f6232811b6f106f382fe47171721f8940118885a90cbde112a3295d9dc8301",
+    (2, 2): "a5641309cd01157911b7742f5784c557f01f21b6d9112071f0ad9150e53a5e7e",
+    (3, 0): "aea2ffa09d7ffee9a07807eb9399ceddd848d0ec786549cf2c330529d07c6e98",
+    (3, 1): "2d709c127679e4a25810e73951f43e425110b402f2d79f7388be33b1bd03d5d2",
+    (3, 2): "6ee8113882233032497450b9e75c68ffb5a17d3a917979fb2a1318776dac5936",
+    (3, 3): "77290a1df4e69ef966bb071d277a3eccd7195a1dde780aeefa8c464d19833f13",
+    (4, 0): "91b321a333c0b50316d6b43c9d4c5e170c0c79e3e52c988b2eaca063756c2d37",
+    (4, 1): "7f53c46bf9b5b88959da242a1c5eba2f976b7a7771194787f7e30a3e48c87665",
+    (4, 2): "ed52755605318014ea3e36234d98c86471fcbf405a74762ed51ac66bd8db5f8b",
+    (4, 3): "bbfd38cedcca0d5ab8c29beb25cd9a2459176ae6193e47b6dc85c1a92a11e86d",
+    (4, 4): "485b9d98ef0035ed38fcd5c34319d732785c131b56c759299176e22d5f2d3a7c",
+    (5, 0): "9889ba76a9a161208a082581336328fb57101a70317ec16ded16a73ceb2ac233",
+    (5, 1): "31a6dc3b3bbbedafa747f81dc8936a6be80b2dd30e6df764ce6cf1288022593d",
+    (5, 2): "778203c991d3e6b89c79175cef230fd094a3092cc82d4a265805a3cac7f7abf0",
+    (5, 3): "051400e66eaa1873eca75820a2a8bb1e3c8b168aa6e476b25c474a1ea4acbc01",
+    (5, 4): "773d3eedd70095eba955e4ecd990ddebbb80509a80120597acffe6e006d0cdf6",
+    (5, 5): "3c4dc3d70601886af419dc0d89882d28811545ea1c359c4fa6c3ddd392657c95",
+    (6, 0): "b2955d0b6c03b83d38f9374e0eb9f847a9deee2a25a161cd4f778370abb0b127",
+    (6, 1): "8e0aebebcb02f97279a42ba3802762cc8ef7b6111761c887d9a81beba05369cb",
+    (6, 2): "1d2fcb5f8f3e6eb5ecb4677bef26fb386ea483e5ddd5d391e38d815f688a8fb9",
+    (6, 3): "6ee349e7f4de3a8f90bdb79fef2eccd140d2752c36831d14d16c1357af56a292",
+    (6, 4): "f269496b5faa11fe287ce804cc30a5d4bf60a3f259aa513cffefd8ed8a781a82",
+    (6, 5): "2a19e0abd495867ad22af01905494f7c99ef5b468cbb76e4e008b7898ce0b6f4",
+    (6, 6): "93a46ae8657c1b83a7579c9276a72681d041c26b14b433608cb3c62ed3402ad1",
+    (7, 0): "122db8bb8b60161e56d5f7b8600473c5e27116f2ac8857862f8e3f6b6eadd050",
+    (7, 1): "cc4a37d2a3032cba7ad04f9806245f6583ab4113928ec9a24338b3039958ba08",
+    (7, 2): "5afb4beeee309aada90be9795eed5c4db1b30b45751909ce546d5a79e460dce7",
+    (7, 3): "c642f49db91b35ca358e5cc29de63ccc1397bd59a70a98c3f1b370a604619800",
+    (7, 4): "e3b817c960fb8956e569847b019531888a603b681432cacaaeeef9631dbda9ca",
+    (7, 5): "23e10dccb8ce6a557e8115c4bcf50bfecf538400625fab82f4ee936d5b47065c",
+    (7, 6): "15b62eaa5c32df1cd40a25b8782059bc2e348f9e37d4eba53d357187e5ea4f8a",
+    (7, 7): "01d63ad6df402cf045cdcabb306c8280d40e2dac23f7beb87be7d5a3a572dca2",
+    (8, 0): "1f094d23f10b74651610774555c43945e4b9f63c0017f8e68587741e4be3c61a",
+    (8, 1): "560863e88dd3d2f824354cc27b1b9c646ce8669a2e5bd8e3e28a64dff194a70d",
+    (8, 2): "f981ff7b8b90e5f01ce4e2a7bee9ce008b210661b3c25b3285f6e96280b90073",
+    (8, 3): "80b5993935acdc7a034d930490de75b0203cfeb1be95744cf5f837586b5e950c",
+    (8, 4): "e3640fac724a7c9461ad3303cfd0222fa3352b320e26cf301513d72b1508204f",
+    (8, 5): "a90099aea3b25d40d6c38d769f9cb66ff81edb04d2b446e4341e6c1b997aefd3",
+    (8, 6): "20b4c7c7e3b69ccf0e2c5d497a4164dd5f7bea02c17822de47f4ecab203c0877",
+    (8, 7): "453e56554ccc09ca32a0736aad4a8756daf0048c55d974a08d72a4ce082d1dfd",
+    (8, 8): "23ac42f4049969caf43fbcba60e445fd752f3445adec4bf1760330d9ecfcf7db",
+}
+
+
+def test_enumeration_order_is_pinned():
+    for n in range(1, 9):
+        for n0 in range(n + 1):
+            configs = enumerate_configs(n, n0)
+            assert isinstance(configs, tuple)
+            digest = hashlib.sha256(repr(configs).encode()).hexdigest()
+            assert digest == CONFIG_ORDER_SHA256[n, n0], (n, n0)
+
+
+# PARAM_POINTS plus the B, D and semipermeable specialisations of verify.
+ORACLE_POINTS = PARAM_POINTS + (
+    DStarParams(1, 0, R(1, 2), R(1, 2)),
+    DStarParams(*(R(1, 2),) * 4),
+    DStarParams(1, 0, 1, 0),
+)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_stationary_matches_per_configuration_oracle(n):
+    for n0 in range(n + 1):
+        for params in ORACLE_POINTS:
+            expected = oracles.tworow_stationary(n, n0, params)
+            if expected is None:
+                with pytest.raises(NotIrreducible):
+                    tr.stationary(n, n0, params)
+                continue
+            probs, z = expected
+            dist, got_z = tr.stationary(n, n0, params)
+            assert list(dist.items()) == list(probs.items())
+            assert got_z == z == tr.partition_sum(n, n0, params)
+
+
+RATES = st.fractions(min_value=0, max_value=1, max_denominator=9)
+
+
+@st.composite
+def dstar_params(draw):
+    alpha = draw(RATES.filter(lambda x: x > 0))
+    beta = draw(RATES.filter(lambda x: x > 0))
+    alpha_star = draw(st.one_of(st.just(Fraction(0)), RATES))
+    beta_star = draw(st.one_of(st.just(Fraction(0)), RATES))
+    return DStarParams(alpha, alpha_star, beta, beta_star)
+
+
+def _law_or_error(solve):
+    try:
+        return solve()
+    except NotIrreducible:
+        return NotIrreducible
+
+
+# n >= 3: with two columns no wall map fires.  n0 < n: the all-zero
+# configuration is a one-state chain, but it has no border star, so
+# stationary() finds its restricted class empty when a starred rate is 0.
+@settings(max_examples=100, deadline=None)
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+       dstar_params())
+def test_product_form_equals_exact_solve_at_random_rates(size, params):
+    n, n0 = size
+    product = _law_or_error(lambda: tr.stationary(n, n0, params)[0])
+    solved = _law_or_error(lambda: exact_stationary(tr.kernel(n, n0, params)))
+    assert product == solved
