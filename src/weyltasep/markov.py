@@ -8,6 +8,12 @@ index sets; the arithmetic runs over Z/p for primes below 2**61, and the
 exact law comes back by Chinese remaindering and rational reconstruction.
 A law is returned only after it passes the exact certificate: it sums to 1
 and pi . P = pi over the rationals.
+
+The bookkeeping around the solver is exact but avoids one Fraction
+operation per entry: row sums and the sum of a law add integer numerators
+per denominator (:func:`weyltasep.ratio.exact_sum`), range and sign tests
+read numerators and denominators, and the certificate scales pi and the
+kernel rows to integers by the lcm of their denominators.
 """
 from __future__ import annotations
 
@@ -15,29 +21,48 @@ import heapq
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidRates, NotIrreducible
 from .modular import crt_extend, primes_below, rational_reconstruct
-from .ratio import ONE, R, ZERO, fmt_ratio, parse_ratio
+from .ratio import ONE, R, ZERO, exact_sum, fmt_ratio, parse_ratio
 
 State = Hashable
 
 
+def _rational(p) -> R:
+    """p as a Fraction; a Fraction is returned as it is, not converted again."""
+    return p if isinstance(p, R) else R(p)
+
+
 class Kernel:
-    """A finite row-stochastic matrix over exact rationals."""
+    """A finite row-stochastic matrix over exact rationals.
+
+    Entries may be given as anything Fraction accepts; zero entries are
+    dropped.  Every entry must lie in [0, 1] and every row must sum to 1
+    exactly (checked with :func:`weyltasep.ratio.exact_sum`).
+    """
 
     def __init__(self, states: Sequence[State], rows: Sequence[Mapping[int, object]]):
         self.states = tuple(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         if len(self.index) != len(self.states):
             raise ValueError("duplicate states")
-        self.rows = tuple({j: R(p) for j, p in row.items() if p != 0} for row in rows)
-        for i, row in enumerate(self.rows):
-            if any(p < 0 or p > 1 for p in row.values()):
-                raise ValueError(f"probability outside [0,1] in row {i}")
-            if sum(row.values(), ZERO) != 1:
+        checked = []
+        for i, row in enumerate(rows):
+            out = {}
+            for j, p in row.items():
+                p = _rational(p)
+                num = p.numerator
+                if num:
+                    if num < 0 or num > p.denominator:
+                        raise ValueError(f"probability outside [0,1] in row {i}")
+                    out[j] = p
+            if exact_sum(out.values()) != 1:
                 raise ValueError(f"row {i} does not sum to 1")
+            checked.append(out)
+        self.rows = tuple(checked)
 
     def __len__(self) -> int:
         return len(self.states)
@@ -74,21 +99,22 @@ def build_kernel(
     index = {s: i for i, s in enumerate(states)}
     rows = []
     for s in states:
-        row: dict[int, object] = {}
-        total = ZERO
+        row: dict[int, R] = {}
         for target, p in moves(s):
-            p = R(p)
-            if p == 0:
+            p = _rational(p)
+            if not p.numerator:
                 continue
             j = index[target]
-            row[j] = row.get(j, ZERO) + p
-            total += p
+            q = row.get(j)
+            row[j] = p if q is None else q + p
+        total = exact_sum(row.values())
         if total > 1:
             raise InvalidRates(f"moves out of state {s!r} carry {fmt_ratio(total)} > 1")
-        hold = ONE - total
-        if hold != 0:
+        if total != 1:
             i = index[s]
-            row[i] = row.get(i, ZERO) + hold
+            hold = ONE - total
+            q = row.get(i)
+            row[i] = hold if q is None else q + hold
         rows.append(row)
     return Kernel(states, rows)
 
@@ -160,14 +186,19 @@ def communicating_classes(kernel: Kernel) -> list[CommClass]:
 
 
 class Dist(Mapping):
-    """A probability vector over states, exact and summing to 1."""
+    """A probability vector over states, exact and summing to 1.
+
+    Values may be given as anything Fraction accepts; Fractions are kept
+    as they are.  With `check`, no value may be negative and the values
+    must sum to 1 exactly (checked with :func:`weyltasep.ratio.exact_sum`).
+    """
 
     def __init__(self, probs: Mapping[State, object], check: bool = True):
-        self._p = {s: R(p) for s, p in probs.items()}
+        self._p = {s: _rational(p) for s, p in probs.items()}
         if check:
-            if any(p < 0 for p in self._p.values()):
+            if any(p.numerator < 0 for p in self._p.values()):
                 raise ValueError("negative probability")
-            if sum(self._p.values(), ZERO) != 1:
+            if exact_sum(self._p.values()) != 1:
                 raise ValueError("probabilities do not sum to 1")
 
     def __getitem__(self, s):
@@ -360,14 +391,29 @@ def _reconstruct(members: list[int], residues: list[int], modulus: int) -> dict[
 
 
 def _is_stationary(kernel: Kernel, pi_idx: Mapping[int, object]) -> bool:
-    """Exact certificate: pi sums to 1 and pi . P = pi (pi is 0 off pi_idx)."""
-    if sum(pi_idx.values(), ZERO) != 1:
+    """Exact certificate: pi sums to 1 and pi . P = pi (pi is 0 off pi_idx).
+
+    Checked in integers.  With L the lcm of pi's denominators, a = L pi is
+    integral, and sum(a) == L says pi sums to 1.  With K the lcm of the
+    denominators in the rows of pi's support, K P is integral on those
+    rows, and pi . P = pi reads sum_i a_i (K q_ij) == a_j K for every j.
+    """
+    big_l = lcm(*{p.denominator for p in pi_idx.values()})
+    a = {i: p.numerator * (big_l // p.denominator) for i, p in pi_idx.items()}
+    if sum(a.values()) != big_l:
         return False
-    flow: dict[int, object] = {}
-    for i, p in pi_idx.items():
-        for j, q in kernel.rows[i].items():
-            flow[j] = flow.get(j, ZERO) + p * q
-    return all(flow.get(j, ZERO) == pi_idx.get(j, ZERO) for j in flow.keys() | pi_idx.keys())
+    rows = [(a_i, kernel.rows[i]) for i, a_i in a.items()]
+    big_k = lcm(*{q.denominator for _, row in rows for q in row.values()})
+    scale: dict[int, int] = {}
+    flow: dict[int, int] = {}
+    for a_i, row in rows:
+        for j, q in row.items():
+            den = q.denominator
+            s = scale.get(den)
+            if s is None:
+                s = scale[den] = big_k // den
+            flow[j] = flow.get(j, 0) + a_i * (q.numerator * s)
+    return all(flow.get(j, 0) == a.get(j, 0) * big_k for j in flow.keys() | a.keys())
 
 
 def derive_stream(seed: int, trial: int) -> int:

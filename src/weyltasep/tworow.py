@@ -33,7 +33,7 @@ from .errors import (
 )
 from .markov import Dist, Kernel, build_kernel
 from .models import STAR, DStarParams
-from .ratio import ONE, R, ZERO
+from .ratio import ONE, R, ZERO, exact_sum
 
 Config = tuple[tuple, tuple]  # (top row, bottom row)
 
@@ -45,10 +45,6 @@ COL_DOWN = (-1, -1)
 COL_RISE = (-1, 1)  # level step, bottom particle positive
 COL_FALL = (1, -1)  # level step, bottom particle negative
 MID_COLS = (COL_ZERO, COL_UP, COL_DOWN, COL_RISE, COL_FALL)
-
-
-def zero_count(c: Config) -> int:
-    return sum(1 for t in c[0] if t == 0)
 
 
 def validate(c: Config) -> bool:
@@ -357,15 +353,16 @@ def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
     if not states:
         raise InvalidCounts(f"empty configuration space n={n}, n0={n0}")
     edge = R(1, n - 1) if n >= 2 else ONE
+    probs = {rule: edge * rate_of(rule, params) for rule in _RATE_KEY}
 
     def moves(c):
         for i in range(1, len(c[0])):
             c2, rule, _ = _apply(c, i)
             if rule is None or c2 == c:
                 continue
-            lam = rate_of(rule, params)
-            if lam != 0:
-                yield c2, edge * lam
+            p = probs[rule]
+            if p:
+                yield c2, p
 
     return build_kernel(states, moves)
 
@@ -379,6 +376,27 @@ def restricted_class(configs, params: DStarParams):
     return keep
 
 
+def _class_labels(n: int, n0: int, params: DStarParams):
+    """The configuration space, its closed class and each member's labels.
+
+    A space of one configuration is its own closed class; otherwise a
+    vanishing starred rate restricts to :func:`restricted_class`.
+    """
+    configs = enumerate_configs(n, n0)
+    keep = configs if len(configs) == 1 else restricted_class(configs, params)
+    if not keep:
+        raise NotIrreducible("no configurations in the restricted class")
+    return configs, keep, [_labels(c) for c in keep]
+
+
+def _class_weights(labels, params: DStarParams):
+    """The weight q of each distinct label vector, and Z = sum of multiplicity x q."""
+    counts = Counter(labels)
+    weights = {lab: _label_weight(lab, params) for lab in counts}
+    z = exact_sum(m * weights[lab] for lab, m in counts.items())
+    return weights, z
+
+
 def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     """Product-form stationary law and its normalizing constant.
 
@@ -388,16 +406,11 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     the sum of q times the number of configurations carrying it.  When a
     starred rate vanishes the law lives on the class of configurations
     whose matching border is a *-column, and other configurations get
-    probability zero.
+    probability zero.  A space of one configuration (n0 = n) is a single
+    closed class whatever the rates: its law is the point mass, Z = 1.
     """
-    configs = enumerate_configs(n, n0)
-    keep = restricted_class(configs, params)
-    if not keep:
-        raise NotIrreducible("no configurations in the restricted class")
-    labels = [_labels(c) for c in keep]
-    counts = Counter(labels)
-    weights = {lab: _label_weight(lab, params) for lab in counts}
-    z = sum((m * weights[lab] for lab, m in counts.items()), ZERO)
+    configs, keep, labels = _class_labels(n, n0, params)
+    weights, z = _class_weights(labels, params)
     law = {lab: w / z for lab, w in weights.items()}
     probs = dict.fromkeys(configs, ZERO)
     for c, lab in zip(keep, labels):
@@ -406,8 +419,9 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
 
 
 def partition_sum(n: int, n0: int, params: DStarParams):
-    """The normalizing constant alone (sum of label-product weights)."""
-    return stationary(n, n0, params)[1]
+    """The normalizing constant Z of :func:`stationary`, from the label histogram alone."""
+    labels = _class_labels(n, n0, params)[2]
+    return _class_weights(labels, params)[1]
 
 
 def project_top_row(dist: Dist) -> Dist:

@@ -3,6 +3,7 @@
 These deliberately avoid the library's own formulas: word lengths come from
 breadth-first search over the generators, stationary vectors from floating
 point power iteration or from state elimination over fractions.Fraction,
+the stationarity certificate from one Fraction operation per entry,
 counts from brute enumeration, exclusion-chain kernels from literal
 per-pair pattern tables instead of the wall rule, two-row laws from one
 weight per configuration instead of one per label class, and Motzkin sums
@@ -123,6 +124,21 @@ def fraction_gth(kernel, members: list[int]) -> dict[int, Fraction]:
     return {i: p / total for i, p in pi.items()}
 
 
+def fraction_certificate(kernel, pi_idx: dict) -> bool:
+    """pi sums to 1 and pi . P = pi (pi is 0 off pi_idx), one Fraction per entry.
+
+    The reference for markov._is_stationary, which checks the same in
+    integers scaled by the lcm of the denominators.
+    """
+    if sum(pi_idx.values(), Fraction(0)) != 1:
+        return False
+    flow: dict = {}
+    for i, p in pi_idx.items():
+        for j, q in kernel.rows[i].items():
+            flow[j] = flow.get(j, Fraction(0)) + p * q
+    return all(flow.get(j, 0) == pi_idx.get(j, 0) for j in flow.keys() | pi_idx.keys())
+
+
 # --- exclusion chains from pattern tables -----------------------------------
 
 
@@ -235,10 +251,11 @@ def tworow_stationary(n: int, n0: int, params):
     """(law, Z) with a weight per configuration of the restricted class and law q/Z.
 
     The law is a dict over every configuration in enumeration order; None
-    when the restricted class is empty.
+    when the restricted class is empty.  A space of one configuration is a
+    one-state chain, so it is its own class whatever the rates.
     """
     configs = tr.enumerate_configs(n, n0)
-    keep = tr.restricted_class(configs, params)
+    keep = list(configs) if len(configs) == 1 else tr.restricted_class(configs, params)
     if not keep:
         return None
     weights = {c: tworow_weight(c, params) for c in keep}

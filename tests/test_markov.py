@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 import weyltasep.markov as markov
 from weyltasep.closedform import DirectionVector, limdir_closed
-from weyltasep.errors import NotIrreducible
+from weyltasep.errors import InvalidRates, NotIrreducible
 from weyltasep.markov import (
     Dist,
     Kernel,
@@ -21,7 +21,7 @@ from weyltasep.models import DStarParams, build_dstar, build_multi, build_two_sp
 from weyltasep.ratio import R
 from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 
-from oracles import fraction_gth, power_iteration
+from oracles import fraction_certificate, fraction_gth, power_iteration
 
 
 def test_kernel_row_sums_enforced():
@@ -280,3 +280,121 @@ def test_failed_certificate_adds_a_prime(primes_used, monkeypatch):
     assert pi == _oracle_law(ker)
     assert certificates == [False, True]
     assert [p for p, _ in primes_used] == [first, next(primes_below(first))]
+
+
+# --- the integer certificate against the Fraction one ------------------------
+
+
+@st.composite
+def laws_to_certify(draw):
+    """A small chain with the law of one closed class, maybe perturbed.
+
+    The law is a dict over state indices as the solver hands it to the
+    certificate.  Perturbations: mass moved between two states (the sum
+    stays 1), one entry changed, the whole law scaled, or an explicit zero
+    added outside the support (the law stays stationary).
+    """
+    kernel = draw(sparse_chains())
+    closed = [c for c in communicating_classes(kernel) if c.closed]
+    members = sorted(kernel.index[s] for s in draw(st.sampled_from(closed)).states)
+    pi = fraction_gth(kernel, members)
+    how = draw(st.sampled_from(["none", "move", "change", "scale", "zero"]))
+    delta = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 50)))
+    a, b = draw(st.integers(0, len(kernel) - 1)), draw(st.integers(0, len(kernel) - 1))
+    if how == "move":
+        pi[a] = pi.get(a, 0) - delta
+        pi[b] = pi.get(b, 0) + delta
+    elif how == "change":
+        pi[a] = pi.get(a, 0) + delta
+    elif how == "scale":
+        pi = {i: p * (1 + delta) for i, p in pi.items()}
+    elif how == "zero" and a not in pi:
+        pi[a] = Fraction(0)
+    return kernel, pi, how
+
+
+@settings(max_examples=300, deadline=None)
+@given(laws_to_certify())
+def test_integer_certificate_matches_fraction_oracle(case):
+    kernel, pi, how = case
+    verdict = markov._is_stationary(kernel, pi)
+    assert verdict == fraction_certificate(kernel, pi)
+    if how in ("none", "zero"):
+        assert verdict
+    if how in ("change", "scale"):
+        assert not verdict
+
+
+# Values are given as each of these types; int carries only the
+# integer-valued cases, the others carry halves and quarters exactly too.
+TYPES = [Fraction, int, str, float]
+NON_INT = [Fraction, str, float]
+
+
+def _typed(conv, values):
+    return {k: conv(Fraction(v)) for k, v in values.items()}
+
+
+@pytest.mark.parametrize("conv", TYPES)
+@pytest.mark.parametrize(
+    "row, match",
+    [({0: 2}, "outside"), ({0: -1, 1: 2}, "outside"), ({0: 1, 1: 1}, "does not sum"),
+     ({0: 0}, "does not sum")],
+)
+def test_kernel_rejects_bad_rows_of_every_type(conv, row, match):
+    with pytest.raises(ValueError, match=match):
+        Kernel(("a", "b"), (_typed(conv, row), {1: conv(Fraction(1))}))
+
+
+@pytest.mark.parametrize("conv", NON_INT)
+@pytest.mark.parametrize(
+    "row, match",
+    [({0: "3/2"}, "outside"), ({0: "-1/2", 1: "3/2"}, "outside"), ({0: "1/2"}, "does not sum"),
+     ({0: "1/2", 1: "3/4"}, "does not sum")],
+)
+def test_kernel_rejects_bad_fractional_rows(conv, row, match):
+    with pytest.raises(ValueError, match=match):
+        Kernel(("a", "b"), (_typed(conv, row), {1: conv(Fraction(1))}))
+
+
+@pytest.mark.parametrize("conv", TYPES)
+def test_build_kernel_rejects_bad_moves_of_every_type(conv):
+    one, neg = conv(Fraction(1)), conv(Fraction(-1))
+    with pytest.raises(InvalidRates):
+        build_kernel(("a", "b"), lambda s: [("b", one), ("a", one)] if s == "a" else [])
+    # A negative move leaves a holding mass above 1, which Kernel rejects.
+    with pytest.raises(ValueError, match="outside"):
+        build_kernel(("a", "b"), lambda s: [("b", neg)] if s == "a" else [])
+
+
+@pytest.mark.parametrize("conv", NON_INT)
+def test_build_kernel_folds_duplicate_fractional_moves(conv):
+    half, quarter = conv(Fraction(1, 2)), conv(Fraction(1, 4))
+    with pytest.raises(InvalidRates):
+        build_kernel(("a", "b"), lambda s: [("b", half), ("a", half), ("b", half)] if s == "a" else [])
+    folded = build_kernel(("a", "b"), lambda s: [("b", quarter), ("b", quarter)] if s == "a" else [])
+    assert list(folded.rows[0].items()) == [(1, R(1, 2)), (0, R(1, 2))]
+
+
+@pytest.mark.parametrize("conv", TYPES)
+def test_dist_rejects_negative_values_and_bad_sums_of_every_type(conv):
+    with pytest.raises(ValueError, match="negative"):
+        Dist(_typed(conv, {"a": -1, "b": 2}))
+    with pytest.raises(ValueError, match="sum"):
+        Dist(_typed(conv, {"a": 1, "b": 1}))
+    with pytest.raises(ValueError, match="sum"):
+        Dist(_typed(conv, {"a": 0}))
+    if conv is not int:
+        with pytest.raises(ValueError, match="negative"):
+            Dist(_typed(conv, {"a": "-1/2", "b": "3/2"}))
+        with pytest.raises(ValueError, match="sum"):
+            Dist(_typed(conv, {"a": "1/2", "b": "1/4"}))
+        assert Dist(_typed(conv, {"a": "1/2", "b": "1/2"})) == Dist({"a": R(1, 2), "b": R(1, 2)})
+
+
+def test_fractions_are_stored_as_given():
+    p, q = R(1, 3), R(2, 3)
+    k = Kernel(("a", "b"), ({0: p, 1: q}, {1: R(1)}))
+    assert k.rows[0][0] is p and k.rows[0][1] is q
+    d = Dist({"a": p, "b": q})
+    assert d["a"] is p and d["b"] is q

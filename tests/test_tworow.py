@@ -192,6 +192,18 @@ def test_restricted_class_stationary():
     assert exact_stationary(tr.kernel(3, 0, params)) == dist
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_configuration_space_is_a_point_mass(n):
+    # The all-zero configuration has no border star, yet it is the whole
+    # space: a one-state chain, whatever the starred rates.
+    (only,) = tr.enumerate_configs(n, n)
+    for params in (DStarParams(1, 0, R(1, 2), R(1, 2)), DStarParams(R(1, 2), R(1, 3), 1, 0),
+                   DStarParams(1, 0, 1, 0), POINTS[0]):
+        dist, z = tr.stationary(n, n, params)
+        assert dict(dist) == {only: 1} and z == 1 == tr.partition_sum(n, n, params)
+        assert exact_stationary(tr.kernel(n, n, params)) == dist
+
+
 def test_kernel_rows_sum_to_one():
     ker = tr.kernel(4, 1, POINTS[0])
     for row in ker.rows:
@@ -325,11 +337,10 @@ def _law_or_error(solve):
         return NotIrreducible
 
 
-# n >= 3: with two columns no wall map fires.  n0 < n: the all-zero
-# configuration is a one-state chain, but it has no border star, so
-# stationary() finds its restricted class empty when a starred rate is 0.
+# n >= 3: with two columns no wall map fires.  n0 = n is the one-state
+# chain of the all-zero configuration.
 @settings(max_examples=100, deadline=None)
-@given(st.integers(3, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n - 1))),
+@given(st.integers(3, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))),
        dstar_params())
 def test_product_form_equals_exact_solve_at_random_rates(size, params):
     n, n0 = size
