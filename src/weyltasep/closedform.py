@@ -7,7 +7,6 @@ matching chains, brute-force path enumeration, or the two-row model).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -77,15 +76,16 @@ def v_poly(k: int, alpha, beta):
 
 
 def enumerate_bicolored_motzkin(k: int, alpha, beta):
-    """Brute-force generating function of weighted bicolored Motzkin paths.
+    """Generating function of weighted bicolored Motzkin paths, by path counts.
 
     Steps: up, down, and two colors of level step.  A second-color level
     step on the axis weighs 1/beta; up-steps from the axis and first-color
     level steps on the axis weigh 1/alpha, except that alpha-weights to the
-    right of any beta-weight are not counted.  Every step word is walked
-    once per k (:func:`_motzkin_exponents`), giving the number m of paths
-    of weight alpha^-i beta^-j; the sum of m/(alpha^i beta^j) is then
-    evaluated at the given rates.  Independent oracle for :func:`v_poly`.
+    right of any beta-weight are not counted.  The number m of k-step
+    paths of weight alpha^-i beta^-j is counted once per k
+    (:func:`_motzkin_exponents`); the sum of m/(alpha^i beta^j) is then
+    evaluated at the given rates.  Independent of the ballot numbers, so
+    an oracle for :func:`v_poly`.
     """
     alpha, beta = R(alpha), R(beta)
     if alpha == 0 or beta == 0:
@@ -98,33 +98,24 @@ def enumerate_bicolored_motzkin(k: int, alpha, beta):
 
 @lru_cache(maxsize=None)
 def _motzkin_exponents(k: int) -> tuple:
-    """Histogram ((i, j), m) of the weights of the k-step paths, by brute force.
+    """Histogram ((i, j), m) of the weights of the k-step paths.
 
-    Walks every word over the four steps and counts, for each path, the
-    number i of alpha-weighted and j of beta-weighted steps.
+    A transfer over the steps that keeps the number of path prefixes per
+    state (height h, alpha-weighted steps i, beta-weighted steps j); a
+    path ends at height zero.
     """
-    hist: dict = {}
-    for steps in itertools.product(("u", "d", "r", "b"), repeat=k):
-        h = i = j = 0
-        ok = True
-        for s in steps:
-            if s == "u":
-                if h == 0 and not j:
-                    i += 1
-                h += 1
-            elif s == "d":
-                h -= 1
-                if h < 0:
-                    ok = False
-                    break
-            elif s == "r":
-                if h == 0 and not j:
-                    i += 1
-            elif h == 0:
-                j += 1
-        if ok and h == 0:
-            hist[i, j] = hist.get((i, j), 0) + 1
-    return tuple(sorted(hist.items()))
+    states = {(0, 0, 0): 1}
+    for _ in range(k):
+        nxt: dict = {}
+        for (h, i, j), m in states.items():
+            a = int(h == 0 and not j)  # 1/alpha on the axis, left of every 1/beta
+            targets = [(h + 1, i + a, j), (h, i + a, j), (h, i, j + (h == 0))]
+            if h:
+                targets.append((h - 1, i, j))
+            for key in targets:
+                nxt[key] = nxt.get(key, 0) + m
+        states = nxt
+    return tuple(sorted(((i, j), m) for (h, i, j), m in states.items() if h == 0))
 
 
 def z_semiperm(n: int, n0: int, alpha, beta):
@@ -132,8 +123,8 @@ def z_semiperm(n: int, n0: int, alpha, beta):
     alpha, beta = R(alpha), R(beta)
     if alpha <= 0 or beta <= 0:
         raise ZeroParameter("alpha and beta must be positive")
-    if n0 < 0:
-        raise RangeError("negative zero count")
+    if not 0 <= n0 <= n:
+        raise RangeError("negative zero count" if n0 < 0 else f"bad zero count {n0}")
     if alpha == beta:
         return sum(
             ((k + 1) * ballot0(n + n0 - 1, n - n0 - k) / alpha**k
@@ -159,13 +150,14 @@ def semiperm_density(n: int, n0: int, j: int, alpha, beta):
     alpha, beta = R(alpha), R(beta)
     zn = z_semiperm(n, n0, alpha, beta)
     total = ZERO
-    for i in range(n - j):
+    for i in range(min(n - j, n - n0)):  # fewer than n0 sites hold no configuration
         total += catalan(i) * z_semiperm(n - i - 1, n0, alpha, beta) / zn
     tail = sum(
         (ballot0(n - j - 1, n - j - k) / beta ** (k + 1) for k in range(n - j + 1)),
         ZERO,
     )
-    total += z_semiperm(j - 1, n0, alpha, beta) / zn * tail
+    if j - 1 >= n0:
+        total += z_semiperm(j - 1, n0, alpha, beta) / zn * tail
     return total
 
 
@@ -402,37 +394,6 @@ def pair_correlations(family: str, n: int) -> dict:
         key = (w[-2], w[-1])
         out[key] = out.get(key, ZERO) + p
     return out
-
-
-def last_site_density(family: str, n: int) -> dict:
-    _, pi = stationary_multi(family, n)
-    out: dict = {}
-    for w, p in pi.items():
-        out[w[-1]] = out.get(w[-1], ZERO) + p
-    return out
-
-
-def first_site_density(family: str, n: int) -> dict:
-    _, pi = stationary_multi(family, n)
-    out: dict = {}
-    for w, p in pi.items():
-        out[w[0]] = out.get(w[0], ZERO) + p
-    return out
-
-
-def hook_sums_exact(family: str, n: int, i: int) -> HookSums:
-    """Row/column/hook sums straight from the exact stationary law."""
-    corr = pair_correlations(family, n)
-    row = sum((p for (a, _), p in corr.items() if a == i), ZERO)
-    col = sum((p for (_, b), p in corr.items() if b == i), ZERO)
-    if i < 0:
-        return HookSums(row, col, None, None)
-    hd = ZERO
-    hu = ZERO
-    for j in range(i + 1, n + 1):
-        hd += corr.get((i, -j), ZERO) + corr.get((j, -i), ZERO)
-        hu += corr.get((-j, i), ZERO) + corr.get((-i, j), ZERO)
-    return HookSums(row, col, hd, hu)
 
 
 # ---------------------------------------------------------------------------

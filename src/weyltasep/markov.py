@@ -26,7 +26,7 @@ from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidRates, NotIrreducible
 from .modular import crt_extend, primes_below, rational_reconstruct
-from .ratio import ONE, R, ZERO, exact_sum, fmt_ratio, parse_ratio
+from .ratio import ONE, R, ZERO, exact_sum, fmt_ratio
 
 State = Hashable
 
@@ -64,6 +64,13 @@ class Kernel:
             checked.append(out)
         self.rows = tuple(checked)
 
+    @classmethod
+    def _from_checked(cls, states: tuple, index: dict, rows: list) -> "Kernel":
+        """A kernel from rows already known to be valid: Fractions in (0, 1] summing to 1."""
+        kernel = cls.__new__(cls)
+        kernel.states, kernel.index, kernel.rows = states, index, tuple(rows)
+        return kernel
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -84,7 +91,7 @@ class Kernel:
             if any(j not in new_index for j in row):
                 raise ValueError(f"state {s!r} has transitions leaving the set")
             rows.append({new_index[j]: p for j, p in row.items()})
-        return Kernel(states, rows)
+        return Kernel._from_checked(tuple(states), {s: k for k, s in enumerate(states)}, rows)
 
 
 def build_kernel(
@@ -94,6 +101,8 @@ def build_kernel(
     """Assemble a kernel from per-state move lists; leftover mass holds.
 
     Raises InvalidRates when the moves out of a state carry more than 1.
+    Each row is checked once, here: with the holding mass it sums to 1, so
+    it is valid when no entry is negative.
     """
     states = tuple(states)
     index = {s: i for i, s in enumerate(states)}
@@ -115,8 +124,15 @@ def build_kernel(
             hold = ONE - total
             q = row.get(i)
             row[i] = hold if q is None else q + hold
+        low = min(p.numerator for p in row.values())
+        if low < 0:
+            raise ValueError(f"probability outside [0,1] in row {len(rows)}")
+        if low == 0:  # a negative move cancelled a positive one
+            row = {j: p for j, p in row.items() if p.numerator}
         rows.append(row)
-    return Kernel(states, rows)
+    if len(index) != len(states):
+        raise ValueError("duplicate states")
+    return Kernel._from_checked(states, index, rows)
 
 
 @dataclass(frozen=True)
@@ -224,18 +240,6 @@ class Dist(Mapping):
         if state_key is not None:
             items = sorted(items, key=lambda kv: state_key(kv[0]))
         return [{"state": _state_json(s), "p": fmt_ratio(p)} for s, p in items]
-
-
-def dist_from_json_obj(obj: list, state_decoder=None) -> Dist:
-    probs = {}
-    for entry in obj:
-        s = entry["state"]
-        if state_decoder is not None:
-            s = state_decoder(s)
-        elif isinstance(s, list):
-            s = tuple(tuple(x) if isinstance(x, list) else x for x in s)
-        probs[s] = parse_ratio(entry["p"])
-    return Dist(probs)
 
 
 def _state_json(s):

@@ -205,8 +205,3 @@ def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:
     edge = R(1, n + 1)
     probs = [edge * alpha] + [edge] * (n - 1) + [edge * beta]
     return _exclusion_kernel(two_species_states(n, n0), WeylKind("Ccheck", n), probs)
-
-
-def reversal_bijection(w):
-    """Reverse a two-species word and negate it (a kernel symmetry)."""
-    return tuple(-x for x in reversed(w))

@@ -85,6 +85,34 @@ def _config_rank(c: Config) -> tuple:
     return tuple(map(_RANK.__getitem__, c[0] + c[1]))
 
 
+def _columns(n: int, n0: int, pos: int, height: int, zeros: int):
+    """The columns allowed at position pos, each with the height and 0-count after it.
+
+    Choices that cannot return to height zero, or cannot place the
+    remaining zeros, in the columns left are pruned.
+    """
+    left = n - pos - 1
+    for col in (COL_ZERO, COL_STAR) if pos in (0, n - 1) else MID_COLS:
+        nz, nh = zeros, height
+        if col == COL_ZERO:
+            if height != 0 or zeros == n0:
+                continue
+            nz += 1
+        elif col == COL_UP:
+            nh += 1
+        elif col == COL_DOWN:
+            if height == 0:
+                continue
+            nh -= 1
+        if nh <= left and n0 - nz <= left:
+            yield col, nh, nz
+
+
+def _check_sizes(n: int, n0: int) -> None:
+    if n < 1 or not 0 <= n0 <= n:
+        raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
+
+
 @lru_cache(maxsize=None)
 def enumerate_configs(n: int, n0: int) -> tuple[Config, ...]:
     """All valid configurations with n columns and n0 zero-columns.
@@ -92,38 +120,15 @@ def enumerate_configs(n: int, n0: int) -> tuple[Config, ...]:
     Sorted by top row, then bottom row, with "*" above 1.  The space is
     enumerated once per (n, n0) and shared, hence an immutable tuple.
     """
-    if n < 1 or not 0 <= n0 <= n:
-        raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
+    _check_sizes(n, n0)
     out: list[Config] = []
     cols: list[tuple] = []
 
     def rec(pos: int, height: int, zeros: int):
         if pos == n:
-            if height == 0 and zeros == n0:
-                out.append(tuple(zip(*cols)))
+            out.append(tuple(zip(*cols)))
             return
-        if pos in (0, n - 1):
-            choices = (COL_ZERO, COL_STAR)
-        else:
-            choices = MID_COLS
-        remaining = n - pos
-        for col in choices:
-            if col == COL_ZERO:
-                if height != 0 or zeros == n0:
-                    continue
-                nz, nh = zeros + 1, height
-            elif col == COL_STAR:
-                nz, nh = zeros, height
-            elif col == COL_UP:
-                nz, nh = zeros, height + 1
-            elif col == COL_DOWN:
-                if height == 0:
-                    continue
-                nz, nh = zeros, height - 1
-            else:
-                nz, nh = zeros, height
-            if nh > remaining - 1 or n0 - nz > remaining - 1:
-                continue
+        for col, nh, nz in _columns(n, n0, pos, height, zeros):
             cols.append(col)
             rec(pos + 1, nh, nz)
             cols.pop()
@@ -367,31 +372,13 @@ def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
     return build_kernel(states, moves)
 
 
-def restricted_class(configs, params: DStarParams):
-    keep = list(configs)
-    if params.alpha_star == 0:
-        keep = [c for c in keep if c[0][0] == STAR]
-    if params.beta_star == 0:
-        keep = [c for c in keep if c[0][-1] == STAR]
-    return keep
+def _in_class(lab: LabelCounts, params: DStarParams) -> bool:
+    """Whether the closed class holds the label vector: a zero starred rate needs that star."""
+    return bool((lab.n_ystar or params.alpha_star) and (lab.n_zstar or params.beta_star))
 
 
-def _class_labels(n: int, n0: int, params: DStarParams):
-    """The configuration space, its closed class and each member's labels.
-
-    A space of one configuration is its own closed class; otherwise a
-    vanishing starred rate restricts to :func:`restricted_class`.
-    """
-    configs = enumerate_configs(n, n0)
-    keep = configs if len(configs) == 1 else restricted_class(configs, params)
-    if not keep:
-        raise NotIrreducible("no configurations in the restricted class")
-    return configs, keep, [_labels(c) for c in keep]
-
-
-def _class_weights(labels, params: DStarParams):
-    """The weight q of each distinct label vector, and Z = sum of multiplicity x q."""
-    counts = Counter(labels)
+def _class_weights(counts, params: DStarParams):
+    """The weight q of each label vector of a histogram, and Z = sum of multiplicity x q."""
     weights = {lab: _label_weight(lab, params) for lab in counts}
     z = exact_sum(m * weights[lab] for lab, m in counts.items())
     return weights, z
@@ -409,19 +396,67 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     probability zero.  A space of one configuration (n0 = n) is a single
     closed class whatever the rates: its law is the point mass, Z = 1.
     """
-    configs, keep, labels = _class_labels(n, n0, params)
-    weights, z = _class_weights(labels, params)
+    configs = enumerate_configs(n, n0)
+    labels = {c: _labels(c) for c in configs}
+    if len(configs) != 1:
+        labels = {c: lab for c, lab in labels.items() if _in_class(lab, params)}
+    if not labels:
+        raise NotIrreducible("no configurations in the restricted class")
+    weights, z = _class_weights(Counter(labels.values()), params)
     law = {lab: w / z for lab, w in weights.items()}
     probs = dict.fromkeys(configs, ZERO)
-    for c, lab in zip(keep, labels):
+    for c, lab in labels.items():
         probs[c] = law[lab]
     return Dist(probs), z
 
 
+@lru_cache(maxsize=None)
+def _label_histogram(n: int, n0: int) -> tuple[tuple[LabelCounts, int], ...]:
+    """Each label vector of the (n, n0) space with the number of configurations carrying it.
+
+    A transfer over the columns of :func:`_columns` that counts partial
+    configurations per state of the :func:`_labels` scan: height, zeros,
+    0-column seen, z' seen (dropped after a 0-column), n_y, falls at height
+    zero since the last 0-column (n_z at the end), the border star flags.
+    """
+    _check_sizes(n, n0)
+    states = {(0, 0, False, False, 0, 0, False, False): 1}
+    for pos in range(n):
+        nxt: dict = {}
+        for (h, zeros, seen0, zprime, ny, falls, left, right), m in states.items():
+            for col, nh, nz in _columns(n, n0, pos, h, zeros):
+                if col == COL_ZERO:
+                    key = (nh, nz, True, False, ny, 0, left, right)
+                elif col == COL_STAR:
+                    key = (nh, nz, seen0, zprime, ny, falls, left or pos == 0, pos == n - 1)
+                elif h:  # inside a matched up/down stretch: no label
+                    key = (nh, nz, seen0, zprime, ny, falls, left, right)
+                elif col == COL_FALL:
+                    key = (nh, nz, seen0, zprime or not seen0, ny, falls + 1, left, right)
+                else:  # an up-step or a rise on the axis: y left of every 0-column and z'
+                    key = (nh, nz, seen0, zprime, ny + (not seen0 and not zprime), falls,
+                           left, right)
+                nxt[key] = nxt.get(key, 0) + m
+        states = nxt
+    hist: dict = {}
+    for (_, _, _, _, ny, falls, left, right), m in states.items():
+        lab = LabelCounts(ny, falls, int(left), int(right))
+        hist[lab] = hist.get(lab, 0) + m
+    return tuple(hist.items())
+
+
 def partition_sum(n: int, n0: int, params: DStarParams):
-    """The normalizing constant Z of :func:`stationary`, from the label histogram alone."""
-    labels = _class_labels(n, n0, params)[2]
-    return _class_weights(labels, params)[1]
+    """The normalizing constant Z of :func:`stationary`, without listing configurations.
+
+    Z sums multiplicity x q over :func:`_label_histogram`, restricted to the
+    closed class as in :func:`stationary`.
+    """
+    hist = dict(_label_histogram(n, n0))
+    if sum(hist.values()) != 1:
+        hist = {lab: m for lab, m in hist.items() if _in_class(lab, params)}
+    if not hist:
+        raise NotIrreducible("no configurations in the restricted class")
+    return _class_weights(hist, params)[1]
 
 
 def project_top_row(dist: Dist) -> Dist:

@@ -6,21 +6,27 @@ point power iteration or from state elimination over fractions.Fraction,
 the stationarity certificate from one Fraction operation per entry,
 counts from brute enumeration, exclusion-chain kernels from literal
 per-pair pattern tables instead of the wall rule, two-row laws from one
-weight per configuration instead of one per label class, and Motzkin sums
-from one weight product per path instead of an exponent histogram.
+weight per configuration instead of one per label class, two-row label
+histograms by labelling every listed configuration instead of a column
+transfer, Motzkin sums from one weight product per path, and Motzkin
+exponent histograms by walking every step word instead of a transfer over
+steps.  It also keeps the helpers only tests use: site densities and
+hook sums read off the exact multispecies law, the JSON decoder of a law
+and the reversal symmetry of two-species words.
 """
 from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 
+from weyltasep import closedform as cf
 from weyltasep import tworow as tr
-from weyltasep.markov import build_kernel
-from weyltasep.models import multi_states, two_species_states
-from weyltasep.ratio import R
+from weyltasep.markov import Dist, build_kernel
+from weyltasep.models import STAR, multi_states, two_species_states
+from weyltasep.ratio import R, parse_ratio
 from weyltasep.weyl import (
     WeylKind,
     apply_generator,
@@ -255,7 +261,12 @@ def tworow_stationary(n: int, n0: int, params):
     one-state chain, so it is its own class whatever the rates.
     """
     configs = tr.enumerate_configs(n, n0)
-    keep = list(configs) if len(configs) == 1 else tr.restricted_class(configs, params)
+    keep = list(configs)
+    if len(configs) > 1:  # a vanishing starred rate keeps the configurations with that star
+        if params.alpha_star == 0:
+            keep = [c for c in keep if c[0][0] == STAR]
+        if params.beta_star == 0:
+            keep = [c for c in keep if c[0][-1] == STAR]
     if not keep:
         return None
     weights = {c: tworow_weight(c, params) for c in keep}
@@ -264,6 +275,42 @@ def tworow_stationary(n: int, n0: int, params):
     for c, w in weights.items():
         probs[c] = w / z
     return probs, z
+
+
+def tworow_label_histogram(n: int, n0: int) -> Counter:
+    """Number of configurations per label vector, labelling each listed configuration."""
+    return Counter(tr._labels(c) for c in tr.enumerate_configs(n, n0))
+
+
+def motzkin_exponents(k: int) -> tuple:
+    """Histogram ((i, j), m) of the k-step path weights, walking all 4^k step words.
+
+    i counts the alpha-weighted steps (up-steps from the axis and first-color
+    level steps on it, left of every beta-weight), j the beta-weighted ones
+    (second-color level steps on the axis).
+    """
+    hist: dict = {}
+    for steps in itertools.product(("u", "d", "r", "b"), repeat=k):
+        h = i = j = 0
+        ok = True
+        for s in steps:
+            if s == "u":
+                if h == 0 and not j:
+                    i += 1
+                h += 1
+            elif s == "d":
+                h -= 1
+                if h < 0:
+                    ok = False
+                    break
+            elif s == "r":
+                if h == 0 and not j:
+                    i += 1
+            elif h == 0:
+                j += 1
+        if ok and h == 0:
+            hist[i, j] = hist.get((i, j), 0) + 1
+    return tuple(sorted(hist.items()))
 
 
 def bicolored_motzkin_sum(k: int, alpha, beta) -> Fraction:
@@ -295,3 +342,54 @@ def bicolored_motzkin_sum(k: int, alpha, beta) -> Fraction:
         if ok and h == 0:
             total += w
     return total
+
+
+# --- helpers only the tests use -----------------------------------------------
+
+
+def last_site_density(family: str, n: int) -> dict:
+    """Law of the letter at the last site of the exact multispecies law."""
+    out: dict = {}
+    for w, p in cf.stationary_multi(family, n)[1].items():
+        out[w[-1]] = out.get(w[-1], Fraction(0)) + p
+    return out
+
+
+def first_site_density(family: str, n: int) -> dict:
+    """Law of the letter at the first site of the exact multispecies law."""
+    out: dict = {}
+    for w, p in cf.stationary_multi(family, n)[1].items():
+        out[w[0]] = out.get(w[0], Fraction(0)) + p
+    return out
+
+
+def hook_sums_exact(family: str, n: int, i: int):
+    """Row/column/hook sums straight from the exact final-pair law."""
+    corr = cf.pair_correlations(family, n)
+    row = sum((p for (a, _), p in corr.items() if a == i), Fraction(0))
+    col = sum((p for (_, b), p in corr.items() if b == i), Fraction(0))
+    if i < 0:
+        return cf.HookSums(row, col, None, None)
+    hd = hu = Fraction(0)
+    for j in range(i + 1, n + 1):
+        hd += corr.get((i, -j), Fraction(0)) + corr.get((j, -i), Fraction(0))
+        hu += corr.get((-j, i), Fraction(0)) + corr.get((-i, j), Fraction(0))
+    return cf.HookSums(row, col, hd, hu)
+
+
+def dist_from_json_obj(obj: list, state_decoder=None) -> Dist:
+    """The law written by Dist.to_json_obj; list states come back as tuples."""
+    probs = {}
+    for entry in obj:
+        s = entry["state"]
+        if state_decoder is not None:
+            s = state_decoder(s)
+        elif isinstance(s, list):
+            s = tuple(tuple(x) if isinstance(x, list) else x for x in s)
+        probs[s] = parse_ratio(entry["p"])
+    return Dist(probs)
+
+
+def reversal_bijection(w):
+    """Reverse a two-species word and negate it (a kernel symmetry)."""
+    return tuple(-x for x in reversed(w))

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from weyltasep.cli import main
-from weyltasep.markov import dist_from_json_obj
+
+from oracles import dist_from_json_obj
 
 
 def run(capsys, *argv):
@@ -146,9 +147,11 @@ def test_zero_counts_rejected(capsys, argv):
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "abc"], "abc"),
         (["stationary", "--model", "multi", "--n", "3"], "needs --kind"),
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "5"], "state (-1, -1)"),
+        (["partition", "--model", "semiperm", "--n", "3", "--n0", "4", "--alpha", "1/2",
+          "--beta", "1/3"], "bad zero count 4"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
-         "missing-kind", "semiperm-oversized-rate"],
+         "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -55,6 +55,11 @@ def test_motzkin_histogram_matches_per_path_products(k):
         assert cf.enumerate_bicolored_motzkin(k, a, b) == oracles.bicolored_motzkin_sum(k, a, b)
 
 
+@pytest.mark.parametrize("k", range(0, 9))
+def test_motzkin_transfer_matches_word_walk(k):
+    assert cf._motzkin_exponents(k) == oracles.motzkin_exponents(k)
+
+
 def test_ballot_sum_identities():
     for a in range(11):
         for b in range(a + 1):
@@ -82,6 +87,9 @@ def test_partition_semipermeable():
         for n0 in range(n + 1):
             assert cf.z_semiperm(n, n0, 1, 1) == cf.ballot(n + n0 + 1, n - n0)
     assert cf.z_semiperm(4, 4, R(1, 3), R(2, 7)) == 1
+    for n0 in (-1, 4):  # as z_b and z_d: no configuration has more zeros than sites
+        with pytest.raises(RangeError):
+            cf.z_semiperm(3, n0, R(1, 2), R(1, 3))
     eps = R(1, 10**6)
     z0, zp, zm = (cf.z_semiperm(4, 1, a, 1) for a in (R(1), 1 + eps, 1 - eps))
     assert abs(float(zp) - float(z0)) < 1e-3 and abs(float(zm) - float(z0)) < 1e-3
@@ -111,7 +119,7 @@ def test_ccheck_last_density():
     assert cf.ccheck_last_density(4, 2) == R(5, 72)
     assert cf.ccheck_last_density(2, 2) == R(5, 20)
     for n in (2, 3):
-        dens = cf.last_site_density("Ccheck", n)
+        dens = oracles.last_site_density("Ccheck", n)
         total = ZERO
         for i in range(1, n + 1):
             val = cf.ccheck_last_density(n, i)
@@ -169,7 +177,7 @@ def test_hook_sums_closed_forms():
     for fam, n in (("B", 3), ("D", 3), ("D", 4)):
         for i in list(range(-n, 0)) + list(range(1, n + 1)):
             closed = cf.multi_sums(fam, n, i)
-            exact = cf.hook_sums_exact(fam, n, i)
+            exact = oracles.hook_sums_exact(fam, n, i)
             assert (closed.row, closed.col) == (exact.row, exact.col)
             if i > 0:
                 assert (closed.hd, closed.hu) == (exact.hd, exact.hu)
@@ -183,7 +191,7 @@ def test_first_site_densities():
             (cf.b_first_site(n, k) for k in range(-n, n + 1) if k != 0), ZERO
         )
         assert total == 1
-        exact = cf.first_site_density("B", n)
+        exact = oracles.first_site_density("B", n)
         for k in range(-n, n + 1):
             if k:
                 assert exact.get(k, ZERO) == cf.b_first_site(n, k)
@@ -191,7 +199,7 @@ def test_first_site_densities():
 
 def test_last_site_uniformity():
     for n in (2, 3):
-        dens = cf.last_site_density("B", n)
+        dens = oracles.last_site_density("B", n)
         assert all(dens[k] == R(1, 2 * n) for k in range(-n, n + 1) if k != 0)
 
 

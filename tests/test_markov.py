@@ -11,7 +11,6 @@ from weyltasep.markov import (
     Kernel,
     build_kernel,
     communicating_classes,
-    dist_from_json_obj,
     exact_stationary,
     mc_estimate,
     total_variation,
@@ -21,7 +20,13 @@ from weyltasep.models import DStarParams, build_dstar, build_multi, build_two_sp
 from weyltasep.ratio import R
 from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 
-from oracles import fraction_certificate, fraction_gth, power_iteration
+from oracles import (
+    dist_from_json_obj,
+    fraction_certificate,
+    fraction_gth,
+    power_iteration,
+    reversal_bijection,
+)
 
 
 def test_kernel_row_sums_enforced():
@@ -123,8 +128,6 @@ def test_dist_json_roundtrip():
 
 def test_symmetry_invariance_of_stationary():
     # a kernel automorphism carries the stationary law to itself
-    from weyltasep.models import reversal_bijection
-
     ker = build_two_species(WeylKind("Ccheck", 4), 4, 2)
     pi = exact_stationary(ker)
     assert Dist({reversal_bijection(s): p for s, p in pi.items()}) == pi

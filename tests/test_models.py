@@ -10,7 +10,6 @@ from weyltasep.models import (
     build_two_species,
     dstar_states,
     multi_states,
-    reversal_bijection,
     two_species_states,
 )
 from weyltasep.ratio import R, ZERO
@@ -18,6 +17,7 @@ from weyltasep.weyl import WeylKind, kac_weights, theta_raises
 
 from oracles import (
     first_move_patterns_d,
+    reversal_bijection,
     table_multi_kernel,
     table_semipermeable_kernel,
     table_two_species_kernel,

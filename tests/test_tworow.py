@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from weyltasep.errors import InvalidConfig, InvalidWall, NotIrreducible, ZeroParameter
+from weyltasep.errors import (
+    InvalidConfig,
+    InvalidCounts,
+    InvalidWall,
+    NotIrreducible,
+    ZeroParameter,
+)
 from weyltasep.markov import exact_stationary
 from weyltasep.models import DStarParams, STAR, build_dstar
 from weyltasep.ratio import R, ZERO
@@ -154,6 +160,15 @@ def test_wall_map_is_a_bijection(n):
                 assert validate(out[0])
                 seen.add(out)
         assert len(seen) == len(cfgs) * (n - 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(2, 7).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+def test_wall_map_is_a_bijection_at_random_sizes(size):
+    n, n0 = size
+    cfgs = enumerate_configs(n, n0)
+    image = {tstar_bar(c, i) for c in cfgs for i in range(1, n)}
+    assert image == {(c, i) for c in cfgs for i in range(1, n)}
 
 
 @pytest.mark.parametrize("params", POINTS)
@@ -316,6 +331,18 @@ def test_stationary_matches_per_configuration_oracle(n):
             dist, got_z = tr.stationary(n, n0, params)
             assert list(dist.items()) == list(probs.items())
             assert got_z == z == tr.partition_sum(n, n0, params)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_label_histogram_matches_enumeration_oracle(n):
+    for n0 in range(n + 1):
+        assert dict(tr._label_histogram(n, n0)) == oracles.tworow_label_histogram(n, n0)
+
+
+def test_label_histogram_rejects_bad_sizes():
+    for n, n0 in ((0, 0), (3, 4), (3, -1)):
+        with pytest.raises(InvalidCounts):
+            tr.partition_sum(n, n0, POINTS[0])
 
 
 RATES = st.fractions(min_value=0, max_value=1, max_denominator=9)

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
@@ -84,6 +86,20 @@ def test_crossings_equal_separation_count(family, n):
     s = run_walk(kind, n, 10_000, seed=3)
     assert s.crossings == s.accepted
     assert separation_count(s.final_point, kind, n) == s.accepted
+
+
+# D2 is excluded: its walk is unsupported (linearly dependent roots).
+WALK_SPECS = st.sampled_from([(f, n) for f in ("B", "C", "D", "Bcheck", "Ccheck")
+                              for n in range(2, 6) if (f, n) != ("D", 2)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(WALK_SPECS, st.integers(0, 2**31 - 1), st.integers(1, 2000))
+def test_crossings_equal_separation_count_at_random_kinds_and_seeds(spec, seed, steps):
+    family, n = spec
+    kind = WeylKind(family, n)
+    s = run_walk(kind, n, steps, seed=seed)
+    assert s.accepted == s.crossings == separation_count(s.final_point, kind, n)
 
 
 def test_run_walk_deterministic():
