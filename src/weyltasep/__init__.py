@@ -35,8 +35,6 @@ from .markov import (
     Dist,
     exact_stationary,
     Kernel,
-    mc_estimate,
-    total_variation,
 )
 from .models import (
     build_dstar,
@@ -64,7 +62,6 @@ from .walk import (
     fundamental_point,
     run_walk,
     separation_count,
-    step,
 )
 from .weyl import (
     act,
@@ -73,7 +70,6 @@ from .weyl import (
     inverse_act_theta,
     kac_weights,
     length,
-    positive_root_sum,
     root_data,
     signed_permutations,
     theta_raises,

@@ -222,7 +222,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n0=True, rates=False, kind=None):
+    def common(sp, n0=True, rates=False, kind=None, decimal=False):
         sp.add_argument("--n", type=int, required=True)
         if n0:
             sp.add_argument("--n0", type=int, default=0)
@@ -234,7 +234,8 @@ def make_parser() -> argparse.ArgumentParser:
             sp.add_argument("--beta", type=_rational, default="1")
             sp.add_argument("--beta-star", dest="beta_star", type=_rational, default="1")
         sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
-        sp.add_argument("--decimal", type=int, default=0, metavar="DIGITS")
+        if decimal:
+            sp.add_argument("--decimal", type=int, default=0, metavar="DIGITS")
 
     sp = sub.add_parser("stationary", help="exact stationary distribution")
     sp.add_argument(
@@ -246,14 +247,14 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_stationary)
 
     sp = sub.add_parser("corr", help="final-pair correlations, multispecies chain")
-    common(sp, n0=False, kind={"required": True})
+    common(sp, n0=False, kind={"required": True}, decimal=True)
     sp.set_defaults(func=_cmd_corr)
 
     sp = sub.add_parser("partition", help="partition functions")
     sp.add_argument(
         "--model", choices=("b", "d", "semiperm", "tworow"), required=True
     )
-    common(sp, rates=True)
+    common(sp, rates=True, decimal=True)
     sp.set_defaults(func=_cmd_partition, format="text")
 
     sp = sub.add_parser("limdir", help="limiting direction of the reduced walk")
@@ -263,7 +264,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=_positive_int, default=100_000)
     sp.add_argument("--trials", type=_positive_int, default=10)
     sp.add_argument("--seed", type=int, default=_default_seed())
-    common(sp, n0=False, kind={"required": True})
+    common(sp, n0=False, kind={"required": True}, decimal=True)
     sp.set_defaults(func=_cmd_limdir, format="text")
 
     sp = sub.add_parser("walk", help="Monte Carlo alcove walk")
@@ -290,8 +291,10 @@ def make_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
     prog = f"{parser.prog} {args.command}"
+    if extra:
+        parser.exit(2, f"{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
     if args.command == "stationary" and args.model in ("multi", "two") and not args.kind:
         parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
     if args.command == "walk" and args.svg and args.n != 2:

@@ -183,18 +183,6 @@ class CorrelationTable:
     def cell(self, i, j):
         return self.entries.get((i, j), ZERO)
 
-    def to_json_obj(self) -> dict:
-        from .ratio import fmt_ratio
-
-        return {
-            "context": self.context,
-            "z": fmt_ratio(self.z),
-            "cells": [
-                {"i": i, "j": j, "p": fmt_ratio(p)}
-                for (i, j), p in sorted(self.entries.items())
-            ],
-        }
-
 
 def z_b(n: int, n0: int) -> int:
     """Partition function of the B-type two-species process."""

@@ -1,9 +1,9 @@
 """Projections between chains and the exact test that they stay Markov.
 
-A state map sends the big chain's states onto the small chain's states; it
-is a lumping when each aggregated row depends only on the image state.
-:func:`verify_lumping` checks this together with agreement against the
-small kernel, exactly, row by row.
+A state map is a callable that sends the big chain's states onto the small
+chain's states; it is a lumping when each aggregated row depends only on
+the image state.  :func:`verify_lumping` checks this together with
+agreement against the small kernel, exactly, row by row.
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from typing import Callable
 from .errors import InvalidCounts
 from .markov import Dist, Kernel
 from .models import STAR
-from .ratio import ZERO
+from .ratio import ZERO, exact_sum
 
 
 def k_coloring(word: tuple, k: int) -> tuple:
@@ -51,61 +51,56 @@ class LumpReport:
         return {"pass": self.passed, "violations": self.violations}
 
 
-def _as_map(state_map, states) -> dict:
-    if callable(state_map):
-        return {s: state_map(s) for s in states}
-    return dict(state_map)
-
-
-def verify_lumping(big: Kernel, state_map, small: Kernel) -> LumpReport:
+def verify_lumping(big: Kernel, state_map: Callable, small: Kernel) -> LumpReport:
     """Exact check that the map carries the big kernel onto the small one.
 
     Every big state's row, aggregated over image states, must equal the
-    small kernel's row at its image.  Violations are collected, not raised.
+    small kernel's row at its image.  Each big state is mapped once, to the
+    small chain's index of its image, and each aggregated row is compared
+    with the small chain's index-keyed row.  Violations are collected, not
+    raised.
     """
-    mapping = _as_map(state_map, big.states)
+    images = [state_map(s) for s in big.states]
+    image_set, small_set = set(images), set(small.states)
+    if image_set != small_set:
+        mismatch = {
+            "kind": "image-mismatch",
+            "extra": sorted(map(repr, image_set - small_set)),
+            "missing": sorted(map(repr, small_set - image_set)),
+        }
+        return LumpReport(False, [mismatch])
+    pos = [small.index[u] for u in images]
     violations = []
-    missing = [s for s in big.states if s not in mapping]
-    if missing:
-        violations.append({"kind": "unmapped-states", "count": len(missing)})
-        return LumpReport(False, violations)
-    images = set(mapping.values())
-    if images != set(small.states):
-        violations.append(
-            {
-                "kind": "image-mismatch",
-                "extra": sorted(map(repr, images - set(small.states))),
-                "missing": sorted(map(repr, set(small.states) - images)),
-            }
-        )
-        return LumpReport(False, violations)
-    for s in big.states:
-        agg: dict = {}
-        for t, p in big.row(s).items():
-            u = mapping[t]
-            agg[u] = agg.get(u, ZERO) + p
-        expected = small.row(mapping[s])
-        keys = set(agg) | set(expected)
-        for u in keys:
-            if agg.get(u, ZERO) != expected.get(u, ZERO):
+    for i, row in enumerate(big.rows):
+        parts: dict[int, list] = {}
+        for j, p in row.items():
+            parts.setdefault(pos[j], []).append(p)
+        agg = {u: ps[0] if len(ps) == 1 else exact_sum(ps) for u, ps in parts.items()}
+        if agg == small.rows[pos[i]]:
+            continue
+        # report by state, in the key order of the state-keyed rows
+        agg = {small.states[u]: p for u, p in agg.items()}
+        expected = small.row(images[i])
+        for u in set(agg) | set(expected):
+            got, want = agg.get(u, ZERO), expected.get(u, ZERO)
+            if got != want:
                 violations.append(
                     {
                         "kind": "row-mismatch",
-                        "state": repr(s),
-                        "image": repr(mapping[s]),
+                        "state": repr(big.states[i]),
+                        "image": repr(images[i]),
                         "target": repr(u),
-                        "aggregated": str(agg.get(u, ZERO)),
-                        "small": str(expected.get(u, ZERO)),
+                        "aggregated": str(got),
+                        "small": str(want),
                     }
                 )
     return LumpReport(not violations, violations)
 
 
-def project_distribution(dist: Dist, state_map) -> Dist:
+def project_distribution(dist: Dist, state_map: Callable) -> Dist:
     """Class-wise sums of an exact distribution under a state map."""
-    mapping: Callable = state_map if callable(state_map) else state_map.__getitem__
     probs: dict = {}
     for s, p in dist.items():
-        u = mapping(s)
+        u = state_map(s)
         probs[u] = probs.get(u, ZERO) + p
     return Dist(probs)

@@ -18,8 +18,6 @@ kernel rows to integers by the lcm of their denominators.
 from __future__ import annotations
 
 import heapq
-import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from math import lcm
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -205,17 +203,16 @@ class Dist(Mapping):
     """A probability vector over states, exact and summing to 1.
 
     Values may be given as anything Fraction accepts; Fractions are kept
-    as they are.  With `check`, no value may be negative and the values
-    must sum to 1 exactly (checked with :func:`weyltasep.ratio.exact_sum`).
+    as they are.  No value may be negative and the values must sum to 1
+    exactly (checked with :func:`weyltasep.ratio.exact_sum`).
     """
 
-    def __init__(self, probs: Mapping[State, object], check: bool = True):
+    def __init__(self, probs: Mapping[State, object]):
         self._p = {s: _rational(p) for s, p in probs.items()}
-        if check:
-            if any(p.numerator < 0 for p in self._p.values()):
-                raise ValueError("negative probability")
-            if exact_sum(self._p.values()) != 1:
-                raise ValueError("probabilities do not sum to 1")
+        if any(p.numerator < 0 for p in self._p.values()):
+            raise ValueError("negative probability")
+        if exact_sum(self._p.values()) != 1:
+            raise ValueError("probabilities do not sum to 1")
 
     def __getitem__(self, s):
         return self._p.get(s, ZERO)
@@ -232,9 +229,6 @@ class Dist(Mapping):
         keys = set(self._p) | set(other._p)
         return all(self[k] == other[k] for k in keys)
 
-    def support(self):
-        return {s for s, p in self._p.items() if p > 0}
-
     def to_json_obj(self, state_key=None) -> list:
         items = self._p.items()
         if state_key is not None:
@@ -246,11 +240,6 @@ def _state_json(s):
     if isinstance(s, tuple):
         return [_state_json(x) for x in s]
     return s
-
-
-def total_variation(a: Mapping, b: Mapping) -> float:
-    keys = set(a) | set(b)
-    return float(sum(abs(R(a.get(k, 0)) - R(b.get(k, 0))) for k in keys)) / 2.0
 
 
 def exact_stationary(kernel: Kernel) -> Dist:
@@ -419,53 +408,3 @@ def _is_stationary(kernel: Kernel, pi_idx: Mapping[int, object]) -> bool:
             flow[j] = flow.get(j, 0) + a_i * (q.numerator * s)
     return all(flow.get(j, 0) == a.get(j, 0) * big_k for j in flow.keys() | a.keys())
 
-
-def derive_stream(seed: int, trial: int) -> int:
-    """Deterministic per-trial PRNG seed derived from (seed, trial)."""
-    return (seed * 1_000_003 + trial) & 0x7FFFFFFFFFFFFFFF
-
-
-@dataclass(frozen=True)
-class McEstimate:
-    dist: Dist
-    steps: int
-    burn_in: int
-    seed: int
-
-
-def mc_estimate(kernel: Kernel, steps: int, burn_in: int = 0, seed: int = 0) -> McEstimate:
-    """Occupation frequencies of a single simulated trajectory.
-
-    Deterministic for a fixed seed (Mersenne Twister stream derived from
-    (seed, 0)).  Frequencies are exact counts over `steps` samples taken
-    after `burn_in` steps.
-    """
-    if steps <= 0:
-        raise ValueError("steps must be positive")
-    rng = random.Random(derive_stream(seed, 0))
-    m = len(kernel)
-    cum_rows = []
-    target_rows = []
-    for row in kernel.rows:
-        targets = list(row)
-        cum = []
-        acc = 0.0
-        for j in targets:
-            acc += float(row[j])
-            cum.append(acc)
-        cum[-1] = 1.0 + 1e-12
-        cum_rows.append(cum)
-        target_rows.append(targets)
-    state = 0
-    rnd = rng.random
-    for _ in range(burn_in):
-        state = target_rows[state][bisect_right(cum_rows[state], rnd())]
-    counts = [0] * m
-    for _ in range(steps):
-        state = target_rows[state][bisect_right(cum_rows[state], rnd())]
-        counts[state] += 1
-    dist = Dist(
-        {kernel.states[i]: R(c, steps) for i, c in enumerate(counts) if c},
-        check=False,
-    )
-    return McEstimate(dist, steps, burn_in, seed)

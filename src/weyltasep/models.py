@@ -11,7 +11,7 @@ g of the fundamental alcove (the simple roots, then -theta), and it moves
 the word by the group generator s_g, the step of the reduced alcove walk.
 The chains differ only in the edge probabilities.  The literal per-pair
 pattern tables the rule replaces are kept in the tests as oracles.  The
-starred chain has boundary rules of its own.
+starred chain has a boundary table of its own at each end.
 """
 from __future__ import annotations
 
@@ -93,18 +93,6 @@ def dstar_states(n: int, n0: int) -> list:
     return sorted(states, key=state_sort_key)
 
 
-def _swap(word, k):
-    lst = list(word)
-    lst[k], lst[k + 1] = lst[k + 1], lst[k]
-    return tuple(lst)
-
-
-def _replace2(word, k, pair):
-    lst = list(word)
-    lst[k], lst[k + 1] = pair
-    return tuple(lst)
-
-
 def _exclusion_kernel(states, kind: WeylKind, probs) -> Kernel:
     """Edge g moves w to s_g(w) with probability probs[g] when <wall_g, w> < 0."""
     rule = tuple(zip(range(kind.n + 1), alcove_walls(kind), probs))
@@ -154,39 +142,40 @@ def build_two_species(kind: WeylKind, n: int, n0: int) -> Kernel:
 def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
     """Kernel of the starred two-species process on n sites.
 
-    Edges 1..n-1 are uniform; the outer edges carry the boundary rates.
-    For n = 2 no move pattern is realizable and every state holds.
+    Edges 1..n-1 are uniform.  A bulk edge swaps its two sites when they
+    are in decreasing order; each outer edge reads its move from a table
+    of its end, which also carries the boundary rates.  For n = 2 the
+    single edge would be both ends at once, and every state holds.
     """
     states = dstar_states(n, n0)
     if not states:
         raise InvalidCounts(f"empty state space for n={n}, n0={n0}")
-    a, a_s = params.alpha, params.alpha_star
-    b, b_s = params.beta, params.beta_star
     edge = R(1, n - 1)
+    # (pair at the first two sites) -> (new pair, probability); the same at
+    # the last two sites.
+    left = {
+        (STAR, -1): ((STAR, 1), edge * params.alpha),
+        (STAR, 0): ((0, 1), edge * params.alpha_star),
+        (0, -1): ((STAR, 0), edge),
+    }
+    right = {
+        (1, STAR): ((-1, STAR), edge * params.beta),
+        (0, STAR): ((-1, 0), edge * params.beta_star),
+        (1, 0): ((0, STAR), edge),
+    }
 
     def moves(w):
         if n == 2:
             return
-        # Left boundary edge.
-        x, y = w[0], w[1]
-        if x == STAR and y == -1:
-            yield _replace2(w, 0, (STAR, 1)), edge * a
-        elif x == STAR and y == 0:
-            yield _replace2(w, 0, (0, 1)), edge * a_s
-        elif x == 0 and y == -1:
-            yield _replace2(w, 0, (STAR, 0)), edge
-        # Bulk edges.
-        for ell in range(2, n - 1):
-            if w[ell - 1] > w[ell]:
-                yield _swap(w, ell - 1), edge
-        # Right boundary edge.
-        x, y = w[n - 2], w[n - 1]
-        if y == STAR and x == 1:
-            yield _replace2(w, n - 2, (-1, STAR)), edge * b
-        elif y == STAR and x == 0:
-            yield _replace2(w, n - 2, (-1, 0)), edge * b_s
-        elif x == 1 and y == 0:
-            yield _replace2(w, n - 2, (0, STAR)), edge
+        hit = left.get(w[:2])
+        if hit is not None:
+            yield hit[0] + w[2:], hit[1]
+        for k in range(1, n - 2):
+            if w[k] > w[k + 1]:
+                yield w[:k] + (w[k + 1], w[k]) + w[k + 2:], edge
+        hit = right.get(w[-2:])
+        if hit is not None:
+            yield w[:-2] + hit[0], hit[1]
 
     return build_kernel(states, moves)
 

@@ -7,7 +7,6 @@ check is explicitly about floating-point proximity.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from . import closedform as cf
 from . import tworow as tr
@@ -21,7 +20,7 @@ from .models import (
     build_semipermeable,
     build_two_species,
 )
-from .ratio import R, ZERO, fmt_ratio
+from .ratio import R, ZERO, fmt_ratio, parse_ratio
 from .weyl import WeylKind
 
 # Reference data reproduced by `verify --suite tables`.
@@ -387,10 +386,7 @@ def suite_tables() -> dict:
     ok = True
     for i, cells in TABLE_B_PAIRS_N4.items():
         for col, text in zip((-4, -3, -2, -1), cells):
-            expected = Fraction(text) if "/" in text else Fraction(int(text))
-            if corr.get((i, col), ZERO) != R(
-                expected.numerator, expected.denominator
-            ):
+            if corr.get((i, col), ZERO) != parse_ratio(text):
                 ok = False
     _check(checks, "pair-table-rank-4", ok)
     ok = all(

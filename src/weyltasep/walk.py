@@ -28,7 +28,6 @@ from itertools import repeat
 
 from .closedform import DirectionVector, limdir_closed
 from .errors import NonGenericPoint, UnsupportedRange
-from .markov import derive_stream
 from .ratio import R
 from .weyl import (
     WeylKind, alcove_walls, apply_generator, identity_window, kac_weights, root_data
@@ -204,26 +203,17 @@ def _advance(state: WalkState, proposals, on_accept=None) -> int:
     return accepted
 
 
+def derive_stream(seed: int, trial: int) -> int:
+    """Deterministic per-trial PRNG seed derived from (seed, trial)."""
+    return (seed * 1_000_003 + trial) & 0x7FFFFFFFFFFFFFFF
+
+
 def _proposals(kind: WeylKind, n: int, steps: int, seed: int):
     """Generators drawn by a seeded walk: per draw r, the first g with r <= cum[g]."""
     cum = _walk_tables(kind, n)[3]
     rnd = random.Random(derive_stream(seed, 0)).random
     # iter(rnd, None) never ends; repeat() stops the map after `steps` draws
     return map(bisect_left, repeat(cum, steps), iter(rnd, None))
-
-
-def _try_step(state: WalkState, g: int) -> bool:
-    """Attempt one proposal in place; returns whether it was accepted."""
-    return _advance(state, (g,)) == 1
-
-
-def step(state: WalkState, g: int) -> WalkState:
-    """One proposal of generator g; returns the (possibly held) new state."""
-    new = WalkState(
-        state.kind, state.n, state.winv[:], state.y[:], state.asc[:], state.crossings
-    )
-    _try_step(new, g)
-    return new
 
 
 def chamber_label(x, kind: WeylKind) -> tuple:

@@ -221,17 +221,6 @@ def inverse_act_theta(w: Window, kind: WeylKind) -> Vector:
     return tuple(v)
 
 
-def positive_root_sum(kind: WeylKind) -> Vector:
-    """Coordinates of the sum of positive roots: 2i (C), 2i-1 (B), 2i-2 (D)."""
-    n = kind.n
-    fam = kind.root_family
-    if fam == "C":
-        return tuple(2 * i for i in range(1, n + 1))
-    if fam == "B":
-        return tuple(2 * i - 1 for i in range(1, n + 1))
-    return tuple(2 * i - 2 for i in range(1, n + 1))
-
-
 def signed_permutations(n: int, even_only: bool = False) -> Iterator[Window]:
     """All windows on n letters; optionally only even numbers of negatives."""
     for perm in itertools.permutations(range(1, n + 1)):

@@ -5,7 +5,8 @@ breadth-first search over the generators, stationary vectors from floating
 point power iteration or from state elimination over fractions.Fraction,
 the stationarity certificate from one Fraction operation per entry,
 counts from brute enumeration, exclusion-chain kernels from literal
-per-pair pattern tables instead of the wall rule, two-row laws from one
+per-pair pattern tables instead of the wall rule, the starred kernel from
+a branch per boundary pattern instead of two boundary tables, two-row laws from one
 weight per configuration instead of one per label class, two-row label
 histograms by labelling every listed configuration instead of a column
 transfer, Motzkin sums from one weight product per path, and Motzkin
@@ -25,7 +26,7 @@ from functools import lru_cache
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
 from weyltasep.markov import Dist, build_kernel
-from weyltasep.models import STAR, multi_states, two_species_states
+from weyltasep.models import STAR, dstar_states, multi_states, two_species_states
 from weyltasep.ratio import R, parse_ratio
 from weyltasep.weyl import (
     WeylKind,
@@ -233,6 +234,41 @@ def table_semipermeable_kernel(n: int, n0: int, alpha, beta):
     probs = [edge * R(alpha)] + [edge] * (n - 1) + [edge * R(beta)]
     return build_kernel(two_species_states(n, n0), _table_moves("Ccheck", n, probs, {}, {}))
 
+
+
+def branch_dstar_kernel(n: int, n0: int, params):
+    """The starred kernel with one branch per boundary pattern."""
+    a, a_s = params.alpha, params.alpha_star
+    b, b_s = params.beta, params.beta_star
+    edge = R(1, n - 1)
+
+    def put(w, k, pair):
+        lst = list(w)
+        lst[k], lst[k + 1] = pair
+        return tuple(lst)
+
+    def moves(w):
+        if n == 2:
+            return
+        x, y = w[0], w[1]
+        if x == STAR and y == -1:
+            yield put(w, 0, (STAR, 1)), edge * a
+        elif x == STAR and y == 0:
+            yield put(w, 0, (0, 1)), edge * a_s
+        elif x == 0 and y == -1:
+            yield put(w, 0, (STAR, 0)), edge
+        for ell in range(2, n - 1):
+            if w[ell - 1] > w[ell]:
+                yield put(w, ell - 1, (w[ell], w[ell - 1])), edge
+        x, y = w[n - 2], w[n - 1]
+        if y == STAR and x == 1:
+            yield put(w, n - 2, (-1, STAR)), edge * b
+        elif y == STAR and x == 0:
+            yield put(w, n - 2, (-1, 0)), edge * b_s
+        elif x == 1 and y == 0:
+            yield put(w, n - 2, (0, STAR)), edge
+
+    return build_kernel(dstar_states(n, n0), moves)
 
 # --- two-row weights and Motzkin paths, one product per object ---------------
 

@@ -149,9 +149,13 @@ def test_zero_counts_rejected(capsys, argv):
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "5"], "state (-1, -1)"),
         (["partition", "--model", "semiperm", "--n", "3", "--n0", "4", "--alpha", "1/2",
           "--beta", "1/3"], "bad zero count 4"),
+        (["stationary", "--model", "dstar", "--n", "3", "--decimal", "3"],
+         "unrecognized arguments: --decimal 3"),
+        (["walk", "--kind", "b", "--n", "2", "--decimal", "3"], "unrecognized arguments: --decimal 3"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
-         "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n"],
+         "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
+         "stationary-decimal", "walk-decimal"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -8,7 +8,7 @@ from weyltasep.lumping import (
     star_collapse,
     verify_lumping,
 )
-from weyltasep.markov import Dist, communicating_classes, exact_stationary
+from weyltasep.markov import Dist, Kernel, communicating_classes, exact_stationary
 from weyltasep.models import DStarParams, STAR, build_dstar, build_multi, build_two_species
 from weyltasep.ratio import R
 from weyltasep.verify import suite_lumping
@@ -48,11 +48,62 @@ def test_verify_lumping_identity_map():
     assert rep.to_json_obj() == {"pass": True, "violations": []}
 
 
+# The B and Ccheck two-species chains at n = 3, n0 = 1 under the identity map:
+# (state, target, aggregated, small) per violation, in report order.
+B_VS_CCHECK_VIOLATIONS = [
+    ("(-1, -1, 0)", "(1, -1, 0)", "1/3", "1/4"),
+    ("(-1, -1, 0)", "(-1, -1, 0)", "2/3", "3/4"),
+    ("(-1, 0, -1)", "(1, 0, -1)", "1/3", "1/4"),
+    ("(-1, 0, -1)", "(-1, -1, 0)", "1/6", "1/4"),
+    ("(-1, 0, 1)", "(1, 0, 1)", "1/3", "1/4"),
+    ("(-1, 0, 1)", "(-1, 0, -1)", "0", "1/4"),
+    ("(-1, 0, 1)", "(-1, -1, 0)", "1/6", "0"),
+    ("(-1, 1, 0)", "(1, 1, 0)", "1/3", "1/4"),
+    ("(-1, 1, 0)", "(-1, 1, 0)", "1/3", "1/2"),
+    ("(-1, 1, 0)", "(-1, 0, 1)", "1/6", "1/4"),
+    ("(-1, 1, 0)", "(-1, 0, -1)", "1/6", "0"),
+    ("(0, -1, -1)", "(0, -1, -1)", "2/3", "3/4"),
+    ("(0, -1, -1)", "(-1, 0, -1)", "1/3", "1/4"),
+    ("(0, -1, 1)", "(0, -1, -1)", "0", "1/4"),
+    ("(0, -1, 1)", "(-1, 0, 1)", "1/3", "1/4"),
+    ("(0, -1, 1)", "(0, -1, 1)", "2/3", "1/2"),
+    ("(0, 1, -1)", "(0, 1, -1)", "5/6", "3/4"),
+    ("(0, 1, -1)", "(0, -1, 1)", "1/6", "1/4"),
+    ("(0, 1, 1)", "(0, -1, -1)", "1/6", "0"),
+    ("(0, 1, 1)", "(0, 1, -1)", "0", "1/4"),
+    ("(0, 1, 1)", "(0, 1, 1)", "5/6", "3/4"),
+    ("(1, -1, 0)", "(1, -1, 0)", "2/3", "3/4"),
+    ("(1, -1, 0)", "(-1, 1, 0)", "1/3", "1/4"),
+    ("(1, 0, -1)", "(1, -1, 0)", "1/6", "1/4"),
+    ("(1, 0, -1)", "(0, 1, -1)", "1/3", "1/4"),
+    ("(1, 0, 1)", "(1, 0, -1)", "0", "1/4"),
+    ("(1, 0, 1)", "(1, -1, 0)", "1/6", "0"),
+    ("(1, 0, 1)", "(0, 1, 1)", "1/3", "1/4"),
+    ("(1, 1, 0)", "(1, 0, 1)", "1/6", "1/4"),
+    ("(1, 1, 0)", "(1, 1, 0)", "2/3", "3/4"),
+    ("(1, 1, 0)", "(1, 0, -1)", "1/6", "0"),
+]
+
+
 def test_verify_lumping_detects_violation():
     big = build_two_species(WeylKind("B", 3), 3, 1)
     small = build_two_species(WeylKind("Ccheck", 3), 3, 1)
     rep = verify_lumping(big, lambda s: s, small)
     assert not rep.passed and rep.violations
+    assert rep.violations == [
+        {"kind": "row-mismatch", "state": s, "image": s, "target": t,
+         "aggregated": agg, "small": sm}
+        for s, t, agg, sm in B_VS_CCHECK_VIOLATIONS
+    ]
+
+
+def test_verify_lumping_image_mismatch():
+    big = build_two_species(WeylKind("B", 3), 3, 1)
+    rep = verify_lumping(big, lambda s: "b", Kernel(("a",), ({0: 1},)))
+    assert rep.to_json_obj() == {
+        "pass": False,
+        "violations": [{"kind": "image-mismatch", "extra": ["'b'"], "missing": ["'a'"]}],
+    }
 
 
 def test_multi_to_two_species_lumping_rank3():

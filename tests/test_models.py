@@ -16,6 +16,7 @@ from weyltasep.ratio import R, ZERO
 from weyltasep.weyl import WeylKind, kac_weights, theta_raises
 
 from oracles import (
+    branch_dstar_kernel,
     first_move_patterns_d,
     reversal_bijection,
     table_multi_kernel,
@@ -161,6 +162,23 @@ def test_semipermeable_rule_matches_pattern_tables():
                 ker = build_semipermeable(n, n0, alpha, beta)
                 ref = table_semipermeable_kernel(n, n0, alpha, beta)
                 assert _entries(ker) == _entries(ref), (n, n0, alpha, beta)
+
+
+def test_dstar_tables_match_boundary_branches():
+    # zero starred rates included: their moves drop out of the rows
+    points = [
+        DStarParams(1, 1, 1, 1),
+        DStarParams(*(R(1, 2),) * 4),
+        DStarParams(1, 0, 1, 0),
+        DStarParams(1, 0, R(1, 2), R(1, 2)),
+        DStarParams(R(2, 3), R(3, 7), R(1, 2), 0),
+        DStarParams(R(1, 3), R(1, 5), R(2, 7), R(3, 11)),
+    ]
+    for n in range(2, 9):
+        for n0 in range(n + 1):
+            for params in points:
+                ker = build_dstar(n, n0, params)
+                assert _entries(ker) == _entries(branch_dstar_kernel(n, n0, params)), (n, n0)
 
 
 def test_oversized_rates_name_the_state():

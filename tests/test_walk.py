@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
     WalkState,
-    _try_step,
+    _advance,
     chamber_label,
     dominant_representative,
     estimate_direction,
@@ -17,7 +17,6 @@ from weyltasep.walk import (
     initial_state,
     run_walk,
     separation_count,
-    step,
     svg_trajectory,
 )
 from weyltasep.weyl import (
@@ -67,17 +66,18 @@ def test_separation_rejects_wall_points():
 def test_replay_eight_step_word():
     st = initial_state(B2, 2)
     for g in (2, 0, 1, 0, 2, 0, 2, 1):
-        assert _try_step(st, g)
+        assert _advance(st, (g,)) == 1
     assert st.crossings == 8
     assert separation_count(st.point(), B2, 2) == 8
 
 
 def test_first_proposals_all_accepted_then_repeats_rejected():
     for g in (0, 1, 2):
-        s1 = step(initial_state(B2, 2), g)
-        assert s1.crossings == 1
-        s2 = step(s1, g)
-        assert s2.crossings == 1  # held: the same wall cannot be recrossed
+        st = initial_state(B2, 2)
+        _advance(st, (g,))
+        assert st.crossings == 1
+        _advance(st, (g,))
+        assert st.crossings == 1  # held: the same wall cannot be recrossed
 
 
 @pytest.mark.parametrize("family,n", [("B", 2), ("C", 2), ("Ccheck", 2), ("D", 3)])
@@ -180,7 +180,7 @@ def test_ascent_table_matches_geometry(family, n):
         expected = status()
         assert state.asc == expected
         g = rng.randrange(n + 1)
-        assert _try_step(state, g) == expected[g]
+        assert (_advance(state, (g,)) == 1) == expected[g]
         if expected[g]:
             beta, lev = wall(g)
             k = 2 * (_dot(beta, x) - lev) // _dot(beta, beta)

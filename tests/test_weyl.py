@@ -14,7 +14,6 @@ from weyltasep.weyl import (
     inverse_act_theta,
     kac_weights,
     length,
-    positive_root_sum,
     root_data,
     signed_permutations,
     theta_raises,
@@ -190,15 +189,3 @@ def test_theta_raises_matches_length(family):
         for w in signed_permutations(n, even_only=family == "D"):
             by_length = length(apply_generator(w, n, kind), kind) > length(w, kind)
             assert theta_raises(w, kind) == by_length
-
-
-def test_positive_root_sum():
-    assert positive_root_sum(C(2)) == (2, 4)
-    assert positive_root_sum(B(3)) == (1, 3, 5)
-    assert positive_root_sum(D(2)) == (0, 2)
-    for kind in (B(4), C(3), D(4)):
-        total = [0] * kind.n
-        for alpha in root_data(kind).positive_roots:
-            for i, c in enumerate(alpha):
-                total[i] += c
-        assert tuple(total) == positive_root_sum(kind)
