@@ -175,14 +175,17 @@ def _cmd_walk(args) -> int:
     return 0
 
 
+# The suite parameter each verify flag sets, on the suites that read it.
+VERIFY_FLAGS = {"n_max": {"lumping": "n_max", "conjecture-b": "n"},
+                "k_max": {"identities": "k_max"}}
+
+
 def _cmd_verify(args) -> int:
-    kwargs = {}
-    if args.suite == "identities" and args.k_max:
-        kwargs["k_max"] = args.k_max
-    if args.suite == "lumping" and args.n_max:
-        kwargs["n_max"] = args.n_max
-    if args.suite == "conjecture-b" and args.n_max:
-        kwargs["n"] = args.n_max
+    kwargs = {
+        suites[args.suite]: getattr(args, flag)
+        for flag, suites in VERIFY_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
     report = verify_mod.run_suite(args.suite, **kwargs)
     _emit(report, args)
     return 0 if report["pass"] else 1
@@ -281,8 +284,8 @@ def make_parser() -> argparse.ArgumentParser:
         choices=sorted(verify_mod.SUITES),
         required=True,
     )
-    sp.add_argument("--n-max", dest="n_max", type=int, default=0)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=0)
+    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
+    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(func=_cmd_verify)
 
@@ -299,6 +302,11 @@ def main(argv=None) -> int:
         parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
     if args.command == "walk" and args.svg and args.n != 2:
         parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")
+    if args.command == "verify":
+        for flag, suites in VERIFY_FLAGS.items():
+            if getattr(args, flag) is not None and args.suite not in suites:
+                option = "--" + flag.replace("_", "-")
+                parser.exit(2, f"{prog}: error: suite {args.suite} does not read {option}\n")
     try:
         return args.func(args)
     except WeylTasepError as exc:

@@ -192,7 +192,10 @@ def z_b(n: int, n0: int) -> int:
 
 
 def b_pair_table(n: int, n0: int) -> CorrelationTable:
-    """Final-pair probabilities of the B-type two-species process."""
+    """Final-pair probabilities of the B-type two-species process.
+
+    A formula of the paper; the tests check each cell against the exact chain.
+    """
     z = z_b(n, n0)
     raw = {
         (-1, -1): comb0(2 * n - 2, n - n0 - 2),
@@ -236,7 +239,8 @@ def d_pair_table(n: int, n0: int) -> CorrelationTable:
 
     The +-1 column is shared: a 1 and a -1 at the last site are equally
     likely.  The (0,0) and (-1,0) cells vanish/adjust at n0 = 1, where a
-    double-zero ending does not exist.
+    double-zero ending does not exist.  A formula of the paper; the tests
+    check each cell against the exact chain.
     """
     if not 1 <= n0 <= n:
         raise RangeError("the pair table needs n0 >= 1")
@@ -267,7 +271,10 @@ class HookSums:
 
 
 def multi_sums(family: str, n: int, i: int) -> HookSums:
-    """Closed row/column/hook sums of final-pair correlations, families B, D."""
+    """Closed row/column/hook sums of final-pair correlations, families B, D.
+
+    A formula of the paper; the acceptance tests check it against the exact chain.
+    """
     if i == 0 or abs(i) > n:
         raise RangeError(f"species {i} outside +-1..{n}")
     if family == "B":
@@ -350,7 +357,10 @@ def _multi_sums_d(n: int, i: int) -> HookSums:
 
 
 def b_first_site(n: int, k: int):
-    """Probability of species k at the first site of the B multispecies chain."""
+    """Probability of species k at the first site of the B multispecies chain.
+
+    A formula of the paper; the acceptance tests check it against the exact chain.
+    """
     if n < 2 or k == 0 or abs(k) > n:
         raise RangeError(f"bad arguments n={n}, k={k}")
     if k < 0:

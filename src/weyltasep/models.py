@@ -16,6 +16,7 @@ starred chain has a boundary table of its own at each end.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidCounts, InvalidRank, UnsupportedKind
@@ -28,9 +29,12 @@ STAR = "*"
 MULTI_FAMILIES = ("Ccheck", "B", "D")
 
 
+_STAR_LAST = {STAR: math.inf}
+
+
 def state_sort_key(word):
-    """Deterministic ordering for states that may contain the star symbol."""
-    return tuple((1, 0) if x == STAR else (0, x) for x in word)
+    """Deterministic ordering for states that may contain the star symbol, "*" last."""
+    return tuple(map(_STAR_LAST.get, word, word))
 
 
 @dataclass(frozen=True)

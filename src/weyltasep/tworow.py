@@ -23,6 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     InvalidConfig,
@@ -31,8 +32,9 @@ from .errors import (
     NotIrreducible,
     ZeroParameter,
 )
+from .lumping import project_distribution
 from .markov import Dist, Kernel, build_kernel
-from .models import STAR, DStarParams
+from .models import STAR, DStarParams, state_sort_key
 from .ratio import ONE, R, ZERO, exact_sum
 
 Config = tuple[tuple, tuple]  # (top row, bottom row)
@@ -77,67 +79,6 @@ def validate(c: Config) -> bool:
     return height == 0
 
 
-# Sort rank of a row entry: -1 < 0 < 1 < "*", the order of models.state_sort_key.
-_RANK = {-1: -1, 0: 0, 1: 1, STAR: 2}
-
-
-def _config_rank(c: Config) -> tuple:
-    return tuple(map(_RANK.__getitem__, c[0] + c[1]))
-
-
-def _columns(n: int, n0: int, pos: int, height: int, zeros: int):
-    """The columns allowed at position pos, each with the height and 0-count after it.
-
-    Choices that cannot return to height zero, or cannot place the
-    remaining zeros, in the columns left are pruned.
-    """
-    left = n - pos - 1
-    for col in (COL_ZERO, COL_STAR) if pos in (0, n - 1) else MID_COLS:
-        nz, nh = zeros, height
-        if col == COL_ZERO:
-            if height != 0 or zeros == n0:
-                continue
-            nz += 1
-        elif col == COL_UP:
-            nh += 1
-        elif col == COL_DOWN:
-            if height == 0:
-                continue
-            nh -= 1
-        if nh <= left and n0 - nz <= left:
-            yield col, nh, nz
-
-
-def _check_sizes(n: int, n0: int) -> None:
-    if n < 1 or not 0 <= n0 <= n:
-        raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
-
-
-@lru_cache(maxsize=None)
-def enumerate_configs(n: int, n0: int) -> tuple[Config, ...]:
-    """All valid configurations with n columns and n0 zero-columns.
-
-    Sorted by top row, then bottom row, with "*" above 1.  The space is
-    enumerated once per (n, n0) and shared, hence an immutable tuple.
-    """
-    _check_sizes(n, n0)
-    out: list[Config] = []
-    cols: list[tuple] = []
-
-    def rec(pos: int, height: int, zeros: int):
-        if pos == n:
-            out.append(tuple(zip(*cols)))
-            return
-        for col, nh, nz in _columns(n, n0, pos, height, zeros):
-            cols.append(col)
-            rec(pos + 1, nh, nz)
-            cols.pop()
-
-    rec(0, 0, 0)
-    out.sort(key=_config_rank)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class LabelCounts:
     n_y: int
@@ -146,55 +87,103 @@ class LabelCounts:
     n_zstar: int
 
 
-def label_counts(c: Config) -> LabelCounts:
-    """Count the weight-carrying labels of a configuration.
+# Scan state before the first column: height, zeros, 0-column seen, z' seen,
+# n_y, falls at height zero since the last 0-column, left and right star.
+_START = (0, 0, False, False, 0, 0, False, False)
 
-    Scanning left to right with the lattice-path height: a bottom -1 on a
-    level step at height zero is labelled z when it lies right of the
-    rightmost 0-column and z' when left of the leftmost one (both when
-    there are no 0-columns); a bottom 1 at height zero (level step or foot
-    of an up-step) left of the leftmost 0-column is labelled y unless some
-    z' lies to its left.  Star columns at the borders carry their own
-    flags.  Columns inside an up/down matched stretch are never labelled.
+
+def _scan(state: tuple, col: tuple, pos: int, n: int) -> tuple:
+    """The scan state after column col at position pos of n: the label rule.
+
+    Scanning left to right with the lattice-path height: a fall at height
+    zero is labelled z when no 0-column lies right of it (the falls since
+    the last 0-column) and z' when none lies left of it; an up-step or a
+    rise at height zero is labelled y when neither a 0-column nor a z' lies
+    left of it.  Star columns at the borders set their own flags.  Columns
+    inside an up/down matched stretch are never labelled.
     """
+    height, zeros, seen0, zprime, ny, falls, left, right = state
+    if col == COL_ZERO:
+        return height, zeros + 1, True, False, ny, 0, left, right
+    if col == COL_STAR:
+        return height, zeros, seen0, zprime, ny, falls, left or pos == 0, pos == n - 1
+    if height:
+        height += (col == COL_UP) - (col == COL_DOWN)
+        return height, zeros, seen0, zprime, ny, falls, left, right
+    if col == COL_FALL:
+        return 0, zeros, seen0, zprime or not seen0, ny, falls + 1, left, right
+    # an up-step or a rise on the axis
+    ny += not (seen0 or zprime)
+    return int(col == COL_UP), zeros, seen0, zprime, ny, falls, left, right
+
+
+def _label_vector(state: tuple) -> LabelCounts:
+    return LabelCounts(state[4], state[5], int(state[6]), int(state[7]))
+
+
+def _transfer(n: int, n0: int, start, grow) -> dict:
+    """Every column sequence of the (n, n0) space, walked one column at a time.
+
+    ``start`` is the value of the empty prefix and ``grow(value, col)`` the
+    value of the prefixes extended by a column; values of prefixes that
+    reach the same scan state are added up.  Returns the value per final
+    scan state.  Columns that cannot return to height zero, or cannot place
+    the remaining zeros, in the columns left are pruned.
+    """
+    if n < 1 or not 0 <= n0 <= n:
+        raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
+    values = {_START: start}
+    for pos in range(n):
+        left = n - pos - 1
+        cols = (COL_ZERO, COL_STAR) if pos in (0, n - 1) else MID_COLS
+        nxt: dict = {}
+        for state, value in values.items():
+            height, zeros = state[0], state[1]
+            for col in cols:
+                if col is COL_ZERO and (height or zeros == n0) or col is COL_DOWN and not height:
+                    continue
+                after = _scan(state, col, pos, n)
+                if after[0] > left or n0 - after[1] > left:
+                    continue
+                grown = grow(value, col)
+                if after in nxt:
+                    nxt[after] += grown
+                else:
+                    nxt[after] = grown
+        values = nxt
+    return values
+
+
+@lru_cache(maxsize=None)
+def _space(n: int, n0: int) -> tuple[tuple[Config, ...], tuple[LabelCounts, ...]]:
+    """The configurations of :func:`enumerate_configs` and, aligned, their label vectors."""
+    finals = _transfer(n, n0, [()], lambda prefixes, col: [p + (col,) for p in prefixes])
+    out = []
+    for state, prefixes in finals.items():
+        lab = _label_vector(state)
+        out += [(tuple(zip(*cols)), lab) for cols in prefixes]
+    out.sort(key=lambda item: state_sort_key(item[0][0] + item[0][1]))
+    return tuple(c for c, _ in out), tuple(lab for _, lab in out)
+
+
+def enumerate_configs(n: int, n0: int) -> tuple[Config, ...]:
+    """All valid configurations with n columns and n0 zero-columns.
+
+    Sorted by top row, then bottom row, with "*" above 1.  The space is
+    enumerated once per (n, n0) and shared, hence an immutable tuple.
+    """
+    return _space(n, n0)[0]
+
+
+def label_counts(c: Config) -> LabelCounts:
+    """Count the weight-carrying labels of a configuration, by the scan of :func:`_scan`."""
     if not validate(c):
         raise InvalidConfig(f"invalid configuration {c!r}")
-    return _labels(c)
-
-
-def _labels(c: Config) -> LabelCounts:
-    """:func:`label_counts` of a configuration known to be valid."""
-    top, bot = c
-    n = len(top)
-    zpos = [k for k in range(n) if top[k] == 0]
-    leftmost0 = zpos[0] if zpos else None
-    rightmost0 = zpos[-1] if zpos else None
-    height = 0
-    n_y = n_z = 0
-    seen_zprime = False
-    for k in range(n):
-        col = (top[k], bot[k])
-        if col in (COL_STAR, COL_ZERO):
-            continue
-        left_of_zeros = leftmost0 is None or k < leftmost0
-        if col == COL_UP:
-            if height == 0 and left_of_zeros and not seen_zprime:
-                n_y += 1
-            height += 1
-        elif col == COL_DOWN:
-            height -= 1
-        elif col == COL_RISE:
-            if height == 0 and left_of_zeros and not seen_zprime:
-                n_y += 1
-        else:  # COL_FALL
-            if height == 0:
-                if rightmost0 is None or k > rightmost0:
-                    n_z += 1
-                if left_of_zeros:
-                    seen_zprime = True
-    return LabelCounts(
-        n_y, n_z, int(top[0] == STAR), int(top[-1] == STAR)
-    )
+    n = len(c[0])
+    state = _START
+    for pos, col in enumerate(zip(*c)):
+        state = _scan(state, col, pos, n)
+    return _label_vector(state)
 
 
 def q_weight(c: Config, params: DStarParams):
@@ -315,7 +304,11 @@ def _apply(c: Config, i: int):
 
 
 def tstar(c: Config, i: int) -> Config:
-    """The wall-i transition target (the configuration itself if no rule fires)."""
+    """The wall-i transition target (the configuration itself if no rule fires).
+
+    The paper's map T*_i; :func:`kernel` moves by it, and the tests solve
+    that kernel exactly against :func:`stationary`.
+    """
     if not validate(c):
         raise InvalidConfig(f"invalid configuration {c!r}")
     return _apply(c, i)[0]
@@ -396,16 +389,16 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     probability zero.  A space of one configuration (n0 = n) is a single
     closed class whatever the rates: its law is the point mass, Z = 1.
     """
-    configs = enumerate_configs(n, n0)
-    labels = {c: _labels(c) for c in configs}
+    configs, labels = _space(n, n0)
+    kept = list(zip(configs, labels))
     if len(configs) != 1:
-        labels = {c: lab for c, lab in labels.items() if _in_class(lab, params)}
-    if not labels:
+        kept = [(c, lab) for c, lab in kept if _in_class(lab, params)]
+    if not kept:
         raise NotIrreducible("no configurations in the restricted class")
-    weights, z = _class_weights(Counter(labels.values()), params)
+    weights, z = _class_weights(Counter(lab for _, lab in kept), params)
     law = {lab: w / z for lab, w in weights.items()}
     probs = dict.fromkeys(configs, ZERO)
-    for c, lab in labels.items():
+    for c, lab in kept:
         probs[c] = law[lab]
     return Dist(probs), z
 
@@ -414,33 +407,12 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
 def _label_histogram(n: int, n0: int) -> tuple[tuple[LabelCounts, int], ...]:
     """Each label vector of the (n, n0) space with the number of configurations carrying it.
 
-    A transfer over the columns of :func:`_columns` that counts partial
-    configurations per state of the :func:`_labels` scan: height, zeros,
-    0-column seen, z' seen (dropped after a 0-column), n_y, falls at height
-    zero since the last 0-column (n_z at the end), the border star flags.
+    The counting use of :func:`_transfer`: partial configurations are
+    counted per scan state, and no configuration is listed.
     """
-    _check_sizes(n, n0)
-    states = {(0, 0, False, False, 0, 0, False, False): 1}
-    for pos in range(n):
-        nxt: dict = {}
-        for (h, zeros, seen0, zprime, ny, falls, left, right), m in states.items():
-            for col, nh, nz in _columns(n, n0, pos, h, zeros):
-                if col == COL_ZERO:
-                    key = (nh, nz, True, False, ny, 0, left, right)
-                elif col == COL_STAR:
-                    key = (nh, nz, seen0, zprime, ny, falls, left or pos == 0, pos == n - 1)
-                elif h:  # inside a matched up/down stretch: no label
-                    key = (nh, nz, seen0, zprime, ny, falls, left, right)
-                elif col == COL_FALL:
-                    key = (nh, nz, seen0, zprime or not seen0, ny, falls + 1, left, right)
-                else:  # an up-step or a rise on the axis: y left of every 0-column and z'
-                    key = (nh, nz, seen0, zprime, ny + (not seen0 and not zprime), falls,
-                           left, right)
-                nxt[key] = nxt.get(key, 0) + m
-        states = nxt
     hist: dict = {}
-    for (_, _, _, _, ny, falls, left, right), m in states.items():
-        lab = LabelCounts(ny, falls, int(left), int(right))
+    for state, m in _transfer(n, n0, 1, lambda m, col: m).items():
+        lab = _label_vector(state)
         hist[lab] = hist.get(lab, 0) + m
     return tuple(hist.items())
 
@@ -461,10 +433,7 @@ def partition_sum(n: int, n0: int, params: DStarParams):
 
 def project_top_row(dist: Dist) -> Dist:
     """Push a configuration law to its top rows (the starred process states)."""
-    probs: dict = {}
-    for c, p in dist.items():
-        probs[c[0]] = probs.get(c[0], ZERO) + p
-    return Dist(probs)
+    return project_distribution(dist, itemgetter(0))
 
 
 @lru_cache(maxsize=None)

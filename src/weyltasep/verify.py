@@ -10,6 +10,7 @@ import math
 
 from . import closedform as cf
 from . import tworow as tr
+from .errors import InvalidRank, RangeError
 from .lumping import k_coloring, project_distribution, star_collapse, verify_lumping
 from .markov import communicating_classes, exact_stationary
 from .models import (
@@ -17,7 +18,6 @@ from .models import (
     STAR,
     build_dstar,
     build_multi,
-    build_semipermeable,
     build_two_species,
 )
 from .ratio import R, ZERO, fmt_ratio, parse_ratio
@@ -79,6 +79,8 @@ def _report(suite: str, checks: list) -> dict:
 
 
 def suite_identities(a_max: int = 10, k_max: int = 12, motzkin_k: int = 8) -> dict:
+    if k_max < 0:
+        raise RangeError(f"the identities suite needs k_max >= 0, got {k_max}")
     checks: list = []
 
     rows = [[cf.ballot(n, k) for k in range(n + 1)] for n in range(5)]
@@ -270,6 +272,8 @@ def suite_tworow(
 
 
 def suite_lumping(n_max: int = 4) -> dict:
+    if n_max < 2:
+        raise InvalidRank(f"the lumping suite needs n_max >= 2, got {n_max}")
     checks: list = []
 
     ok = True
@@ -355,6 +359,8 @@ def suite_lumping(n_max: int = 4) -> dict:
 
 
 def suite_conjecture_b(n: int = 4) -> dict:
+    if n < 2:
+        raise InvalidRank(f"the conjecture-b suite needs n >= 2, got {n}")
     checks: list = []
     corr = cf.pair_correlations("B", n)
     by_case: dict[int, list] = {}

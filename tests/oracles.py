@@ -7,9 +7,10 @@ the stationarity certificate from one Fraction operation per entry,
 counts from brute enumeration, exclusion-chain kernels from literal
 per-pair pattern tables instead of the wall rule, the starred kernel from
 a branch per boundary pattern instead of two boundary tables, two-row laws from one
-weight per configuration instead of one per label class, two-row label
-histograms by labelling every listed configuration instead of a column
-transfer, Motzkin sums from one weight product per path, and Motzkin
+weight per configuration instead of one per label class, two-row labels
+from the positions of the 0-columns instead of a one-pass scan, two-row
+label histograms by labelling every listed configuration instead of a
+column transfer, Motzkin sums from one weight product per path, and Motzkin
 exponent histograms by walking every step word instead of a transfer over
 steps.  It also keeps the helpers only tests use: site densities and
 hook sums read off the exact multispecies law, the JSON decoder of a law
@@ -28,6 +29,7 @@ from weyltasep import tworow as tr
 from weyltasep.markov import Dist, build_kernel
 from weyltasep.models import STAR, dstar_states, multi_states, two_species_states
 from weyltasep.ratio import R, parse_ratio
+from weyltasep.tworow import COL_DOWN, COL_RISE, COL_STAR, COL_UP, COL_ZERO, LabelCounts
 from weyltasep.weyl import (
     WeylKind,
     apply_generator,
@@ -273,9 +275,44 @@ def branch_dstar_kernel(n: int, n0: int, params):
 # --- two-row weights and Motzkin paths, one product per object ---------------
 
 
+def tworow_labels(c) -> LabelCounts:
+    """The label vector of a valid configuration, from the positions of its 0-columns."""
+    top, bot = c
+    n = len(top)
+    zpos = [k for k in range(n) if top[k] == 0]
+    leftmost0 = zpos[0] if zpos else None
+    rightmost0 = zpos[-1] if zpos else None
+    height = 0
+    n_y = n_z = 0
+    seen_zprime = False
+    for k in range(n):
+        col = (top[k], bot[k])
+        if col in (COL_STAR, COL_ZERO):
+            continue
+        left_of_zeros = leftmost0 is None or k < leftmost0
+        if col == COL_UP:
+            if height == 0 and left_of_zeros and not seen_zprime:
+                n_y += 1
+            height += 1
+        elif col == COL_DOWN:
+            height -= 1
+        elif col == COL_RISE:
+            if height == 0 and left_of_zeros and not seen_zprime:
+                n_y += 1
+        else:  # COL_FALL
+            if height == 0:
+                if rightmost0 is None or k > rightmost0:
+                    n_z += 1
+                if left_of_zeros:
+                    seen_zprime = True
+    return LabelCounts(
+        n_y, n_z, int(top[0] == STAR), int(top[-1] == STAR)
+    )
+
+
 def tworow_weight(c, params) -> Fraction:
     """Product of inverse boundary rates over the labels of one configuration."""
-    lab = tr.label_counts(c)
+    lab = tworow_labels(c)
     q = Fraction(1)
     for count, rate, starred in (
         (lab.n_y, params.alpha, False),
@@ -315,7 +352,7 @@ def tworow_stationary(n: int, n0: int, params):
 
 def tworow_label_histogram(n: int, n0: int) -> Counter:
     """Number of configurations per label vector, labelling each listed configuration."""
-    return Counter(tr._labels(c) for c in tr.enumerate_configs(n, n0))
+    return Counter(tworow_labels(c) for c in tr.enumerate_configs(n, n0))
 
 
 def motzkin_exponents(k: int) -> tuple:

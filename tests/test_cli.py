@@ -80,6 +80,19 @@ def test_verify_suite_exit_codes(capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_verify_flags_reach_the_suites_that_read_them(capsys):
+    for argv, name, detail in (
+        (["--suite", "lumping", "--n-max", "2"], "k-coloring-lumpings", {"n_max": 2}),
+        (["--suite", "identities", "--k-max", "0"], "half-rate-specials", {"k_max": 0}),
+    ):
+        code, out = run(capsys, "verify", *argv)
+        assert code == 0
+        (check,) = [c for c in json.loads(out)["checks"] if c["name"] == name]
+        assert check == {"name": name, "pass": True, **detail}
+    code, out = run(capsys, "verify", "--suite", "conjecture-b", "--n-max", "2")
+    assert code == 0 and json.loads(out)["n"] == 2
+
+
 def test_verify_conjecture_flagged(capsys):
     code, out = run(capsys, "verify", "--suite", "conjecture-b")
     assert code == 0
@@ -152,10 +165,22 @@ def test_zero_counts_rejected(capsys, argv):
         (["stationary", "--model", "dstar", "--n", "3", "--decimal", "3"],
          "unrecognized arguments: --decimal 3"),
         (["walk", "--kind", "b", "--n", "2", "--decimal", "3"], "unrecognized arguments: --decimal 3"),
+        (["verify", "--suite", "lumping", "--n-max", "-3"], "needs n_max >= 2, got -3"),
+        (["verify", "--suite", "lumping", "--n-max", "1"], "needs n_max >= 2, got 1"),
+        (["verify", "--suite", "conjecture-b", "--n-max", "1"], "needs n >= 2, got 1"),
+        (["verify", "--suite", "identities", "--k-max", "-2"], "needs k_max >= 0, got -2"),
+        (["verify", "--suite", "tables", "--n-max", "7"], "suite tables does not read --n-max"),
+        (["verify", "--suite", "tworow", "--k-max", "3"], "suite tworow does not read --k-max"),
+        (["verify", "--suite", "identities", "--n-max", "3"],
+         "suite identities does not read --n-max"),
+        (["verify", "--suite", "lumping", "--k-max", "3"], "suite lumping does not read --k-max"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
-         "stationary-decimal", "walk-decimal"],
+         "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
+         "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
+         "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
+         "verify-lumping-k-max"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -4,11 +4,14 @@ Its public surface is pinned, so that adding or dropping a public name is a
 deliberate change to this list.  The pure-Python routes stay free of numpy
 and scipy: importing numpy costs several MiB of resident memory and a
 noticeable start-up time, so an exact solve or a walk must not pull it in by
-accident.
+accident.  No module of the package, the tests or the demos imports a name
+it never uses.
 """
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import weyltasep
 
@@ -56,3 +59,41 @@ def test_exact_solve_and_walk_do_not_import_numpy_or_scipy():
     out = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == ""
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names a module imports but never reads; a literal ``__all__`` counts as a use."""
+    imported = {}
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple)):
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                used.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return [f"{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_scan():
+    source = "import os, os.path as osp\nfrom math import pi, tau\n__all__ = ['e']\n" \
+        "from math import e\nprint(tau)\n"
+    assert unused_imports(source) == ["1: os", "1: osp", "2: pi"]
+
+
+def test_no_unused_imports():
+    # A package's __init__ imports its public names to re-export them.
+    paths = [p for d in ("src", "tests", "demos") for p in sorted((ROOT / d).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert paths
+    unused = [f"{p.relative_to(ROOT)}:{line}"
+              for p in paths for line in unused_imports(p.read_text())]
+    assert unused == []

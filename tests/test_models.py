@@ -1,7 +1,6 @@
 import pytest
 
 from weyltasep.errors import InvalidCounts, InvalidRates, UnsupportedKind
-from weyltasep.markov import communicating_classes
 from weyltasep.models import (
     DStarParams,
     build_dstar,

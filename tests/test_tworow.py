@@ -93,6 +93,46 @@ def test_label_counts_examples():
         label_counts(cfg(U, DN))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_labels_match_zero_position_oracle(n):
+    for n0 in range(n + 1):
+        configs, labels = tr._space(n, n0)
+        assert len(configs) == len(labels)
+        for c, lab in zip(configs, labels):
+            expected = repr(oracles.tworow_labels(c))
+            assert repr(label_counts(c)) == repr(lab) == expected, c
+
+
+ENTRIES = st.sampled_from((-1, 0, 1, STAR, 2))
+
+
+@st.composite
+def two_rows(draw):
+    """Rows of length 1..8: a listed configuration, maybe with entries changed, or random rows."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        n0 = draw(st.integers(0, n))
+        rows = [list(row) for row in draw(st.sampled_from(enumerate_configs(n, n0)))]
+        for _ in range(draw(st.integers(0, 2))):
+            rows[draw(st.integers(0, 1))][draw(st.integers(0, n - 1))] = draw(ENTRIES)
+        return tuple(rows[0]), tuple(rows[1])
+    row = st.lists(ENTRIES, min_size=n, max_size=n).map(tuple)
+    return draw(row), draw(row)
+
+
+@settings(max_examples=300, deadline=None)
+@given(two_rows())
+def test_validate_and_labels_agree_with_oracles(c):
+    top = c[0]
+    listed = c in enumerate_configs(len(top), top.count(0))
+    assert validate(c) == listed
+    if listed:
+        assert repr(label_counts(c)) == repr(oracles.tworow_labels(c))
+    else:
+        with pytest.raises(InvalidConfig):
+            label_counts(c)
+
+
 def test_q_weight_examples():
     p_all1 = DStarParams(1, 1, 1, 1)
     assert q_weight(cfg(Z, Z), p_all1) == 1

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
-    WalkState,
     _advance,
     chamber_label,
     dominant_representative,
