@@ -144,8 +144,11 @@ def _cmd_limdir(args) -> int:
     elif args.method == "lam":
         vec = cf.limdir_exact_lam(kind, args.n)
     else:  # walk
-        est = estimate_direction(kind, args.n, args.steps, args.trials, args.seed)
-        print(", ".join(f"{v:.6f}" for v in est.direction))
+        est, out = _estimate(args, method=args.method)
+        if args.format == "text":
+            print(", ".join(f"{v:.6f}" for v in est.direction))
+        else:
+            _emit(out, args)
         return 0
     text = ", ".join(_with_decimal(fmt_ratio(c), args.decimal) for c in vec.coeffs)
     if args.format == "json":
@@ -158,15 +161,22 @@ def _cmd_limdir(args) -> int:
     return 0
 
 
-def _cmd_walk(args) -> int:
+def _estimate(args, **params) -> tuple:
+    """A walk estimate of the direction and its JSON object, shared by limdir and walk."""
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
     est = estimate_direction(kind, args.n, args.steps, args.trials, args.seed)
     out = _meta(
-        args, kind=args.kind, n=args.n, steps=args.steps, trials=args.trials
+        args, kind=args.kind, n=args.n, **params, steps=args.steps, trials=args.trials
     )
     out["direction_estimate"] = list(est.direction)
     out["cosine_vs_closed_form"] = est.cosine_vs_closed_form
     out["acceptance_rate"] = est.acceptance_rate
+    return est, out
+
+
+def _cmd_walk(args) -> int:
+    kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
+    est, out = _estimate(args)
     out["chambers"] = {str(list(k)): v for k, v in sorted(est.chamber_counts.items())}
     if args.svg:
         svg_trajectory(kind, args.n, min(args.steps, 2000), args.seed, args.svg)
@@ -207,6 +217,18 @@ def _rational(text: str):
     except (ValueError, ZeroDivisionError):
         msg = f"expected p/q or an integer, got {text!r}"
         raise argparse.ArgumentTypeError(msg) from None
+
+
+def _unwritable(path: str) -> str | None:
+    """Why a file could not be written at path, or None; checked before any work."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        return f"no directory {folder}"
+    if os.path.isdir(path):
+        return "it is a directory"
+    if not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        return "permission denied"
+    return None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -300,8 +322,12 @@ def main(argv=None) -> int:
         parser.exit(2, f"{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
     if args.command == "stationary" and args.model in ("multi", "two") and not args.kind:
         parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
-    if args.command == "walk" and args.svg and args.n != 2:
-        parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")
+    if args.command == "walk" and args.svg:
+        if args.n != 2:
+            parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")
+        why = _unwritable(args.svg)
+        if why:
+            parser.exit(2, f"{prog}: error: cannot write --svg {args.svg}: {why}\n")
     if args.command == "verify":
         for flag, suites in VERIFY_FLAGS.items():
             if getattr(args, flag) is not None and args.suite not in suites:

@@ -71,6 +71,16 @@ def _check(checks: list, name: str, ok: bool, **details):
     return ok
 
 
+def _at_least(suite: str, **sizes) -> None:
+    """Raise RangeError unless every size, given as (value, minimum), reaches it.
+
+    A smaller size leaves some check looping over nothing, which would pass.
+    """
+    for name, (value, low) in sizes.items():
+        if value < low:
+            raise RangeError(f"the {suite} suite needs {name} >= {low}, got {value}")
+
+
 def _report(suite: str, checks: list) -> dict:
     return {"suite": suite, "pass": all(c["pass"] for c in checks), "checks": checks}
 
@@ -79,8 +89,7 @@ def _report(suite: str, checks: list) -> dict:
 
 
 def suite_identities(a_max: int = 10, k_max: int = 12, motzkin_k: int = 8) -> dict:
-    if k_max < 0:
-        raise RangeError(f"the identities suite needs k_max >= 0, got {k_max}")
+    _at_least("identities", a_max=(a_max, 1), k_max=(k_max, 0), motzkin_k=(motzkin_k, 0))
     checks: list = []
 
     rows = [[cf.ballot(n, k) for k in range(n + 1)] for n in range(5)]
@@ -175,6 +184,10 @@ def suite_tworow(
     stationary_cases=((3, 1), (4, 0), (4, 1), (4, 2), (5, 1)),
     partition_n_max: int = 8,
 ) -> dict:
+    _at_least("tworow", bij_n_max=(bij_n_max, 3), bij_n0_max=(bij_n0_max, 0),
+              partition_n_max=(partition_n_max, 3))
+    if not stationary_cases:
+        raise RangeError("the tworow suite needs at least one stationary case")
     checks: list = []
 
     listed_31 = {

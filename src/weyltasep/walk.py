@@ -9,12 +9,14 @@ live on a fixed denominator lattice, so the hot loop is integer-only.
 
 The current alcove is u(A0) for an element u of the affine Weyl group, and
 the state keeps u as its inverse window together with y = u^{-1}(x0), the
-base point x0 seen from the fundamental alcove A0.  Proposing generator g
+base point x0 seen from the fundamental alcove A0, packed in one list
+z = m*y + winv that one signed swap moves (see `WalkState`).  Proposing g
 crosses a new hyperplane exactly when y lies on x0's side of the wall g of
 A0, and an ascent table caches that answer for every g.  A proposal is one
-draw, one bisection and one table lookup.  An accepted one reflects y and
-the window by s_g and recomputes the table at the Dynkin neighbours of g
-only.  The point x = u(x0) is built only when it is asked for.
+draw, one bisection and one table lookup.  An accepted one reflects z by
+s_g, clears g, whose wall y has just crossed, and recomputes the table at
+the other Dynkin neighbours of g only.  The window, y and the point
+x = u(x0) are decoded only when they are asked for.
 """
 from __future__ import annotations
 
@@ -98,13 +100,15 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _walk_tables(kind: WeylKind, n: int):
-    """Scale d, scaled base point x0, per-generator moves and the step CDF.
+    """Scale d, packing modulus m, scaled base point x0, moves and step CDF.
 
-    moves[g] = (p, q, s, shift, refresh).  Right multiplication by s_g maps
-    entries p, q of the inverse window and of y to s times each other (p == q
-    negates one entry); the affine generator then adds shift to y.  refresh
-    holds (h, i0, c0, i1, c1, lev) for every Dynkin neighbour h of g, g
-    included: h is an ascent iff c0*y[i0] + c1*y[i1] > lev.
+    moves[g] = (p, q, s, tp, tq, refresh).  Right multiplication by s_g maps
+    entries p, q of the packed list z to s times each other (p == q negates
+    one entry); the affine generator then adds its shift, tp at p and tq at
+    q (zero for the finite generators).  refresh holds (h, i0, c0, i1, c1,
+    lev) for every Dynkin neighbour h != g of g, with wall h oriented to
+    x0's side at level l: h is an ascent iff c0*y[i0] + c1*y[i1] > l, that
+    is iff c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
     """
     kind = WeylKind(kind.family, n)
     rs = root_data(kind)
@@ -112,26 +116,29 @@ def _walk_tables(kind: WeylKind, n: int):
     d = math.lcm(*(v.denominator for v in base))
     x0 = tuple(int(v * d) for v in base)
     walls = rs.simple_roots + (rs.theta,)
+    # for a window w, |c0*w[i0] + c1*w[i1]| <= (|c0| + |c1|)*n = m//2 < m - m//2
+    m = 2 * n * max(abs(c0) + abs(c1) for _, c0, _, c1 in alcove_walls(kind)) + 1
     # x0 is generic, so y never lies on a wall and '>' needs no tie rule
     ascent = []
     for g, (i0, c0, i1, c1) in enumerate(alcove_walls(kind)):
         lev = -d if g == n else 0  # wall n is <-theta, y> = -d
         side = 1 if c0 * x0[i0] + c1 * x0[i1] > lev else -1
-        ascent.append((g, i0, side * c0, i1, side * c1, side * lev))
+        ascent.append((g, i0, side * c0, i1, side * c1, m * side * lev + m // 2))
     theta_norm = sum(c * c for c in rs.theta)
-    tau = tuple(d * (2 * c // theta_norm) for c in rs.theta)  # integral for B, C, D
+    tau = tuple(m * d * (2 * c // theta_norm) for c in rs.theta)  # integral for B, C, D
     moves = []
     for g, alpha in enumerate(walls):
         # s_g is a signed transposition of two entries or one sign change
         win = apply_generator(identity_window(n), g, kind)
         supp = [i for i in range(n) if win[i] != i + 1]
         p, q = supp[0], supp[-1]
-        shift = tuple((i, c) for i, c in enumerate(tau) if c) if g == n else ()
+        # the affine shift tau is a multiple of theta, so it lives on p and q
+        tp, tq = (tau[p], tau[q]) if g == n else (0, 0)
         refresh = tuple(
             ascent[h] for h, beta in enumerate(walls)
-            if sum(a * b for a, b in zip(alpha, beta))
+            if h != g and sum(a * b for a, b in zip(alpha, beta))
         )
-        moves.append((p, q, 1 if win[p] > 0 else -1, shift, refresh))
+        moves.append((p, q, 1 if win[p] > 0 else -1, tp, tq, refresh))
     weights = kac_weights(kind).weights
     total = sum(weights)
     cum = []
@@ -140,65 +147,72 @@ def _walk_tables(kind: WeylKind, n: int):
         acc += a / total
         cum.append(acc)
     cum[-1] = 1.1
-    return d, x0, tuple(moves), tuple(cum)
+    return d, m, x0, tuple(moves), tuple(cum)
 
 
 @dataclass
 class WalkState:
     """The current alcove u(A0), as u's inverse window and y = u^{-1}(x0).
 
-    y is scaled by d.  asc[g] caches whether proposing g would cross a new
-    hyperplane: whether y lies on x0's side of the fundamental wall g.
+    Both sit in one list z[i] = m*y[i] + winv[i], y scaled by d, since s_g
+    moves them by the same signed swap.  m (4n + 1 here) is odd and m//2
+    bounds |c0*winv[i0] + c1*winv[i1]| on every wall, so z decodes uniquely
+    and a wall test on z reads the sign of its y part.  asc[g] caches whether
+    proposing g would cross a new hyperplane: whether y lies on x0's side of
+    the fundamental wall g.  Accepting g puts y across wall g: asc[g] = False.
     """
 
     kind: WeylKind
     n: int
-    winv: list
-    y: list
+    z: list
     asc: list
     crossings: int
 
+    def decode(self) -> tuple:
+        """The inverse window and y, read off z."""
+        h = _walk_tables(self.kind, self.n)[1] // 2
+        pairs = [divmod(v + h, 2 * h + 1) for v in self.z]
+        return [r - h for _, r in pairs], [q for q, _ in pairs]
+
     def point(self) -> tuple:
         """The current point u(x0) = x0 + w(x0 - y), with w the window."""
-        d, x0, _, _ = _walk_tables(self.kind, self.n)
+        d, _, x0, _, _ = _walk_tables(self.kind, self.n)
+        winv, y = self.decode()
         x = list(x0)
-        for i, a in enumerate(self.winv):
+        for i, a in enumerate(winv):
             if a > 0:
-                x[a - 1] += x0[i] - self.y[i]
+                x[a - 1] += x0[i] - y[i]
             else:
-                x[-a - 1] -= x0[i] - self.y[i]
+                x[-a - 1] -= x0[i] - y[i]
         return tuple(Fraction(v, d) for v in x)
 
 
 def initial_state(kind: WeylKind, n: int) -> WalkState:
-    _, x0, _, _ = _walk_tables(kind, n)
+    _, m, x0, _, _ = _walk_tables(kind, n)
     # x0 lies on its own side of every wall: every generator is an ascent
-    ident = list(range(1, n + 1))
-    return WalkState(WeylKind(kind.family, n), n, ident, list(x0), [True] * (n + 1), 0)
+    z = [m * v + i for i, v in enumerate(x0, start=1)]
+    return WalkState(WeylKind(kind.family, n), n, z, [True] * (n + 1), 0)
 
 
-def _advance(state: WalkState, proposals, on_accept=None) -> int:
+def _advance(state: WalkState, proposals) -> int:
     """Run the proposed generators in order; returns how many were accepted.
 
-    A held proposal costs one table lookup.  An accepted one moves the state
-    and refreshes the ascent table at the Dynkin neighbours of g only: for h
-    with s_g s_h = s_h s_g, u s_g (alpha_h) = u (alpha_h), so h keeps its status.
+    A held proposal costs one table lookup.  An accepted one moves the state,
+    clears g and refreshes the ascent table at the other Dynkin neighbours of
+    g only: for h with s_g s_h = s_h s_g, u s_g (alpha_h) = u (alpha_h), so h
+    keeps its status.
     """
-    moves = _walk_tables(state.kind, state.n)[2]
-    winv, y, asc = state.winv, state.y, state.asc
+    moves = _walk_tables(state.kind, state.n)[3]
+    z, asc = state.z, state.asc
     accepted = 0
     for g in proposals:
         if asc[g]:
-            p, q, s, shift, refresh = moves[g]
-            winv[p], winv[q] = s * winv[q], s * winv[p]
-            y[p], y[q] = s * y[q], s * y[p]
-            for i, c in shift:
-                y[i] += c
+            p, q, s, tp, tq, refresh = moves[g]
+            z[p], z[q] = s * z[q] + tp, s * z[p] + tq
             for h, i0, c0, i1, c1, lev in refresh:
-                asc[h] = c0 * y[i0] + c1 * y[i1] > lev
+                asc[h] = c0 * z[i0] + c1 * z[i1] > lev
+            asc[g] = False
             accepted += 1
-            if on_accept is not None:
-                on_accept(state)
     state.crossings += accepted
     return accepted
 
@@ -210,7 +224,7 @@ def derive_stream(seed: int, trial: int) -> int:
 
 def _proposals(kind: WeylKind, n: int, steps: int, seed: int):
     """Generators drawn by a seeded walk: per draw r, the first g with r <= cum[g]."""
-    cum = _walk_tables(kind, n)[3]
+    cum = _walk_tables(kind, n)[4]
     rnd = random.Random(derive_stream(seed, 0)).random
     # iter(rnd, None) never ends; repeat() stops the map after `steps` draws
     return map(bisect_left, repeat(cum, steps), iter(rnd, None))
@@ -267,9 +281,7 @@ def run_walk(kind: WeylKind, n: int, steps: int, seed: int = 0) -> WalkSummary:
 
 def _trial(args):
     family, n, steps, seed, trial = args
-    kind = WeylKind(family, n)
-    summary = run_walk(kind, n, steps, derive_stream(seed, trial))
-    return summary
+    return run_walk(WeylKind(family, n), n, steps, derive_stream(seed, trial))
 
 
 @dataclass(frozen=True)
@@ -340,11 +352,9 @@ def svg_trajectory(kind: WeylKind, n: int, steps: int, seed: int, path: str) -> 
     kind = WeylKind(kind.family, n)
     state = initial_state(kind, n)
     pts = [tuple(map(float, state.point()))]
-    _advance(
-        state,
-        _proposals(kind, n, steps, seed),
-        lambda st: pts.append(tuple(map(float, st.point()))),
-    )
+    for g in _proposals(kind, n, steps, seed):
+        if _advance(state, (g,)):
+            pts.append(tuple(map(float, state.point())))
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
     lo = min(min(xs), min(ys)) - 1

@@ -12,7 +12,8 @@ from the positions of the 0-columns instead of a one-pass scan, two-row
 label histograms by labelling every listed configuration instead of a
 column transfer, Motzkin sums from one weight product per path, and Motzkin
 exponent histograms by walking every step word instead of a transfer over
-steps.  It also keeps the helpers only tests use: site densities and
+steps, and the alcove walk on two lists (window and y) with a full ascent
+refresh instead of one packed list.  It also keeps the helpers only tests use: site densities and
 hook sums read off the exact multispecies law, the JSON decoder of a law
 and the reversal symmetry of two-species words.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
@@ -30,11 +32,14 @@ from weyltasep.markov import Dist, build_kernel
 from weyltasep.models import STAR, dstar_states, multi_states, two_species_states
 from weyltasep.ratio import R, parse_ratio
 from weyltasep.tworow import COL_DOWN, COL_RISE, COL_STAR, COL_UP, COL_ZERO, LabelCounts
+from weyltasep.walk import fundamental_point
 from weyltasep.weyl import (
     WeylKind,
+    alcove_walls,
     apply_generator,
     identity_window,
     kac_weights,
+    root_data,
     signed_permutations,
 )
 
@@ -415,6 +420,62 @@ def bicolored_motzkin_sum(k: int, alpha, beta) -> Fraction:
         if ok and h == 0:
             total += w
     return total
+
+
+# --- alcove walk on two lists ------------------------------------------------
+
+
+def two_list_walk(kind: WeylKind, n: int, proposals):
+    """The alcove walk on two lists, the inverse window and y, with full refresh.
+
+    The kernel `walk._advance` replaced: an accepted generator g swaps the
+    same two entries in both lists, adds the affine shift entry by entry and
+    re-tests every Dynkin neighbour of g, g itself included.  Returns the
+    accepted count, the window, y (scaled by d) and the point u(x0).
+    """
+    kind = WeylKind(kind.family, n)
+    rs = root_data(kind)
+    base = fundamental_point(kind, n)
+    d = math.lcm(*(v.denominator for v in base))
+    x0 = tuple(int(v * d) for v in base)
+    walls = rs.simple_roots + (rs.theta,)
+    ascent = []
+    for g, (i0, c0, i1, c1) in enumerate(alcove_walls(kind)):
+        lev = -d if g == n else 0
+        side = 1 if c0 * x0[i0] + c1 * x0[i1] > lev else -1
+        ascent.append((g, i0, side * c0, i1, side * c1, side * lev))
+    theta_norm = sum(c * c for c in rs.theta)
+    tau = tuple(d * (2 * c // theta_norm) for c in rs.theta)
+    moves = []
+    for g, alpha in enumerate(walls):
+        win = apply_generator(identity_window(n), g, kind)
+        supp = [i for i in range(n) if win[i] != i + 1]
+        p, q = supp[0], supp[-1]
+        shift = tuple((i, c) for i, c in enumerate(tau) if c) if g == n else ()
+        refresh = tuple(
+            ascent[h] for h, beta in enumerate(walls)
+            if sum(a * b for a, b in zip(alpha, beta))
+        )
+        moves.append((p, q, 1 if win[p] > 0 else -1, shift, refresh))
+    winv, y, asc = list(range(1, n + 1)), list(x0), [True] * (n + 1)
+    accepted = 0
+    for g in proposals:
+        if asc[g]:
+            p, q, s, shift, refresh = moves[g]
+            winv[p], winv[q] = s * winv[q], s * winv[p]
+            y[p], y[q] = s * y[q], s * y[p]
+            for i, c in shift:
+                y[i] += c
+            for h, i0, c0, i1, c1, lev in refresh:
+                asc[h] = c0 * y[i0] + c1 * y[i1] > lev
+            accepted += 1
+    x = list(x0)
+    for i, a in enumerate(winv):
+        if a > 0:
+            x[a - 1] += x0[i] - y[i]
+        else:
+            x[-a - 1] -= x0[i] - y[i]
+    return accepted, winv, y, tuple(Fraction(v, d) for v in x)
 
 
 # --- helpers only the tests use -----------------------------------------------

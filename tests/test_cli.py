@@ -124,6 +124,31 @@ def test_walk_json(capsys):
     assert obj["cosine_vs_closed_form"] > 0.99
 
 
+SEEDED_WALK = ["--kind", "b", "--n", "2", "--steps", "2000", "--trials", "2", "--seed", "4"]
+
+
+def test_limdir_walk_text_is_one_line(capsys):
+    code, out = run(capsys, "limdir", "--method", "walk", *SEEDED_WALK)
+    assert code == 0
+    assert out == "0.301803, 0.953370\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_limdir_walk_honours_format(capsys, fmt):
+    code, out = run(capsys, "limdir", "--method", "walk", *SEEDED_WALK, "--format", fmt)
+    assert code == 0
+    if fmt == "csv":
+        assert out.count("\n") == 1
+    obj = json.loads(out)
+    walk_obj = json.loads(run(capsys, "walk", *SEEDED_WALK)[1])
+    assert set(obj) == {"version", "seed", "parameters", "direction_estimate",
+                        "cosine_vs_closed_form", "acceptance_rate"}
+    for key in ("seed", "direction_estimate", "cosine_vs_closed_form", "acceptance_rate"):
+        assert obj[key] == walk_obj[key]
+    assert obj["parameters"] == dict(walk_obj["parameters"], method="walk")
+    assert obj["direction_estimate"] == [0.30180272344724013, 0.9533703981768201]
+
+
 def test_env_var_seed(capsys, monkeypatch):
     monkeypatch.setenv("WEYLTASEP_SEED", "123")
     from weyltasep import cli
@@ -174,13 +199,15 @@ def test_zero_counts_rejected(capsys, argv):
         (["verify", "--suite", "identities", "--n-max", "3"],
          "suite identities does not read --n-max"),
         (["verify", "--suite", "lumping", "--k-max", "3"], "suite lumping does not read --k-max"),
+        (["walk", "--kind", "b", "--n", "2", "--steps", "10", "--trials", "2",
+          "--svg", "/nonexistent/dir/x.svg"], "cannot write --svg /nonexistent/dir/x.svg"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
-         "verify-lumping-k-max"],
+         "verify-lumping-k-max", "walk-svg-unwritable"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -208,3 +235,22 @@ def test_walk_svg_off_rank_2_rejected_before_any_work(capsys, monkeypatch, tmp_p
     assert captured.out == ""
     assert captured.err == "weyltasep walk: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n"
     assert not path.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/walk.svg", "."], ids=["no-directory", "directory"])
+def test_walk_svg_unwritable_rejected_before_any_work(capsys, monkeypatch, tmp_path, target):
+    from weyltasep import cli
+
+    def no_estimate(*args, **kwargs):
+        raise AssertionError("the estimate ran before --svg was checked")
+
+    monkeypatch.setattr(cli, "estimate_direction", no_estimate)
+    path = str(tmp_path / target)
+    with pytest.raises(SystemExit) as exc:
+        main(["walk", "--kind", "b", "--n", "2", "--steps", "10", "--trials", "1",
+              "--svg", path])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"weyltasep walk: error: cannot write --svg {path}: ")
+    assert captured.err.count("\n") == 1

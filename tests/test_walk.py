@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
+    WalkState,
     _advance,
+    _proposals,
+    _walk_tables,
     chamber_label,
     dominant_representative,
     estimate_direction,
@@ -223,6 +227,37 @@ def test_estimate_direction_golden():
     assert est.direction == (
         0.17510282827433898, 0.5056965314969138, 0.8447544125734522
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WALK_KINDS), st.integers(0, 2**31 - 1), st.integers(1, 5000))
+def test_packed_walk_matches_two_list_oracle(spec, seed, steps):
+    family, n = spec
+    kind = WeylKind(family, n)
+    s = run_walk(kind, n, steps, seed=seed)
+    accepted, _, _, point = oracles.two_list_walk(kind, n, _proposals(kind, n, steps, seed))
+    assert (s.accepted, s.final_point, s.crossings) == (accepted, point, accepted)
+
+
+def test_packed_state_decodes_far_from_the_base_point():
+    # seed 0 takes y to about +225000 and -74000 (scaled by d = 6) in 300k steps
+    state = initial_state(B2, 2)
+    _advance(state, _proposals(B2, 2, 300_000, 0))
+    accepted, winv, y, point = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 0))
+    assert min(y) < -50_000 and max(y) > 50_000
+    assert state.decode() == (winv, y)
+    assert (state.crossings, state.point()) == (accepted, point)
+
+
+@pytest.mark.parametrize("family,n", [("B", 1), ("C", 3), ("D", 6), ("Bcheck", 6)])
+def test_decode_inverts_packing(family, n):
+    kind = WeylKind(family, n)
+    m = _walk_tables(kind, n)[1]
+    for y in (-10**40, -10**6 - 1, -1, 0, 1, 10**6 + 1, 10**40):
+        winv = [a * (-1) ** a for a in range(1, n + 1)]
+        ys = [y + i for i in range(n)]
+        state = WalkState(kind, n, [m * b + a for a, b in zip(winv, ys)], [True] * (n + 1), 0)
+        assert state.decode() == (winv, ys)
 
 
 @pytest.mark.parametrize("steps,trials", [(0, 2), (-5, 2), (100, 0)])
