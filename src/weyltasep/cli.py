@@ -247,7 +247,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n0=True, rates=False, kind=None, decimal=False):
+    def common(sp, n0=True, rates=False, kind=None, decimal=False,
+               formats=("json", "csv", "text")):
         sp.add_argument("--n", type=int, required=True)
         if n0:
             sp.add_argument("--n0", type=int, default=0)
@@ -258,9 +259,9 @@ def make_parser() -> argparse.ArgumentParser:
             sp.add_argument("--alpha-star", dest="alpha_star", type=_rational, default="1")
             sp.add_argument("--beta", type=_rational, default="1")
             sp.add_argument("--beta-star", dest="beta_star", type=_rational, default="1")
-        sp.add_argument("--format", choices=("json", "csv", "text"), default="json")
+        sp.add_argument("--format", choices=formats, default="json")
         if decimal:
-            sp.add_argument("--decimal", type=int, default=0, metavar="DIGITS")
+            sp.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
 
     sp = sub.add_parser("stationary", help="exact stationary distribution")
     sp.add_argument(
@@ -297,7 +298,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=_positive_int, default=10)
     sp.add_argument("--seed", type=int, default=_default_seed())
     sp.add_argument("--svg", metavar="PATH", default=None)
-    common(sp, n0=False, kind={"required": True})
+    common(sp, n0=False, kind={"required": True}, formats=("json",))
     sp.set_defaults(func=_cmd_walk)
 
     sp = sub.add_parser("verify", help="run a verification suite")
@@ -322,6 +323,12 @@ def main(argv=None) -> int:
         parser.exit(2, f"{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
     if args.command == "stationary" and args.model in ("multi", "two") and not args.kind:
         parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
+    if args.command == "limdir" and args.method == "walk":
+        if args.decimal is not None:
+            parser.exit(2, f"{prog}: error: --decimal does not apply to --method walk "
+                        "(its direction is a float estimate)\n")
+        if args.format == "csv":
+            parser.exit(2, f"{prog}: error: --method walk writes text or json, not csv\n")
     if args.command == "walk" and args.svg:
         if args.n != 2:
             parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")

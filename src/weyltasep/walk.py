@@ -7,26 +7,33 @@ hyperplane never crossed before (the separation count from the base point
 grows by one); otherwise the walk holds.  All geometry is exact: points
 live on a fixed denominator lattice, so the hot loop is integer-only.
 
+The step weights are the Kac labels a_g, small integers with total
+T <= 2(n + 1).  Proposals come from random bytes: a byte b below
+keep = (256 // T) * T names the generator owning bucket b % T, where g owns
+a_g of the T buckets, and the bytes from keep up are rejected.  So g is
+drawn with probability exactly a_g / T, and `bytes.translate` turns a chunk
+of random bytes into a chunk of proposals in C.  Trial t of a walk seeded s
+draws from one PRNG, seeded once with a digest of (s, t).
+
 The current alcove is u(A0) for an element u of the affine Weyl group, and
 the state keeps u as its inverse window together with y = u^{-1}(x0), the
 base point x0 seen from the fundamental alcove A0, packed in one list
 z = m*y + winv that one signed swap moves (see `WalkState`).  Proposing g
 crosses a new hyperplane exactly when y lies on x0's side of the wall g of
-A0, and an ascent table caches that answer for every g.  A proposal is one
-draw, one bisection and one table lookup.  An accepted one reflects z by
-s_g, clears g, whose wall y has just crossed, and recomputes the table at
-the other Dynkin neighbours of g only.  The window, y and the point
-x = u(x0) are decoded only when they are asked for.
+A0, and an ascent table caches that answer for every g.  A held proposal
+is one table lookup.  An accepted one reflects z by s_g, clears g, whose
+wall y has just crossed, and recomputes the table at the other Dynkin
+neighbours of g only.  The window, y and the point x = u(x0) are decoded
+only when they are asked for.
 """
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain
 
 from .closedform import DirectionVector, limdir_closed
 from .errors import NonGenericPoint, UnsupportedRange
@@ -84,23 +91,52 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     """Number of affine hyperplanes separating x from the fundamental point.
 
     Counts, over every positive root, the integers lying strictly between
-    the root pairings at the two points.
+    the root pairings at the two points.  Both points are scaled by the lcm
+    D of their denominators, so a pairing P stands for P/D: it lies on a wall
+    when D divides it, and its floor is P // D.
     """
     kind = WeylKind(kind.family, n)
     base = fundamental_point(kind, n)
+    x = [Fraction(v) for v in x]
+    den = math.lcm(*(v.denominator for v in (*base, *x)))
+    xs = [v.numerator * (den // v.denominator) for v in x]
+    bs = [v.numerator * (den // v.denominator) for v in base]
     total = 0
     for alpha in root_data(kind).positive_roots:
-        pa = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, base))
-        px = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, x))
-        if px.denominator == 1:
+        px = sum(c * v for c, v in zip(alpha, xs))
+        if px % den == 0:
             raise NonGenericPoint(f"point lies on a wall of root {alpha}")
-        total += abs(math.floor(px) - math.floor(pa))
+        total += abs(px // den - sum(c * v for c, v in zip(alpha, bs)) // den)
     return total
+
+
+def _byte_table(kind: WeylKind) -> tuple:
+    """Translation table and delete set that turn random bytes into proposals.
+
+    With the step weights a_g summing to T and keep = (256 // T) * T, a
+    byte b < keep maps to the generator owning bucket b % T, where g owns
+    a_g consecutive buckets; the bytes keep..255 are deleted.  Each kept
+    byte is uniform on [0, keep), so g is drawn with probability a_g / T.
+    """
+    weights = kac_weights(kind).weights
+    total = sum(weights)
+    if total > 256:
+        raise UnsupportedRange(
+            f"walk proposals are drawn from bytes, so the step weights must total "
+            f"at most 256; those of {kind.family}{kind.n} total {total}"
+        )
+    keep = 256 // total * total
+    owner = [g for g, a in enumerate(weights) for _ in range(a)]
+    table = bytes(owner[b % total] for b in range(keep)) + bytes(256 - keep)
+    return table, bytes(range(keep, 256))
 
 
 @lru_cache(maxsize=None)
 def _walk_tables(kind: WeylKind, n: int):
-    """Scale d, packing modulus m, scaled base point x0, moves and step CDF.
+    """Scale d, packing modulus m, scaled base point x0, moves and byte table.
+
+    The byte table (`_byte_table`) comes first: a family whose step weights
+    do not fit in a byte fails before any geometry is computed.
 
     moves[g] = (p, q, s, tp, tq, refresh).  Right multiplication by s_g maps
     entries p, q of the packed list z to s times each other (p == q negates
@@ -111,6 +147,7 @@ def _walk_tables(kind: WeylKind, n: int):
     is iff c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
     """
     kind = WeylKind(kind.family, n)
+    table, delete = _byte_table(kind)
     rs = root_data(kind)
     base = fundamental_point(kind, n)
     d = math.lcm(*(v.denominator for v in base))
@@ -139,15 +176,7 @@ def _walk_tables(kind: WeylKind, n: int):
             if h != g and sum(a * b for a, b in zip(alpha, beta))
         )
         moves.append((p, q, 1 if win[p] > 0 else -1, tp, tq, refresh))
-    weights = kac_weights(kind).weights
-    total = sum(weights)
-    cum = []
-    acc = 0.0
-    for a in weights:
-        acc += a / total
-        cum.append(acc)
-    cum[-1] = 1.1
-    return d, m, x0, tuple(moves), tuple(cum)
+    return d, m, x0, tuple(moves), table, delete
 
 
 @dataclass
@@ -176,7 +205,7 @@ class WalkState:
 
     def point(self) -> tuple:
         """The current point u(x0) = x0 + w(x0 - y), with w the window."""
-        d, _, x0, _, _ = _walk_tables(self.kind, self.n)
+        d, _, x0 = _walk_tables(self.kind, self.n)[:3]
         winv, y = self.decode()
         x = list(x0)
         for i, a in enumerate(winv):
@@ -188,7 +217,7 @@ class WalkState:
 
 
 def initial_state(kind: WeylKind, n: int) -> WalkState:
-    _, m, x0, _, _ = _walk_tables(kind, n)
+    _, m, x0 = _walk_tables(kind, n)[:3]
     # x0 lies on its own side of every wall: every generator is an ascent
     z = [m * v + i for i, v in enumerate(x0, start=1)]
     return WalkState(WeylKind(kind.family, n), n, z, [True] * (n + 1), 0)
@@ -218,16 +247,37 @@ def _advance(state: WalkState, proposals) -> int:
 
 
 def derive_stream(seed: int, trial: int) -> int:
-    """Deterministic per-trial PRNG seed derived from (seed, trial)."""
-    return (seed * 1_000_003 + trial) & 0x7FFFFFFFFFFFFFFF
+    """PRNG seed of trial `trial` of a walk seeded `seed`: a blake2b digest.
+
+    Every pair of ints, negative and wider than 64 bits included, has its
+    own key, so distinct pairs give distinct streams.
+    """
+    from hashlib import blake2b  # loads OpenSSL; only walks need it
+
+    key = f"{seed},{trial}".encode()
+    return int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
 
 
-def _proposals(kind: WeylKind, n: int, steps: int, seed: int):
-    """Generators drawn by a seeded walk: per draw r, the first g with r <= cum[g]."""
-    cum = _walk_tables(kind, n)[4]
-    rnd = random.Random(derive_stream(seed, 0)).random
-    # iter(rnd, None) never ends; repeat() stops the map after `steps` draws
-    return map(bisect_left, repeat(cum, steps), iter(rnd, None))
+CHUNK = 1 << 14  # random bytes drawn at a time, so no walk holds a large buffer
+
+
+def _proposals(kind: WeylKind, n: int, steps: int, seed: int, trial: int = 0):
+    """The `steps` generators proposed by trial `trial` of a walk seeded `seed`.
+
+    CHUNK random bytes at a time go through the byte table (`_byte_table`);
+    the chunks are chained and the last one is cut at `steps` values, so a
+    shorter walk proposes a prefix of what a longer one proposes.
+    """
+    table, delete = _walk_tables(kind, n)[4:]
+    bits = random.Random(derive_stream(seed, trial)).getrandbits
+
+    def chunks(left):
+        while left > 0:
+            block = bits(8 * CHUNK).to_bytes(CHUNK, "little").translate(table, delete)
+            yield block[:left]
+            left -= len(block)
+
+    return chain.from_iterable(chunks(steps))
 
 
 def chamber_label(x, kind: WeylKind) -> tuple:
@@ -265,23 +315,26 @@ class WalkSummary:
     crossings: int
     chamber: tuple
     seed: int
+    trial: int
 
 
-def run_walk(kind: WeylKind, n: int, steps: int, seed: int = 0) -> WalkSummary:
-    """Simulate one walk; deterministic in the seed."""
+def run_walk(
+    kind: WeylKind, n: int, steps: int, seed: int = 0, trial: int = 0
+) -> WalkSummary:
+    """Simulate trial `trial` of a walk seeded `seed`; deterministic in both."""
     if steps <= 0:
         raise ValueError("steps must be positive")
     kind = WeylKind(kind.family, n)
     state = initial_state(kind, n)
-    accepted = _advance(state, _proposals(kind, n, steps, seed))
+    accepted = _advance(state, _proposals(kind, n, steps, seed, trial))
     pt = state.point()
     cross = separation_count(pt, kind, n)
-    return WalkSummary(pt, accepted, steps, cross, chamber_label(pt, kind), seed)
+    return WalkSummary(pt, accepted, steps, cross, chamber_label(pt, kind), seed, trial)
 
 
 def _trial(args):
     family, n, steps, seed, trial = args
-    return run_walk(WeylKind(family, n), n, steps, derive_stream(seed, trial))
+    return run_walk(WeylKind(family, n), n, steps, seed, trial)
 
 
 @dataclass(frozen=True)
@@ -305,13 +358,15 @@ def estimate_direction(
 ) -> DirectionEstimate:
     """Mean final direction over independent trials, against the closed form.
 
-    Trials use streams derived from (seed, trial) and may run in parallel;
-    the result is deterministic either way.
+    Trial t runs as run_walk(kind, n, steps, seed, t), so trials may run in
+    parallel; the result is deterministic either way.
     """
     if steps <= 0 or trials <= 0:
         raise ValueError("steps and trials must be positive")
     kind = WeylKind(kind.family, n)
-    fundamental_point(kind, n)  # a degenerate alcove fails here, before any fork
+    # weights beyond a byte or a degenerate alcove fail here, before any fork;
+    # the forked workers inherit the tables
+    _walk_tables(kind, n)
     jobs = [(kind.family, n, steps, seed, t) for t in range(trials)]
     if processes is None:
         import os

@@ -12,8 +12,10 @@ from the positions of the 0-columns instead of a one-pass scan, two-row
 label histograms by labelling every listed configuration instead of a
 column transfer, Motzkin sums from one weight product per path, and Motzkin
 exponent histograms by walking every step word instead of a transfer over
-steps, and the alcove walk on two lists (window and y) with a full ascent
-refresh instead of one packed list.  It also keeps the helpers only tests use: site densities and
+steps, the alcove walk on two lists (window and y) with a full ascent
+refresh instead of one packed list, walk proposals from a float CDF and
+bisection instead of a byte table, and the separation count in Fractions
+instead of integers scaled by a common denominator.  It also keeps the helpers only tests use: site densities and
 hook sums read off the exact multispecies law, the JSON decoder of a law
 and the reversal symmetry of two-species words.
 """
@@ -22,12 +24,15 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import random
+from bisect import bisect_left
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
 
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
+from weyltasep.errors import NonGenericPoint
 from weyltasep.markov import Dist, build_kernel
 from weyltasep.models import STAR, dstar_states, multi_states, two_species_states
 from weyltasep.ratio import R, parse_ratio
@@ -476,6 +481,40 @@ def two_list_walk(kind: WeylKind, n: int, proposals):
         else:
             x[-a - 1] -= x0[i] - y[i]
     return accepted, winv, y, tuple(Fraction(v, d) for v in x)
+
+
+def float_cdf_proposals(kind: WeylKind, n: int, steps: int, seed: int) -> list:
+    """The proposal stream the byte table replaced, draw for draw.
+
+    The PRNG was seeded with seed * 1000003 (the former per-trial seed of
+    trial 0), and each draw r of random() proposed the first g with
+    r <= cum[g], cum the float CDF of the step weights with its last entry
+    raised above 1.  It only approximates P(g) = a_g / T.
+    """
+    weights = kac_weights(WeylKind(kind.family, n)).weights
+    total = sum(weights)
+    cum = list(itertools.accumulate(a / total for a in weights))
+    cum[-1] = 1.1
+    rnd = random.Random((seed * 1_000_003) & 0x7FFFFFFFFFFFFFFF).random
+    return [bisect_left(cum, rnd()) for _ in range(steps)]
+
+
+def separation_count(x, kind: WeylKind, n: int) -> int:
+    """Hyperplanes separating x from the fundamental point, in Fractions.
+
+    Per positive root, the integers strictly between the two pairings,
+    with floors taken by math.floor on each Fraction pairing.
+    """
+    kind = WeylKind(kind.family, n)
+    base = fundamental_point(kind, n)
+    total = 0
+    for alpha in root_data(kind).positive_roots:
+        pa = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, base))
+        px = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, x))
+        if px.denominator == 1:
+            raise NonGenericPoint(f"point lies on a wall of root {alpha}")
+        total += abs(math.floor(px) - math.floor(pa))
+    return total
 
 
 # --- helpers only the tests use -----------------------------------------------

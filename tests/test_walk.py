@@ -1,19 +1,26 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from weyltasep import walk
 from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
+    CHUNK,
     WalkState,
     _advance,
+    _byte_table,
     _proposals,
+    _trial,
     _walk_tables,
     chamber_label,
+    derive_stream,
     dominant_representative,
     estimate_direction,
     fundamental_point,
@@ -27,6 +34,7 @@ from weyltasep.weyl import (
     act,
     apply_generator,
     identity_window,
+    kac_weights,
     root_data,
     wprod,
 )
@@ -145,6 +153,27 @@ WALK_KINDS = [
 ]
 
 
+def _separation_or_error(count, x, kind, n):
+    try:
+        return count(x, kind, n)
+    except NonGenericPoint as exc:
+        return "NonGenericPoint", str(exc)
+
+
+# small denominators put many points on a wall, so both outcomes are drawn
+COORDS = st.builds(Fraction, st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 6, 7, 10, 14]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(WALK_KINDS), st.data())
+def test_integer_separation_count_matches_fraction_oracle(spec, data):
+    family, n = spec
+    kind = WeylKind(family, n)
+    x = tuple(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
+    assert _separation_or_error(separation_count, x, kind, n) == _separation_or_error(
+        oracles.separation_count, x, kind, n)
+
+
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
 
@@ -195,8 +224,8 @@ def test_ascent_table_matches_geometry(family, n):
 
 
 # Seeded outputs of the walk, taken before the ascent-table walk replaced the
-# point-tracking loop: the RNG stream, the generator choice and the geometry
-# must reproduce them exactly.
+# point-tracking loop, on the float-CDF proposal stream that the byte table
+# replaced: fed that stream, the geometry must reproduce them exactly.
 GOLDEN_WALKS = [
     ("B", 2, 1, 8201, ("1651/2", "-14749/6")),
     ("B", 2, 2026, 8159, ("-1669/2", "-14645/6")),
@@ -217,16 +246,127 @@ GOLDEN_WALKS = [
 
 @pytest.mark.parametrize("family,n,seed,accepted,point", GOLDEN_WALKS)
 def test_run_walk_golden(family, n, seed, accepted, point):
+    kind = WeylKind(family, n)
+    state = initial_state(kind, n)
+    assert _advance(state, oracles.float_cdf_proposals(kind, n, 20_000, seed)) == accepted
+    assert state.point() == tuple(Fraction(v) for v in point)
+
+
+# The same walks on the byte-table stream: the stream derivation, the byte
+# table and the geometry must reproduce them exactly.
+GOLDEN_BYTE_WALKS = [
+    ("B", 2, 1, 8319, ("5185/6", "-4969/2")),
+    ("B", 2, 2026, 8309, ("15001/6", "1619/2")),
+    ("C", 3, 1, 7690, ("-2101/4", "-6683/8", "2297/8")),
+    ("C", 3, 2026, 7639, ("6499/8", "-1111/4", "-4415/8")),
+    ("Ccheck", 2, 1, 8683, ("-5033/3", "5917/6")),
+    ("Ccheck", 2, 2026, 8789, ("-5071/3", "6083/6")),
+    ("Bcheck", 4, 1, 7522, ("-4597/10", "567/2", "396/5", "-6129/10")),
+    ("Bcheck", 4, 2026, 7590, ("1359/5", "177/2", "6319/10", "-4527/10")),
+    ("D", 4, 1, 7756, ("-8343/10", "8", "-2711/5", "581/2")),
+    ("D", 4, 2026, 7698, ("-7/2", "8273/10", "-1359/5", "548")),
+    ("B", 6, 1, 7155,
+     ("3911/14", "-540/7", "-421/14", "-233/2", "3161/14", "-1202/7")),
+    ("B", 6, 2026, 7140,
+     ("345/2", "-353/14", "-1527/7", "-1107/14", "-926/7", "-3859/14")),
+]
+
+
+@pytest.mark.parametrize("family,n,seed,accepted,point", GOLDEN_BYTE_WALKS)
+def test_run_walk_golden_byte_stream(family, n, seed, accepted, point):
     s = run_walk(WeylKind(family, n), n, 20_000, seed=seed)
-    assert s.accepted == accepted
+    assert s.accepted == s.crossings == accepted
     assert s.final_point == tuple(Fraction(v) for v in point)
 
 
 def test_estimate_direction_golden():
     est = estimate_direction(WeylKind("B", 3), 3, 20_000, 3, seed=5, processes=1)
     assert est.direction == (
-        0.17510282827433898, 0.5056965314969138, 0.8447544125734522
+        0.16709470242200378, 0.5092459528084418, 0.8442439931505136
     )
+
+
+SEEDS = (0, 1, 2, 7, 1_000_003, -1, -1_000_003, 2**64 + 5, -(2**70), 3**50)
+
+
+def test_derive_stream_separates_seed_trial_pairs():
+    # seed * 1000003 + trial, the former derivation, sent (0, 1000003) and (1, 0) together
+    pairs = [(s, t) for s in SEEDS for t in (0, 1, 2, 9, 1_000_003, 2**64)]
+    assert (0, 1_000_003) in pairs and (1, 0) in pairs
+    streams = {derive_stream(s, t) for s, t in pairs}
+    assert len(streams) == len(pairs)
+    firsts = {tuple(islice(_proposals(B2, 2, 64, s, t), 64)) for s, t in pairs}
+    assert len(firsts) == len(pairs)
+
+
+@pytest.mark.parametrize("seed,trial", [(0, 0), (7, 3), (-5, 1), (2**65, 2)])
+def test_trial_job_is_run_walk_of_its_seed_and_trial(seed, trial):
+    job = _trial(("D", 4, 3000, seed, trial))
+    assert job == run_walk(WeylKind("D", 4), 4, 3000, seed=seed, trial=trial)
+    assert (job.seed, job.trial) == (seed, trial)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "D", "Bcheck", "Ccheck"])
+def test_byte_table_gives_each_generator_its_kac_share(family):
+    for n in range(2 if family == "D" else 1, 11):
+        kind = WeylKind(family, n)
+        weights = kac_weights(kind).weights
+        total = sum(weights)
+        keep = 256 // total * total
+        table, delete = _byte_table(kind)
+        assert delete == bytes(range(keep, 256))
+        counts = Counter(table[b] for b in range(keep))
+        assert counts == {g: a * keep // total for g, a in enumerate(weights)}
+        if (family, n) != ("D", 2):
+            assert _walk_tables(kind, n)[4:] == (table, delete)
+
+
+@pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_proposals_are_exactly_steps_long_and_prefixes(steps):
+    kind = WeylKind("Ccheck", 3)  # T = 4 divides 256: no byte is rejected
+    full = list(_proposals(kind, 3, 3 * CHUNK + 5, 11))
+    got = list(_proposals(kind, 3, steps, 11))
+    assert got == full[:steps]
+    d5 = WeylKind("D", 5)  # T = 8: no byte rejected either; B5 (T = 10) rejects 6 in 256
+    b5 = WeylKind("B", 5)
+    for kind, n in ((d5, 5), (b5, 5)):
+        got = list(_proposals(kind, n, steps, 3, 1))
+        assert len(got) == steps and set(got) <= set(range(n + 1))
+        assert got == list(_proposals(kind, n, 3 * CHUNK + 5, 3, 1))[:steps]
+
+
+def test_long_walk_draws_chunks_lazily():
+    assert CHUNK <= 1 << 16
+    head = list(islice(_proposals(B2, 2, 10**8, 4), 1000))
+    assert head == list(_proposals(B2, 2, 1000, 4))
+
+
+def test_proposal_frequencies_follow_the_kac_labels():
+    kind = WeylKind("B", 3)  # weights 2, 2, 1, 1 of T = 6; keep = 252
+    counts = Counter(_proposals(kind, 3, 60_000, 8))
+    for g, a in enumerate(kac_weights(kind).weights):
+        assert abs(counts[g] / 60_000 - a / 6) < 0.01
+
+
+@pytest.mark.parametrize("family,n", [("B", 129), ("C", 129), ("D", 130), ("Bcheck", 129),
+                                      ("Ccheck", 256)])
+def test_weights_beyond_a_byte_rejected_before_any_geometry(monkeypatch, family, n):
+    def no_geometry(*args):
+        raise AssertionError("fundamental_point ran")
+
+    monkeypatch.setattr(walk, "fundamental_point", no_geometry)
+    monkeypatch.setattr(walk, "_trial", no_geometry)
+    kind = WeylKind(family, n)
+    with pytest.raises(UnsupportedRange, match="at most 256"):
+        run_walk(kind, n, 10)
+    with pytest.raises(UnsupportedRange, match="at most 256"):
+        estimate_direction(kind, n, 10, 2)
+
+
+def test_estimate_direction_warms_the_tables_before_forking():
+    _walk_tables.cache_clear()
+    estimate_direction(B2, 2, 100, 2, seed=1, processes=2)
+    assert _walk_tables.cache_info().currsize == 1
 
 
 @settings(max_examples=60, deadline=None)
@@ -240,10 +380,10 @@ def test_packed_walk_matches_two_list_oracle(spec, seed, steps):
 
 
 def test_packed_state_decodes_far_from_the_base_point():
-    # seed 0 takes y to about +225000 and -74000 (scaled by d = 6) in 300k steps
+    # seed 2 takes y to about +225000 and -75000 (scaled by d = 6) in 300k steps
     state = initial_state(B2, 2)
-    _advance(state, _proposals(B2, 2, 300_000, 0))
-    accepted, winv, y, point = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 0))
+    _advance(state, _proposals(B2, 2, 300_000, 2))
+    accepted, winv, y, point = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 2))
     assert min(y) < -50_000 and max(y) > 50_000
     assert state.decode() == (winv, y)
     assert (state.crossings, state.point()) == (accepted, point)
