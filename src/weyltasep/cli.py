@@ -42,6 +42,11 @@ def _default_seed() -> int:
     return int(os.environ.get("WEYLTASEP_SEED", "0"))
 
 
+def _walk_defaults() -> dict:
+    """Defaults of the walk flags --steps, --trials and --seed."""
+    return {"steps": 100_000, "trials": 10, "seed": _default_seed()}
+
+
 def _meta(args, **params) -> dict:
     return {
         "version": __version__,
@@ -162,7 +167,14 @@ def _cmd_limdir(args) -> int:
 
 
 def _estimate(args, **params) -> tuple:
-    """A walk estimate of the direction and its JSON object, shared by limdir and walk."""
+    """A walk estimate of the direction and its JSON object, shared by limdir and walk.
+
+    `limdir` leaves the walk flags at None, so that they can be rejected for
+    the exact methods; the walk defaults are applied here.
+    """
+    for flag, default in _walk_defaults().items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
     est = estimate_direction(kind, args.n, args.steps, args.trials, args.seed)
     out = _meta(
@@ -263,6 +275,13 @@ def make_parser() -> argparse.ArgumentParser:
         if decimal:
             sp.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
 
+    def walk_flags(sp):
+        # None unless given: limdir rejects them off --method walk, and the
+        # walk defaults are set by `walk` and applied by `_estimate` for limdir
+        sp.add_argument("--steps", type=_positive_int)
+        sp.add_argument("--trials", type=_positive_int)
+        sp.add_argument("--seed", type=int)
+
     sp = sub.add_parser("stationary", help="exact stationary distribution")
     sp.add_argument(
         "--model",
@@ -287,19 +306,15 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--method", choices=("closed", "lam", "walk"), default="closed"
     )
-    sp.add_argument("--steps", type=_positive_int, default=100_000)
-    sp.add_argument("--trials", type=_positive_int, default=10)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    walk_flags(sp)
     common(sp, n0=False, kind={"required": True}, decimal=True)
     sp.set_defaults(func=_cmd_limdir, format="text")
 
     sp = sub.add_parser("walk", help="Monte Carlo alcove walk")
-    sp.add_argument("--steps", type=_positive_int, default=100_000)
-    sp.add_argument("--trials", type=_positive_int, default=10)
-    sp.add_argument("--seed", type=int, default=_default_seed())
+    walk_flags(sp)
     sp.add_argument("--svg", metavar="PATH", default=None)
     common(sp, n0=False, kind={"required": True}, formats=("json",))
-    sp.set_defaults(func=_cmd_walk)
+    sp.set_defaults(func=_cmd_walk, **_walk_defaults())
 
     sp = sub.add_parser("verify", help="run a verification suite")
     sp.add_argument(
@@ -329,6 +344,10 @@ def main(argv=None) -> int:
                         "(its direction is a float estimate)\n")
         if args.format == "csv":
             parser.exit(2, f"{prog}: error: --method walk writes text or json, not csv\n")
+    elif args.command == "limdir":
+        for flag in ("steps", "trials", "seed"):
+            if getattr(args, flag) is not None:
+                parser.exit(2, f"{prog}: error: --{flag} applies only to --method walk\n")
     if args.command == "walk" and args.svg:
         if args.n != 2:
             parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")

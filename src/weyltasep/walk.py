@@ -15,6 +15,12 @@ drawn with probability exactly a_g / T, and `bytes.translate` turns a chunk
 of random bytes into a chunk of proposals in C.  Trial t of a walk seeded s
 draws from one PRNG, seeded once with a digest of (s, t).
 
+`estimate_direction` runs its trials over P processes: the caller forks
+P - 1 workers, runs one share of the trials itself and reads the others'
+summaries back over pipes, so the result does not depend on P.  A worker's
+exception is raised again in the caller, and a worker that dies without a
+result raises a RuntimeError instead of leaving the caller waiting.
+
 The current alcove is u(A0) for an element u of the affine Weyl group, and
 the state keeps u as its inverse window together with y = u^{-1}(x0), the
 base point x0 seen from the fundamental alcove A0, packed in one list
@@ -29,6 +35,7 @@ only when they are asked for.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -332,9 +339,76 @@ def run_walk(
     return WalkSummary(pt, accepted, steps, cross, chamber_label(pt, kind), seed, trial)
 
 
-def _trial(args):
-    family, n, steps, seed, trial = args
-    return run_walk(WeylKind(family, n), n, steps, seed, trial)
+def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
+                processes: int) -> list:
+    """run_walk of trials 0..trials-1, in trial order, over min(processes, trials) processes.
+
+    With P processes the caller forks P - 1 children, and child k runs trials
+    k, k + P, ... while the caller runs share 0.  Each child pickles its
+    summaries, or the exception it raised, to its own pipe and leaves by
+    os._exit, so it neither flushes the stdio it inherited nor runs atexit
+    handlers.  A child's exception is raised again here; one that does not
+    survive pickling comes back as a RuntimeError carrying its repr.  A child
+    that ends without writing raises a RuntimeError with its exit status.
+    Every child is reaped on every path; when the caller's share or another
+    child fails, the children still running are killed first.
+    """
+    shares = min(processes, trials)
+
+    def share(k):
+        return [run_walk(kind, n, steps, seed, t) for t in range(k, trials, shares)]
+
+    if shares == 1:
+        return share(0)
+    import pickle  # only parallel walks need these
+    import signal
+
+    children = []  # (pid, read end of its pipe) of child k at index k - 1
+    try:
+        for k in range(1, shares):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # child k: keep only its own write end
+                status = 1
+                try:
+                    os.close(r)
+                    for _, pipe in children:
+                        pipe.close()
+                    try:
+                        data = pickle.dumps(share(k))
+                    except BaseException as exc:  # forwarded to the caller
+                        try:
+                            data = pickle.dumps(exc)
+                            pickle.loads(data)  # fails for some custom __init__ signatures
+                        except Exception:
+                            data = pickle.dumps(RuntimeError(f"walk worker raised {exc!r}"))
+                    with open(w, "wb") as out:
+                        out.write(data)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = [share(0)]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del children[0]
+            if not data:
+                how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+                raise RuntimeError(f"walk worker {pid} ended without a result ({how})")
+            result = pickle.loads(data)
+            if isinstance(result, BaseException):
+                raise result
+            results.append(result)
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [results[t % shares][t // shares] for t in range(trials)]
 
 
 @dataclass(frozen=True)
@@ -358,27 +432,22 @@ def estimate_direction(
 ) -> DirectionEstimate:
     """Mean final direction over independent trials, against the closed form.
 
-    Trial t runs as run_walk(kind, n, steps, seed, t), so trials may run in
-    parallel; the result is deterministic either way.
+    Trial t runs as run_walk(kind, n, steps, seed, t).  The trials are shared
+    among `processes` processes (default: one per CPU, at most one per
+    trial), the caller and forked workers, and the result does not depend on
+    the process count.
     """
     if steps <= 0 or trials <= 0:
         raise ValueError("steps and trials must be positive")
+    if processes is not None and processes <= 0:
+        raise ValueError("processes must be positive")
     kind = WeylKind(kind.family, n)
     # weights beyond a byte or a degenerate alcove fail here, before any fork;
     # the forked workers inherit the tables
     _walk_tables(kind, n)
-    jobs = [(kind.family, n, steps, seed, t) for t in range(trials)]
     if processes is None:
-        import os
-
         processes = min(trials, os.cpu_count() or 1)
-    if processes > 1 and trials > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(processes) as pool:
-            summaries = pool.map(_trial, jobs)
-    else:
-        summaries = [_trial(j) for j in jobs]
+    summaries = _run_trials(kind, n, steps, seed, trials, processes)
     mean = [0.0] * n
     accepted = 0
     chambers: dict = {}

@@ -190,6 +190,16 @@ def test_env_var_seed(capsys, monkeypatch):
     parser = cli.make_parser()
     args = parser.parse_args(["walk", "--kind", "b", "--n", "2"])
     assert args.seed == 123
+    calls = []
+
+    def short_walk(kind, n, steps, trials, seed):
+        calls.append((steps, trials, seed))
+        return walk.estimate_direction(kind, n, 100, 1, seed)
+
+    monkeypatch.setattr(cli, "estimate_direction", short_walk)
+    for argv in (["walk"], ["limdir", "--method", "walk"]):
+        assert main([*argv, "--kind", "b", "--n", "2"]) == 0
+    assert calls == [(100_000, 10, 123)] * 2  # limdir takes the walk defaults
 
 
 @pytest.mark.parametrize(
@@ -235,13 +245,20 @@ def test_zero_counts_rejected(capsys, argv):
         (["verify", "--suite", "lumping", "--k-max", "3"], "suite lumping does not read --k-max"),
         (["walk", "--kind", "b", "--n", "2", "--steps", "10", "--trials", "2",
           "--svg", "/nonexistent/dir/x.svg"], "cannot write --svg /nonexistent/dir/x.svg"),
+        (["limdir", "--kind", "b", "--n", "3", "--steps", "5"],
+         "--steps applies only to --method walk"),
+        (["limdir", "--kind", "b", "--n", "3", "--method", "lam", "--trials", "3"],
+         "--trials applies only to --method walk"),
+        (["limdir", "--kind", "b", "--n", "3", "--method", "closed", "--seed", "0"],
+         "--seed applies only to --method walk"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
-         "verify-lumping-k-max", "walk-svg-unwritable"],
+         "verify-lumping-k-max", "walk-svg-unwritable", "limdir-closed-steps",
+         "limdir-lam-trials", "limdir-closed-seed"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,8 @@ Its public surface is pinned, so that adding or dropping a public name is a
 deliberate change to this list.  The pure-Python routes stay free of numpy
 and scipy: importing numpy costs several MiB of resident memory and a
 noticeable start-up time, so an exact solve or a walk must not pull it in by
-accident.  No module of the package, the tests or the demos imports a name
+accident.  A parallel walk forks its own workers, so it does not import
+multiprocessing either.  No module of the package, the tests or the demos imports a name
 it never uses.
 """
 import ast
@@ -44,12 +45,13 @@ from weyltasep import tworow
 from weyltasep.markov import exact_stationary
 from weyltasep.models import build_multi
 from weyltasep.verify import PARAM_POINTS
-from weyltasep.walk import run_walk
+from weyltasep.walk import estimate_direction, run_walk
 from weyltasep.weyl import WeylKind
 exact_stationary(build_multi(WeylKind("B", 3), 3))
 tworow.stationary(5, 1, PARAM_POINTS[0])
 run_walk(WeylKind("B", 2), 2, 1000, 1)
-print(",".join(m for m in ("numpy", "scipy") if m in sys.modules))
+estimate_direction(WeylKind("B", 2), 2, 1000, 2, processes=2)
+print(",".join(m for m in ("numpy", "scipy", "multiprocessing") if m in sys.modules))
 """
 
 

@@ -1,5 +1,9 @@
 import math
+import os
 import random
+import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import islice
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import weyltasep
 from weyltasep import walk
 from weyltasep.errors import NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
@@ -17,7 +22,7 @@ from weyltasep.walk import (
     _advance,
     _byte_table,
     _proposals,
-    _trial,
+    _run_trials,
     _walk_tables,
     chamber_label,
     derive_stream,
@@ -130,11 +135,12 @@ def test_dominant_representative():
 
 
 def test_estimate_direction_small():
-    est = estimate_direction(B2, 2, steps=50_000, trials=4, seed=11, processes=1)
+    est = estimate_direction(B2, 2, steps=50_000, trials=5, seed=11, processes=1)
     assert est.cosine_vs_closed_form > 0.999
     assert sum(est.chamber_counts.values()) == est.trials
-    again = estimate_direction(B2, 2, steps=50_000, trials=4, seed=11, processes=2)
-    assert est.direction == again.direction  # parallelism cannot change the result
+    for processes in (2, 3):  # 5 trials do not split evenly over either
+        again = estimate_direction(B2, 2, steps=50_000, trials=5, seed=11, processes=processes)
+        assert again == est  # the process count cannot change any field
 
 
 def test_svg_dump(tmp_path):
@@ -301,8 +307,9 @@ def test_derive_stream_separates_seed_trial_pairs():
 
 @pytest.mark.parametrize("seed,trial", [(0, 0), (7, 3), (-5, 1), (2**65, 2)])
 def test_trial_job_is_run_walk_of_its_seed_and_trial(seed, trial):
-    job = _trial(("D", 4, 3000, seed, trial))
-    assert job == run_walk(WeylKind("D", 4), 4, 3000, seed=seed, trial=trial)
+    d4 = WeylKind("D", 4)
+    job = _run_trials(d4, 4, 3000, seed, trial + 2, processes=2)[trial]
+    assert job == run_walk(d4, 4, 3000, seed=seed, trial=trial)
     assert (job.seed, job.trial) == (seed, trial)
 
 
@@ -355,7 +362,7 @@ def test_weights_beyond_a_byte_rejected_before_any_geometry(monkeypatch, family,
         raise AssertionError("fundamental_point ran")
 
     monkeypatch.setattr(walk, "fundamental_point", no_geometry)
-    monkeypatch.setattr(walk, "_trial", no_geometry)
+    monkeypatch.setattr(walk, "run_walk", no_geometry)
     kind = WeylKind(family, n)
     with pytest.raises(UnsupportedRange, match="at most 256"):
         run_walk(kind, n, 10)
@@ -400,10 +407,15 @@ def test_decode_inverts_packing(family, n):
         assert state.decode() == (winv, ys)
 
 
-@pytest.mark.parametrize("steps,trials", [(0, 2), (-5, 2), (100, 0)])
-def test_walk_counts_must_be_positive(steps, trials):
+@pytest.mark.parametrize(
+    "steps,trials,processes",
+    [pytest.param(0, 2, 1, id="0-2"), pytest.param(-5, 2, 1, id="-5-2"),
+     pytest.param(100, 0, 1, id="100-0"), pytest.param(100, 2, 0, id="processes-0"),
+     pytest.param(100, 2, -1, id="processes--1")],
+)
+def test_walk_counts_must_be_positive(steps, trials, processes):
     with pytest.raises(ValueError):
-        estimate_direction(B2, 2, steps, trials, processes=1)
+        estimate_direction(B2, 2, steps, trials, processes=processes)
     if steps <= 0:
         with pytest.raises(ValueError):
             run_walk(B2, 2, steps)
@@ -416,3 +428,71 @@ def test_d2_walk_is_unsupported():
         run_walk(d2, 2, 10)
     with pytest.raises(UnsupportedRange):
         estimate_direction(d2, 2, 10, 2)
+
+
+class NeedsTwoArguments(Exception):
+    """Pickles, but unpickling calls NeedsTwoArguments(message) and fails."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.parametrize(
+    "trial,exc,raised,message",
+    [(1, ValueError("boom"), ValueError, "^boom$"),
+     (0, ValueError("boom"), ValueError, "^boom$"),
+     (1, NeedsTwoArguments(1, 2), RuntimeError, re.escape("NeedsTwoArguments('1 and 2')"))],
+    ids=["worker", "caller", "worker-unpicklable"],
+)
+def test_trial_exception_reaches_the_caller(monkeypatch, trial, exc, raised, message):
+    def fails(kind, n, steps, seed, t):
+        if t == trial:
+            raise exc
+        return run_walk(kind, n, steps, seed, t)
+
+    monkeypatch.setattr(walk, "run_walk", fails)
+    with pytest.raises(raised, match=message):
+        estimate_direction(B2, 2, 100, 4, processes=2)
+    with pytest.raises(ChildProcessError):  # every worker was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
+DEAD_WORKER = """
+import atexit
+import os
+from weyltasep import walk
+from weyltasep.weyl import WeylKind
+
+atexit.register(print, "atexit")
+print("buffered")  # stdout is a pipe: this line is still in the buffer at the forks
+walk.estimate_direction(WeylKind("B", 2), 2, 100, 3, processes=3)
+run_walk = walk.run_walk
+
+def dies(kind, n, steps, seed, trial):
+    if trial == 1:
+        os._exit(3)
+    return run_walk(kind, n, steps, seed, trial)
+
+walk.run_walk = dies
+try:
+    walk.estimate_direction(WeylKind("B", 2), 2, 100, 4, processes=2)
+except RuntimeError as exc:
+    print(exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+def test_dead_worker_raises_instead_of_hanging():
+    # in a subprocess with a timeout, so that a hang fails this test instead of stalling the suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weyltasep.__file__)))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    out = subprocess.run([sys.executable, "-c", DEAD_WORKER], env=env, capture_output=True,
+                         text=True, check=True, timeout=30)
+    buffered, dead, *rest = out.stdout.splitlines()
+    # no worker flushed the inherited buffer or ran the atexit handler
+    assert buffered == "buffered" and rest == ["no child left", "atexit"]
+    assert re.fullmatch(r"walk worker \d+ ended without a result \(exit status 3\)", dead)
