@@ -38,13 +38,34 @@ FAMILY_FLAGS = {
 }
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("WEYLTASEP_SEED", "0"))
+SEED_VAR = "WEYLTASEP_SEED"
+
+
+class _EnvSeed(str):
+    """The text of WEYLTASEP_SEED as the default of --seed."""
+
+
+def _seed(text) -> int:
+    """An int from --seed or from WEYLTASEP_SEED, with a message naming the source."""
+    try:
+        return int(text)
+    except ValueError:
+        if isinstance(text, _EnvSeed):
+            msg = f"{SEED_VAR} must be an integer, got {str(text)!r}"
+        else:
+            msg = f"invalid int value: {text!r}"
+        raise argparse.ArgumentTypeError(msg) from None
 
 
 def _walk_defaults() -> dict:
-    """Defaults of the walk flags --steps, --trials and --seed."""
-    return {"steps": 100_000, "trials": 10, "seed": _default_seed()}
+    """Defaults of the walk flags --steps, --trials and --seed.
+
+    The seed's default is the text of WEYLTASEP_SEED (0 when unset), parsed
+    by _seed only where a walk takes it: argparse parses a string default
+    only for the subcommand that was chosen, so no other subcommand reads
+    the variable.
+    """
+    return {"steps": 100_000, "trials": 10, "seed": _EnvSeed(os.environ.get(SEED_VAR, "0"))}
 
 
 def _meta(args, **params) -> dict:
@@ -167,14 +188,7 @@ def _cmd_limdir(args) -> int:
 
 
 def _estimate(args, **params) -> tuple:
-    """A walk estimate of the direction and its JSON object, shared by limdir and walk.
-
-    `limdir` leaves the walk flags at None, so that they can be rejected for
-    the exact methods; the walk defaults are applied here.
-    """
-    for flag, default in _walk_defaults().items():
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
+    """A walk estimate of the direction and its JSON object, shared by limdir and walk."""
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
     est = estimate_direction(kind, args.n, args.steps, args.trials, args.seed)
     out = _meta(
@@ -277,10 +291,10 @@ def make_parser() -> argparse.ArgumentParser:
 
     def walk_flags(sp):
         # None unless given: limdir rejects them off --method walk, and the
-        # walk defaults are set by `walk` and applied by `_estimate` for limdir
+        # walk defaults are set by `walk` and applied by `main` for limdir
         sp.add_argument("--steps", type=_positive_int)
         sp.add_argument("--trials", type=_positive_int)
-        sp.add_argument("--seed", type=int)
+        sp.add_argument("--seed", type=_seed)
 
     sp = sub.add_parser("stationary", help="exact stationary distribution")
     sp.add_argument(
@@ -344,6 +358,15 @@ def main(argv=None) -> int:
                         "(its direction is a float estimate)\n")
         if args.format == "csv":
             parser.exit(2, f"{prog}: error: --method walk writes text or json, not csv\n")
+        # The limdir parser leaves the walk flags at None, so that they can
+        # be rejected for the exact methods; the walk defaults apply here.
+        for flag, default in _walk_defaults().items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
+        try:
+            args.seed = _seed(args.seed)
+        except argparse.ArgumentTypeError as exc:
+            parser.exit(2, f"{prog}: error: {exc}\n")
     elif args.command == "limdir":
         for flag in ("steps", "trials", "seed"):
             if getattr(args, flag) is not None:

@@ -3,11 +3,14 @@
 Kernels are row-stochastic with exact rational entries; every row stores its
 holding mass explicitly so rows sum to 1 exactly.  The stationary solver is
 the subtraction-free state-elimination scheme of Grassmann, Taksar and
-Heyman with a fill-reducing elimination order.  The order is fixed once on
-index sets; the arithmetic runs over Z/p for primes below 2**61, and the
-exact law comes back by Chinese remaindering and rational reconstruction.
-A law is returned only after it passes the exact certificate: it sums to 1
-and pi . P = pi over the rationals.
+Heyman with a fill-reducing elimination order.  One pass fixes the order
+and runs the elimination in floats; it subtracts nothing, so each float
+probability carries a small relative error, and the exact law is read off
+the floats by building up a common denominator from the smallest entries.
+When that fails, the recorded order is replayed over Z/p for primes below
+2**61, and the exact law comes back by Chinese remaindering and rational
+reconstruction.  Either way a law is returned only after it passes the
+exact certificate: it sums to 1 and pi . P = pi over the rationals.
 
 The bookkeeping around the solver is exact but avoids one Fraction
 operation per entry: row sums and the sum of a law add integer numerators
@@ -19,7 +22,8 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import lcm
+from math import floor, inf, isqrt, lcm
+from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidRates, NotIrreducible
@@ -246,47 +250,71 @@ def exact_stationary(kernel: Kernel) -> Dist:
     """The unique stationary distribution, exactly.
 
     Requires a unique closed communicating class; transient states get
-    probability zero.  The elimination order is fixed once on index sets
-    (:func:`_elimination_plan`); the elimination then runs over Z/p for
-    primes below 2**61 (:func:`_solve_mod`), the images are combined by the
-    Chinese remainder theorem and each probability is recovered by rational
+    probability zero.  One pass (:func:`_elimination_plan`) fixes the
+    elimination order and runs the elimination in floating point; the
+    exact law is read off the floats by a common denominator
+    (:func:`_recover`).  When that fails -- a pivot underflows, no common
+    denominator below the error bound fits, or the guess fails the
+    certificate -- the recorded order is replayed over Z/p for primes below
+    2**61 (:func:`_solve_mod`), the images are combined by the Chinese
+    remainder theorem and each probability is recovered by rational
     reconstruction.  A prime that divides a kernel denominator, a pivot or
     the total is skipped; primes are added until the reconstructed law
-    passes the exact certificate (sum 1 and pi . P = pi), and only a law
-    that passes it is returned.
+    passes the certificate.  Whichever route made it, a law is returned only
+    after it passes the exact certificate (sum 1 and pi . P = pi).
     """
     classes = communicating_classes(kernel)
     closed = [c for c in classes if c.closed]
     if len(closed) != 1:
         raise NotIrreducible(f"{len(closed)} closed classes")
     members = sorted(kernel.index[s] for s in closed[0].states)
-    plan = _elimination_plan(kernel, members)
-    modulus, residues = 1, None
-    for p in primes_below():
-        image = _solve_mod(kernel, members, plan, p)
-        if image is None:
-            continue
-        residues = image if residues is None else crt_extend(residues, modulus, image, p)
-        modulus *= p
-        pi_idx = _reconstruct(members, residues, modulus)
-        if pi_idx is not None and _is_stationary(kernel, pi_idx):
-            break
+    plan, guess = _elimination_plan(kernel, members)
+    pi_idx = None
+    if guess is not None:
+        # The float law's relative error grows about linearly with the
+        # number of eliminations; on the B/C/D and two-row chains of 192 to
+        # 3840 states it stays 50 to 200 times below this bound.
+        found = _recover(guess, (len(members) + 16) * 2.0**-52)
+        if found is not None:
+            nums, den = found
+            pi_idx = {i: R(a, den) for i, a in zip(members, nums)}
+            if not _is_stationary(kernel, pi_idx):
+                pi_idx = None
+    if pi_idx is None:
+        modulus, residues = 1, None
+        for p in primes_below():
+            image = _solve_mod(kernel, members, plan, p)
+            if image is None:
+                continue
+            residues = image if residues is None else crt_extend(residues, modulus, image, p)
+            modulus *= p
+            pi_idx = _reconstruct(members, residues, modulus)
+            if pi_idx is not None and _is_stationary(kernel, pi_idx):
+                break
     probs = {s: ZERO for s in kernel.states}
     for i, p in pi_idx.items():
         probs[kernel.states[i]] = p
     return Dist(probs)
 
 
-def _elimination_plan(kernel: Kernel, members: list[int]) -> list[tuple[int, list[int]]]:
-    """Symbolic phase: the elimination order and each pivot's predecessors.
+def _elimination_plan(kernel: Kernel, members: list[int]) -> tuple[list, list[float] | None]:
+    """The elimination order and each pivot's predecessors, and the law in floats.
 
     Censors states one at a time, greedily taking the state with the
     fewest in-degree x out-degree off-diagonal links among those left, and
-    records which states point into it when it goes.  Index sets only: no
-    arithmetic.  The last state left is not in the plan.
+    records which states point into it when it goes.  The last state left
+    is not in the plan.  The same loop runs the elimination of
+    Grassmann, Taksar and Heyman in floats: censoring k adds
+    out[i][k] / S_k * out[k][j] to out[i][j] for every predecessor i and
+    successor j != i, where S_k is k's off-diagonal row sum.  Nothing is
+    subtracted, so each float entry has a small relative error
+    (O'Cinneide 1993).  The float law, in `members` order, is None when an
+    S_k or the final total is zero or not finite (a rate that underflows).
     """
     member_set = set(members)
-    out = {i: {j for j in kernel.rows[i] if j != i and j in member_set} for i in members}
+    out = {i: {j: q.numerator / q.denominator for j, q in kernel.rows[i].items()
+               if j != i and j in member_set}
+           for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
         for j in row:
@@ -294,6 +322,8 @@ def _elimination_plan(kernel: Kernel, members: list[int]) -> list[tuple[int, lis
     heap = [(len(inn[i]) * len(out[i]), i) for i in members]
     heapq.heapify(heap)
     plan = []
+    cols = []
+    finite = True
     while len(out) > 1:
         while True:
             cost, k = heapq.heappop(heap)
@@ -304,26 +334,85 @@ def _elimination_plan(kernel: Kernel, members: list[int]) -> list[tuple[int, lis
                 heapq.heappush(heap, (cur, k))
         preds = list(inn.pop(k))
         succs = out.pop(k)
+        total = sum(succs.values())
+        if 0.0 < total < inf:
+            inv = 1.0 / total
+        else:
+            finite, inv = False, 0.0
+        items = list(succs.items())
+        factors = []
         for i in preds:
             row = out[i]
-            row.discard(k)
-            row |= succs
-            row.discard(i)
+            f = row.pop(k) * inv
+            factors.append(f)
+            get = row.get
+            for j, x in items:
+                row[j] = get(j, 0.0) + f * x
+            row.pop(i, None)
         for j in succs:
             col = inn[j]
             col.discard(k)
             col.update(preds)
             col.discard(j)
         plan.append((k, preds))
+        cols.append(factors)
         for i in preds:
             heapq.heappush(heap, (len(inn[i]) * len(out[i]), i))
-    return plan
+    (root,) = out
+    pi = {root: 1.0}
+    for (k, preds), factors in zip(reversed(plan), reversed(cols)):
+        pi[k] = sum(pi[i] * f for i, f in zip(preds, factors))
+    total = sum(pi.values())
+    if not (finite and 0.0 < total < inf):
+        return plan, None
+    return plan, [pi[i] / total for i in members]
+
+
+def _recover(xs: Sequence[float], rel_err: float) -> tuple[list[int], int] | None:
+    """The rationals that the floats xs stand for, as numerators over one L, or None.
+
+    Each xs[k] is taken to be within the relative error rel_err of the
+    rational a[k] / L it stands for.  The entries are read smallest first, keeping
+    L (at first 1): when xs[k] * L is within its error bound of an integer,
+    that integer is the numerator; otherwise the fractional part of
+    xs[k] * L is replaced by the nearest fraction whose denominator q keeps
+    q**2 * err < 1/2, and L grows by the factor q.  That fraction is unique,
+    so an entry whose own new factor q meets the bound is recovered
+    exactly.  Returns None when L * rel_err reaches 1/4, past which the
+    largest entries no longer tell integers apart, when an entry is not an
+    integer over the updated L, or when an entry is so small that its error
+    bound leaves the normal range of floats.
+    """
+    if min(xs) * rel_err < float_info.min:
+        return None
+    den = 1
+    found = []
+    for k in sorted(range(len(xs)), key=xs.__getitem__):
+        x = xs[k]
+        y = x * den
+        err = rel_err * y
+        a = round(y)
+        if abs(y - a) > err:
+            frac = R(y - floor(y))
+            den *= frac.limit_denominator(isqrt(int(0.5 / err))).denominator
+            if den * rel_err >= 0.25:
+                return None
+            y = x * den
+            a = round(y)
+            if abs(y - a) > rel_err * y:
+                return None
+        found.append((k, a, den))
+    nums = [0] * len(xs)
+    for k, a, d in found:
+        nums[k] = a * (den // d)
+    return nums, den
 
 
 def _solve_mod(kernel: Kernel, members: list[int], plan, p: int) -> list[int] | None:
-    """Numeric phase: the stationary law mod the prime p, in `members` order.
+    """The fallback route: the stationary law mod the prime p, in `members` order.
 
-    Replays the plan over plain ints mod p: censoring k adds
+    Replays the plan of :func:`_elimination_plan` over plain ints mod p:
+    censoring k adds
     out[i][k] / S_k * out[k][j] to out[i][j] for every predecessor i and
     successor j != i, where S_k is k's off-diagonal row sum.  Returns None
     when p divides a kernel denominator, an S_k or the final total.

@@ -1,9 +1,10 @@
 """Word-size primes, Chinese remaindering and rational reconstruction.
 
-The exact stationary solver works over Z/p for primes just below 2**61,
-combines the images by the Chinese remainder theorem and recovers each
-rational from its residue (Wang's algorithm, as in Monagan 2004).  Nothing
-here knows about Markov chains.
+When the exact stationary solver cannot read a law off its float
+elimination, it works over Z/p for primes just below 2**61, combines the
+images by the Chinese remainder theorem and recovers each rational from its
+residue (Wang's algorithm, as in Monagan 2004).  Nothing here knows about
+Markov chains.
 """
 from __future__ import annotations
 

@@ -202,6 +202,30 @@ def test_env_var_seed(capsys, monkeypatch):
     assert calls == [(100_000, 10, 123)] * 2  # limdir takes the walk defaults
 
 
+def test_bad_env_var_seed_is_read_only_by_walks(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLTASEP_SEED", "abc")
+    monkeypatch.setattr(cli, "estimate_direction", _no_walk)
+    for argv in (["walk"], ["limdir", "--method", "walk"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kind", "b", "--n", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"weyltasep {argv[0]}: error: ")
+        assert captured.err.count("\n") == 1
+        assert "WEYLTASEP_SEED must be an integer, got 'abc'" in captured.err
+    # subcommands that take no seed, and walks given --seed, ignore it
+    code, out = run(capsys, "limdir", "--kind", "b", "--n", "3")
+    assert (code, out) == (0, "1/15, 1/5, 1/3\n")
+    calls = []
+    monkeypatch.setattr(cli, "estimate_direction",
+                        lambda kind, n, steps, trials, seed: calls.append(seed) or
+                        walk.estimate_direction(kind, n, 100, 1, seed))
+    for argv in (["walk"], ["limdir", "--method", "walk"]):
+        assert main([*argv, "--kind", "b", "--n", "2", "--seed", "7"]) == 0
+    assert calls == [7, 7]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

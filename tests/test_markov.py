@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import weyltasep.markov as markov
+from weyltasep import tworow
 from weyltasep.closedform import DirectionVector, limdir_closed
 from weyltasep.errors import InvalidRates, NotIrreducible
 from weyltasep.markov import (
@@ -16,6 +17,7 @@ from weyltasep.markov import (
 from weyltasep.modular import primes_below
 from weyltasep.models import DStarParams, build_dstar, build_multi, build_two_species
 from weyltasep.ratio import R
+from weyltasep.verify import PARAM_POINTS
 from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 
 from oracles import (
@@ -188,14 +190,23 @@ def two_closed_classes(draw):
     return build_kernel(sorted(moves), moves.__getitem__)
 
 
+def _no_float_guess(xs, rel_err):
+    return None
+
+
 @settings(max_examples=200, deadline=None)
 @given(sparse_chains())
 def test_modular_solver_matches_fraction_oracle(kernel):
-    if sum(c.closed for c in communicating_classes(kernel)) != 1:
-        with pytest.raises(NotIrreducible):
-            exact_stationary(kernel)
-        return
-    assert exact_stationary(kernel) == _oracle_law(kernel)
+    """Both routes, the float guess and the modular replay, give the oracle's law."""
+    for force_modular in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            if force_modular:
+                mp.setattr(markov, "_recover", _no_float_guess)
+            if sum(c.closed for c in communicating_classes(kernel)) != 1:
+                with pytest.raises(NotIrreducible):
+                    exact_stationary(kernel)
+                continue
+            assert exact_stationary(kernel) == _oracle_law(kernel)
 
 
 @settings(max_examples=50, deadline=None)
@@ -261,6 +272,7 @@ def test_failed_certificate_adds_a_prime(primes_used, monkeypatch):
         certificates.append(certify(kernel, pi_idx))
         return certificates[-1]
 
+    monkeypatch.setattr(markov, "_recover", _no_float_guess)
     monkeypatch.setattr(markov, "rational_reconstruct", off_by_one_mod_first)
     monkeypatch.setattr(markov, "_is_stationary", spy)
     ker = build_multi(WeylKind("Ccheck", 2), 2)
@@ -268,6 +280,84 @@ def test_failed_certificate_adds_a_prime(primes_used, monkeypatch):
     assert pi == _oracle_law(ker)
     assert certificates == [False, True]
     assert [p for p, _ in primes_used] == [first, next(primes_below(first))]
+
+
+def test_underflowing_rate_falls_back_to_the_modular_route(primes_used):
+    # 2**-1100 is 0.0 as a double, so the float pivot of state "a" is zero
+    tiny = R(1, 2**1100)
+    k = Kernel(("a", "b"), ({0: 1 - tiny, 1: tiny}, {0: R(1, 2), 1: R(1, 2)}))
+    pi = exact_stationary(k)
+    assert pi == Dist({"a": 1 - 2 * tiny / (1 + 2 * tiny), "b": 2 * tiny / (1 + 2 * tiny)})
+    assert pi == _oracle_law(k)
+    assert len(primes_used) > 1
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_multi(WeylKind("B", 3), 3),
+        lambda: build_multi(WeylKind("Ccheck", 3), 3),
+        lambda: build_multi(WeylKind("D", 3), 3),
+        lambda: tworow.kernel(6, 2, PARAM_POINTS[0]),
+    ],
+    ids=["B3", "Ccheck3", "D3", "tworow-6-2"],
+)
+def test_small_laws_never_reach_the_modular_route(primes_used, build):
+    kernel = build()
+    pi = exact_stationary(kernel)
+    assert primes_used == []
+    assert markov._is_stationary(kernel, {kernel.index[s]: p for s, p in pi.items() if p})
+
+
+# --- recovering rationals from perturbed floats ------------------------------
+
+
+@st.composite
+def weight_laws(draw, min_bits, max_bits, max_smallest):
+    """pi = w / sum(w) for positive integer weights whose sum has min_bits to max_bits bits.
+
+    The smallest weight is at most max_smallest (and max_bits is at least
+    10, so the sum stays below 2**max_bits).  The chain laws here have
+    smallest weight 1 (B/C/D) or below 2**9 (two-row): one float of 53 bits
+    cannot pin a fraction whose numerator and denominator have more bits
+    than that together, so the recovery reads the common denominator off
+    the smallest entries.
+    """
+    total = draw(st.integers(1 << (min_bits - 1), (1 << max_bits) - 1))
+    size = draw(st.integers(1, 12))
+    smallest = draw(st.integers(1, max_smallest))
+    weights = [smallest] + [draw(st.integers(smallest, max(smallest, total // size)))
+                            for _ in range(size - 1)]
+    weights.append(max(smallest, total - sum(weights)))
+    draw(st.randoms()).shuffle(weights)
+    z = sum(weights)
+    return [Fraction(w, z) for w in weights]
+
+
+def _perturbed(law, data):
+    """Each entry as a float within a relative 2**-50 of it."""
+    eps = [data.draw(st.integers(-(1 << 20), 1 << 20)) for _ in law]
+    return [float(p * (1 + Fraction(e, 1 << 70))) for p, e in zip(law, eps)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(weight_laws(1, 40, 64), st.data())
+def test_recovery_returns_laws_up_to_2_40_exactly(law, data):
+    found = markov._recover(_perturbed(law, data), 2.0**-49)
+    assert found is not None
+    nums, den = found
+    assert [Fraction(a, den) for a in nums] == law
+
+
+@settings(max_examples=100, deadline=None)
+@given(weight_laws(48, 80, 1), st.data())
+def test_recovery_gives_up_past_the_limit(law, data):
+    # The smallest entry is 1/Z with Z >= 2**47, the limit on L for the
+    # bound 2**-49 (L * 2**-49 < 1/4).  The nearest fraction to it whose
+    # denominator q keeps q**2 * err <= 1/2 is 1/Z itself, or 1/q with q
+    # near sqrt(2**48 * Z), or 0/1: the first two are past the limit, and
+    # the last leaves the entry no integer.
+    assert markov._recover(_perturbed(law, data), 2.0**-49) is None
 
 
 # --- the integer certificate against the Fraction one ------------------------
