@@ -7,6 +7,7 @@ always rendered exactly as p/q, with optional decimal companions.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -85,14 +86,11 @@ def _emit(obj, args) -> None:
 
 
 def _emit_csv(obj) -> None:
-    rows = obj.get("dist") or obj.get("cells") or obj.get("rows") or []
-    if rows:
-        header = list(rows[0])
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[h]) for h in header))
-    else:
-        print(json.dumps(obj, default=str))
+    """The rows of a stationary law or a correlation table, one CSV record each."""
+    rows = obj.get("dist") or obj["cells"]
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    writer.writerow(rows[0])
+    writer.writerows(row.values() for row in rows)
 
 
 def _with_decimal(text: str, digits: int | None) -> str:
@@ -338,7 +336,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--n-max", dest="n_max", type=int, default=None)
     sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sp.add_argument("--format", choices=("json", "csv"), default="json")
+    sp.add_argument("--format", choices=("json",), default="json")
     sp.set_defaults(func=_cmd_verify)
 
     return p
@@ -383,9 +381,17 @@ def main(argv=None) -> int:
                 option = "--" + flag.replace("_", "-")
                 parser.exit(2, f"{prog}: error: suite {args.suite} does not read {option}\n")
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except WeylTasepError as exc:
         parser.exit(2, f"{prog}: error: {exc}\n")
+    except BrokenPipeError:
+        # The reader of stdout went away (say `| head`).  Point stdout at
+        # devnull, as the Python docs advise, so that the flush at exit
+        # raises nothing either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,14 +3,14 @@
 Kernels are row-stochastic with exact rational entries; every row stores its
 holding mass explicitly so rows sum to 1 exactly.  The stationary solver is
 the subtraction-free state-elimination scheme of Grassmann, Taksar and
-Heyman with a fill-reducing elimination order.  One pass fixes the order
-and runs the elimination in floats; it subtracts nothing, so each float
+Heyman with a fill-reducing elimination order, written once for any
+number type.  It runs first in floats; it subtracts nothing, so each float
 probability carries a small relative error, and the exact law is read off
 the floats by building up a common denominator from the smallest entries.
-When that fails, the recorded order is replayed over Z/p for primes below
-2**61, and the exact law comes back by Chinese remaindering and rational
-reconstruction.  Either way a law is returned only after it passes the
-exact certificate: it sums to 1 and pi . P = pi over the rationals.
+When that fails, the same elimination runs in `decimal` at 32 significant
+digits, then 64, 128, ..., and the law is read off the same way.  Either
+way a law is returned only after it passes the exact certificate: it sums
+to 1 and pi . P = pi over the rationals.
 
 The bookkeeping around the solver is exact but avoids one Fraction
 operation per entry: row sums and the sum of a law add integer numerators
@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from math import floor, inf, isqrt, lcm
 from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidRates, NotIrreducible
-from .modular import crt_extend, primes_below, rational_reconstruct
 from .ratio import ONE, R, ZERO, exact_sum, fmt_ratio
 
 State = Hashable
@@ -250,70 +250,80 @@ def exact_stationary(kernel: Kernel) -> Dist:
     """The unique stationary distribution, exactly.
 
     Requires a unique closed communicating class; transient states get
-    probability zero.  One pass (:func:`_elimination_plan`) fixes the
-    elimination order and runs the elimination in floating point; the
-    exact law is read off the floats by a common denominator
+    probability zero.  The elimination (:func:`_eliminate`) runs in floats
+    and the exact law is read off the floats by a common denominator
     (:func:`_recover`).  When that fails -- a pivot underflows, no common
     denominator below the error bound fits, or the guess fails the
-    certificate -- the recorded order is replayed over Z/p for primes below
-    2**61 (:func:`_solve_mod`), the images are combined by the Chinese
-    remainder theorem and each probability is recovered by rational
-    reconstruction.  A prime that divides a kernel denominator, a pivot or
-    the total is skipped; primes are added until the reconstructed law
-    passes the certificate.  Whichever route made it, a law is returned only
-    after it passes the exact certificate (sum 1 and pi . P = pi).
+    certificate -- the same elimination runs again in `decimal` with 32
+    significant digits and an exponent range no rate leaves, and the
+    precision doubles until the law read off it passes.  Whichever pass
+    made it, a law is returned only after it passes the exact certificate
+    (sum 1 and pi . P = pi).
     """
     classes = communicating_classes(kernel)
     closed = [c for c in classes if c.closed]
     if len(closed) != 1:
         raise NotIrreducible(f"{len(closed)} closed classes")
     members = sorted(kernel.index[s] for s in closed[0].states)
-    plan, guess = _elimination_plan(kernel, members)
     pi_idx = None
-    if guess is not None:
-        # The float law's relative error grows about linearly with the
-        # number of eliminations; on the B/C/D and two-row chains of 192 to
-        # 3840 states it stays 50 to 200 times below this bound.
-        found = _recover(guess, (len(members) + 16) * 2.0**-52)
-        if found is not None:
-            nums, den = found
-            pi_idx = {i: R(a, den) for i, a in zip(members, nums)}
-            if not _is_stationary(kernel, pi_idx):
-                pi_idx = None
-    if pi_idx is None:
-        modulus, residues = 1, None
-        for p in primes_below():
-            image = _solve_mod(kernel, members, plan, p)
-            if image is None:
-                continue
-            residues = image if residues is None else crt_extend(residues, modulus, image, p)
-            modulus *= p
-            pi_idx = _reconstruct(members, residues, modulus)
-            if pi_idx is not None and _is_stationary(kernel, pi_idx):
-                break
+    xs = _eliminate(kernel, members, _float)
+    # The float law's relative error grows about linearly with the number
+    # of eliminations; on the B/C/D and two-row chains of 192 to 3840
+    # states it stays 50 to 200 times below this bound.
+    rel_err = (len(members) + 16) * 2.0**-52
+    # An entry whose error bound leaves the normal range of floats cannot
+    # be read; such a law goes to the decimal pass.
+    if xs is not None and min(xs) * rel_err >= float_info.min:
+        pi_idx = _certified(kernel, members, _recover(xs, rel_err))
+    prec = 32
+    while pi_idx is None:
+        # A fresh context, not a copy of the caller's: the error bound
+        # assumes rounding to nearest, and no inexact result may trap.
+        context = Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)
+        with localcontext(context):
+            xs = _eliminate(kernel, members, _decimal)
+            rel_err = (len(members) + 16) * Decimal(10) ** (1 - prec)
+            pi_idx = _certified(kernel, members, _recover(xs, rel_err))
+        prec *= 2
     probs = {s: ZERO for s in kernel.states}
     for i, p in pi_idx.items():
         probs[kernel.states[i]] = p
     return Dist(probs)
 
 
-def _elimination_plan(kernel: Kernel, members: list[int]) -> tuple[list, list[float] | None]:
-    """The elimination order and each pivot's predecessors, and the law in floats.
+def _float(q: R) -> float:
+    return q.numerator / q.denominator
 
-    Censors states one at a time, greedily taking the state with the
-    fewest in-degree x out-degree off-diagonal links among those left, and
-    records which states point into it when it goes.  The last state left
-    is not in the plan.  The same loop runs the elimination of
-    Grassmann, Taksar and Heyman in floats: censoring k adds
-    out[i][k] / S_k * out[k][j] to out[i][j] for every predecessor i and
-    successor j != i, where S_k is k's off-diagonal row sum.  Nothing is
-    subtracted, so each float entry has a small relative error
-    (O'Cinneide 1993).  The float law, in `members` order, is None when an
-    S_k or the final total is zero or not finite (a rate that underflows).
+
+def _decimal(q: R) -> Decimal:
+    """q rounded to the precision of the current decimal context."""
+    return Decimal(q.numerator) / q.denominator
+
+
+def _certified(kernel: Kernel, members: list[int], found) -> dict[int, R] | None:
+    """The law found by :func:`_recover`, by state index, if it passes the certificate."""
+    if found is None:
+        return None
+    nums, den = found
+    pi_idx = {i: R(a, den) for i, a in zip(members, nums)}
+    return pi_idx if _is_stationary(kernel, pi_idx) else None
+
+
+def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -> list | None:
+    """The stationary law on `members`, in that order, in the numbers num makes.
+
+    num turns each kernel entry into a number: a float, or a Decimal of
+    the current context.  Censors states one at a time, greedily taking the
+    state with the fewest in-degree x out-degree off-diagonal links among
+    those left; this is the elimination of Grassmann, Taksar and Heyman:
+    censoring k adds out[i][k] / S_k * out[k][j] to out[i][j] for every
+    predecessor i and successor j != i, where S_k is k's off-diagonal row
+    sum.  Nothing is subtracted, so each entry has a small relative error
+    at any working precision (O'Cinneide 1993).  Returns None when an S_k
+    or the final total is zero or not finite (a float rate that underflows).
     """
     member_set = set(members)
-    out = {i: {j: q.numerator / q.denominator for j, q in kernel.rows[i].items()
-               if j != i and j in member_set}
+    out = {i: {j: num(q) for j, q in kernel.rows[i].items() if j != i and j in member_set}
            for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
@@ -321,8 +331,8 @@ def _elimination_plan(kernel: Kernel, members: list[int]) -> tuple[list, list[fl
             inn[j].add(i)
     heap = [(len(inn[i]) * len(out[i]), i) for i in members]
     heapq.heapify(heap)
-    plan = []
-    cols = []
+    zero = num(ZERO)
+    steps = []
     finite = True
     while len(out) > 1:
         while True:
@@ -335,10 +345,10 @@ def _elimination_plan(kernel: Kernel, members: list[int]) -> tuple[list, list[fl
         preds = list(inn.pop(k))
         succs = out.pop(k)
         total = sum(succs.values())
-        if 0.0 < total < inf:
-            inv = 1.0 / total
+        if 0 < total < inf:
+            inv = 1 / total
         else:
-            finite, inv = False, 0.0
+            finite, inv = False, zero
         items = list(succs.items())
         factors = []
         for i in preds:
@@ -347,44 +357,42 @@ def _elimination_plan(kernel: Kernel, members: list[int]) -> tuple[list, list[fl
             factors.append(f)
             get = row.get
             for j, x in items:
-                row[j] = get(j, 0.0) + f * x
+                row[j] = get(j, zero) + f * x
             row.pop(i, None)
         for j in succs:
             col = inn[j]
             col.discard(k)
             col.update(preds)
             col.discard(j)
-        plan.append((k, preds))
-        cols.append(factors)
+        steps.append((k, preds, factors))
         for i in preds:
             heapq.heappush(heap, (len(inn[i]) * len(out[i]), i))
     (root,) = out
-    pi = {root: 1.0}
-    for (k, preds), factors in zip(reversed(plan), reversed(cols)):
+    pi = {root: num(ONE)}
+    for k, preds, factors in reversed(steps):
         pi[k] = sum(pi[i] * f for i, f in zip(preds, factors))
     total = sum(pi.values())
-    if not (finite and 0.0 < total < inf):
-        return plan, None
-    return plan, [pi[i] / total for i in members]
+    if not (finite and 0 < total < inf):
+        return None
+    return [pi[i] / total for i in members]
 
 
-def _recover(xs: Sequence[float], rel_err: float) -> tuple[list[int], int] | None:
-    """The rationals that the floats xs stand for, as numerators over one L, or None.
+def _recover(xs: Sequence, rel_err) -> tuple[list[int], int] | None:
+    """The rationals that the numbers xs stand for, as numerators over one L, or None.
 
-    Each xs[k] is taken to be within the relative error rel_err of the
-    rational a[k] / L it stands for.  The entries are read smallest first, keeping
+    xs are floats or Decimals, and rel_err is of the same type.  Each xs[k]
+    is taken to be within the relative error rel_err of the rational
+    a[k] / L it stands for.  The entries are read smallest first, keeping
     L (at first 1): when xs[k] * L is within its error bound of an integer,
     that integer is the numerator; otherwise the fractional part of
     xs[k] * L is replaced by the nearest fraction whose denominator q keeps
     q**2 * err < 1/2, and L grows by the factor q.  That fraction is unique,
     so an entry whose own new factor q meets the bound is recovered
     exactly.  Returns None when L * rel_err reaches 1/4, past which the
-    largest entries no longer tell integers apart, when an entry is not an
-    integer over the updated L, or when an entry is so small that its error
-    bound leaves the normal range of floats.
+    largest entries no longer tell integers apart, or when an entry is not
+    an integer over the updated L.  The error bounds must be representable:
+    with floats, no entry's bound may leave the normal range.
     """
-    if min(xs) * rel_err < float_info.min:
-        return None
     den = 1
     found = []
     for k in sorted(range(len(xs)), key=xs.__getitem__):
@@ -394,7 +402,7 @@ def _recover(xs: Sequence[float], rel_err: float) -> tuple[list[int], int] | Non
         a = round(y)
         if abs(y - a) > err:
             frac = R(y - floor(y))
-            den *= frac.limit_denominator(isqrt(int(0.5 / err))).denominator
+            den *= frac.limit_denominator(isqrt(int(1 / (2 * err)))).denominator
             if den * rel_err >= 0.25:
                 return None
             y = x * den
@@ -406,70 +414,6 @@ def _recover(xs: Sequence[float], rel_err: float) -> tuple[list[int], int] | Non
     for k, a, d in found:
         nums[k] = a * (den // d)
     return nums, den
-
-
-def _solve_mod(kernel: Kernel, members: list[int], plan, p: int) -> list[int] | None:
-    """The fallback route: the stationary law mod the prime p, in `members` order.
-
-    Replays the plan of :func:`_elimination_plan` over plain ints mod p:
-    censoring k adds
-    out[i][k] / S_k * out[k][j] to out[i][j] for every predecessor i and
-    successor j != i, where S_k is k's off-diagonal row sum.  Returns None
-    when p divides a kernel denominator, an S_k or the final total.
-    """
-    member_set = set(members)
-    inverses: dict[int, int] = {}
-    out: dict[int, dict[int, int]] = {}
-    for i in members:
-        row = {}
-        for j, q in kernel.rows[i].items():
-            if j != i and j in member_set:
-                den = q.denominator
-                inv = inverses.get(den)
-                if inv is None:
-                    if den % p == 0:
-                        return None
-                    inv = inverses[den] = pow(den, -1, p)
-                row[j] = q.numerator * inv % p
-        out[i] = row
-    # Sums are reduced mod p only where they are read.
-    cols = []
-    for k, preds in plan:
-        succs = [(j, x % p) for j, x in out.pop(k).items()]
-        total = sum(x for _, x in succs) % p
-        if total == 0:
-            return None
-        inv = pow(total, -1, p)
-        factors = []
-        for i in preds:
-            row = out[i]
-            f = row.pop(k) % p * inv % p
-            factors.append(f)
-            get = row.get
-            for j, x in succs:
-                row[j] = get(j, 0) + f * x
-            row.pop(i, None)
-        cols.append(factors)
-    (root,) = out
-    pi = {root: 1}
-    for (k, preds), factors in zip(reversed(plan), reversed(cols)):
-        pi[k] = sum(pi[i] * f for i, f in zip(preds, factors)) % p
-    total = sum(pi.values()) % p
-    if total == 0:
-        return None
-    inv = pow(total, -1, p)
-    return [pi[i] * inv % p for i in members]
-
-
-def _reconstruct(members: list[int], residues: list[int], modulus: int) -> dict[int, object] | None:
-    """Rationals with the given residues, or None if one does not reconstruct."""
-    pi_idx = {}
-    for i, x in zip(members, residues):
-        nd = rational_reconstruct(x, modulus)
-        if nd is None:
-            return None
-        pi_idx[i] = R(*nd)
-    return pi_idx
 
 
 def _is_stationary(kernel: Kernel, pi_idx: Mapping[int, object]) -> bool:

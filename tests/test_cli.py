@@ -1,6 +1,13 @@
+import csv
+import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import weyltasep
 
 from weyltasep import cli, walk
 from weyltasep.cli import main
@@ -71,6 +78,46 @@ def test_corr_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "i,j,p"
     assert len(lines) > 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stationary", "--model", "multi", "--kind", "b", "--n", "2"],
+        ["stationary", "--model", "two", "--kind", "d", "--n", "3", "--n0", "1"],
+        ["stationary", "--model", "dstar", "--n", "3", "--n0", "1"],
+        ["stationary", "--model", "semiperm", "--n", "2", "--alpha", "1/2", "--beta", "1/3"],
+        ["stationary", "--model", "tworow", "--n", "3", "--n0", "1"],
+        ["corr", "--kind", "ccheck", "--n", "3", "--decimal", "4"],
+    ],
+    ids=["multi", "two", "dstar", "semiperm", "tworow", "corr"],
+)
+def test_csv_rows_are_as_wide_as_the_header(capsys, argv):
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) > 1 and all(len(row) == len(rows[0]) for row in rows)
+    _, json_out = run(capsys, *argv)
+    obj = json.loads(json_out)
+    cells = obj.get("dist") or obj["cells"]
+    assert rows == [list(cells[0])] + [[str(v) for v in cell.values()] for cell in cells]
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(weyltasep.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "weyltasep.cli", "corr", "--kind", "b", "--n", "2",
+             "--format", "text"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_verify_suite_exit_codes(capsys):
@@ -275,6 +322,8 @@ def test_zero_counts_rejected(capsys, argv):
          "--trials applies only to --method walk"),
         (["limdir", "--kind", "b", "--n", "3", "--method", "closed", "--seed", "0"],
          "--seed applies only to --method walk"),
+        (["verify", "--suite", "tables", "--format", "csv"],
+         "invalid choice: 'csv' (choose from 'json')"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
@@ -282,7 +331,7 @@ def test_zero_counts_rejected(capsys, argv):
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
          "verify-lumping-k-max", "walk-svg-unwritable", "limdir-closed-steps",
-         "limdir-lam-trials", "limdir-closed-seed"],
+         "limdir-lam-trials", "limdir-closed-seed", "verify-csv"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ PUBLIC_NAMES = [
     "estimate_direction", "exact_stationary", "fmt_ratio", "fundamental_point",
     "inverse", "inverse_act_theta", "k_coloring", "kac_weights", "label_counts",
     "length", "limdir_closed", "limdir_exact_lam", "lumping", "m_poly", "markov",
-    "models", "modular", "multi_states", "multi_sums", "parse_ratio",
+    "models", "multi_states", "multi_sums", "parse_ratio",
     "project_distribution", "project_top_row", "q_weight", "ratio", "root_data",
     "run_walk", "semiperm_density", "separation_count", "signed_permutations",
     "star_collapse", "theta_raises", "tstar", "tstar_bar", "two_species_states",

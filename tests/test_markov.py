@@ -1,3 +1,4 @@
+from decimal import ROUND_FLOOR, Inexact, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from weyltasep.markov import (
     communicating_classes,
     exact_stationary,
 )
-from weyltasep.modular import primes_below
 from weyltasep.models import DStarParams, build_dstar, build_multi, build_two_species
 from weyltasep.ratio import R
 from weyltasep.verify import PARAM_POINTS
@@ -145,7 +145,7 @@ def test_rank5_d_law_gives_closed_form_direction():
     assert DirectionVector(tuple(psi)).proportional_to(limdir_closed(kind, 5))
 
 
-# --- the modular solver against the Fraction elimination ---------------------
+# --- both passes against the Fraction elimination -------------------------
 
 
 def _oracle_law(kernel) -> Dist:
@@ -190,18 +190,24 @@ def two_closed_classes(draw):
     return build_kernel(sorted(moves), moves.__getitem__)
 
 
-def _no_float_guess(xs, rel_err):
-    return None
+def _float_pass_fails(monkeypatch):
+    """Make the float elimination report an underflow, so the decimal pass runs."""
+    eliminate = markov._eliminate
+
+    def spy(kernel, members, num):
+        return None if num is markov._float else eliminate(kernel, members, num)
+
+    monkeypatch.setattr(markov, "_eliminate", spy)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_chains())
-def test_modular_solver_matches_fraction_oracle(kernel):
-    """Both routes, the float guess and the modular replay, give the oracle's law."""
-    for force_modular in (False, True):
+def test_decimal_fallback_matches_fraction_oracle(kernel):
+    """Both passes, the float one and the decimal fallback, give the oracle's law."""
+    for force_fallback in (False, True):
         with pytest.MonkeyPatch.context() as mp:
-            if force_modular:
-                mp.setattr(markov, "_recover", _no_float_guess)
+            if force_fallback:
+                _float_pass_fails(mp)
             if sum(c.closed for c in communicating_classes(kernel)) != 1:
                 with pytest.raises(NotIrreducible):
                     exact_stationary(kernel)
@@ -218,21 +224,21 @@ def test_two_closed_classes_raise(kernel):
 
 
 @pytest.fixture
-def primes_used(monkeypatch):
-    """The primes exact_stationary tries, each with whether it was usable."""
+def precisions(monkeypatch):
+    """The decimal precisions at which exact_stationary runs the elimination, in order."""
     calls = []
-    solve = markov._solve_mod
+    eliminate = markov._eliminate
 
-    def spy(kernel, members, plan, p):
-        image = solve(kernel, members, plan, p)
-        calls.append((p, image is not None))
-        return image
+    def spy(kernel, members, num):
+        if num is markov._decimal:
+            calls.append(getcontext().prec)
+        return eliminate(kernel, members, num)
 
-    monkeypatch.setattr(markov, "_solve_mod", spy)
+    monkeypatch.setattr(markov, "_eliminate", spy)
     return calls
 
 
-def test_large_denominators_need_chinese_remaindering(primes_used):
+def test_large_denominators_need_more_than_one_precision(precisions):
     a, b, c = (1 << 80) + 13, (1 << 79) + 7, (1 << 81) + 27
     k = Kernel(
         ("x", "y", "z"),
@@ -245,25 +251,32 @@ def test_large_denominators_need_chinese_remaindering(primes_used):
     pi = exact_stationary(k)
     assert pi == _oracle_law(k)
     assert max(p.denominator for p in pi.values()).bit_length() > 61
-    assert len(primes_used) >= 2 and all(ok for _, ok in primes_used)
+    assert precisions == [32, 64, 128]
 
 
-def test_prime_dividing_a_denominator_is_skipped(primes_used):
-    first = next(primes_below())
-    k = Kernel(("a", "b"), ({0: 1 - R(1, 3 * first), 1: R(1, 3 * first)}, {0: R(1, 2), 1: R(1, 2)}))
+def test_denominator_with_a_61_bit_prime_factor_is_solved(precisions):
+    p = (1 << 61) - 1
+    k = Kernel(("a", "b"), ({0: 1 - R(1, 3 * p), 1: R(1, 3 * p)}, {0: R(1, 2), 1: R(1, 2)}))
     pi = exact_stationary(k)
     assert pi == _oracle_law(k)
-    assert primes_used[0] == (first, False)
-    assert all(ok for _, ok in primes_used[1:])
+    assert pi["b"] == R(2, 3 * p + 2)
+    assert precisions == [32]
+    # the fallback builds its own context: the caller's rounding and traps stay out
+    with localcontext() as ctx:
+        ctx.prec, ctx.rounding = 5, ROUND_FLOOR
+        ctx.traps[Inexact] = True
+        assert exact_stationary(k) == pi
+    assert precisions == [32, 32]
 
 
-def test_failed_certificate_adds_a_prime(primes_used, monkeypatch):
-    first = next(primes_below())
-    reconstruct = markov.rational_reconstruct
+def test_failed_certificate_doubles_the_precision(precisions, monkeypatch):
+    recover = markov._recover
 
-    def off_by_one_mod_first(a, m):
-        nd = reconstruct(a, m)
-        return (nd[0] + 1, nd[1]) if m == first and nd else nd
+    def off_by_one_at_32_digits(xs, rel_err):
+        nums, den = recover(xs, rel_err)
+        if getcontext().prec == 32:
+            nums = [nums[0] + 1, *nums[1:]]
+        return nums, den
 
     certificates = []
     certify = markov._is_stationary
@@ -272,24 +285,25 @@ def test_failed_certificate_adds_a_prime(primes_used, monkeypatch):
         certificates.append(certify(kernel, pi_idx))
         return certificates[-1]
 
-    monkeypatch.setattr(markov, "_recover", _no_float_guess)
-    monkeypatch.setattr(markov, "rational_reconstruct", off_by_one_mod_first)
+    _float_pass_fails(monkeypatch)
+    monkeypatch.setattr(markov, "_recover", off_by_one_at_32_digits)
     monkeypatch.setattr(markov, "_is_stationary", spy)
     ker = build_multi(WeylKind("Ccheck", 2), 2)
     pi = exact_stationary(ker)
     assert pi == _oracle_law(ker)
     assert certificates == [False, True]
-    assert [p for p, _ in primes_used] == [first, next(primes_below(first))]
+    assert precisions == [32, 64]
 
 
-def test_underflowing_rate_falls_back_to_the_modular_route(primes_used):
-    # 2**-1100 is 0.0 as a double, so the float pivot of state "a" is zero
+def test_underflowing_rate_falls_back_to_decimal(precisions):
+    # 2**-1100 is 0.0 as a double, so the float pivot of state "a" is zero;
+    # the law's denominator 2**1100 + 2 has 332 digits
     tiny = R(1, 2**1100)
     k = Kernel(("a", "b"), ({0: 1 - tiny, 1: tiny}, {0: R(1, 2), 1: R(1, 2)}))
     pi = exact_stationary(k)
     assert pi == Dist({"a": 1 - 2 * tiny / (1 + 2 * tiny), "b": 2 * tiny / (1 + 2 * tiny)})
     assert pi == _oracle_law(k)
-    assert len(primes_used) > 1
+    assert precisions == [32, 64, 128, 256, 512]
 
 
 @pytest.mark.parametrize(
@@ -302,10 +316,10 @@ def test_underflowing_rate_falls_back_to_the_modular_route(primes_used):
     ],
     ids=["B3", "Ccheck3", "D3", "tworow-6-2"],
 )
-def test_small_laws_never_reach_the_modular_route(primes_used, build):
+def test_small_laws_never_reach_the_fallback(precisions, build):
     kernel = build()
     pi = exact_stationary(kernel)
-    assert primes_used == []
+    assert precisions == []
     assert markov._is_stationary(kernel, {kernel.index[s]: p for s, p in pi.items() if p})
 
 
