@@ -40,33 +40,42 @@ FAMILY_FLAGS = {
 
 
 SEED_VAR = "WEYLTASEP_SEED"
+RATES = ("alpha", "alpha_star", "beta", "beta_star")
 
+# The optional flags that each mode of a command reads.  The mode is the
+# value of the command's MODE flag, or None for a command without one.  Each
+# subcommand defines the union of its modes' flags; main rejects any given
+# flag that the chosen mode does not read.
+READS = {
+    "stationary": {
+        "multi": ("kind",),
+        "two": ("kind", "n0"),
+        "dstar": ("n0", *RATES),
+        "semiperm": ("n0", "alpha", "beta"),
+        "tworow": ("n0", *RATES),
+    },
+    "corr": {None: ("kind", "decimal")},
+    "partition": {
+        "b": ("n0", "decimal"),
+        "d": ("n0", "decimal"),
+        "semiperm": ("n0", "alpha", "beta", "decimal"),
+        "tworow": ("n0", *RATES, "decimal"),
+    },
+    "limdir": {
+        "closed": ("kind", "decimal"),
+        "lam": ("kind", "decimal"),
+        "walk": ("kind", "steps", "trials", "seed"),
+    },
+    "walk": {None: ("kind", "steps", "trials", "seed", "svg")},
+    "verify": {"conjecture-b": ("n_max",), "identities": ("k_max",), "lumping": ("n_max",),
+               "tables": (), "tworow": ()},
+}
+MODE = {"stationary": "model", "partition": "model", "limdir": "method", "verify": "suite"}
 
-class _EnvSeed(str):
-    """The text of WEYLTASEP_SEED as the default of --seed."""
-
-
-def _seed(text) -> int:
-    """An int from --seed or from WEYLTASEP_SEED, with a message naming the source."""
-    try:
-        return int(text)
-    except ValueError:
-        if isinstance(text, _EnvSeed):
-            msg = f"{SEED_VAR} must be an integer, got {str(text)!r}"
-        else:
-            msg = f"invalid int value: {text!r}"
-        raise argparse.ArgumentTypeError(msg) from None
-
-
-def _walk_defaults() -> dict:
-    """Defaults of the walk flags --steps, --trials and --seed.
-
-    The seed's default is the text of WEYLTASEP_SEED (0 when unset), parsed
-    by _seed only where a walk takes it: argparse parses a string default
-    only for the subcommand that was chosen, so no other subcommand reads
-    the variable.
-    """
-    return {"steps": 100_000, "trials": 10, "seed": _EnvSeed(os.environ.get(SEED_VAR, "0"))}
+# The value of a flag that is not given.  A flag without one must be given
+# wherever it is read; a walk's seed defaults to WEYLTASEP_SEED (0 if unset).
+DEFAULTS = {"method": "closed", "n0": 0, **dict.fromkeys(RATES, R(1)), "steps": 100_000,
+            "trials": 10, **dict.fromkeys(("decimal", "seed", "svg", "n_max", "k_max"))}
 
 
 def _meta(args, **params) -> dict:
@@ -78,7 +87,7 @@ def _meta(args, **params) -> dict:
 
 
 def _emit(obj, args) -> None:
-    if getattr(args, "format", "json") == "json":
+    if args.format == "json":
         json.dump(obj, sys.stdout, indent=2, default=str)
         sys.stdout.write("\n")
     else:
@@ -93,11 +102,10 @@ def _emit_csv(obj) -> None:
     writer.writerows(row.values() for row in rows)
 
 
-def _with_decimal(text: str, digits: int | None) -> str:
-    if not digits:
-        return text
-    val = parse_ratio(text)
-    return f"{text} ({float(val):.{digits}f})"
+def _exact(val, digits: int | None) -> str:
+    """A rational as p/q, followed by its value to `digits` decimals when given."""
+    text = fmt_ratio(val)
+    return f"{text} ({float(val):.{digits}f})" if digits else text
 
 
 def _params_from(args) -> DStarParams:
@@ -134,7 +142,7 @@ def _cmd_corr(args) -> int:
     fam = FAMILY_FLAGS[args.kind]
     corr = cf.pair_correlations(fam, args.n)
     cells = [
-        {"i": i, "j": j, "p": _with_decimal(fmt_ratio(p), args.decimal)}
+        {"i": i, "j": j, "p": _exact(p, args.decimal)}
         for (i, j), p in sorted(corr.items())
     ]
     out = _meta(args, kind=args.kind, n=args.n)
@@ -154,10 +162,10 @@ def _cmd_partition(args) -> int:
         val = tr.partition_sum(args.n, args.n0, _params_from(args))
     if args.format == "json":
         out = _meta(args, model=args.model, n=args.n, n0=args.n0)
-        out["partition"] = fmt_ratio(val)
+        out["partition"] = _exact(val, args.decimal)
         _emit(out, args)
     else:
-        print(_with_decimal(fmt_ratio(val), args.decimal))
+        print(_exact(val, args.decimal))
     return 0
 
 
@@ -174,14 +182,14 @@ def _cmd_limdir(args) -> int:
         else:
             _emit(out, args)
         return 0
-    text = ", ".join(_with_decimal(fmt_ratio(c), args.decimal) for c in vec.coeffs)
+    coeffs = [_exact(c, args.decimal) for c in vec.coeffs]
     if args.format == "json":
         out = _meta(args, kind=args.kind, n=args.n, method=args.method)
-        out["coefficients"] = [fmt_ratio(c) for c in vec.coeffs]
-        out["normalized"] = [fmt_ratio(c) for c in vec.normalized().coeffs]
+        out["coefficients"] = coeffs
+        out["normalized"] = [_exact(c, args.decimal) for c in vec.normalized().coeffs]
         _emit(out, args)
     else:
-        print(text)
+        print(", ".join(coeffs))
     return 0
 
 
@@ -209,18 +217,10 @@ def _cmd_walk(args) -> int:
     return 0
 
 
-# The suite parameter each verify flag sets, on the suites that read it.
-VERIFY_FLAGS = {"n_max": {"lumping": "n_max", "conjecture-b": "n"},
-                "k_max": {"identities": "k_max"}}
-
-
 def _cmd_verify(args) -> int:
-    kwargs = {
-        suites[args.suite]: getattr(args, flag)
-        for flag, suites in VERIFY_FLAGS.items()
-        if getattr(args, flag) is not None
-    }
-    report = verify_mod.run_suite(args.suite, **kwargs)
+    # --n-max sets the one rank that conjecture-b checks
+    sizes = {"n" if args.suite == "conjecture-b" else "n_max": args.n_max, "k_max": args.k_max}
+    report = verify_mod.run_suite(args.suite, **{k: v for k, v in sizes.items() if v is not None})
     _emit(report, args)
     return 0 if report["pass"] else 1
 
@@ -241,6 +241,34 @@ def _rational(text: str):
     except (ValueError, ZeroDivisionError):
         msg = f"expected p/q or an integer, got {text!r}"
         raise argparse.ArgumentTypeError(msg) from None
+
+
+# How each optional flag of READS is parsed.
+FLAGS = {"kind": {"choices": sorted(FAMILY_FLAGS)}, "svg": {"metavar": "PATH"},
+         "decimal": {"type": _positive_int, "metavar": "DIGITS"},
+         **dict.fromkeys(("n0", "seed", "n_max", "k_max"), {"type": int}),
+         **dict.fromkeys(("steps", "trials"), {"type": _positive_int}),
+         **dict.fromkeys(RATES, {"type": _rational})}
+
+# The help line, the --format choices (the first is the default) and the
+# function of each subcommand.
+COMMANDS = {
+    "stationary": ("exact stationary distribution", ("json", "csv"), _cmd_stationary),
+    "corr": ("final-pair correlations, multispecies chain", ("json", "csv"), _cmd_corr),
+    "partition": ("partition functions", ("text", "json"), _cmd_partition),
+    "limdir": ("limiting direction of the reduced walk", ("text", "json"), _cmd_limdir),
+    "walk": ("Monte Carlo alcove walk", ("json",), _cmd_walk),
+    "verify": ("run a verification suite", ("json",), _cmd_verify),
+}
+
+
+def _option(flag: str) -> str:
+    return "--" + flag.replace("_", "-")
+
+
+def _defined(command: str) -> dict:
+    """The optional flags that a subcommand defines, in order: those its modes read."""
+    return dict.fromkeys(flag for reads in READS[command].values() for flag in reads)
 
 
 def _unwritable(path: str) -> str | None:
@@ -270,75 +298,21 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp, n0=True, rates=False, kind=None, decimal=False,
-               formats=("json", "csv", "text")):
-        sp.add_argument("--n", type=int, required=True)
-        if n0:
-            sp.add_argument("--n0", type=int, default=0)
-        if kind is not None:
-            sp.add_argument("--kind", choices=sorted(FAMILY_FLAGS), **kind)
-        if rates:
-            sp.add_argument("--alpha", type=_rational, default="1")
-            sp.add_argument("--alpha-star", dest="alpha_star", type=_rational, default="1")
-            sp.add_argument("--beta", type=_rational, default="1")
-            sp.add_argument("--beta-star", dest="beta_star", type=_rational, default="1")
-        sp.add_argument("--format", choices=formats, default="json")
-        if decimal:
-            sp.add_argument("--decimal", type=int, default=None, metavar="DIGITS")
-
-    def walk_flags(sp):
-        # None unless given: limdir rejects them off --method walk, and the
-        # walk defaults are set by `walk` and applied by `main` for limdir
-        sp.add_argument("--steps", type=_positive_int)
-        sp.add_argument("--trials", type=_positive_int)
-        sp.add_argument("--seed", type=_seed)
-
-    sp = sub.add_parser("stationary", help="exact stationary distribution")
-    sp.add_argument(
-        "--model",
-        choices=("multi", "two", "dstar", "semiperm", "tworow"),
-        required=True,
-    )
-    common(sp, rates=True, kind={"default": None})
-    sp.set_defaults(func=_cmd_stationary)
-
-    sp = sub.add_parser("corr", help="final-pair correlations, multispecies chain")
-    common(sp, n0=False, kind={"required": True}, decimal=True)
-    sp.set_defaults(func=_cmd_corr)
-
-    sp = sub.add_parser("partition", help="partition functions")
-    sp.add_argument(
-        "--model", choices=("b", "d", "semiperm", "tworow"), required=True
-    )
-    common(sp, rates=True, decimal=True)
-    sp.set_defaults(func=_cmd_partition, format="text")
-
-    sp = sub.add_parser("limdir", help="limiting direction of the reduced walk")
-    sp.add_argument(
-        "--method", choices=("closed", "lam", "walk"), default="closed"
-    )
-    walk_flags(sp)
-    common(sp, n0=False, kind={"required": True}, decimal=True)
-    sp.set_defaults(func=_cmd_limdir, format="text")
-
-    sp = sub.add_parser("walk", help="Monte Carlo alcove walk")
-    walk_flags(sp)
-    sp.add_argument("--svg", metavar="PATH", default=None)
-    common(sp, n0=False, kind={"required": True}, formats=("json",))
-    sp.set_defaults(func=_cmd_walk, **_walk_defaults())
-
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument(
-        "--suite",
-        choices=sorted(verify_mod.SUITES),
-        required=True,
-    )
-    sp.add_argument("--n-max", dest="n_max", type=int, default=None)
-    sp.add_argument("--k-max", dest="k_max", type=int, default=None)
-    sp.add_argument("--format", choices=("json",), default="json")
-    sp.set_defaults(func=_cmd_verify)
-
+    for command, (help_text, formats, _) in COMMANDS.items():
+        modes = READS[command]
+        # A flag that is not given stays out of the namespace, so that main
+        # can tell it from one given with its default value.
+        sp = sub.add_parser(command, help=help_text, argument_default=argparse.SUPPRESS)
+        if command in MODE:
+            flag = MODE[command]
+            sp.add_argument(_option(flag), choices=list(modes),
+                            required=flag not in DEFAULTS, default=DEFAULTS.get(flag))
+        if command != "verify":
+            sp.add_argument("--n", type=int, required=True)
+        for flag in _defined(command):
+            required = flag not in DEFAULTS and all(flag in r for r in modes.values())
+            sp.add_argument(_option(flag), required=required, **FLAGS[flag])
+        sp.add_argument("--format", choices=formats, default=formats[0])
     return p
 
 
@@ -346,46 +320,44 @@ def main(argv=None) -> int:
     parser = make_parser()
     args, extra = parser.parse_known_args(argv)
     prog = f"{parser.prog} {args.command}"
+
+    def fail(message: str):
+        parser.exit(2, f"{prog}: error: {message}\n")
+
     if extra:
-        parser.exit(2, f"{prog}: error: unrecognized arguments: {' '.join(extra)}\n")
-    if args.command == "stationary" and args.model in ("multi", "two") and not args.kind:
-        parser.exit(2, f"{prog}: error: --model {args.model} needs --kind\n")
-    if args.command == "limdir" and args.method == "walk":
-        if args.decimal is not None:
-            parser.exit(2, f"{prog}: error: --decimal does not apply to --method walk "
-                        "(its direction is a float estimate)\n")
-        if args.format == "csv":
-            parser.exit(2, f"{prog}: error: --method walk writes text or json, not csv\n")
-        # The limdir parser leaves the walk flags at None, so that they can
-        # be rejected for the exact methods; the walk defaults apply here.
-        for flag, default in _walk_defaults().items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-        try:
-            args.seed = _seed(args.seed)
-        except argparse.ArgumentTypeError as exc:
-            parser.exit(2, f"{prog}: error: {exc}\n")
-    elif args.command == "limdir":
-        for flag in ("steps", "trials", "seed"):
-            if getattr(args, flag) is not None:
-                parser.exit(2, f"{prog}: error: --{flag} applies only to --method walk\n")
+        fail(f"unrecognized arguments: {' '.join(extra)}")
+    # Both failures below need a mode: a command without one defines only
+    # flags that it reads, and argparse requires those without a default.
+    mode_flag = MODE.get(args.command)
+    mode = getattr(args, mode_flag) if mode_flag else None
+    reads = READS[args.command][mode]
+    given = set(vars(args))
+    for flag in _defined(args.command):
+        if flag in given:
+            if flag not in reads:
+                fail(f"{_option(flag)} does not apply to {_option(mode_flag)} {mode}")
+        elif flag == "seed" and flag in reads:
+            text = os.environ.get(SEED_VAR, "0")
+            try:
+                args.seed = int(text)
+            except ValueError:
+                fail(f"{SEED_VAR} must be an integer, got {text!r}")
+        elif flag in DEFAULTS or flag not in reads:
+            setattr(args, flag, DEFAULTS.get(flag))
+        else:
+            fail(f"{_option(mode_flag)} {mode} needs {_option(flag)}")
     if args.command == "walk" and args.svg:
         if args.n != 2:
-            parser.exit(2, f"{prog}: error: --svg needs --n 2 (SVG dumps are rank 2 only)\n")
+            fail("--svg needs --n 2 (SVG dumps are rank 2 only)")
         why = _unwritable(args.svg)
         if why:
-            parser.exit(2, f"{prog}: error: cannot write --svg {args.svg}: {why}\n")
-    if args.command == "verify":
-        for flag, suites in VERIFY_FLAGS.items():
-            if getattr(args, flag) is not None and args.suite not in suites:
-                option = "--" + flag.replace("_", "-")
-                parser.exit(2, f"{prog}: error: suite {args.suite} does not read {option}\n")
+            fail(f"cannot write --svg {args.svg}: {why}")
     try:
-        code = args.func(args)
+        code = COMMANDS[args.command][2](args)
         sys.stdout.flush()
         return code
     except WeylTasepError as exc:
-        parser.exit(2, f"{prog}: error: {exc}\n")
+        fail(str(exc))
     except BrokenPipeError:
         # The reader of stdout went away (say `| head`).  Point stdout at
         # devnull, as the Python docs advise, so that the flush at exit

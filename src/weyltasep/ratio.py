@@ -5,9 +5,9 @@ type R is fractions.Fraction from the standard library.  Adding Fractions
 one at a time costs a gcd per addition, so long sums go through
 :func:`exact_sum`, which adds integer numerators per denominator and builds
 one Fraction at the end; the stationary solver does its heavy arithmetic
-in floats, or on residues modulo word-size primes when it falls back, and
-builds Fractions only for the law it certifies (see weyltasep.markov).  So
-no faster rational type is needed.
+in floats, or in `decimal` at a growing precision when the float pass
+fails, and builds Fractions only for the law it certifies (see
+weyltasep.markov).  So no faster rational type is needed.
 """
 from __future__ import annotations
 

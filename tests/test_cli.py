@@ -2,8 +2,10 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,7 +112,7 @@ def test_closed_stdout_exits_1_without_a_traceback():
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "weyltasep.cli", "corr", "--kind", "b", "--n", "2",
-             "--format", "text"],
+             "--format", "csv"],
             stdout=write_end, stderr=subprocess.PIPE, text=True,
             env=dict(os.environ, PYTHONPATH=src), timeout=120,
         )
@@ -202,9 +204,11 @@ def test_limdir_walk_honours_format(capsys, fmt):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["limdir", "--method", "walk", "--format", "csv"], "writes text or json, not csv"),
-        (["limdir", "--method", "walk", "--decimal", "3"], "--decimal does not apply"),
-        (["limdir", "--method", "walk", "--decimal", "0"], "--decimal does not apply"),
+        (["limdir", "--method", "walk", "--format", "csv"],
+         "invalid choice: 'csv' (choose from 'text', 'json')"),
+        (["limdir", "--method", "walk", "--decimal", "3"],
+         "--decimal does not apply to --method walk"),
+        (["limdir", "--method", "walk", "--decimal", "0"], "expected a positive integer, got '0'"),
         (["walk", "--format", "csv"], "invalid choice: 'csv' (choose from 'json')"),
         (["walk", "--format", "text"], "invalid choice: 'text' (choose from 'json')"),
     ],
@@ -234,9 +238,6 @@ def test_walk_weights_beyond_a_byte_are_one_line(capsys, monkeypatch):
 
 def test_env_var_seed(capsys, monkeypatch):
     monkeypatch.setenv("WEYLTASEP_SEED", "123")
-    parser = cli.make_parser()
-    args = parser.parse_args(["walk", "--kind", "b", "--n", "2"])
-    assert args.seed == 123
     calls = []
 
     def short_walk(kind, n, steps, trials, seed):
@@ -298,7 +299,7 @@ def test_zero_counts_rejected(capsys, argv):
         (["limdir", "--kind", "d", "--n", "1"], "rank >= 2"),
         (["partition", "--model", "semiperm", "--n", "3", "--alpha", "3/0"], "3/0"),
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "abc"], "abc"),
-        (["stationary", "--model", "multi", "--n", "3"], "needs --kind"),
+        (["stationary", "--model", "multi", "--n", "3"], "--model multi needs --kind"),
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "5"], "state (-1, -1)"),
         (["partition", "--model", "semiperm", "--n", "3", "--n0", "4", "--alpha", "1/2",
           "--beta", "1/3"], "bad zero count 4"),
@@ -309,21 +310,28 @@ def test_zero_counts_rejected(capsys, argv):
         (["verify", "--suite", "lumping", "--n-max", "1"], "needs n_max >= 2, got 1"),
         (["verify", "--suite", "conjecture-b", "--n-max", "1"], "needs n >= 2, got 1"),
         (["verify", "--suite", "identities", "--k-max", "-2"], "needs k_max >= 0, got -2"),
-        (["verify", "--suite", "tables", "--n-max", "7"], "suite tables does not read --n-max"),
-        (["verify", "--suite", "tworow", "--k-max", "3"], "suite tworow does not read --k-max"),
+        (["verify", "--suite", "tables", "--n-max", "7"], "--n-max does not apply to --suite tables"),
+        (["verify", "--suite", "tworow", "--k-max", "3"], "--k-max does not apply to --suite tworow"),
         (["verify", "--suite", "identities", "--n-max", "3"],
-         "suite identities does not read --n-max"),
-        (["verify", "--suite", "lumping", "--k-max", "3"], "suite lumping does not read --k-max"),
+         "--n-max does not apply to --suite identities"),
+        (["verify", "--suite", "lumping", "--k-max", "3"],
+         "--k-max does not apply to --suite lumping"),
         (["walk", "--kind", "b", "--n", "2", "--steps", "10", "--trials", "2",
           "--svg", "/nonexistent/dir/x.svg"], "cannot write --svg /nonexistent/dir/x.svg"),
         (["limdir", "--kind", "b", "--n", "3", "--steps", "5"],
-         "--steps applies only to --method walk"),
+         "--steps does not apply to --method closed"),
         (["limdir", "--kind", "b", "--n", "3", "--method", "lam", "--trials", "3"],
-         "--trials applies only to --method walk"),
+         "--trials does not apply to --method lam"),
         (["limdir", "--kind", "b", "--n", "3", "--method", "closed", "--seed", "0"],
-         "--seed applies only to --method walk"),
+         "--seed does not apply to --method closed"),
         (["verify", "--suite", "tables", "--format", "csv"],
          "invalid choice: 'csv' (choose from 'json')"),
+        (["limdir", "--kind", "b", "--n", "3", "--decimal", "-3"],
+         "argument --decimal: expected a positive integer, got '-3'"),
+        (["corr", "--kind", "b", "--n", "2", "--decimal", "-1"],
+         "argument --decimal: expected a positive integer, got '-1'"),
+        (["corr", "--kind", "b", "--n", "2", "--decimal", "0"],
+         "argument --decimal: expected a positive integer, got '0'"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
@@ -331,7 +339,8 @@ def test_zero_counts_rejected(capsys, argv):
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
          "verify-lumping-k-max", "walk-svg-unwritable", "limdir-closed-steps",
-         "limdir-lam-trials", "limdir-closed-seed", "verify-csv"],
+         "limdir-lam-trials", "limdir-closed-seed", "verify-csv", "limdir-negative-decimal",
+         "corr-negative-decimal", "corr-zero-decimal"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
@@ -368,3 +377,112 @@ def test_walk_svg_unwritable_rejected_before_any_work(capsys, monkeypatch, tmp_p
     assert captured.out == ""
     assert captured.err.startswith(f"weyltasep walk: error: cannot write --svg {path}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_decimal_companion_in_json(capsys):
+    code, out = run(capsys, "partition", "--model", "b", "--n", "4", "--n0", "1",
+                    "--format", "json", "--decimal", "3")
+    assert code == 0 and json.loads(out)["partition"] == "56 (56.000)"
+    code, out = run(capsys, "limdir", "--kind", "b", "--n", "3", "--method", "lam",
+                    "--format", "json", "--decimal", "4")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["coefficients"] == ["1/15 (0.0667)", "1/5 (0.2000)", "1/3 (0.3333)"]
+    assert obj["normalized"] == ["1/9 (0.1111)", "1/3 (0.3333)", "5/9 (0.5556)"]
+
+
+# A valid value of each optional flag of cli.READS.
+VALUES = {"kind": "b", "n0": "1", "alpha": "1/2", "alpha_star": "1/3", "beta": "2/3",
+          "beta_star": "1/4", "decimal": "3", "steps": "10", "trials": "1", "seed": "3",
+          "svg": "walk.svg", "n_max": "3", "k_max": "2"}
+MODES = [(command, mode) for command, modes in cli.READS.items() for mode in modes]
+
+
+def _option(flag):
+    return "--" + flag.replace("_", "-")
+
+
+def _base_argv(command, mode):
+    """The command with its mode, its rank and, where the mode reads it, --kind."""
+    argv = [command]
+    if mode is not None:
+        argv += [_option(cli.MODE[command]), mode]
+    if command != "verify":
+        argv += ["--n", "2"]
+    if "kind" in cli.READS[command][mode]:
+        argv += ["--kind", "b"]
+    return argv
+
+
+def test_the_table_names_every_suite_and_mode():
+    assert set(cli.READS) == set(cli.COMMANDS)
+    assert set(cli.READS["verify"]) == set(weyltasep.verify.SUITES)
+    for command, modes in cli.READS.items():
+        assert (None in modes) == (command not in cli.MODE)
+        assert all(flag in VALUES for reads in modes.values() for flag in reads)
+
+
+@pytest.mark.parametrize(
+    "command,mode,flag",
+    [(command, mode, flag) for command, mode in MODES
+     for flag in sorted(set().union(*cli.READS[command].values()) - set(cli.READS[command][mode]))],
+    ids=lambda v: str(v),
+)
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(capsys, monkeypatch, command, mode, flag):
+    monkeypatch.setattr(cli, "exact_stationary", _no_walk)
+    monkeypatch.setattr(cli, "estimate_direction", _no_walk)
+    with pytest.raises(SystemExit) as exc:
+        main([*_base_argv(command, mode), _option(flag), VALUES[flag]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"weyltasep {command}: error: {_option(flag)} does not apply to "
+                            f"{_option(cli.MODE[command])} {mode}\n")
+
+
+@pytest.mark.parametrize("command,mode", MODES, ids=lambda v: str(v))
+def test_the_flags_a_mode_reads_reach_its_command(monkeypatch, tmp_path, command, mode):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("WEYLTASEP_SEED", raising=False)
+    seen = []
+    help_text, formats, _ = cli.COMMANDS[command]
+    monkeypatch.setitem(cli.COMMANDS, command,
+                        (help_text, formats, lambda args: seen.append(vars(args)) or 0))
+    reads = cli.READS[command][mode]
+    given = [arg for flag in reads if flag != "kind" for arg in (_option(flag), VALUES[flag])]
+    assert main(_base_argv(command, mode) + given) == 0
+    assert main(_base_argv(command, mode)) == 0
+    for flag in set().union(*cli.READS[command].values()):
+        if flag in reads:  # the seed of a walk comes from the unset WEYLTASEP_SEED
+            assert str(seen[0][flag]) == VALUES[flag]
+            assert seen[1][flag] == {"kind": "b", "seed": 0}.get(flag, cli.DEFAULTS.get(flag))
+        else:
+            assert seen[0][flag] == seen[1][flag] == cli.DEFAULTS.get(flag)
+    assert seen[0]["format"] == seen[1]["format"] == formats[0]
+
+
+def readme_examples():
+    """The weyltasep commands of README's "Command line" block, each with its `# -> ` output."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            examples.append([shlex.split(command), None])
+        if comment.strip().startswith("->"):
+            examples[-1][1] = comment.strip()[2:].strip()
+    return examples
+
+
+def test_readme_examples_run(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    examples = readme_examples()
+    assert len(examples) >= 10
+    for argv, expected in examples:
+        assert argv[0] == "weyltasep"
+        assert main(argv[1:]) == 0, argv
+        out = capsys.readouterr().out
+        if expected is not None:
+            assert out == expected + "\n", argv
+    assert (tmp_path / "walk.svg").read_text().startswith("<svg")
