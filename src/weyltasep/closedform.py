@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import RangeError, UnsupportedRange, ZeroParameter
+from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
 from .markov import Dist, Kernel, exact_stationary
 from .models import STAR, DStarParams, build_multi
 from .ratio import ONE, R, ZERO
@@ -184,10 +184,17 @@ class CorrelationTable:
         return self.entries.get((i, j), ZERO)
 
 
-def z_b(n: int, n0: int) -> int:
-    """Partition function of the B-type two-species process."""
+def _check_two_species(family: str, n: int, n0: int) -> None:
+    """The ranges of the B and D two-species chains: n >= 2 and 0 <= n0 <= n."""
+    if n < 2:
+        raise InvalidRank(f"the {family} two-species process needs rank n >= 2, got {n}")
     if not 0 <= n0 <= n:
         raise RangeError(f"bad zero count {n0}")
+
+
+def z_b(n: int, n0: int) -> int:
+    """Partition function of the B-type two-species process."""
+    _check_two_species("B", n, n0)
     return comb(2 * n, n - n0)
 
 
@@ -214,8 +221,7 @@ def b_pair_table(n: int, n0: int) -> CorrelationTable:
 
 def z_d(n: int, n0: int) -> int:
     """Partition function of the D-type two-species process."""
-    if not 0 <= n0 <= n:
-        raise RangeError(f"bad zero count {n0}")
+    _check_two_species("D", n, n0)
     if n0 == 0:
         return 4**n
     return sum(

@@ -20,7 +20,6 @@ kernel rows to integers by the lcm of their denominators.
 """
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from math import floor, inf, isqrt, lcm
@@ -315,7 +314,10 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -
     num turns each kernel entry into a number: a float, or a Decimal of
     the current context.  Censors states one at a time, greedily taking the
     state with the fewest in-degree x out-degree off-diagonal links among
-    those left; this is the elimination of Grassmann, Taksar and Heyman:
+    those left, the lowest index among equals.  The costs sit in buckets,
+    cost -> states, and after each step every predecessor and successor
+    whose cost changed moves to its new bucket, so each pick is exact.
+    This is the elimination of Grassmann, Taksar and Heyman:
     censoring k adds out[i][k] / S_k * out[k][j] to out[i][j] for every
     predecessor i and successor j != i, where S_k is k's off-diagonal row
     sum.  Nothing is subtracted, so each entry has a small relative error
@@ -329,19 +331,21 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -
     for i, row in out.items():
         for j in row:
             inn[j].add(i)
-    heap = [(len(inn[i]) * len(out[i]), i) for i in members]
-    heapq.heapify(heap)
+    cost = {i: len(inn[i]) * len(out[i]) for i in members}
+    buckets: dict[int, set[int]] = {}
+    for i, c in cost.items():
+        buckets.setdefault(c, set()).add(i)
     zero = num(ZERO)
     steps = []
     finite = True
     while len(out) > 1:
-        while True:
-            cost, k = heapq.heappop(heap)
-            if k in out:
-                cur = len(inn[k]) * len(out[k])
-                if cur <= cost:
-                    break
-                heapq.heappush(heap, (cur, k))
+        low = min(buckets)
+        bucket = buckets[low]
+        k = min(bucket)
+        bucket.discard(k)
+        if not bucket:
+            del buckets[low]
+        del cost[k]
         preds = list(inn.pop(k))
         succs = out.pop(k)
         total = sum(succs.values())
@@ -365,8 +369,15 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -
             col.update(preds)
             col.discard(j)
         steps.append((k, preds, factors))
-        for i in preds:
-            heapq.heappush(heap, (len(inn[i]) * len(out[i]), i))
+        for i in {*preds, *succs}:
+            was, now = cost[i], len(inn[i]) * len(out[i])
+            if now != was:
+                bucket = buckets[was]
+                bucket.discard(i)
+                if not bucket:
+                    del buckets[was]
+                buckets.setdefault(now, set()).add(i)
+                cost[i] = now
     (root,) = out
     pi = {root: num(ONE)}
     for k, preds, factors in reversed(steps):

@@ -15,11 +15,16 @@ drawn with probability exactly a_g / T, and `bytes.translate` turns a chunk
 of random bytes into a chunk of proposals in C.  Trial t of a walk seeded s
 draws from one PRNG, seeded once with a digest of (s, t).
 
-`estimate_direction` runs its trials over P processes: the caller forks
-P - 1 workers, runs one share of the trials itself and reads the others'
-summaries back over pipes, so the result does not depend on P.  A worker's
-exception is raised again in the caller, and a worker that dies without a
-result raises a RuntimeError instead of leaving the caller waiting.
+`estimate_direction` runs its trials over P processes, by default one per
+CPU the caller may run on: the caller forks P - 1 workers, runs one share
+of the trials itself and reads the others' summaries back over pipes, so
+the result does not depend on P.  Share k runs on CPU k (mod the number of
+allowed CPUs) of the caller's affinity set alone, and the caller gets its
+own set back when the ensemble ends.  Left unpinned, a worker forked on a
+busy CPU tends to share it with the caller for a short share's whole life,
+so two processes ran about as fast as one.  A worker's exception is raised
+again in the caller, and a worker that dies without a result raises a
+RuntimeError instead of leaving the caller waiting.
 
 The current alcove is u(A0) for an element u of the affine Weyl group, and
 the state keeps u as its inverse window together with y = u^{-1}(x0), the
@@ -339,12 +344,35 @@ def run_walk(
     return WalkSummary(pt, accepted, steps, cross, chamber_label(pt, kind), seed, trial)
 
 
+def _allowed_cpus() -> list | None:
+    """The CPUs this process may run on, in order; None where the OS does not say."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return None
+
+
+def _pin(cpus) -> None:
+    """Run this process on `cpus` only, if the OS lets it; otherwise do nothing."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):
+        pass
+
+
 def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
                 processes: int) -> list:
     """run_walk of trials 0..trials-1, in trial order, over min(processes, trials) processes.
 
     With P processes the caller forks P - 1 children, and child k runs trials
-    k, k + P, ... while the caller runs share 0.  Each child pickles its
+    k, k + P, ... while the caller runs share 0.  Share k runs pinned to the
+    CPU allowed[k % len(allowed)], where allowed lists the caller's affinity
+    set in order: each child pins itself right after the fork, and the
+    caller pins itself for share 0 and puts back its whole set on every
+    path.  On 2 CPUs this made ten 25k-step B6 trials over 2 processes take
+    about 40 ms instead of about 60 ms, as long as over 1 process.  Pinning
+    is best effort: where the OS cannot pin, the shares run unpinned, and
+    no result depends on it.  Each child pickles its
     summaries, or the exception it raised, to its own pipe and leaves by
     os._exit, so it neither flushes the stdio it inherited nor runs atexit
     handlers.  A child's exception is raised again here; one that does not
@@ -363,6 +391,7 @@ def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
     import pickle  # only parallel walks need these
     import signal
 
+    allowed = _allowed_cpus()
     children = []  # (pid, read end of its pipe) of child k at index k - 1
     try:
         for k in range(1, shares):
@@ -371,6 +400,8 @@ def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
             if pid == 0:  # child k: keep only its own write end
                 status = 1
                 try:
+                    if allowed:
+                        _pin({allowed[k % len(allowed)]})
                     os.close(r)
                     for _, pipe in children:
                         pipe.close()
@@ -389,6 +420,8 @@ def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
                     os._exit(status)
             os.close(w)
             children.append((pid, open(r, "rb")))
+        if allowed:
+            _pin({allowed[0]})
         results = [share(0)]
         while children:
             pid, pipe = children[0]
@@ -404,6 +437,8 @@ def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
                 raise result
             results.append(result)
     finally:
+        if allowed:
+            _pin(allowed)
         for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
@@ -433,9 +468,11 @@ def estimate_direction(
     """Mean final direction over independent trials, against the closed form.
 
     Trial t runs as run_walk(kind, n, steps, seed, t).  The trials are shared
-    among `processes` processes (default: one per CPU, at most one per
-    trial), the caller and forked workers, and the result does not depend on
-    the process count.
+    among `processes` processes, the caller and forked workers, and the
+    result does not depend on the process count.  By default there is one
+    process per CPU in the caller's affinity set (os.cpu_count() where the
+    OS has no such set), at most one per trial, so a caller confined to one
+    CPU forks nothing.
     """
     if steps <= 0 or trials <= 0:
         raise ValueError("steps and trials must be positive")
@@ -446,7 +483,8 @@ def estimate_direction(
     # the forked workers inherit the tables
     _walk_tables(kind, n)
     if processes is None:
-        processes = min(trials, os.cpu_count() or 1)
+        cpus = _allowed_cpus()
+        processes = min(trials, len(cpus) if cpus else os.cpu_count() or 1)
     summaries = _run_trials(kind, n, steps, seed, trials, processes)
     mean = [0.0] * n
     accepted = 0

@@ -303,6 +303,9 @@ def test_zero_counts_rejected(capsys, argv):
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "5"], "state (-1, -1)"),
         (["partition", "--model", "semiperm", "--n", "3", "--n0", "4", "--alpha", "1/2",
           "--beta", "1/3"], "bad zero count 4"),
+        (["partition", "--model", "d", "--n", "1"], "D two-species process needs rank n >= 2, got 1"),
+        (["partition", "--model", "b", "--n", "-2"],
+         "B two-species process needs rank n >= 2, got -2"),
         (["stationary", "--model", "dstar", "--n", "3", "--decimal", "3"],
          "unrecognized arguments: --decimal 3"),
         (["walk", "--kind", "b", "--n", "2", "--decimal", "3"], "unrecognized arguments: --decimal 3"),
@@ -335,6 +338,7 @@ def test_zero_counts_rejected(capsys, argv):
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
+         "partition-d-rank-1", "partition-b-negative-rank",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",

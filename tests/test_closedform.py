@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 import weyltasep.closedform as cf
-from weyltasep.errors import RangeError
+from weyltasep.errors import InvalidRank, RangeError
 from weyltasep.markov import exact_stationary
 from weyltasep.models import build_semipermeable, build_two_species
 from weyltasep.ratio import R, ZERO
@@ -93,6 +93,15 @@ def test_partition_semipermeable():
     eps = R(1, 10**6)
     z0, zp, zm = (cf.z_semiperm(4, 1, a, 1) for a in (R(1), 1 + eps, 1 - eps))
     assert abs(float(zp) - float(z0)) < 1e-3 and abs(float(zm) - float(z0)) < 1e-3
+
+
+@pytest.mark.parametrize("z,at_rank_2", [(cf.z_b, math.comb(4, 2)), (cf.z_d, 4**2)], ids=["B", "D"])
+def test_two_species_partition_needs_rank_two(z, at_rank_2):
+    # the floor build_two_species uses for B and D; the rank is checked before n0
+    for n in (1, 0, -2):
+        with pytest.raises(InvalidRank, match=f"needs rank n >= 2, got {n}$"):
+            z(n, 0)
+    assert z(2, 0) == at_rank_2
 
 
 def test_semipermeable_density_formula():

@@ -457,6 +457,101 @@ def test_trial_exception_reaches_the_caller(monkeypatch, trial, exc, raised, mes
         os.waitpid(-1, os.WNOHANG)
 
 
+def _where(kind, n, steps, seed, trial):
+    """Stands in for run_walk: the trial and the CPUs it ran on."""
+    return trial, os.sched_getaffinity(0)
+
+
+needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                                    reason="the OS sets no CPU affinity")
+
+
+@needs_affinity
+@pytest.mark.parametrize("trials,processes", [(4, 2), (5, 3), (7, 4)])
+def test_each_share_runs_on_one_cpu_of_the_callers_set(monkeypatch, trials, processes):
+    allowed = os.sched_getaffinity(0)
+    monkeypatch.setattr(walk, "run_walk", _where)
+    got = _run_trials(B2, 2, 100, 0, trials, processes)
+    assert [t for t, _ in got] == list(range(trials))
+    shares = min(trials, processes)
+    cpu_of = {}
+    for t, cpus in got:
+        assert len(cpus) == 1 and cpus <= allowed
+        assert cpu_of.setdefault(t % shares, cpus) == cpus  # one CPU per share
+    assert os.sched_getaffinity(0) == allowed
+
+
+@needs_affinity
+def test_shares_zero_and_one_run_on_different_cpus(monkeypatch):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 CPUs allowed")
+    monkeypatch.setattr(walk, "run_walk", _where)
+    (_, first), (_, second) = _run_trials(B2, 2, 100, 0, 2, 2)
+    assert first != second
+
+
+def _no_fork():
+    raise AssertionError("forked a walk worker")
+
+
+@needs_affinity
+def test_a_caller_on_one_cpu_runs_every_share_there_and_forks_nothing_by_default(monkeypatch):
+    before = os.sched_getaffinity(0)
+    cpu = min(before)
+    os.sched_setaffinity(0, {cpu})
+    try:
+        with monkeypatch.context() as m:
+            m.setattr(walk, "run_walk", _where)
+            assert [cpus for _, cpus in _run_trials(B2, 2, 100, 0, 4, 2)] == [{cpu}] * 4
+        serial = estimate_direction(B2, 2, 2000, 3, seed=4, processes=1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert estimate_direction(B2, 2, 2000, 3, seed=4) == serial
+        assert os.sched_getaffinity(0) == {cpu}
+    finally:
+        os.sched_setaffinity(0, before)
+
+
+def test_default_process_count_without_affinity(monkeypatch):
+    # where the OS has no affinity set, the default is one process per CPU
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    assert estimate_direction(B2, 2, 2000, 3, seed=4) == estimate_direction(
+        B2, 2, 2000, 3, seed=4, processes=1)
+
+
+@needs_affinity
+@pytest.mark.parametrize("failing", [None, 0, 1], ids=["success", "caller", "worker"])
+def test_the_callers_affinity_comes_back(monkeypatch, failing):
+    def fails(kind, n, steps, seed, t):
+        if t == failing:
+            raise ValueError("boom")
+        return run_walk(kind, n, steps, seed, t)
+
+    before = os.sched_getaffinity(0)
+    monkeypatch.setattr(walk, "run_walk", fails)
+    if failing is None:
+        estimate_direction(B2, 2, 100, 4, processes=2)
+    else:
+        with pytest.raises(ValueError, match="^boom$"):
+            estimate_direction(B2, 2, 100, 4, processes=2)
+    assert os.sched_getaffinity(0) == before
+
+
+@pytest.mark.parametrize("how", ["refused", "missing"])
+def test_pinning_is_best_effort(monkeypatch, how):
+    want = _run_trials(B2, 2, 500, 3, 5, 3)
+
+    def refuses(pid, cpus):
+        raise OSError(22, "Invalid argument")
+
+    if how == "refused":
+        monkeypatch.setattr(os, "sched_setaffinity", refuses)
+    else:
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    assert _run_trials(B2, 2, 500, 3, 5, 3) == want
+
+
 DEAD_WORKER = """
 import atexit
 import os
@@ -464,6 +559,7 @@ from weyltasep import walk
 from weyltasep.weyl import WeylKind
 
 atexit.register(print, "atexit")
+before = os.sched_getaffinity(0)
 print("buffered")  # stdout is a pipe: this line is still in the buffer at the forks
 walk.estimate_direction(WeylKind("B", 2), 2, 100, 3, processes=3)
 run_walk = walk.run_walk
@@ -478,6 +574,7 @@ try:
     walk.estimate_direction(WeylKind("B", 2), 2, 100, 4, processes=2)
 except RuntimeError as exc:
     print(exc)
+print("affinity kept" if os.sched_getaffinity(0) == before else "affinity lost")
 try:
     os.waitpid(-1, os.WNOHANG)
 except ChildProcessError:
@@ -494,5 +591,5 @@ def test_dead_worker_raises_instead_of_hanging():
                          text=True, check=True, timeout=30)
     buffered, dead, *rest = out.stdout.splitlines()
     # no worker flushed the inherited buffer or ran the atexit handler
-    assert buffered == "buffered" and rest == ["no child left", "atexit"]
+    assert buffered == "buffered" and rest == ["affinity kept", "no child left", "atexit"]
     assert re.fullmatch(r"walk worker \d+ ended without a result \(exit status 3\)", dead)
