@@ -120,6 +120,13 @@ def _motzkin_exponents(k: int) -> tuple:
 
 def z_semiperm(n: int, n0: int, alpha, beta):
     """Partition function of the semipermeable two-species process."""
+    if n < 1:
+        raise InvalidRank(f"the semipermeable process needs rank n >= 1, got {n}")
+    return _z_semiperm(n, n0, alpha, beta)
+
+
+def _z_semiperm(n: int, n0: int, alpha, beta):
+    """:func:`z_semiperm` without the rank check: the empty stretch n = 0 has Z = 1."""
     alpha, beta = R(alpha), R(beta)
     if alpha <= 0 or beta <= 0:
         raise ZeroParameter("alpha and beta must be positive")
@@ -157,7 +164,7 @@ def semiperm_density(n: int, n0: int, j: int, alpha, beta):
         ZERO,
     )
     if j - 1 >= n0:
-        total += z_semiperm(j - 1, n0, alpha, beta) / zn * tail
+        total += _z_semiperm(j - 1, n0, alpha, beta) / zn * tail
     return total
 
 
@@ -516,7 +523,7 @@ def _limdir_c(n: int) -> DirectionVector:
     def dens(n0: int):
         if n0 > n - 1:
             return ZERO
-        return 2 * z_semiperm(n - 1, n0, half, half) / z_semiperm(n, n0, half, half)
+        return 2 * _z_semiperm(n - 1, n0, half, half) / z_semiperm(n, n0, half, half)
 
     return DirectionVector(
         tuple(dens(i - 1) - dens(i) for i in range(1, n + 1))

@@ -16,7 +16,8 @@ as level steps, each stretch between 0-columns is a nonnegative lattice
 path returning to height zero.  The wall maps move a conserved {1, -1}
 particle pair left or right along these paths; extended with a wall output
 they form a bijection of (configurations x walls), which yields the
-product-form stationary law computed by :func:`stationary`.
+product-form stationary law computed by :func:`stationary`.  The maps are
+tabulated once per (n, n0), shared by :func:`kernel` and the checks.
 """
 from __future__ import annotations
 
@@ -306,12 +307,10 @@ def _apply(c: Config, i: int):
 def tstar(c: Config, i: int) -> Config:
     """The wall-i transition target (the configuration itself if no rule fires).
 
-    The paper's map T*_i; :func:`kernel` moves by it, and the tests solve
-    that kernel exactly against :func:`stationary`.
+    The paper's map T*_i; :func:`kernel` moves by its table, and the tests
+    solve that kernel exactly against :func:`stationary`.
     """
-    if not validate(c):
-        raise InvalidConfig(f"invalid configuration {c!r}")
-    return _apply(c, i)[0]
+    return tstar_bar(c, i)[0]
 
 
 def tstar_bar(c: Config, i: int) -> tuple[Config, int]:
@@ -345,6 +344,24 @@ def rate_of(rule: str | None, params: DStarParams):
     return ONE if key is None else getattr(params, key)
 
 
+@lru_cache(maxsize=None)
+def _wall_maps(n: int, n0: int) -> tuple[tuple[tuple[int, str | None, int], ...], ...]:
+    """Each wall map of the (n, n0) space as (target index, rule or None, output wall).
+
+    Row k lists walls 1..n-1 of configuration k of :func:`enumerate_configs`.
+    """
+    configs = enumerate_configs(n, n0)
+    index = {c: k for k, c in enumerate(configs)}
+    maps = []
+    for k, c in enumerate(configs):
+        row = []
+        for i in range(1, n):
+            c2, rule, j = _apply(c, i)
+            row.append((k if rule is None else index[c2], rule, j))
+        maps.append(tuple(row))
+    return tuple(maps)
+
+
 def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
     """The two-row chain: a uniform wall choice, then the wall map at its rate."""
     states = enumerate_configs(n, n0)
@@ -352,15 +369,12 @@ def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
         raise InvalidCounts(f"empty configuration space n={n}, n0={n0}")
     edge = R(1, n - 1) if n >= 2 else ONE
     probs = {rule: edge * rate_of(rule, params) for rule in _RATE_KEY}
+    maps = _wall_maps(n, n0)
+    index = {c: k for k, c in enumerate(states)}
 
-    def moves(c):
-        for i in range(1, len(c[0])):
-            c2, rule, _ = _apply(c, i)
-            if rule is None or c2 == c:
-                continue
-            p = probs[rule]
-            if p:
-                yield c2, p
+    def moves(c):  # a wall with no rule maps c to itself
+        k = index[c]
+        return [(states[t], probs[rule]) for t, rule, _ in maps[k] if t != k and probs[rule]]
 
     return build_kernel(states, moves)
 

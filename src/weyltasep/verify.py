@@ -209,33 +209,27 @@ def suite_tworow(
     bad = ((STAR, 1, 1, STAR), (STAR, 1, 1, STAR))
     _check(checks, "unbalanced-rejected", not tr.validate(bad))
 
+    # One pass over the wall-map table: bijectivity, and the transfer identity's
+    # label classes (q depends only on the labels); no rule fires at n = 2.
     ok = True
+    classes = set()
     for n in range(2, bij_n_max + 1):
         for n0 in range(0, min(n, bij_n0_max) + 1):
-            cfgs = tr.enumerate_configs(n, n0)
-            seen = set()
-            for c in cfgs:
-                for i in range(1, n):
-                    seen.add(tr.tstar_bar(c, i))
-            if len(seen) != len(cfgs) * (n - 1):
-                ok = False
+            maps = tr._wall_maps(n, n0)
+            ok &= len({(t, j) for row in maps for t, _, j in row}) == len(maps) * (n - 1)
+            labels = tr._space(n, n0)[1]
+            for k, row in enumerate(maps):
+                for t, rule, j in row:
+                    if rule is not None:
+                        classes.add((rule, labels[k], maps[t][j - 1][1], labels[t]))
     _check(checks, "wall-map-bijective", ok, n_max=bij_n_max, n0_max=bij_n0_max)
 
-    ok = True
-    for params in PARAM_POINTS:
-        for n in range(3, bij_n_max + 1):
-            for n0 in range(0, min(n, bij_n0_max) + 1):
-                for c in tr.enumerate_configs(n, n0):
-                    qc = tr.q_weight(c, params)
-                    for i in range(1, n):
-                        c2, rule, j = tr._apply(c, i)
-                        if rule is None:
-                            continue
-                        _, rule_back, _ = tr._apply(c2, j)
-                        lhs = tr.rate_of(rule, params) * qc
-                        rhs = tr.rate_of(rule_back, params) * tr.q_weight(c2, params)
-                        if lhs != rhs:
-                            ok = False
+    ok = all(
+        tr.rate_of(rule, params) * tr._label_weight(lab, params)
+        == tr.rate_of(back, params) * tr._label_weight(back_lab, params)
+        for params in PARAM_POINTS
+        for rule, lab, back, back_lab in classes
+    )
     _check(checks, "transfer-identity", ok, points=len(PARAM_POINTS))
 
     ok = True

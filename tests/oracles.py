@@ -10,7 +10,8 @@ a branch per boundary pattern instead of two boundary tables, two-row laws from 
 weight per configuration instead of one per label class, two-row labels
 from the positions of the 0-columns instead of a one-pass scan, two-row
 label histograms by labelling every listed configuration instead of a
-column transfer, Motzkin sums from one weight product per path, and Motzkin
+column transfer, the two-row kernel from the wall maps applied as it is built
+instead of one table per configuration space, Motzkin sums from one weight product per path, and Motzkin
 exponent histograms by walking every step word instead of a transfer over
 steps, the alcove walk on two lists (window and y) with a full ascent
 refresh instead of one packed list, walk proposals from a float CDF and
@@ -363,6 +364,19 @@ def tworow_stationary(n: int, n0: int, params):
 def tworow_label_histogram(n: int, n0: int) -> Counter:
     """Number of configurations per label vector, labelling each listed configuration."""
     return Counter(tworow_labels(c) for c in tr.enumerate_configs(n, n0))
+
+
+def tworow_kernel(n: int, n0: int, params):
+    """The two-row chain with every wall map applied to its configuration as it is built."""
+    edge = Fraction(1, n - 1) if n >= 2 else Fraction(1)
+
+    def moves(c):
+        for i in range(1, n):
+            c2, rule, _ = tr._apply(c, i)
+            if rule is not None and c2 != c:
+                yield c2, edge * tr.rate_of(rule, params)
+
+    return build_kernel(tr.enumerate_configs(n, n0), moves)
 
 
 def motzkin_exponents(k: int) -> tuple:

@@ -3,8 +3,11 @@
 Each test prints one PASS line when its criterion holds; every comparison
 is exact unless the criterion is explicitly a Monte Carlo one.
 """
+import hashlib
+import json
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,9 +36,25 @@ def _checks(report):
     return {c["name"]: c for c in report["checks"]}
 
 
+# Each suite at the sizes `verify.run_suite` uses by default, built once per module.
+@pytest.fixture(scope="module")
+def identities_report():
+    return suite_identities()
+
+
 @pytest.fixture(scope="module")
 def tworow_report():
     return suite_tworow()
+
+
+@pytest.fixture(scope="module")
+def lumping_report():
+    return suite_lumping()
+
+
+@pytest.fixture(scope="module")
+def conjecture_b_report():
+    return suite_conjecture_b()
 
 
 @pytest.fixture(scope="module")
@@ -129,14 +148,18 @@ def test_criterion_07_two_row_core(tworow_report):
     _passed(7, "wall-map bijection (n<=6), transfer identity, product form")
 
 
-def test_criterion_08_lumping_tower():
-    report = suite_lumping(n_max=4)
+def test_criterion_08_lumping_tower(lumping_report):
+    report = lumping_report
+    assert _checks(report)["k-coloring-lumpings"]["n_max"] == 4
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
     _passed(8, "colorings, star collapses and projections verified, n<=4")
 
 
-def test_criterion_09_identity_suite():
-    report = suite_identities(a_max=10, k_max=12, motzkin_k=8)
+def test_criterion_09_identity_suite(identities_report):
+    report = identities_report
+    checks = _checks(report)
+    assert checks["half-rate-specials"]["k_max"] == 12
+    assert checks["motzkin-paths-vs-double-sum"]["k_max"] == 8
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
     _passed(9, "ballot/path identities and generating function to order 12")
 
@@ -160,13 +183,34 @@ def test_criterion_10_correlation_sums():
     _passed(10, "row/column/hook sums, first-site law, uniform last site, n<=4")
 
 
-def test_criterion_11_conjectured_pair_values_rank4():
-    report = suite_conjecture_b(n=4)
+def test_criterion_11_conjectured_pair_values_rank4(conjecture_b_report):
+    report = conjecture_b_report
+    assert report["n"] == 4
     assert report["status"] == "conjecture verification"
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
     cases = {c["name"]: c["pairs"] for c in report["checks"]}
     assert set(cases) == {f"case-{k}" for k in range(1, 6)}
     _passed(11, "all five conjectured case families verified exactly at n=4")
+
+
+def test_default_verify_reports_match_golden_digests(
+    identities_report, tworow_report, lumping_report, conjecture_b_report, tables_report
+):
+    # tests/golden_verify.json holds the sha256 of json.dumps(report, sort_keys=True)
+    # for each default report; an intended change to a report edits that file.
+    reports = {
+        "identities": identities_report,
+        "tworow": tworow_report,
+        "lumping": lumping_report,
+        "conjecture-b": conjecture_b_report,
+        "tables": tables_report,
+    }
+    digests = {
+        name: hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+        for name, report in reports.items()
+    }
+    golden = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
+    assert digests == golden
 
 
 @pytest.mark.slow

@@ -303,6 +303,10 @@ def test_zero_counts_rejected(capsys, argv):
         (["stationary", "--model", "semiperm", "--n", "2", "--alpha", "5"], "state (-1, -1)"),
         (["partition", "--model", "semiperm", "--n", "3", "--n0", "4", "--alpha", "1/2",
           "--beta", "1/3"], "bad zero count 4"),
+        (["partition", "--model", "semiperm", "--n", "0", "--n0", "0", "--alpha", "1", "--beta", "1"],
+         "semipermeable process needs rank n >= 1, got 0"),
+        (["partition", "--model", "semiperm", "--n", "-1", "--alpha", "1", "--beta", "1"],
+         "semipermeable process needs rank n >= 1, got -1"),
         (["partition", "--model", "d", "--n", "1"], "D two-species process needs rank n >= 2, got 1"),
         (["partition", "--model", "b", "--n", "-2"],
          "B two-species process needs rank n >= 2, got -2"),
@@ -338,6 +342,7 @@ def test_zero_counts_rejected(capsys, argv):
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
+         "partition-semiperm-rank-0", "partition-semiperm-negative-rank",
          "partition-d-rank-1", "partition-b-negative-rank",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",

@@ -83,7 +83,7 @@ def test_ballot_sum_identities():
 
 def test_partition_semipermeable():
     assert cf.z_semiperm(3, 1, 1, 1) == 14 == cf.ballot(5, 2)
-    for n in range(0, 8):
+    for n in range(1, 8):
         for n0 in range(n + 1):
             assert cf.z_semiperm(n, n0, 1, 1) == cf.ballot(n + n0 + 1, n - n0)
     assert cf.z_semiperm(4, 4, R(1, 3), R(2, 7)) == 1
@@ -102,6 +102,16 @@ def test_two_species_partition_needs_rank_two(z, at_rank_2):
         with pytest.raises(InvalidRank, match=f"needs rank n >= 2, got {n}$"):
             z(n, 0)
     assert z(2, 0) == at_rank_2
+
+
+def test_semipermeable_partition_needs_rank_one():
+    # the rank is checked before n0, as in z_b and z_d
+    for n, n0 in ((0, 0), (-1, 0), (0, 3)):
+        with pytest.raises(InvalidRank, match=f"needs rank n >= 1, got {n}$"):
+            cf.z_semiperm(n, n0, 1, 1)
+    # the densities still read Z = 1 off the empty stretch
+    assert cf._z_semiperm(0, 0, 1, 1) == 1 == cf.ballot(1, 0)
+    assert cf.semiperm_density(1, 0, 1, 1, 1) == R(1, 2)
 
 
 def test_semipermeable_density_formula():

@@ -16,7 +16,7 @@ from weyltasep.errors import (
 from weyltasep.markov import exact_stationary
 from weyltasep.models import DStarParams, STAR, build_dstar
 from weyltasep.ratio import R, ZERO
-from weyltasep.verify import PARAM_POINTS
+from weyltasep.verify import PARAM_POINTS, suite_tworow
 import weyltasep.tworow as tr
 from weyltasep.tworow import (
     count_segment,
@@ -225,6 +225,39 @@ def test_transfer_identity(params):
                     assert tr.rate_of(rule, params) * qc == tr.rate_of(
                         back, params
                     ) * q_weight(c2, params)
+
+
+def test_wall_maps_match_apply():
+    for n in range(1, 8):
+        for n0 in range(n + 1):
+            configs = enumerate_configs(n, n0)
+            maps = tr._wall_maps(n, n0)
+            assert len(maps) == len(configs)
+            for c, row in zip(configs, maps):
+                assert [(configs[t], rule, j) for t, rule, j in row] == [
+                    tr._apply(c, i) for i in range(1, n)
+                ]
+
+
+@pytest.mark.parametrize("n,n0", [(3, 1), (5, 1), (7, 1), (7, 2)])
+def test_kernel_matches_apply_oracle(n, n0):
+    for params in PARAM_POINTS:
+        ker, ref = tr.kernel(n, n0, params), oracles.tworow_kernel(n, n0, params)
+        assert ker.states == ref.states and ker.rows == ref.rows
+
+
+def _transfer_identity_passes():
+    report = suite_tworow(stationary_cases=((3, 1),), partition_n_max=3)
+    return next(c["pass"] for c in report["checks"] if c["name"] == "transfer-identity")
+
+
+@pytest.mark.parametrize("rule,key", [("L1", "alpha_star"), ("R2", "beta"), ("B1", "alpha")])
+def test_transfer_identity_check_catches_a_wrong_rate(monkeypatch, rule, key):
+    # the suite checks the identity once per label class; one wrong rate must trip it
+    monkeypatch.setitem(tr._RATE_KEY, rule, key)
+    assert not _transfer_identity_passes()
+    monkeypatch.undo()
+    assert _transfer_identity_passes()
 
 
 @pytest.mark.parametrize("n,n0", [(3, 1), (4, 0), (4, 1), (4, 2), (5, 1)])
