@@ -8,12 +8,13 @@ agreement against the small kernel, exactly, row by row.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 from typing import Callable
 
 from .errors import InvalidCounts
 from .markov import Dist, Kernel
 from .models import STAR
-from .ratio import ZERO, exact_sum
+from .ratio import R, ZERO
 
 
 def k_coloring(word: tuple, k: int) -> tuple:
@@ -56,9 +57,9 @@ def verify_lumping(big: Kernel, state_map: Callable, small: Kernel) -> LumpRepor
 
     Every big state's row, aggregated over image states, must equal the
     small kernel's row at its image.  Each big state is mapped once, to the
-    small chain's index of its image, and each aggregated row is compared
-    with the small chain's index-keyed row.  Violations are collected, not
-    raised.
+    small chain's index of its image; each row's integer numerators are
+    summed per image index and compared with the small chain's row over
+    the lcm of the two denominators.  Violations are collected, not raised.
     """
     images = [state_map(s) for s in big.states]
     image_set, small_set = set(images), set(small.states)
@@ -70,16 +71,18 @@ def verify_lumping(big: Kernel, state_map: Callable, small: Kernel) -> LumpRepor
         }
         return LumpReport(False, [mismatch])
     pos = [small.index[u] for u in images]
+    big_scale, small_scale = (lcm(big.den, small.den) // d for d in (big.den, small.den))
     violations = []
     for i, row in enumerate(big.rows):
-        parts: dict[int, list] = {}
-        for j, p in row.items():
-            parts.setdefault(pos[j], []).append(p)
-        agg = {u: ps[0] if len(ps) == 1 else exact_sum(ps) for u, ps in parts.items()}
-        if agg == small.rows[pos[i]]:
+        agg: dict[int, int] = {}
+        for j, a in row.items():
+            agg[pos[j]] = agg.get(pos[j], 0) + a
+        want = small.rows[pos[i]]
+        if len(agg) == len(want) and all(a * big_scale == want.get(u, 0) * small_scale
+                                         for u, a in agg.items()):
             continue
         # report by state, in the key order of the state-keyed rows
-        agg = {small.states[u]: p for u, p in agg.items()}
+        agg = {small.states[u]: R(a, big.den) for u, a in agg.items()}
         expected = small.row(images[i])
         for u in set(agg) | set(expected):
             got, want = agg.get(u, ZERO), expected.get(u, ZERO)

@@ -1,22 +1,23 @@
 """Exact finite Markov chains: sparse kernels, closed classes, stationary laws.
 
-Kernels are row-stochastic with exact rational entries; every row stores its
-holding mass explicitly so rows sum to 1 exactly.  The stationary solver is
-the subtraction-free state-elimination scheme of Grassmann, Taksar and
-Heyman with a fill-reducing elimination order, written once for any
-number type.  It runs first in floats; it subtracts nothing, so each float
-probability carries a small relative error, and the exact law is read off
-the floats by building up a common denominator from the smallest entries.
-When that fails, the same elimination runs in `decimal` at 32 significant
-digits, then 64, 128, ..., and the law is read off the same way.  Either
-way a law is returned only after it passes the exact certificate: it sums
-to 1 and pi . P = pi over the rationals.
+A kernel stores each row as positive integers over one denominator `den`,
+the holding mass included, summing to den; Fractions are built only when
+an entry is asked for.  The stationary solver is the subtraction-free
+state-elimination scheme of Grassmann, Taksar and Heyman with a
+fill-reducing elimination order, written once for any number type.  It
+runs first in floats; it subtracts nothing, so each float probability
+carries a small relative error, and the exact law is read off the floats
+by building up a common denominator from the smallest entries.  When that
+fails, the same elimination runs in `decimal` at 32 significant digits,
+then 64, 128, ..., and the law is read off the same way.  Either way a law
+is returned only after it passes the exact certificate: it sums to 1 and
+pi . P = pi over the rationals.
 
 The bookkeeping around the solver is exact but avoids one Fraction
-operation per entry: row sums and the sum of a law add integer numerators
-per denominator (:func:`weyltasep.ratio.exact_sum`), range and sign tests
-read numerators and denominators, and the certificate scales pi and the
-kernel rows to integers by the lcm of their denominators.
+operation per entry: a kernel built from moves adds integer edge weights
+over one denominator, the sum of a law adds integer numerators per
+denominator (:func:`weyltasep.ratio.exact_sum`), and the certificate
+scales pi to integers and reads the kernel's integer rows as they are.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import InvalidRates, NotIrreducible
-from .ratio import ONE, R, ZERO, exact_sum, fmt_ratio
+from .ratio import R, ZERO, exact_sum, fmt_ratio
 
 State = Hashable
 
@@ -37,103 +38,104 @@ def _rational(p) -> R:
     return p if isinstance(p, R) else R(p)
 
 
-class Kernel:
-    """A finite row-stochastic matrix over exact rationals.
+def _index(states: tuple) -> dict:
+    """State -> position; raises ValueError when a state repeats."""
+    index = {s: i for i, s in enumerate(states)}
+    if len(index) != len(states):
+        raise ValueError("duplicate states")
+    return index
 
-    Entries may be given as anything Fraction accepts; zero entries are
-    dropped.  Every entry must lie in [0, 1] and every row must sum to 1
-    exactly (checked with :func:`weyltasep.ratio.exact_sum`).
+
+class Kernel:
+    """A finite row-stochastic matrix over exact rationals, as integers over one denominator.
+
+    rows[i] maps column j to a positive integer, entry (i, j) is
+    rows[i][j] / den, and every row sums to den.  Given rows of anything
+    Fraction accepts, zero entries are dropped, den is the lcm of the
+    entries' denominators, and every entry must lie in [0, 1] and every
+    row must sum to 1 exactly.
     """
 
     def __init__(self, states: Sequence[State], rows: Sequence[Mapping[int, object]]):
         self.states = tuple(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        if len(self.index) != len(self.states):
-            raise ValueError("duplicate states")
-        checked = []
-        for i, row in enumerate(rows):
-            out = {}
-            for j, p in row.items():
-                p = _rational(p)
-                num = p.numerator
-                if num:
-                    if num < 0 or num > p.denominator:
-                        raise ValueError(f"probability outside [0,1] in row {i}")
-                    out[j] = p
-            if exact_sum(out.values()) != 1:
+        self.index = _index(self.states)
+        rows = [{j: p for j, p in zip(row, map(_rational, row.values())) if p} for row in rows]
+        den = self.den = lcm(*{p.denominator for row in rows for p in row.values()})
+        self.rows = tuple({j: p.numerator * (den // p.denominator) for j, p in row.items()}
+                          for row in rows)
+        for i, row in enumerate(self.rows):
+            if not all(0 < a <= den for a in row.values()):
+                raise ValueError(f"probability outside [0,1] in row {i}")
+            if sum(row.values()) != den:
                 raise ValueError(f"row {i} does not sum to 1")
-            checked.append(out)
-        self.rows = tuple(checked)
 
     @classmethod
-    def _from_checked(cls, states: tuple, index: dict, rows: list) -> "Kernel":
-        """A kernel from rows already known to be valid: Fractions in (0, 1] summing to 1."""
+    def _from_checked(cls, states: tuple, index: dict, rows: list, den: int) -> "Kernel":
+        """A kernel from rows already known to be valid: positive integers summing to den."""
         kernel = cls.__new__(cls)
-        kernel.states, kernel.index, kernel.rows = states, index, tuple(rows)
+        kernel.states, kernel.index, kernel.rows, kernel.den = states, index, tuple(rows), den
         return kernel
 
     def __len__(self) -> int:
         return len(self.states)
 
-    def prob(self, src: State, dst: State):
-        return self.rows[self.index[src]].get(self.index[dst], ZERO)
+    def prob(self, src: State, dst: State) -> R:
+        return R(self.rows[self.index[src]].get(self.index[dst], 0), self.den)
 
-    def row(self, src: State) -> dict[State, object]:
-        return {self.states[j]: p for j, p in self.rows[self.index[src]].items()}
+    def row(self, src: State) -> dict[State, R]:
+        return {self.states[j]: R(a, self.den) for j, a in self.rows[self.index[src]].items()}
 
     def restrict(self, keep: Iterable[State]) -> "Kernel":
-        """Sub-kernel on a closed set of states (rows must not leave it)."""
+        """Sub-kernel on a closed set of states (rows must not leave it), over the same den."""
         keep_set = set(keep)
-        states = [s for s in self.states if s in keep_set]
+        states = tuple(s for s in self.states if s in keep_set)
         new_index = {self.index[s]: k for k, s in enumerate(states)}
         rows = []
         for s in states:
             row = self.rows[self.index[s]]
             if any(j not in new_index for j in row):
                 raise ValueError(f"state {s!r} has transitions leaving the set")
-            rows.append({new_index[j]: p for j, p in row.items()})
-        return Kernel._from_checked(tuple(states), {s: k for k, s in enumerate(states)}, rows)
+            rows.append({new_index[j]: a for j, a in row.items()})
+        return Kernel._from_checked(states, _index(states), rows, self.den)
 
 
 def build_kernel(
     states: Sequence[State],
-    moves: Callable[[State], Iterable[tuple[State, object]]],
+    moves: Callable[[int], Iterable[tuple[int, int]]],
+    probs: Sequence[object],
 ) -> Kernel:
-    """Assemble a kernel from per-state move lists; leftover mass holds.
+    """Assemble a kernel from index moves; leftover mass holds.
 
-    Raises InvalidRates when the moves out of a state carry more than 1.
-    Each row is checked once, here: with the holding mass it sums to 1, so
-    it is valid when no entry is negative.
+    moves(k) yields (target index, edge) for the state at index k, and a
+    move has probability probs[edge].  The edge probabilities are brought
+    to one denominator den once; each row adds integer weights per target,
+    and den minus the total holds.  Raises ValueError for a repeated state
+    or a negative edge probability, and InvalidRates when the moves out of
+    a state carry more than 1.
     """
     states = tuple(states)
-    index = {s: i for i, s in enumerate(states)}
+    index = _index(states)
+    probs = list(map(_rational, probs))
+    for e, p in enumerate(probs):
+        if p < 0:
+            raise ValueError(f"edge {e} has negative probability {fmt_ratio(p)}")
+    den = lcm(*(p.denominator for p in probs))
+    weights = [p.numerator * (den // p.denominator) for p in probs]
     rows = []
-    for s in states:
-        row: dict[int, R] = {}
-        for target, p in moves(s):
-            p = _rational(p)
-            if not p.numerator:
-                continue
-            j = index[target]
-            q = row.get(j)
-            row[j] = p if q is None else q + p
-        total = exact_sum(row.values())
-        if total > 1:
-            raise InvalidRates(f"moves out of state {s!r} carry {fmt_ratio(total)} > 1")
-        if total != 1:
-            i = index[s]
-            hold = ONE - total
-            q = row.get(i)
-            row[i] = hold if q is None else q + hold
-        low = min(p.numerator for p in row.values())
-        if low < 0:
-            raise ValueError(f"probability outside [0,1] in row {len(rows)}")
-        if low == 0:  # a negative move cancelled a positive one
-            row = {j: p for j, p in row.items() if p.numerator}
+    for k in range(len(states)):
+        row: dict[int, int] = {}
+        get = row.get
+        for j, e in moves(k):
+            if weights[e]:
+                row[j] = get(j, 0) + weights[e]
+        total = sum(row.values())
+        if total > den:
+            carry = fmt_ratio(R(total, den))
+            raise InvalidRates(f"moves out of state {states[k]!r} carry {carry} > 1")
+        if total < den:
+            row[k] = get(k, 0) + den - total
         rows.append(row)
-    if len(index) != len(states):
-        raise ValueError("duplicate states")
-    return Kernel._from_checked(states, index, rows)
+    return Kernel._from_checked(states, index, rows, den)
 
 
 @dataclass(frozen=True)
@@ -290,13 +292,14 @@ def exact_stationary(kernel: Kernel) -> Dist:
     return Dist(probs)
 
 
-def _float(q: R) -> float:
-    return q.numerator / q.denominator
+def _float(a: int, den: int) -> float:
+    """a / den rounded to the nearest float."""
+    return a / den
 
 
-def _decimal(q: R) -> Decimal:
-    """q rounded to the precision of the current decimal context."""
-    return Decimal(q.numerator) / q.denominator
+def _decimal(a: int, den: int) -> Decimal:
+    """a / den rounded to the precision of the current decimal context."""
+    return Decimal(a) / den
 
 
 def _certified(kernel: Kernel, members: list[int], found) -> dict[int, R] | None:
@@ -308,24 +311,25 @@ def _certified(kernel: Kernel, members: list[int], found) -> dict[int, R] | None
     return pi_idx if _is_stationary(kernel, pi_idx) else None
 
 
-def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -> list | None:
+def _eliminate(kernel: Kernel, members: list[int], num: Callable) -> list | None:
     """The stationary law on `members`, in that order, in the numbers num makes.
 
-    num turns each kernel entry into a number: a float, or a Decimal of
-    the current context.  Censors states one at a time, greedily taking the
-    state with the fewest in-degree x out-degree off-diagonal links among
-    those left, the lowest index among equals.  The costs sit in buckets,
-    cost -> states, and after each step every predecessor and successor
-    whose cost changed moves to its new bucket, so each pick is exact.
-    This is the elimination of Grassmann, Taksar and Heyman:
+    num(a, den) turns each kernel entry a / den into a number: a float, or a
+    Decimal of the current context.  Censors states one at a time, greedily
+    taking the state with the fewest in-degree x out-degree off-diagonal
+    links among those left, the lowest index among equals.  The costs sit in
+    buckets, cost -> states, and after each step every predecessor and
+    successor whose cost changed moves to its new bucket, so each pick is
+    exact.  This is the elimination of Grassmann, Taksar and Heyman:
     censoring k adds out[i][k] / S_k * out[k][j] to out[i][j] for every
     predecessor i and successor j != i, where S_k is k's off-diagonal row
-    sum.  Nothing is subtracted, so each entry has a small relative error
-    at any working precision (O'Cinneide 1993).  Returns None when an S_k
-    or the final total is zero or not finite (a float rate that underflows).
+    sum.  Nothing is subtracted, so each entry has a small relative error at
+    any working precision (O'Cinneide 1993).  Returns None when an S_k or the
+    final total is zero or not finite (a float rate that underflows).
     """
     member_set = set(members)
-    out = {i: {j: num(q) for j, q in kernel.rows[i].items() if j != i and j in member_set}
+    den = kernel.den
+    out = {i: {j: num(a, den) for j, a in kernel.rows[i].items() if j != i and j in member_set}
            for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
@@ -335,7 +339,7 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -
     buckets: dict[int, set[int]] = {}
     for i, c in cost.items():
         buckets.setdefault(c, set()).add(i)
-    zero = num(ZERO)
+    zero = num(0, 1)
     steps = []
     finite = True
     while len(out) > 1:
@@ -379,7 +383,7 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable[[R], object]) -
                 buckets.setdefault(now, set()).add(i)
                 cost[i] = now
     (root,) = out
-    pi = {root: num(ONE)}
+    pi = {root: num(1, 1)}
     for k, preds, factors in reversed(steps):
         pi[k] = sum(pi[i] * f for i, f in zip(preds, factors))
     total = sum(pi.values())
@@ -431,24 +435,18 @@ def _is_stationary(kernel: Kernel, pi_idx: Mapping[int, object]) -> bool:
     """Exact certificate: pi sums to 1 and pi . P = pi (pi is 0 off pi_idx).
 
     Checked in integers.  With L the lcm of pi's denominators, a = L pi is
-    integral, and sum(a) == L says pi sums to 1.  With K the lcm of the
-    denominators in the rows of pi's support, K P is integral on those
-    rows, and pi . P = pi reads sum_i a_i (K q_ij) == a_j K for every j.
+    integral, and sum(a) == L says pi sums to 1.  With K the kernel's den,
+    K P is its integer rows, and pi . P = pi reads
+    sum_i a_i (K q_ij) == a_j K for every j.
     """
     big_l = lcm(*{p.denominator for p in pi_idx.values()})
     a = {i: p.numerator * (big_l // p.denominator) for i, p in pi_idx.items()}
     if sum(a.values()) != big_l:
         return False
-    rows = [(a_i, kernel.rows[i]) for i, a_i in a.items()]
-    big_k = lcm(*{q.denominator for _, row in rows for q in row.values()})
-    scale: dict[int, int] = {}
     flow: dict[int, int] = {}
-    for a_i, row in rows:
-        for j, q in row.items():
-            den = q.denominator
-            s = scale.get(den)
-            if s is None:
-                s = scale[den] = big_k // den
-            flow[j] = flow.get(j, 0) + a_i * (q.numerator * s)
-    return all(flow.get(j, 0) == a.get(j, 0) * big_k for j in flow.keys() | a.keys())
-
+    get = flow.get
+    for i, a_i in a.items():
+        for j, q in kernel.rows[i].items():
+            flow[j] = get(j, 0) + a_i * q
+    big_k = kernel.den
+    return all(get(j, 0) == a.get(j, 0) * big_k for j in flow.keys() | a.keys())

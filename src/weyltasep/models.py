@@ -99,14 +99,16 @@ def dstar_states(n: int, n0: int) -> list:
 
 def _exclusion_kernel(states, kind: WeylKind, probs) -> Kernel:
     """Edge g moves w to s_g(w) with probability probs[g] when <wall_g, w> < 0."""
-    rule = tuple(zip(range(kind.n + 1), alcove_walls(kind), probs))
+    walls = tuple(enumerate(alcove_walls(kind)))
+    index = {w: k for k, w in enumerate(states)}
 
-    def moves(w):
-        for g, (i0, c0, i1, c1), p in rule:
+    def moves(k):
+        w = states[k]
+        for g, (i0, c0, i1, c1) in walls:
             if c0 * w[i0] + c1 * w[i1] < 0:
-                yield apply_generator(w, g, kind), p
+                yield index[apply_generator(w, g, kind)], g
 
-    return build_kernel(states, moves)
+    return build_kernel(states, moves, probs)
 
 
 def _kac_probs(kind: WeylKind) -> list:
@@ -154,34 +156,30 @@ def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
     states = dstar_states(n, n0)
     if not states:
         raise InvalidCounts(f"empty state space for n={n}, n0={n0}")
-    edge = R(1, n - 1)
-    # (pair at the first two sites) -> (new pair, probability); the same at
-    # the last two sites.
-    left = {
-        (STAR, -1): ((STAR, 1), edge * params.alpha),
-        (STAR, 0): ((0, 1), edge * params.alpha_star),
-        (0, -1): ((STAR, 0), edge),
-    }
-    right = {
-        (1, STAR): ((-1, STAR), edge * params.beta),
-        (0, STAR): ((-1, 0), edge * params.beta_star),
-        (1, 0): ((0, STAR), edge),
-    }
+    index = {w: k for k, w in enumerate(states)}
+    # Edge 0 is a bulk swap, edges 1..4 carry the boundary rates.
+    probs = [R(1, n - 1) * r for r in (1, params.alpha, params.alpha_star, params.beta,
+                                       params.beta_star)]
+    # (pair at the first two sites) -> (new pair, edge); the same at the
+    # last two sites.
+    left = {(STAR, -1): ((STAR, 1), 1), (STAR, 0): ((0, 1), 2), (0, -1): ((STAR, 0), 0)}
+    right = {(1, STAR): ((-1, STAR), 3), (0, STAR): ((-1, 0), 4), (1, 0): ((0, STAR), 0)}
 
-    def moves(w):
+    def moves(k):
         if n == 2:
             return
+        w = states[k]
         hit = left.get(w[:2])
         if hit is not None:
-            yield hit[0] + w[2:], hit[1]
-        for k in range(1, n - 2):
-            if w[k] > w[k + 1]:
-                yield w[:k] + (w[k + 1], w[k]) + w[k + 2:], edge
+            yield index[hit[0] + w[2:]], hit[1]
+        for i in range(1, n - 2):
+            if w[i] > w[i + 1]:
+                yield index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]], 0
         hit = right.get(w[-2:])
         if hit is not None:
-            yield w[:-2] + hit[0], hit[1]
+            yield index[w[:-2] + hit[0]], hit[1]
 
-    return build_kernel(states, moves)
+    return build_kernel(states, moves, probs)
 
 
 def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:

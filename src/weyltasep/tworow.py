@@ -368,15 +368,14 @@ def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
     if not states:
         raise InvalidCounts(f"empty configuration space n={n}, n0={n0}")
     edge = R(1, n - 1) if n >= 2 else ONE
-    probs = {rule: edge * rate_of(rule, params) for rule in _RATE_KEY}
+    probs = [edge * rate_of(rule, params) for rule in _RATE_KEY]
+    edge_of = {rule: e for e, rule in enumerate(_RATE_KEY)}
     maps = _wall_maps(n, n0)
-    index = {c: k for k, c in enumerate(states)}
 
-    def moves(c):  # a wall with no rule maps c to itself
-        k = index[c]
-        return [(states[t], probs[rule]) for t, rule, _ in maps[k] if t != k and probs[rule]]
+    def moves(k):  # a wall with no rule maps configuration k to itself
+        return [(t, edge_of[rule]) for t, rule, _ in maps[k] if t != k]
 
-    return build_kernel(states, moves)
+    return build_kernel(states, moves, probs)
 
 
 def _in_class(lab: LabelCounts, params: DStarParams) -> bool:

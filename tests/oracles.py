@@ -4,6 +4,8 @@ These deliberately avoid the library's own formulas: word lengths come from
 breadth-first search over the generators, stationary vectors from floating
 point power iteration or from state elimination over fractions.Fraction,
 the stationarity certificate from one Fraction operation per entry,
+kernels assembled with one Fraction per entry instead of integer weights
+over one denominator,
 counts from brute enumeration, exclusion-chain kernels from literal
 per-pair pattern tables instead of the wall rule, the starred kernel from
 a branch per boundary pattern instead of two boundary tables, two-row laws from one
@@ -34,7 +36,7 @@ from functools import lru_cache
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
 from weyltasep.errors import NonGenericPoint
-from weyltasep.markov import Dist, build_kernel
+from weyltasep.markov import Dist, Kernel
 from weyltasep.models import STAR, dstar_states, multi_states, two_species_states
 from weyltasep.ratio import R, parse_ratio
 from weyltasep.tworow import COL_DOWN, COL_RISE, COL_STAR, COL_UP, COL_ZERO, LabelCounts
@@ -77,7 +79,7 @@ def power_iteration(kernel, sweeps: int = 20000) -> dict:
     """Floating-point stationary vector by repeated multiplication."""
     m = len(kernel)
     vec = [1.0 / m] * m
-    rows = [{j: float(p) for j, p in row.items()} for row in kernel.rows]
+    rows = [{j: float(Fraction(a, kernel.den)) for j, a in row.items()} for row in kernel.rows]
     for _ in range(sweeps):
         new = [0.0] * m
         for i, x in enumerate(vec):
@@ -96,7 +98,8 @@ def fraction_gth(kernel, members: list[int]) -> dict[int, Fraction]:
     """
     member_set = set(members)
     out = {
-        i: {j: Fraction(p) for j, p in kernel.rows[i].items() if j != i and j in member_set}
+        i: {j: Fraction(a, kernel.den) for j, a in kernel.rows[i].items()
+            if j != i and j in member_set}
         for i in members
     }
     inn: dict[int, set[int]] = {i: set() for i in members}
@@ -154,9 +157,36 @@ def fraction_certificate(kernel, pi_idx: dict) -> bool:
         return False
     flow: dict = {}
     for i, p in pi_idx.items():
-        for j, q in kernel.rows[i].items():
-            flow[j] = flow.get(j, Fraction(0)) + p * q
+        for j, a in kernel.rows[i].items():
+            flow[j] = flow.get(j, Fraction(0)) + p * Fraction(a, kernel.den)
     return all(flow.get(j, 0) == pi_idx.get(j, 0) for j in flow.keys() | pi_idx.keys())
+
+
+# --- kernels with one Fraction per entry -------------------------------------
+
+
+def fraction_kernel(states, moves):
+    """A kernel from moves(state) -> (target state, probability), one Fraction per entry.
+
+    Moves to one target add up and the leftover mass holds; the rows go
+    through the validated Kernel constructor, which rejects a negative or
+    oversized entry and a row that does not sum to 1.
+    """
+    states = tuple(states)
+    index = {s: i for i, s in enumerate(states)}
+    rows = []
+    for i, s in enumerate(states):
+        row: dict[int, Fraction] = {}
+        for target, p in moves(s):
+            p = Fraction(p)
+            if p:
+                j = index[target]
+                row[j] = row.get(j, Fraction(0)) + p
+        hold = 1 - sum(row.values(), Fraction(0))
+        if hold:
+            row[i] = row.get(i, Fraction(0)) + hold
+        rows.append(row)
+    return Kernel(states, rows)
 
 
 # --- exclusion chains from pattern tables -----------------------------------
@@ -232,20 +262,20 @@ def table_multi_kernel(family: str, n: int):
     moves = _table_moves(
         family, n, _kac_probs(family, n), first_move_patterns_d(n), theta_move_patterns(n)
     )
-    return build_kernel(multi_states(WeylKind(family, n), n), moves)
+    return fraction_kernel(multi_states(WeylKind(family, n), n), moves)
 
 
 def table_two_species_kernel(family: str, n: int, n0: int):
     """The two-species kernel built from the TWO_* tables."""
     moves = _table_moves(family, n, _kac_probs(family, n), TWO_FIRST_D, TWO_THETA)
-    return build_kernel(two_species_states(n, n0), moves)
+    return fraction_kernel(two_species_states(n, n0), moves)
 
 
 def table_semipermeable_kernel(n: int, n0: int, alpha, beta):
     """The semipermeable kernel: Ccheck boundary flips scaled by the rates."""
     edge = R(1, n + 1)
     probs = [edge * R(alpha)] + [edge] * (n - 1) + [edge * R(beta)]
-    return build_kernel(two_species_states(n, n0), _table_moves("Ccheck", n, probs, {}, {}))
+    return fraction_kernel(two_species_states(n, n0), _table_moves("Ccheck", n, probs, {}, {}))
 
 
 
@@ -281,7 +311,7 @@ def branch_dstar_kernel(n: int, n0: int, params):
         elif x == 1 and y == 0:
             yield put(w, n - 2, (0, STAR)), edge
 
-    return build_kernel(dstar_states(n, n0), moves)
+    return fraction_kernel(dstar_states(n, n0), moves)
 
 # --- two-row weights and Motzkin paths, one product per object ---------------
 
@@ -376,7 +406,7 @@ def tworow_kernel(n: int, n0: int, params):
             if rule is not None and c2 != c:
                 yield c2, edge * tr.rate_of(rule, params)
 
-    return build_kernel(tr.enumerate_configs(n, n0), moves)
+    return fraction_kernel(tr.enumerate_configs(n, n0), moves)
 
 
 def motzkin_exponents(k: int) -> tuple:

@@ -4,8 +4,10 @@ Each test prints one PASS line when its criterion holds; every comparison
 is exact unless the criterion is explicitly a Monte Carlo one.
 """
 import hashlib
+import io
 import json
 import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 
 import oracles
 import weyltasep.closedform as cf
+from weyltasep.cli import main
 from weyltasep.markov import exact_stationary
 from weyltasep.models import build_multi
 from weyltasep.ratio import R, ZERO
@@ -193,11 +196,17 @@ def test_criterion_11_conjectured_pair_values_rank4(conjecture_b_report):
     _passed(11, "all five conjectured case families verified exactly at n=4")
 
 
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_default_verify_reports_match_golden_digests(
     identities_report, tworow_report, lumping_report, conjecture_b_report, tables_report
 ):
     # tests/golden_verify.json holds the sha256 of json.dumps(report, sort_keys=True)
-    # for each default report; an intended change to a report edits that file.
+    # for each default report, and of the JSON that `corr` and `limdir --method lam`
+    # print for B, Ccheck and D at n = 2..4 (keys "corr-b-2", "limdir-lam-d-4", ...);
+    # an intended change to one of them edits that file.
     reports = {
         "identities": identities_report,
         "tworow": tworow_report,
@@ -205,10 +214,15 @@ def test_default_verify_reports_match_golden_digests(
         "conjecture-b": conjecture_b_report,
         "tables": tables_report,
     }
-    digests = {
-        name: hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
-        for name, report in reports.items()
-    }
+    digests = {name: _sha256(json.dumps(report, sort_keys=True))
+               for name, report in reports.items()}
+    for kind in ("b", "ccheck", "d"):
+        for n in (2, 3, 4):
+            for name, argv in (("corr", ["corr"]), ("limdir-lam", ["limdir", "--method", "lam"])):
+                out = io.StringIO()
+                with redirect_stdout(out):
+                    assert main([*argv, "--kind", kind, "--n", str(n), "--format", "json"]) == 0
+                digests[f"{name}-{kind}-{n}"] = _sha256(out.getvalue())
     golden = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
     assert digests == golden
 

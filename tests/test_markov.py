@@ -1,5 +1,6 @@
 from decimal import ROUND_FLOOR, Inexact, getcontext, localcontext
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from oracles import (
     dist_from_json_obj,
     fraction_certificate,
     fraction_gth,
+    fraction_kernel,
     power_iteration,
     reversal_bijection,
 )
@@ -37,13 +39,13 @@ def test_kernel_row_sums_enforced():
 
 
 def test_build_kernel_holds_leftover_mass():
-    k = build_kernel(("a", "b"), lambda s: [("b", R(1, 3))] if s == "a" else [])
+    k = build_kernel(("a", "b"), lambda k: [(1, 0)] if k == 0 else [], [R(1, 3)])
     assert k.prob("a", "a") == R(2, 3)
     assert k.prob("b", "b") == R(1)
 
 
 def test_one_state_chain():
-    k = build_kernel(("x",), lambda s: [])
+    k = build_kernel(("x",), lambda k: [], [])
     cls = communicating_classes(k)
     assert len(cls) == 1 and cls[0].closed
     assert exact_stationary(k)["x"] == R(1)
@@ -80,14 +82,7 @@ def test_not_irreducible_raises():
 
 
 def test_transient_states_get_zero():
-    k = build_kernel(
-        ("t", "a", "b"),
-        lambda s: {
-            "t": [("a", R(1, 2)), ("b", R(1, 2))],
-            "a": [("b", R(1, 2))],
-            "b": [("a", R(1, 2))],
-        }[s],
-    )
+    k = build_kernel(("t", "a", "b"), [[(1, 0), (2, 0)], [(2, 0)], [(1, 0)]].__getitem__, [R(1, 2)])
     pi = exact_stationary(k)
     assert pi["t"] == 0 and pi["a"] == pi["b"] == R(1, 2)
 
@@ -126,9 +121,10 @@ def test_restrict_to_closed_class_matches_direct_kernel():
     (cls,) = [c for c in communicating_classes(ker) if c.closed]
     sub = ker.restrict(cls.states)
     states = [s for s in ker.states if s in cls.states]
-    direct = build_kernel(states, lambda s: ker.row(s).items())
-    assert len(sub) < len(ker)
-    assert sub.states == direct.states and sub.rows == direct.rows
+    direct = fraction_kernel(states, lambda s: ker.row(s).items())
+    assert len(sub) < len(ker) and sub.den == ker.den
+    assert sub.states == direct.states
+    assert all(sub.row(s) == direct.row(s) for s in states)
     pi = exact_stationary(ker)
     assert exact_stationary(sub) == Dist({s: p for s, p in pi.items() if s in cls.states})
 
@@ -143,6 +139,40 @@ def test_rank5_d_law_gives_closed_form_direction():
             for j, c in enumerate(inverse_act_theta(w, kind)):
                 psi[j] += p * c
     assert DirectionVector(tuple(psi)).proportional_to(limdir_closed(kind, 5))
+
+
+# --- kernels from Fraction rows ----------------------------------------------
+
+
+@st.composite
+def fraction_row_kernels(draw):
+    """(rows, Kernel(states, rows)) for random Fraction rows, some with zero entries."""
+    n = draw(st.integers(1, 8))
+    rows = []
+    for i in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True))
+        row = dict(_draw_row(draw, targets))
+        row[i] = row.get(i, Fraction(0)) + 1 - sum(row.values(), Fraction(0))
+        row.setdefault(draw(st.integers(0, n - 1)), Fraction(0))
+        rows.append(row)
+    return rows, Kernel([f"s{i}" for i in range(n)], rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_row_kernels())
+def test_kernel_holds_fraction_rows_as_integers_over_one_denominator(case):
+    rows, kernel = case
+    assert kernel.den == lcm(*(p.denominator for row in rows for p in row.values() if p))
+    assert all(sum(row.values()) == kernel.den for row in kernel.rows)
+    names = kernel.states
+    for s, row in zip(names, rows):
+        assert kernel.row(s) == {names[j]: p for j, p in row.items() if p}
+        assert all(kernel.prob(s, names[j]) == p for j, p in row.items())
+    for cls in communicating_classes(kernel):
+        if cls.closed:
+            sub = kernel.restrict(cls.states)
+            assert sub.den == kernel.den
+            assert all(sub.row(s) == kernel.row(s) for s in sub.states)
 
 
 # --- both passes against the Fraction elimination -------------------------
@@ -161,6 +191,17 @@ def _draw_row(draw, targets) -> list:
     return [(t, w / scale) for t, w in zip(targets, weights)]
 
 
+def _index_kernel(moves: dict):
+    """build_kernel over sorted(moves), every (target, p) move an edge of its own."""
+    states = sorted(moves)
+    pos = {s: k for k, s in enumerate(states)}
+    probs, rows = [], []
+    for s in states:
+        rows.append([(pos[t], len(probs) + e) for e, (t, _) in enumerate(moves[s])])
+        probs.extend(p for _, p in moves[s])
+    return build_kernel(states, rows.__getitem__, probs)
+
+
 @st.composite
 def sparse_chains(draw):
     n = draw(st.integers(1, 12))
@@ -171,7 +212,7 @@ def sparse_chains(draw):
         if cyclic and (i + 1) % n not in targets:
             targets.append((i + 1) % n)
         moves[i] = _draw_row(draw, targets)
-    return build_kernel(range(n), moves.__getitem__)
+    return _index_kernel(moves)
 
 
 @st.composite
@@ -187,7 +228,7 @@ def two_closed_classes(draw):
         extra = draw(st.lists(st.sampled_from(sorted(moves)), max_size=2, unique=True))
         targets = dict.fromkeys([(draw(st.sampled_from("ab")), 0)] + extra)
         moves[("t", i)] = _draw_row(draw, list(targets))
-    return build_kernel(sorted(moves), moves.__getitem__)
+    return _index_kernel(moves)
 
 
 def _float_pass_fails(monkeypatch):
@@ -386,7 +427,7 @@ def laws_to_certify(draw):
     stays 1), one entry changed, the whole law scaled, or an explicit zero
     added outside the support (the law stays stationary).
     """
-    kernel = draw(sparse_chains())
+    kernel = draw(st.one_of(sparse_chains(), fraction_row_kernels().map(lambda case: case[1])))
     closed = [c for c in communicating_classes(kernel) if c.closed]
     members = sorted(kernel.index[s] for s in draw(st.sampled_from(closed)).states)
     pi = fraction_gth(kernel, members)
@@ -452,20 +493,37 @@ def test_kernel_rejects_bad_fractional_rows(conv, row, match):
 @pytest.mark.parametrize("conv", TYPES)
 def test_build_kernel_rejects_bad_moves_of_every_type(conv):
     one, neg = conv(Fraction(1)), conv(Fraction(-1))
-    with pytest.raises(InvalidRates):
-        build_kernel(("a", "b"), lambda s: [("b", one), ("a", one)] if s == "a" else [])
-    # A negative move leaves a holding mass above 1, which Kernel rejects.
-    with pytest.raises(ValueError, match="outside"):
-        build_kernel(("a", "b"), lambda s: [("b", neg)] if s == "a" else [])
+    with pytest.raises(InvalidRates, match=r"state 'a' carry 2 > 1"):
+        build_kernel(("a", "b"), lambda k: [(1, 0), (0, 0)] if k == 0 else [], [one])
+    with pytest.raises(ValueError, match="negative"):
+        build_kernel(("a", "b"), lambda k: [(1, 0)] if k == 0 else [], [neg])
+    # An edge above 1 is an error only in a row whose moves carry it.
+    big = build_kernel(("a", "b"), lambda k: [(1, 0)] if k == 0 else [], [one, conv(2)])
+    assert big.prob("a", "b") == 1 == big.prob("b", "b")
+
+
+def test_build_kernel_rejects_duplicate_states_before_any_row():
+    built = []
+
+    def moves(k):
+        built.append(k)
+        return []
+
+    with pytest.raises(ValueError, match="duplicate"):
+        build_kernel(("a", "b", "a"), moves, [])
+    assert built == []
 
 
 @pytest.mark.parametrize("conv", NON_INT)
 def test_build_kernel_folds_duplicate_fractional_moves(conv):
     half, quarter = conv(Fraction(1, 2)), conv(Fraction(1, 4))
     with pytest.raises(InvalidRates):
-        build_kernel(("a", "b"), lambda s: [("b", half), ("a", half), ("b", half)] if s == "a" else [])
-    folded = build_kernel(("a", "b"), lambda s: [("b", quarter), ("b", quarter)] if s == "a" else [])
-    assert list(folded.rows[0].items()) == [(1, R(1, 2)), (0, R(1, 2))]
+        build_kernel(("a", "b"), lambda k: [(1, 0), (0, 0), (1, 0)] if k == 0 else [], [half])
+    for edges in ((0, 0), (0, 1)):
+        folded = build_kernel(
+            ("a", "b"), lambda k: [(1, e) for e in edges] if k == 0 else [], [quarter, quarter]
+        )
+        assert list(folded.row("a").items()) == [("b", R(1, 2)), ("a", R(1, 2))]
 
 
 @pytest.mark.parametrize("conv", TYPES)
@@ -486,7 +544,5 @@ def test_dist_rejects_negative_values_and_bad_sums_of_every_type(conv):
 
 def test_fractions_are_stored_as_given():
     p, q = R(1, 3), R(2, 3)
-    k = Kernel(("a", "b"), ({0: p, 1: q}, {1: R(1)}))
-    assert k.rows[0][0] is p and k.rows[0][1] is q
     d = Dist({"a": p, "b": q})
     assert d["a"] is p and d["b"] is q

@@ -1,7 +1,9 @@
 import pytest
 
+from weyltasep import tworow
 from weyltasep.errors import InvalidCounts, InvalidRates, UnsupportedKind
 from weyltasep.models import (
+    MULTI_FAMILIES,
     DStarParams,
     build_dstar,
     build_multi,
@@ -11,7 +13,8 @@ from weyltasep.models import (
     multi_states,
     two_species_states,
 )
-from weyltasep.ratio import R, ZERO
+from weyltasep.ratio import R
+from weyltasep.verify import PARAM_POINTS
 from weyltasep.weyl import WeylKind, kac_weights, theta_raises
 
 from oracles import (
@@ -22,6 +25,7 @@ from oracles import (
     table_semipermeable_kernel,
     table_two_species_kernel,
     theta_move_patterns,
+    tworow_kernel,
 )
 
 CCHECK = WeylKind("Ccheck", 1)
@@ -96,7 +100,7 @@ def test_rows_sum_to_one():
     ]
     for ker in kernels:
         for row in ker.rows:
-            assert sum(row.values(), ZERO) == 1
+            assert sum(row.values()) == ker.den
 
 
 @pytest.mark.parametrize("family,n", [("B", 2), ("B", 3), ("B", 4), ("D", 3), ("D", 4)])
@@ -138,7 +142,7 @@ def test_pattern_tables_match_sign_rule():
 def _entries(ker):
     # rows with their insertion order: a zero-pairing "move" is a self-loop
     # and changes where the holding entry sits, though not its value
-    return ker.states, [list(row.items()) for row in ker.rows]
+    return ker.states, [list(ker.row(s).items()) for s in ker.states]
 
 
 @pytest.mark.parametrize("family", ["Ccheck", "B", "D"])
@@ -178,6 +182,58 @@ def test_dstar_tables_match_boundary_branches():
             for params in points:
                 ker = build_dstar(n, n0, params)
                 assert _entries(ker) == _entries(branch_dstar_kernel(n, n0, params)), (n, n0)
+
+
+def _multi_pairs():
+    for family in MULTI_FAMILIES:
+        for n in range(2 if family in ("B", "D") else 1, 5):
+            yield build_multi(WeylKind(family, n), n), table_multi_kernel(family, n)
+
+
+def _two_species_pairs():
+    for family in MULTI_FAMILIES:
+        for n in range(2 if family in ("B", "D") else 1, 5):
+            for n0 in range(n + 1):
+                ker = build_two_species(WeylKind(family, n), n, n0)
+                yield ker, table_two_species_kernel(family, n, n0)
+
+
+def _dstar_pairs():
+    points = (DStarParams(1, 1, 1, 1), DStarParams(1, 0, R(1, 2), R(1, 2)),
+              DStarParams(R(1, 3), R(1, 5), R(2, 7), R(3, 11)))
+    for n in range(2, 7):
+        for n0 in range(n + 1):
+            for params in points:
+                yield build_dstar(n, n0, params), branch_dstar_kernel(n, n0, params)
+
+
+def _semipermeable_pairs():
+    for n in range(1, 5):
+        for n0 in range(n + 1):
+            for alpha, beta in ((1, 1), (R(2, 3), R(3, 5)), (R(3, 2), R(1, 2))):
+                ker = build_semipermeable(n, n0, alpha, beta)
+                yield ker, table_semipermeable_kernel(n, n0, alpha, beta)
+
+
+def _tworow_pairs():
+    for n in range(1, 8):
+        for n0 in range(n + 1):
+            for params in PARAM_POINTS:
+                yield tworow.kernel(n, n0, params), tworow_kernel(n, n0, params)
+
+
+@pytest.mark.parametrize(
+    "pairs", [_multi_pairs, _two_species_pairs, _dstar_pairs, _semipermeable_pairs, _tworow_pairs],
+    ids=["multi", "two-species", "dstar", "semipermeable", "tworow"],
+)
+def test_builders_match_fraction_kernel(pairs):
+    # each builder's integer rows give the probabilities of the Fraction
+    # assembly (tests/oracles.py: fraction_kernel), entry for entry
+    for ker, ref in pairs():
+        assert ker.states == ref.states
+        for s in ker.states:
+            assert ker.row(s) == ref.row(s), s
+        assert all(sum(row.values()) == ker.den for row in ker.rows)
 
 
 def test_oversized_rates_name_the_state():

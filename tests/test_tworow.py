@@ -243,7 +243,8 @@ def test_wall_maps_match_apply():
 def test_kernel_matches_apply_oracle(n, n0):
     for params in PARAM_POINTS:
         ker, ref = tr.kernel(n, n0, params), oracles.tworow_kernel(n, n0, params)
-        assert ker.states == ref.states and ker.rows == ref.rows
+        assert ker.states == ref.states
+        assert all(ker.row(c) == ref.row(c) for c in ker.states)
 
 
 def _transfer_identity_passes():
@@ -295,7 +296,7 @@ def test_one_configuration_space_is_a_point_mass(n):
 def test_kernel_rows_sum_to_one():
     ker = tr.kernel(4, 1, POINTS[0])
     for row in ker.rows:
-        assert sum(row.values(), ZERO) == 1
+        assert sum(row.values()) == ker.den
 
 
 @pytest.mark.parametrize("n,n0", [(3, 1), (4, 2), (5, 3), (5, 1)])
