@@ -2,8 +2,8 @@
 
 For each family the walk drifts along a fixed direction once it is
 confined to a chamber.  We print the exact coefficients from the closed
-forms, re-derive them from the stationary law of the matching multispecies
-chain where one exists, and finish with a Monte Carlo estimate from the
+forms, re-derive them from the stationary law of the family's multispecies
+chain, and finish with a Monte Carlo estimate from the
 walk itself.
 """
 from weyltasep import WeylKind, fmt_ratio, limdir_closed, limdir_exact_lam
@@ -25,7 +25,7 @@ for family, ranks in [
 
 print("Exact-chain route (stationary-weighted highest-root sum)")
 print("-" * 55)
-for family in ("Ccheck", "B", "D"):
+for family in ("Ccheck", "B", "D", "C", "Bcheck"):
     for n in (2, 3, 4):
         kind = WeylKind(family, n)
         lam = limdir_exact_lam(kind, n)

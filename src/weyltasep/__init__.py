@@ -29,7 +29,7 @@ from .closedform import (
     z_d,
     z_semiperm,
 )
-from .lumping import k_coloring, project_distribution, star_collapse, verify_lumping
+from .lumping import cut_coloring, project_distribution, star_collapse, verify_lumping
 from .markov import (
     communicating_classes,
     Dist,
@@ -37,15 +37,14 @@ from .markov import (
     Kernel,
 )
 from .models import (
+    build_cut_chain,
     build_dstar,
     build_multi,
     build_semipermeable,
-    build_two_species,
+    cut_states,
     DStarParams,
     dstar_states,
-    multi_states,
     STAR,
-    two_species_states,
 )
 from .ratio import fmt_ratio, parse_ratio, R
 from .tworow import (
@@ -66,15 +65,11 @@ from .walk import (
 from .weyl import (
     act,
     apply_generator,
-    inverse,
     inverse_act_theta,
     kac_weights,
-    length,
     root_data,
-    signed_permutations,
     theta_raises,
     WeylKind,
-    wprod,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

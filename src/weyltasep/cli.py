@@ -16,14 +16,14 @@ from . import __version__
 from . import closedform as cf
 from . import tworow as tr
 from . import verify as verify_mod
-from .errors import WeylTasepError
+from .errors import InvalidCounts, WeylTasepError
 from .markov import exact_stationary
 from .models import (
     DStarParams,
+    build_cut_chain,
     build_dstar,
     build_multi,
     build_semipermeable,
-    build_two_species,
     state_sort_key,
 )
 from .ratio import R, fmt_ratio, parse_ratio
@@ -117,7 +117,9 @@ def _cmd_stationary(args) -> int:
     if args.model == "multi":
         kernel = build_multi(kind, args.n)
     elif args.model == "two":
-        kernel = build_two_species(kind, args.n, args.n0)
+        if not 0 <= args.n0 <= args.n:
+            raise InvalidCounts(f"need 0 <= n0 <= n, got {args.n0}")
+        kernel = build_cut_chain(kind, (args.n0 + 1,))
     elif args.model == "dstar":
         kernel = build_dstar(args.n, args.n0, _params_from(args))
     elif args.model == "semiperm":

@@ -397,6 +397,8 @@ def stationary_multi(family: str, n: int) -> tuple[Kernel, Dist]:
 
 def pair_correlations(family: str, n: int) -> dict:
     """Exact final-pair probabilities of the multispecies chain."""
+    if n < 2:
+        raise InvalidRank(f"final-pair correlations need rank n >= 2, got {n}")
     _, pi = stationary_multi(family, n)
     out: dict = {}
     for w, p in pi.items():

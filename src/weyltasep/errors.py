@@ -13,10 +13,6 @@ class DimensionMismatch(WeylTasepError):
     """Vector length does not match the group rank."""
 
 
-class UnsupportedKind(WeylTasepError):
-    """The requested family has no model of this type."""
-
-
 class InvalidCounts(WeylTasepError):
     """Inconsistent site/particle counts for a configuration space."""
 

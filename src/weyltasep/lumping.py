@@ -7,6 +7,7 @@ agreement against the small kernel, exactly, row by row.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable
@@ -17,12 +18,12 @@ from .models import STAR
 from .ratio import R, ZERO
 
 
-def k_coloring(word: tuple, k: int) -> tuple:
-    """Collapse species to {-1, 0, 1}: at least k -> 1, at most -k -> -1."""
-    n = len(word)
-    if not 1 <= k <= n:
-        raise InvalidCounts(f"need 1 <= k <= {n}")
-    return tuple(1 if x >= k else -1 if x <= -k else 0 for x in word)
+def cut_coloring(word: tuple, cuts: tuple) -> tuple:
+    """Colour each letter x as sign(x) * #{c in cuts : c <= |x|}; the cuts are increasing.
+
+    It maps the multispecies chain onto the cut chain with the same cuts.
+    """
+    return tuple(bisect_right(cuts, x) if x >= 0 else -bisect_right(cuts, -x) for x in word)
 
 
 def star_collapse(word: tuple, mode: str) -> tuple:

@@ -1,33 +1,33 @@
-"""Exclusion-process kernels on a path: multispecies, two-species, starred.
+"""Exclusion-process kernels on a path: the cut chains and the starred chain.
 
-States are tuples.  Multispecies states are signed-permutation windows
-(species -n..-1, 1..n, one of each absolute value per site); two-species
-states are words over {-1, 0, 1} with a fixed number of zeros; starred
-states allow ``"*"`` at the boundary sites.
+States are tuples.  A cut chain's states are the signed permutations of
+1..n coloured by a tuple of cuts c_1 < ... < c_r: each letter x becomes
+sign(x) * #{c in cuts : c <= |x|}.  The cuts (1, ..., n) keep every letter
+(the multispecies chain); one cut (n0 + 1,) gives the two-species words
+over {-1, 0, 1} with n0 zeros.  Starred states allow ``"*"`` at the
+boundary sites.
 
-The multispecies, two-species and semipermeable chains share one move rule:
-edge g (0..n) fires exactly when the word lies on the negative side of wall
-g of the fundamental alcove (the simple roots, then -theta), and it moves
-the word by the group generator s_g, the step of the reduced alcove walk.
-The chains differ only in the edge probabilities.  The literal per-pair
-pattern tables the rule replaces are kept in the tests as oracles.  The
-starred chain has a boundary table of its own at each end.
+The cut chains of all five families and the semipermeable chain share one
+move rule: edge g (0..n) fires exactly when the word lies on the negative
+side of wall g of the fundamental alcove (the simple roots, then -theta),
+and it moves the word by the group generator s_g, the step of the reduced
+alcove walk.  The chains differ only in the edge probabilities.  The
+literal per-pair pattern tables the rule replaces are kept in the tests as
+oracles.  The starred chain has a boundary table of its own at each end.
 """
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InvalidCounts, InvalidRank, UnsupportedKind
+from .errors import InvalidCounts, InvalidRank
 from .markov import Kernel, build_kernel
 from .ratio import R
-from .weyl import WeylKind, alcove_walls, apply_generator, kac_weights, signed_permutations
+from .weyl import WeylKind, alcove_walls, apply_generator, kac_weights
 
 STAR = "*"
-
-MULTI_FAMILIES = ("Ccheck", "B", "D")
-
 
 _STAR_LAST = {STAR: math.inf}
 
@@ -61,25 +61,22 @@ class DStarParams:
             raise InvalidCounts("alpha and beta must be positive")
 
 
-def multi_states(kind: WeylKind, n: int) -> list:
-    if kind.family not in MULTI_FAMILIES:
-        raise UnsupportedKind(f"no multispecies model for family {kind.family}")
-    return sorted(signed_permutations(n, even_only=kind.family == "D"))
+def cut_states(kind: WeylKind, cuts) -> list:
+    """The words x -> sign(x) * #{c in cuts : c <= |x|} of the signed permutations, sorted.
 
-
-def two_species_states(n: int, n0: int) -> list:
-    if not 0 <= n0 <= n:
-        raise InvalidCounts(f"need 0 <= n0 <= n, got n0={n0}, n={n}")
-    states = []
-    for zeros in itertools.combinations(range(n), n0):
-        zs = set(zeros)
-        rest = [i for i in range(n) if i not in zs]
-        for signs in itertools.product((1, -1), repeat=len(rest)):
-            w = [0] * n
-            for i, s in zip(rest, signs):
-                w[i] = s
-            states.append(tuple(w))
-    return sorted(states)
+    The cuts rise strictly within 1..n+1; a cut at n+1 colours nothing.
+    For D without a zero (c_1 = 1) only the words with an even number of
+    minus signs are kept, the image of the even signed permutations.
+    """
+    n, cuts = kind.n, tuple(cuts)
+    if not cuts or list(cuts) != sorted(set(cuts)) or cuts[0] < 1 or cuts[-1] > n + 1:
+        raise InvalidCounts(f"cuts must rise strictly within 1..{n + 1}, got {cuts}")
+    colours = [bisect_right(cuts, x) for x in range(1, n + 1)]
+    words = (w for perm in set(itertools.permutations(colours))
+             for w in itertools.product(*[(c, -c) if c else (0,) for c in perm]))
+    if kind.family == "D" and cuts[0] == 1:
+        words = (w for w in words if sum(x < 0 for x in w) % 2 == 0)
+    return sorted(words)
 
 
 def dstar_states(n: int, n0: int) -> list:
@@ -87,14 +84,9 @@ def dstar_states(n: int, n0: int) -> list:
         raise InvalidRank("starred process needs n >= 2")
     if not 0 <= n0 <= n:
         raise InvalidCounts(f"need 0 <= n0 <= n, got n0={n0}, n={n}")
-    states = []
-    for ends in itertools.product((0, STAR), repeat=2):
-        inner_zeros = n0 - list(ends).count(0)
-        if inner_zeros < 0 or inner_zeros > n - 2:
-            continue
-        for word in two_species_states(n - 2, inner_zeros):
-            states.append((ends[0],) + word + (ends[1],))
-    return sorted(states, key=state_sort_key)
+    ends, inner = (0, STAR), (-1, 0, 1)
+    words = itertools.product(ends, *[inner] * (n - 2), ends)
+    return sorted((w for w in words if w.count(0) == n0), key=state_sort_key)
 
 
 def _exclusion_kernel(states, kind: WeylKind, probs) -> Kernel:
@@ -111,38 +103,21 @@ def _exclusion_kernel(states, kind: WeylKind, probs) -> Kernel:
     return build_kernel(states, moves, probs)
 
 
-def _kac_probs(kind: WeylKind) -> list:
-    weights = kac_weights(kind)
-    return [R(a, weights.total) for a in weights.weights]
-
-
-def build_multi(kind: WeylKind, n: int) -> Kernel:
-    """Kernel of the multispecies process for families Ccheck, B, D.
+def build_cut_chain(kind: WeylKind, cuts) -> Kernel:
+    """Kernel of the family's exclusion chain on the words of :func:`cut_states`.
 
     Edge g (0..n) is selected with probability a_g / sum(a) where a are the
     family's step weights; the selected edge then moves by s_g when the
     state is on the negative side of wall g, otherwise the state holds.
     """
-    fam = kind.family
-    if fam not in MULTI_FAMILIES:
-        raise UnsupportedKind(f"no multispecies kernel for family {fam}")
-    if n < (2 if fam in ("B", "D") else 1):
-        raise InvalidRank(f"family {fam} multispecies model needs larger n")
-    wk = WeylKind(fam, n)
-    return _exclusion_kernel(multi_states(kind, n), wk, _kac_probs(wk))
+    weights = kac_weights(kind)
+    probs = [R(a, weights.total) for a in weights.weights]
+    return _exclusion_kernel(cut_states(kind, cuts), kind, probs)
 
 
-def build_two_species(kind: WeylKind, n: int, n0: int) -> Kernel:
-    """Kernel of the two-species process for families Ccheck, B, D."""
-    fam = kind.family
-    if fam not in MULTI_FAMILIES:
-        raise UnsupportedKind(f"no two-species kernel for family {fam}")
-    if not 0 <= n0 <= n:
-        raise InvalidCounts(f"need 0 <= n0 <= n, got {n0}")
-    if n < (2 if fam in ("B", "D") else 1):
-        raise InvalidRank(f"family {fam} two-species model needs larger n")
-    wk = WeylKind(fam, n)
-    return _exclusion_kernel(two_species_states(n, n0), wk, _kac_probs(wk))
+def build_multi(kind: WeylKind, n: int) -> Kernel:
+    """Kernel of the multispecies chain: the cut chain with cuts (1, ..., n)."""
+    return build_cut_chain(WeylKind(kind.family, n), range(1, n + 1))
 
 
 def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
@@ -193,6 +168,9 @@ def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:
     alpha, beta = R(alpha), R(beta)
     if alpha <= 0 or beta <= 0:
         raise InvalidCounts("boundary rates must be positive")
+    if not 0 <= n0 <= n:
+        raise InvalidCounts(f"need 0 <= n0 <= n, got n0={n0}, n={n}")
     edge = R(1, n + 1)
     probs = [edge * alpha] + [edge] * (n - 1) + [edge * beta]
-    return _exclusion_kernel(two_species_states(n, n0), WeylKind("Ccheck", n), probs)
+    kind = WeylKind("Ccheck", n)
+    return _exclusion_kernel(cut_states(kind, (n0 + 1,)), kind, probs)

@@ -187,17 +187,13 @@ def label_counts(c: Config) -> LabelCounts:
     return _label_vector(state)
 
 
-def q_weight(c: Config, params: DStarParams):
-    """Product of inverse boundary rates over the configuration's labels.
+def q_weight(lab: LabelCounts, params: DStarParams):
+    """Product of inverse boundary rates over a label vector (see :func:`label_counts`).
 
     A starred factor whose rate is zero is skipped (those configurations
     only arise inside the corresponding restricted class, where the flag
     is constant); a zero rate on a y or z label is an error.
     """
-    return _label_weight(label_counts(c), params)
-
-
-def _label_weight(lab: LabelCounts, params: DStarParams):
     q = ONE
     for count, rate, starred in (
         (lab.n_y, params.alpha, False),
@@ -385,7 +381,7 @@ def _in_class(lab: LabelCounts, params: DStarParams) -> bool:
 
 def _class_weights(counts, params: DStarParams):
     """The weight q of each label vector of a histogram, and Z = sum of multiplicity x q."""
-    weights = {lab: _label_weight(lab, params) for lab in counts}
+    weights = {lab: q_weight(lab, params) for lab in counts}
     z = exact_sum(m * weights[lab] for lab, m in counts.items())
     return weights, z
 

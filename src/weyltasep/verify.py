@@ -11,15 +11,9 @@ import math
 from . import closedform as cf
 from . import tworow as tr
 from .errors import InvalidRank, RangeError
-from .lumping import k_coloring, project_distribution, star_collapse, verify_lumping
+from .lumping import cut_coloring, project_distribution, star_collapse, verify_lumping
 from .markov import communicating_classes, exact_stationary
-from .models import (
-    DStarParams,
-    STAR,
-    build_dstar,
-    build_multi,
-    build_two_species,
-)
+from .models import DStarParams, STAR, build_cut_chain, build_dstar, build_multi
 from .ratio import R, ZERO, fmt_ratio, parse_ratio
 from .weyl import WeylKind
 
@@ -225,8 +219,8 @@ def suite_tworow(
     _check(checks, "wall-map-bijective", ok, n_max=bij_n_max, n0_max=bij_n0_max)
 
     ok = all(
-        tr.rate_of(rule, params) * tr._label_weight(lab, params)
-        == tr.rate_of(back, params) * tr._label_weight(back_lab, params)
+        tr.rate_of(rule, params) * tr.q_weight(lab, params)
+        == tr.rate_of(back, params) * tr.q_weight(back_lab, params)
         for params in PARAM_POINTS
         for rule, lab, back, back_lab in classes
     )
@@ -286,21 +280,18 @@ def suite_lumping(n_max: int = 4) -> dict:
     ok = True
     for fam in ("Ccheck", "B", "D"):
         for n in range(2, n_max + 1):
-            big = build_multi(WeylKind(fam, n), n)
+            kind = WeylKind(fam, n)
+            big = build_multi(kind, n)
             for k in range(1, n + 1):
-                small = build_two_species(WeylKind(fam, n), n, k - 1)
-                image = {k_coloring(w, k) for w in big.states}
-                if image != set(small.states):
-                    small = small.restrict(image)
-                rep = verify_lumping(big, lambda w, k=k: k_coloring(w, k), small)
-                if not rep.passed:
+                small = build_cut_chain(kind, (k,))
+                if not verify_lumping(big, lambda w, k=k: cut_coloring(w, (k,)), small).passed:
                     ok = False
     _check(checks, "k-coloring-lumpings", ok, n_max=n_max)
 
     ok = True
     for n in range(1, n_max + 1):
         for n0 in range(n + 1):
-            cc = build_two_species(WeylKind("Ccheck", n), n, n0)
+            cc = build_cut_chain(WeylKind("Ccheck", n), (n0 + 1,))
             dst = build_dstar(n + 2, n0, DStarParams(1, 0, 1, 0))
             closed = [c for c in communicating_classes(dst) if c.closed]
             sub = dst.restrict(closed[0].states)
@@ -312,7 +303,7 @@ def suite_lumping(n_max: int = 4) -> dict:
     ok = True
     for n in range(2, n_max + 1):
         for n0 in range(n + 1):
-            bb = build_two_species(WeylKind("B", n), n, n0)
+            bb = build_cut_chain(WeylKind("B", n), (n0 + 1,))
             dst = build_dstar(n + 1, n0, DStarParams(1, 0, R(1, 2), R(1, 2)))
             closed = [c for c in communicating_classes(dst) if c.closed]
             sub = dst.restrict(closed[0].states)
@@ -324,7 +315,7 @@ def suite_lumping(n_max: int = 4) -> dict:
     ok = True
     for n in range(3, n_max + 2):
         for n0 in range(n + 1):
-            dd = build_two_species(WeylKind("D", n), n, n0)
+            dd = build_cut_chain(WeylKind("D", n), (n0 + 1,))
             dst = build_dstar(n, n0, DStarParams(*(R(1, 2),) * 4))
             rep = verify_lumping(dd, lambda w: star_collapse(w, "both_ends"), dst)
             if not rep.passed:
@@ -344,16 +335,14 @@ def suite_lumping(n_max: int = 4) -> dict:
     ok = True
     big = build_multi(WeylKind("Ccheck", 3), 3)
     pi_big = exact_stationary(big)
-    small = build_two_species(WeylKind("Ccheck", 3), 3, 1)
-    if project_distribution(pi_big, lambda w: k_coloring(w, 2)) != exact_stationary(
-        small
-    ):
+    small = build_cut_chain(WeylKind("Ccheck", 3), (2,))
+    if project_distribution(pi_big, lambda w: cut_coloring(w, (2,))) != exact_stationary(small):
         ok = False
     dm = build_multi(WeylKind("D", 3), 3)
     pi_dm = exact_stationary(dm)
     dst = build_dstar(3, 1, DStarParams(*(R(1, 2),) * 4))
     proj = project_distribution(
-        pi_dm, lambda w: star_collapse(k_coloring(w, 2), "both_ends")
+        pi_dm, lambda w: star_collapse(cut_coloring(w, (2,)), "both_ends")
     )
     if proj != exact_stationary(dst):
         ok = False

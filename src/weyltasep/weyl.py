@@ -10,10 +10,9 @@ differ only in their step weights (dual Kac labels).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DimensionMismatch, InvalidRank
 
@@ -132,21 +131,6 @@ def act(w: Window, v: Sequence) -> Vector:
     return tuple(v[a - 1] if a > 0 else -v[-a - 1] for a in w)
 
 
-def wprod(a: Window, b: Window) -> Window:
-    """Window of the composed linear map: act(wprod(a,b), v) == act(a, act(b, v))."""
-    return tuple(b[x - 1] if x > 0 else -b[-x - 1] for x in a)
-
-
-def inverse(w: Window) -> Window:
-    out = [0] * len(w)
-    for pos, val in enumerate(w, start=1):
-        if val > 0:
-            out[val - 1] = pos
-        else:
-            out[-val - 1] = -pos
-    return tuple(out)
-
-
 def apply_generator(w: Window, g: int, kind: WeylKind) -> Window:
     """Apply generator g (0..n, where n means the highest-root reflection).
 
@@ -219,12 +203,3 @@ def inverse_act_theta(w: Window, kind: WeylKind) -> Vector:
     for i, c in ((i0, c0), (i1, c1)):
         v[abs(w[i]) - 1] -= c if w[i] > 0 else -c
     return tuple(v)
-
-
-def signed_permutations(n: int, even_only: bool = False) -> Iterator[Window]:
-    """All windows on n letters; optionally only even numbers of negatives."""
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((1, -1), repeat=n):
-            if even_only and signs.count(-1) % 2:
-                continue
-            yield tuple(s * p for s, p in zip(signs, perm))

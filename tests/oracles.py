@@ -6,7 +6,9 @@ point power iteration or from state elimination over fractions.Fraction,
 the stationarity certificate from one Fraction operation per entry,
 kernels assembled with one Fraction per entry instead of integer weights
 over one denominator,
-counts from brute enumeration, exclusion-chain kernels from literal
+counts from brute enumeration, exclusion-chain state spaces from the signed
+permutations with a parity filter and from zero positions and signs instead
+of cut colourings, exclusion-chain kernels from literal
 per-pair pattern tables instead of the wall rule, the starred kernel from
 a branch per boundary pattern instead of two boundary tables, two-row laws from one
 weight per configuration instead of one per label class, two-row labels
@@ -19,8 +21,8 @@ steps, the alcove walk on two lists (window and y) with a full ascent
 refresh instead of one packed list, walk proposals from a float CDF and
 bisection instead of a byte table, and the separation count in Fractions
 instead of integers scaled by a common denominator.  It also keeps the helpers only tests use: site densities and
-hook sums read off the exact multispecies law, the JSON decoder of a law
-and the reversal symmetry of two-species words.
+hook sums read off the exact multispecies law, the JSON decoder of a law,
+the reversal symmetry of two-species words, and window products and inverses.
 """
 from __future__ import annotations
 
@@ -37,7 +39,7 @@ from weyltasep import closedform as cf
 from weyltasep import tworow as tr
 from weyltasep.errors import NonGenericPoint
 from weyltasep.markov import Dist, Kernel
-from weyltasep.models import STAR, dstar_states, multi_states, two_species_states
+from weyltasep.models import STAR, state_sort_key
 from weyltasep.ratio import R, parse_ratio
 from weyltasep.tworow import COL_DOWN, COL_RISE, COL_STAR, COL_UP, COL_ZERO, LabelCounts
 from weyltasep.walk import fundamental_point
@@ -48,8 +50,63 @@ from weyltasep.weyl import (
     identity_window,
     kac_weights,
     root_data,
-    signed_permutations,
 )
+
+
+# --- state spaces by brute enumeration -------------------------------------
+
+
+def signed_permutations(n: int, even_only: bool = False):
+    """All windows on n letters; optionally only even numbers of negatives."""
+    for perm in itertools.permutations(range(1, n + 1)):
+        for signs in itertools.product((1, -1), repeat=n):
+            if even_only and signs.count(-1) % 2:
+                continue
+            yield tuple(s * p for s, p in zip(signs, perm))
+
+
+def multi_words(family: str, n: int) -> list:
+    """The multispecies states, sorted: every window, or the even ones for D."""
+    return sorted(signed_permutations(n, even_only=family == "D"))
+
+
+def two_species_words(n: int, n0: int) -> list:
+    """Words over {-1, 0, 1} with n0 zeros, sorted, from the zero positions and the signs."""
+    states = []
+    for zeros in itertools.combinations(range(n), n0):
+        rest = [i for i in range(n) if i not in zeros]
+        for signs in itertools.product((1, -1), repeat=len(rest)):
+            w = [0] * n
+            for i, s in zip(rest, signs):
+                w[i] = s
+            states.append(tuple(w))
+    return sorted(states)
+
+
+def dstar_words(n: int, n0: int) -> list:
+    """Starred states: a 0 or a star at each end around a two-species word."""
+    states = []
+    for ends in itertools.product((0, STAR), repeat=2):
+        inner_zeros = n0 - ends.count(0)
+        if 0 <= inner_zeros <= n - 2:
+            states += [(ends[0],) + w + (ends[1],) for w in two_species_words(n - 2, inner_zeros)]
+    return sorted(states, key=state_sort_key)
+
+
+def wprod(a, b):
+    """Window of the composed linear map: act(wprod(a,b), v) == act(a, act(b, v))."""
+    return tuple(b[x - 1] if x > 0 else -b[-x - 1] for x in a)
+
+
+def inverse(w):
+    """The window of w's inverse."""
+    out = [0] * len(w)
+    for pos, val in enumerate(w, start=1):
+        if val > 0:
+            out[val - 1] = pos
+        else:
+            out[-val - 1] = -pos
+    return tuple(out)
 
 
 def bfs_word_lengths(kind: WeylKind) -> dict:
@@ -68,10 +125,7 @@ def bfs_word_lengths(kind: WeylKind) -> dict:
             if v not in dist:
                 dist[v] = dist[w] + 1
                 queue.append(v)
-    expected = 0
-    for _ in signed_permutations(n, even_only=kind.family == "D"):
-        expected += 1
-    assert len(dist) == expected, "generators do not generate the whole group"
+    assert len(dist) == len(multi_words(kind.family, n)), "generators miss part of the group"
     return dist
 
 
@@ -241,7 +295,7 @@ def _table_moves(family: str, n: int, probs, first_d: dict, last_bd: dict):
                         yield put(w, 0, tgt), p
                 elif w[0] < 0:
                     yield (-w[0],) + w[1:], p
-            elif family == "Ccheck":
+            elif family in ("C", "Ccheck"):
                 if w[-1] > 0:
                     yield w[:-1] + (-w[-1],), p
             else:
@@ -262,20 +316,20 @@ def table_multi_kernel(family: str, n: int):
     moves = _table_moves(
         family, n, _kac_probs(family, n), first_move_patterns_d(n), theta_move_patterns(n)
     )
-    return fraction_kernel(multi_states(WeylKind(family, n), n), moves)
+    return fraction_kernel(multi_words(family, n), moves)
 
 
 def table_two_species_kernel(family: str, n: int, n0: int):
-    """The two-species kernel built from the TWO_* tables."""
+    """The two-species kernel built from the TWO_* tables; every sign word for D at n0 = 0."""
     moves = _table_moves(family, n, _kac_probs(family, n), TWO_FIRST_D, TWO_THETA)
-    return fraction_kernel(two_species_states(n, n0), moves)
+    return fraction_kernel(two_species_words(n, n0), moves)
 
 
 def table_semipermeable_kernel(n: int, n0: int, alpha, beta):
     """The semipermeable kernel: Ccheck boundary flips scaled by the rates."""
     edge = R(1, n + 1)
     probs = [edge * R(alpha)] + [edge] * (n - 1) + [edge * R(beta)]
-    return fraction_kernel(two_species_states(n, n0), _table_moves("Ccheck", n, probs, {}, {}))
+    return fraction_kernel(two_species_words(n, n0), _table_moves("Ccheck", n, probs, {}, {}))
 
 
 
@@ -311,7 +365,7 @@ def branch_dstar_kernel(n: int, n0: int, params):
         elif x == 1 and y == 0:
             yield put(w, n - 2, (0, STAR)), edge
 
-    return fraction_kernel(dstar_states(n, n0), moves)
+    return fraction_kernel(dstar_words(n, n0), moves)
 
 # --- two-row weights and Motzkin paths, one product per object ---------------
 

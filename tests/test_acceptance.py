@@ -200,13 +200,26 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _golden_cli_cases():
+    """(key, argv) of each CLI output whose digest tests/golden_verify.json holds."""
+    for kind in ("b", "c", "bcheck", "ccheck", "d"):
+        for n in (2, 3, 4):
+            size = ["--kind", kind, "--n", str(n)]
+            yield f"corr-{kind}-{n}", ["corr", *size]
+            yield f"limdir-lam-{kind}-{n}", ["limdir", "--method", "lam", *size]
+            yield f"stationary-multi-{kind}-{n}", ["stationary", "--model", "multi", *size]
+            for n0 in range(n + 1):
+                yield (f"stationary-two-{kind}-{n}-{n0}",
+                       ["stationary", "--model", "two", *size, "--n0", str(n0)])
+
+
 def test_default_verify_reports_match_golden_digests(
     identities_report, tworow_report, lumping_report, conjecture_b_report, tables_report
 ):
     # tests/golden_verify.json holds the sha256 of json.dumps(report, sort_keys=True)
-    # for each default report, and of the JSON that `corr` and `limdir --method lam`
-    # print for B, Ccheck and D at n = 2..4 (keys "corr-b-2", "limdir-lam-d-4", ...);
-    # an intended change to one of them edits that file.
+    # for each default report, and of the JSON that the CLI prints for each case of
+    # _golden_cli_cases (keys "corr-b-2", "limdir-lam-d-4", "stationary-two-b-3-1",
+    # ...); an intended change to one of them edits that file.
     reports = {
         "identities": identities_report,
         "tworow": tworow_report,
@@ -216,13 +229,11 @@ def test_default_verify_reports_match_golden_digests(
     }
     digests = {name: _sha256(json.dumps(report, sort_keys=True))
                for name, report in reports.items()}
-    for kind in ("b", "ccheck", "d"):
-        for n in (2, 3, 4):
-            for name, argv in (("corr", ["corr"]), ("limdir-lam", ["limdir", "--method", "lam"])):
-                out = io.StringIO()
-                with redirect_stdout(out):
-                    assert main([*argv, "--kind", kind, "--n", str(n), "--format", "json"]) == 0
-                digests[f"{name}-{kind}-{n}"] = _sha256(out.getvalue())
+    for key, argv in _golden_cli_cases():
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--format", "json"]) == 0, key
+        digests[key] = _sha256(out.getvalue())
     golden = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
     assert digests == golden
 

@@ -41,6 +41,14 @@ def test_limdir_lam_json(capsys):
     assert "seed" in obj and "parameters" in obj
 
 
+@pytest.mark.parametrize("kind", ["c", "bcheck"])
+@pytest.mark.parametrize("argv", [["limdir", "--method", "lam"], ["corr"]], ids=["lam", "corr"])
+def test_c_and_bcheck_run_through_the_chain(capsys, argv, kind):
+    code, out = run(capsys, *argv, "--kind", kind, "--n", "3", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["parameters"]["kind"] == kind
+
+
 def test_partition_value(capsys):
     code, out = run(capsys, "partition", "--model", "b", "--n", "4", "--n0", "1")
     assert code == 0
@@ -310,6 +318,8 @@ def test_zero_counts_rejected(capsys, argv):
         (["partition", "--model", "d", "--n", "1"], "D two-species process needs rank n >= 2, got 1"),
         (["partition", "--model", "b", "--n", "-2"],
          "B two-species process needs rank n >= 2, got -2"),
+        (["corr", "--kind", "ccheck", "--n", "1"], "correlations need rank n >= 2, got 1"),
+        (["corr", "--kind", "c", "--n", "1"], "correlations need rank n >= 2, got 1"),
         (["stationary", "--model", "dstar", "--n", "3", "--decimal", "3"],
          "unrecognized arguments: --decimal 3"),
         (["walk", "--kind", "b", "--n", "2", "--decimal", "3"], "unrecognized arguments: --decimal 3"),
@@ -343,7 +353,8 @@ def test_zero_counts_rejected(capsys, argv):
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
          "partition-semiperm-rank-0", "partition-semiperm-negative-rank",
-         "partition-d-rank-1", "partition-b-negative-rank",
+         "partition-d-rank-1", "partition-b-negative-rank", "corr-ccheck-rank-1",
+         "corr-c-rank-1",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",

@@ -7,7 +7,7 @@ import oracles
 import weyltasep.closedform as cf
 from weyltasep.errors import InvalidRank, RangeError
 from weyltasep.markov import exact_stationary
-from weyltasep.models import build_semipermeable, build_two_species
+from weyltasep.models import build_cut_chain, build_semipermeable
 from weyltasep.ratio import R, ZERO
 from weyltasep.weyl import WeylKind
 
@@ -97,7 +97,7 @@ def test_partition_semipermeable():
 
 @pytest.mark.parametrize("z,at_rank_2", [(cf.z_b, math.comb(4, 2)), (cf.z_d, 4**2)], ids=["B", "D"])
 def test_two_species_partition_needs_rank_two(z, at_rank_2):
-    # the floor build_two_species uses for B and D; the rank is checked before n0
+    # the closed forms start at rank 2 (the D group does too); the rank is checked before n0
     for n in (1, 0, -2):
         with pytest.raises(InvalidRank, match=f"needs rank n >= 2, got {n}$"):
             z(n, 0)
@@ -155,7 +155,7 @@ def test_b_partition_and_pair_table():
     for n, n0 in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 0), (4, 4)):
         tab = cf.b_pair_table(n, n0)
         assert tab.cell(1, -1) == R(2 * cf.comb0(2 * n - 3, n - n0 - 2), cf.z_b(n, n0))
-        pi = exact_stationary(build_two_species(WeylKind("B", n), n, n0))
+        pi = exact_stationary(build_cut_chain(WeylKind("B", n), (n0 + 1,)))
         exact = {}
         for w, p in pi.items():
             exact[(w[-2], w[-1])] = exact.get((w[-2], w[-1]), ZERO) + p
@@ -172,7 +172,7 @@ def test_d_partition_and_pair_table():
     assert cf.z_d(5, 0) == 4**5 and cf.z_d(5, 1) == 4**4
     for n, n0 in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3)):
         tab = cf.d_pair_table(n, n0)
-        pi = exact_stationary(build_two_species(WeylKind("D", n), n, n0))
+        pi = exact_stationary(build_cut_chain(WeylKind("D", n), (n0 + 1,)))
         exact = {}
         for w, p in pi.items():
             exact[(w[-2], w[-1])] = exact.get((w[-2], w[-1]), ZERO) + p
@@ -238,6 +238,20 @@ def test_direction_exact_vs_closed(family, n, pattern):
     assert lam.proportional_to(cf.DirectionVector(tuple(R(c) for c in pattern)))
     if family in ("B", "D"):
         assert lam.coeffs == closed.coeffs
+
+
+# lam / closed from rank 2 on: theta is 2e_n for C and Ccheck
+LAM_RATIO = {"B": 1, "C": 2, "Bcheck": 1, "Ccheck": 2, "D": 1}
+
+
+@pytest.mark.parametrize("family", sorted(LAM_RATIO))
+def test_lam_direction_is_proportional_to_closed_form(family):
+    for n in range(2 if family == "D" else 1, 5):
+        kind = WeylKind(family, n)
+        lam, closed = cf.limdir_exact_lam(kind, n), cf.limdir_closed(kind, n)
+        assert lam.proportional_to(closed), n
+        if n >= 2:
+            assert lam.coeffs == tuple(LAM_RATIO[family] * c for c in closed.coeffs), n
 
 
 def test_direction_closed_formulas():

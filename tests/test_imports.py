@@ -6,7 +6,8 @@ and scipy: importing numpy costs several MiB of resident memory and a
 noticeable start-up time, so an exact solve or a walk must not pull it in by
 accident.  A parallel walk forks its own workers, so it does not import
 multiprocessing either.  No module of the package, the tests or the demos imports a name
-it never uses.
+it never uses, and every public name is read by the package, the demos or the
+benchmark.
 """
 import ast
 import os
@@ -18,18 +19,16 @@ import weyltasep
 
 PUBLIC_NAMES = [
     "DStarParams", "DirectionVector", "Dist", "Kernel", "R", "STAR", "WeylKind", "act",
-    "apply_generator", "b_first_site", "b_pair_table", "ballot", "build_dstar",
-    "build_multi", "build_semipermeable", "build_two_species", "catalan",
-    "ccheck_last_density", "closedform", "communicating_classes", "conjecture_b_value",
-    "count_segment", "d_pair_table", "dstar_states", "enumerate_configs", "errors",
-    "estimate_direction", "exact_stationary", "fmt_ratio", "fundamental_point",
-    "inverse", "inverse_act_theta", "k_coloring", "kac_weights", "label_counts",
-    "length", "limdir_closed", "limdir_exact_lam", "lumping", "m_poly", "markov",
-    "models", "multi_states", "multi_sums", "parse_ratio",
-    "project_distribution", "project_top_row", "q_weight", "ratio", "root_data",
-    "run_walk", "semiperm_density", "separation_count", "signed_permutations",
-    "star_collapse", "theta_raises", "tstar", "tstar_bar", "two_species_states",
-    "tworow", "v_poly", "verify_lumping", "walk", "weyl", "wprod", "z_b", "z_d",
+    "apply_generator", "b_first_site", "b_pair_table", "ballot", "build_cut_chain",
+    "build_dstar", "build_multi", "build_semipermeable", "catalan", "ccheck_last_density",
+    "closedform", "communicating_classes", "conjecture_b_value", "count_segment",
+    "cut_coloring", "cut_states", "d_pair_table", "dstar_states", "enumerate_configs",
+    "errors", "estimate_direction", "exact_stationary", "fmt_ratio", "fundamental_point",
+    "inverse_act_theta", "kac_weights", "label_counts", "limdir_closed", "limdir_exact_lam",
+    "lumping", "m_poly", "markov", "models", "multi_sums", "parse_ratio",
+    "project_distribution", "project_top_row", "q_weight", "ratio", "root_data", "run_walk",
+    "semiperm_density", "separation_count", "star_collapse", "theta_raises", "tstar",
+    "tstar_bar", "tworow", "v_poly", "verify_lumping", "walk", "weyl", "z_b", "z_d",
     "z_semiperm",
 ]
 
@@ -99,3 +98,60 @@ def test_no_unused_imports():
     unused = [f"{p.relative_to(ROOT)}:{line}"
               for p in paths for line in unused_imports(p.read_text())]
     assert unused == []
+
+
+def names_read(source: str) -> set[str]:
+    """Names a module reads: loaded names, attributes and the modules it imports from.
+
+    A name read only inside the body of a function or class of that name
+    (a recursive call) is not counted.
+    """
+    read = set()
+
+    class Reader(ast.NodeVisitor):
+        def __init__(self):
+            self.defining = []
+
+        def visit_FunctionDef(self, node):
+            self.defining.append(node.name)
+            self.generic_visit(node)
+            self.defining.pop()
+
+        visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+        def visit_Name(self, node):
+            if isinstance(node.ctx, ast.Load) and node.id not in self.defining:
+                read.add(node.id)
+
+        def visit_Attribute(self, node):
+            if node.attr not in self.defining:
+                read.add(node.attr)
+            self.generic_visit(node)
+
+        def visit_ImportFrom(self, node):
+            if node.module:
+                read.update(node.module.split("."))
+            else:  # from . import closedform
+                read.update(alias.name for alias in node.names)
+
+    Reader().visit(ast.parse(source))
+    return read
+
+
+def test_names_read_scan():
+    source = "from . import walk\nfrom .models import build\ndef f(x):\n    return f(x.g)\n" \
+        "y = h\n"
+    assert names_read(source) == {"walk", "models", "g", "x", "h"}
+
+
+# Formulas of the paper that nothing in the package uses; the tests check
+# each against the exact chains.
+UNREAD_FORMULAS = {"b_first_site", "b_pair_table", "d_pair_table", "multi_sums", "tstar"}
+
+
+def test_every_public_name_is_read():
+    # The package's __init__ only re-exports, so it is left out.
+    paths = [p for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+             if p.name != "__init__.py"]
+    read = set().union(*(names_read(p.read_text()) for p in paths))
+    assert sorted(set(weyltasep.__all__) - read) == sorted(UNREAD_FORMULAS)

@@ -1,37 +1,57 @@
+import itertools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyltasep.lumping import (
-    k_coloring,
+    cut_coloring,
     project_distribution,
     star_collapse,
     verify_lumping,
 )
 from weyltasep.markov import Dist, Kernel, communicating_classes, exact_stationary
-from weyltasep.models import DStarParams, STAR, build_dstar, build_multi, build_two_species
+from weyltasep.models import (
+    DStarParams,
+    STAR,
+    build_cut_chain,
+    build_dstar,
+    build_multi,
+    cut_states,
+)
 from weyltasep.ratio import R
 from weyltasep.verify import suite_lumping
-from weyltasep.weyl import WeylKind, signed_permutations
+from weyltasep.weyl import FAMILIES, WeylKind
+
+from oracles import signed_permutations
 
 
-def test_k_coloring_examples():
-    assert k_coloring((1, 2, 3), 1) == (1, 1, 1)
-    assert k_coloring((2, -3, 1), 2) == (1, -1, 0)
-    assert k_coloring((-1, 2), 2) == (0, 1)
+def test_cut_coloring_examples():
+    assert cut_coloring((1, 2, 3), (1,)) == (1, 1, 1)
+    assert cut_coloring((2, -3, 1), (2,)) == (1, -1, 0)
+    assert cut_coloring((-1, 2), (2,)) == (0, 1)
+    assert cut_coloring((3, -1, -4, 2), (2, 4)) == (1, 0, -2, 1)
+    assert cut_coloring((3, -1, 2), (1, 2, 3)) == (3, -1, 2)
+    assert cut_coloring((3, -1, 2), (4,)) == (0, 0, 0)
 
 
 @given(st.integers(0, 5000))
 @settings(max_examples=30, deadline=None)
-def test_k_coloring_zero_count(seed):
+def test_cut_coloring_counts(seed):
+    # colour s > 0 holds the letters c_s..c_{s+1}-1, colour 0 those below c_1
     import random
 
     rng = random.Random(seed)
     n = rng.randint(1, 6)
     w = rng.choice(list(signed_permutations(n)))
-    k = rng.randint(1, n)
-    image = k_coloring(w, k)
-    assert image.count(0) == k - 1
-    assert all(x in (-1, 0, 1) for x in image)
+    cuts = tuple(sorted(rng.sample(range(1, n + 2), rng.randint(1, n + 1))))
+    image = cut_coloring(w, cuts)
+    bounds = (1, *cuts, n + 1)
+    assert [sum(abs(x) == s for x in image) for s in range(len(cuts) + 1)] == [
+        b - a for a, b in zip(bounds, bounds[1:])
+    ]
+    assert all(x * y > 0 for x, y in zip(image, w) if x)
+    assert image in cut_states(WeylKind("B", n), cuts)
 
 
 def test_star_collapse_examples():
@@ -41,7 +61,7 @@ def test_star_collapse_examples():
 
 
 def test_verify_lumping_identity_map():
-    ker = build_two_species(WeylKind("B", 3), 3, 1)
+    ker = build_cut_chain(WeylKind("B", 3), (2,))
     rep = verify_lumping(ker, lambda s: s, ker)
     assert rep.passed and rep.violations == []
     assert rep.to_json_obj() == {"pass": True, "violations": []}
@@ -85,8 +105,8 @@ B_VS_CCHECK_VIOLATIONS = [
 
 
 def test_verify_lumping_detects_violation():
-    big = build_two_species(WeylKind("B", 3), 3, 1)
-    small = build_two_species(WeylKind("Ccheck", 3), 3, 1)
+    big = build_cut_chain(WeylKind("B", 3), (2,))
+    small = build_cut_chain(WeylKind("Ccheck", 3), (2,))
     rep = verify_lumping(big, lambda s: s, small)
     assert not rep.passed and rep.violations
     assert rep.violations == [
@@ -97,7 +117,7 @@ def test_verify_lumping_detects_violation():
 
 
 def test_verify_lumping_image_mismatch():
-    big = build_two_species(WeylKind("B", 3), 3, 1)
+    big = build_cut_chain(WeylKind("B", 3), (2,))
     rep = verify_lumping(big, lambda s: "b", Kernel(("a",), ({0: 1},)))
     assert rep.to_json_obj() == {
         "pass": False,
@@ -107,13 +127,13 @@ def test_verify_lumping_image_mismatch():
 
 def test_multi_to_two_species_lumping_rank3():
     big = build_multi(WeylKind("B", 3), 3)
-    small = build_two_species(WeylKind("B", 3), 3, 1)
-    rep = verify_lumping(big, lambda w: k_coloring(w, 2), small)
+    small = build_cut_chain(WeylKind("B", 3), (2,))
+    rep = verify_lumping(big, lambda w: cut_coloring(w, (2,)), small)
     assert rep.passed
 
 
 def test_two_species_into_starred_chain():
-    bb = build_two_species(WeylKind("B", 3), 3, 1)
+    bb = build_cut_chain(WeylKind("B", 3), (2,))
     dst = build_dstar(4, 1, DStarParams(1, 0, R(1, 2), R(1, 2)))
     closed = [c for c in communicating_classes(dst) if c.closed]
     sub = dst.restrict(closed[0].states)
@@ -128,8 +148,8 @@ def test_project_point_mass():
 
 def test_projection_matches_small_stationary():
     big = build_multi(WeylKind("Ccheck", 3), 3)
-    small = build_two_species(WeylKind("Ccheck", 3), 3, 1)
-    proj = project_distribution(exact_stationary(big), lambda w: k_coloring(w, 2))
+    small = build_cut_chain(WeylKind("Ccheck", 3), (2,))
+    proj = project_distribution(exact_stationary(big), lambda w: cut_coloring(w, (2,)))
     assert proj == exact_stationary(small)
 
 
@@ -138,7 +158,7 @@ def test_composite_projection_to_starred_chain():
     dst = build_dstar(3, 1, DStarParams(R(1, 2), R(1, 2), R(1, 2), R(1, 2)))
     proj = project_distribution(
         exact_stationary(dm),
-        lambda w: star_collapse(k_coloring(w, 2), "both_ends"),
+        lambda w: star_collapse(cut_coloring(w, (2,)), "both_ends"),
     )
     assert proj == exact_stationary(dst)
 
@@ -146,3 +166,21 @@ def test_composite_projection_to_starred_chain():
 def test_full_lumping_suite():
     report = suite_lumping(n_max=4)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_cut_chains_lump_from_the_full_chain(family):
+    # every one- and two-cut chain up to rank 4 has one closed class and is
+    # an exact lumping of the full chain; up to rank 3 it also carries the
+    # full chain's law
+    for n in range(2, 5):
+        kind = WeylKind(family, n)
+        big = build_multi(kind, n)
+        pi = exact_stationary(big) if n <= 3 else None
+        for cuts in itertools.chain(*(itertools.combinations(range(1, n + 2), r) for r in (1, 2))):
+            small = build_cut_chain(kind, cuts)
+            assert sum(c.closed for c in communicating_classes(small)) == 1, (n, cuts)
+            colour = lambda w, cuts=cuts: cut_coloring(w, cuts)
+            assert verify_lumping(big, colour, small).passed, (n, cuts)
+            if pi is not None:
+                assert project_distribution(pi, colour) == exact_stationary(small), (n, cuts)

@@ -16,7 +16,7 @@ from weyltasep.markov import (
     communicating_classes,
     exact_stationary,
 )
-from weyltasep.models import DStarParams, build_dstar, build_multi, build_two_species
+from weyltasep.models import DStarParams, build_cut_chain, build_dstar, build_multi
 from weyltasep.ratio import R
 from weyltasep.verify import PARAM_POINTS
 from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
@@ -28,6 +28,7 @@ from oracles import (
     fraction_kernel,
     power_iteration,
     reversal_bijection,
+    table_two_species_kernel,
 )
 
 
@@ -73,8 +74,8 @@ def test_exact_stationary_multispecies_small():
 
 
 def test_not_irreducible_raises():
-    # zero-free D-type two-species chain conserves sign parity
-    ker = build_two_species(WeylKind("D", 3), 3, 0)
+    # the zero-free D-type two-species chain on every sign word conserves sign parity
+    ker = table_two_species_kernel("D", 3, 0)
     cls = [c for c in communicating_classes(ker) if c.closed]
     assert len(cls) == 2
     with pytest.raises(NotIrreducible):
@@ -110,7 +111,7 @@ def test_dist_json_roundtrip():
 
 def test_symmetry_invariance_of_stationary():
     # a kernel automorphism carries the stationary law to itself
-    ker = build_two_species(WeylKind("Ccheck", 4), 4, 2)
+    ker = build_cut_chain(WeylKind("Ccheck", 4), (3,))
     pi = exact_stationary(ker)
     assert Dist({reversal_bijection(s): p for s, p in pi.items()}) == pi
 

@@ -1,21 +1,20 @@
 import pytest
 
 from weyltasep import tworow
-from weyltasep.errors import InvalidCounts, InvalidRates, UnsupportedKind
+from weyltasep.errors import InvalidCounts, InvalidRates
+from weyltasep.markov import communicating_classes
 from weyltasep.models import (
-    MULTI_FAMILIES,
     DStarParams,
+    build_cut_chain,
     build_dstar,
     build_multi,
     build_semipermeable,
-    build_two_species,
+    cut_states,
     dstar_states,
-    multi_states,
-    two_species_states,
 )
 from weyltasep.ratio import R
 from weyltasep.verify import PARAM_POINTS
-from weyltasep.weyl import WeylKind, kac_weights, theta_raises
+from weyltasep.weyl import FAMILIES, WeylKind, kac_weights, theta_raises
 
 from oracles import (
     branch_dstar_kernel,
@@ -34,8 +33,8 @@ D = WeylKind("D", 2)
 
 
 def test_state_space_sizes():
-    assert len(multi_states(WeylKind("B", 2), 2)) == 8
-    assert len(multi_states(WeylKind("D", 3), 3)) == 24
+    assert len(cut_states(WeylKind("B", 2), (1, 2))) == 8
+    assert len(cut_states(WeylKind("D", 3), (1, 2, 3))) == 24
     assert dstar_states(3, 1) == [
         (0, -1, "*"),
         (0, 1, "*"),
@@ -43,14 +42,23 @@ def test_state_space_sizes():
         ("*", 0, "*"),
         ("*", 1, 0),
     ]
-    assert len(two_species_states(4, 2)) == 6 * 4
+    assert len(cut_states(WeylKind("B", 4), (3,))) == 6 * 4
+    # two cuts: one zero, two letters of colour 1 and one of colour 2, each signed
+    assert len(cut_states(WeylKind("C", 4), (2, 4))) == 12 * 8
+    # a cut at n + 1 colours nothing; D without a zero keeps the even words
+    assert cut_states(WeylKind("B", 3), (4,)) == [(0, 0, 0)]
+    assert len(cut_states(WeylKind("D", 4), (1,))) == 8
+    assert len(cut_states(WeylKind("D", 4), (1, 5))) == 8
+    assert len(cut_states(WeylKind("D", 4), (2,))) == 4 * 8
 
 
-def test_unsupported_kinds():
-    with pytest.raises(UnsupportedKind):
-        build_multi(WeylKind("C", 3), 3)
-    with pytest.raises(UnsupportedKind):
-        build_multi(WeylKind("Bcheck", 3), 3)
+@pytest.mark.parametrize("family", ["C", "Bcheck"])
+def test_c_and_bcheck_cut_chains_have_one_closed_class(family):
+    # from rank 1: the full chain and every one-cut chain
+    for n in (1, 2, 3):
+        for cuts in [tuple(range(1, n + 1))] + [(c,) for c in range(1, n + 2)]:
+            ker = build_cut_chain(WeylKind(family, n), cuts)
+            assert sum(c.closed for c in communicating_classes(ker)) == 1, cuts
 
 
 def test_multispecies_transition_probabilities():
@@ -63,13 +71,13 @@ def test_multispecies_transition_probabilities():
 
 
 def test_two_species_transition_probabilities():
-    ker = build_two_species(WeylKind("Ccheck", 3), 3, 1)
+    ker = build_cut_chain(WeylKind("Ccheck", 3), (2,))
     assert ker.prob((1, 0, -1), (0, 1, -1)) == R(1, 4)
-    ker = build_two_species(WeylKind("B", 3), 3, 2)
+    ker = build_cut_chain(WeylKind("B", 3), (3,))
     assert ker.prob((0, 1, 0), (0, 0, -1)) == R(1, 6)
-    ker = build_two_species(WeylKind("B", 3), 3, 1)
+    ker = build_cut_chain(WeylKind("B", 3), (2,))
     assert ker.prob((0, 1, -1), (0, -1, 1)) == R(1, 6)
-    ker = build_two_species(WeylKind("D", 3), 3, 0)
+    ker = build_cut_chain(WeylKind("D", 3), (1,))
     assert ker.prob((1, 1, 1), (1, -1, -1)) == R(1, 4)
 
 
@@ -94,7 +102,7 @@ def test_rows_sum_to_one():
     kernels = [
         build_multi(WeylKind("B", 3), 3),
         build_multi(WeylKind("D", 3), 3),
-        build_two_species(WeylKind("D", 4), 4, 2),
+        build_cut_chain(WeylKind("D", 4), (3,)),
         build_dstar(4, 1, DStarParams(R(1, 2), R(1, 3), R(1, 5), R(1, 7))),
         build_semipermeable(3, 1, R(2, 3), R(3, 5)),
     ]
@@ -112,7 +120,7 @@ def test_highest_root_edge_matches_raising(family, n):
     p_edge = R(wk.weights[n], wk.total)
     pats = theta_move_patterns(n)
     kernel = build_multi(kind, n)
-    for w in multi_states(kind, n):
+    for w in kernel.states:
         has_move = (w[-2], w[-1]) in pats
         assert has_move == theta_raises(w, kind)
         if has_move:
@@ -145,16 +153,24 @@ def _entries(ker):
     return ker.states, [list(ker.row(s).items()) for s in ker.states]
 
 
-@pytest.mark.parametrize("family", ["Ccheck", "B", "D"])
+def _table_two_species(family, n, n0):
+    """The oracle's two-species kernel; for D at n0 = 0 its class of even words."""
+    ker = table_two_species_kernel(family, n, n0)
+    if family == "D" and n0 == 0:
+        ker = ker.restrict([w for w in ker.states if sum(x < 0 for x in w) % 2 == 0])
+    return ker
+
+
+@pytest.mark.parametrize("family", ["Ccheck", "B", "D", "C", "Bcheck"])
 def test_wall_rule_matches_pattern_tables(family):
     # the kernels built from the wall rule equal the ones read off the
     # literal pattern tables, state for state and row for row
-    for n in range(2 if family in ("B", "D") else 1, 6):
+    for n in range(1 if family in ("C", "Ccheck") else 2, 6):
         kind = WeylKind(family, n)
         assert _entries(build_multi(kind, n)) == _entries(table_multi_kernel(family, n)), n
         for n0 in range(n + 1):
-            ker = build_two_species(kind, n, n0)
-            assert _entries(ker) == _entries(table_two_species_kernel(family, n, n0)), (n, n0)
+            ker = build_cut_chain(kind, (n0 + 1,))
+            assert _entries(ker) == _entries(_table_two_species(family, n, n0)), (n, n0)
 
 
 def test_semipermeable_rule_matches_pattern_tables():
@@ -185,17 +201,17 @@ def test_dstar_tables_match_boundary_branches():
 
 
 def _multi_pairs():
-    for family in MULTI_FAMILIES:
-        for n in range(2 if family in ("B", "D") else 1, 5):
+    for family in FAMILIES:
+        for n in range(1 if family in ("C", "Ccheck") else 2, 5):
             yield build_multi(WeylKind(family, n), n), table_multi_kernel(family, n)
 
 
 def _two_species_pairs():
-    for family in MULTI_FAMILIES:
-        for n in range(2 if family in ("B", "D") else 1, 5):
+    for family in FAMILIES:
+        for n in range(1 if family in ("C", "Ccheck") else 2, 5):
             for n0 in range(n + 1):
-                ker = build_two_species(WeylKind(family, n), n, n0)
-                yield ker, table_two_species_kernel(family, n, n0)
+                ker = build_cut_chain(WeylKind(family, n), (n0 + 1,))
+                yield ker, _table_two_species(family, n, n0)
 
 
 def _dstar_pairs():
@@ -261,15 +277,22 @@ def test_reversal_invariance(family):
     # reversing the lattice and negating species is a kernel automorphism
     for n in range(3, 7):
         for n0 in (0, 1, 2):
-            ker = build_two_species(WeylKind(family, n), n, n0)
+            ker = build_cut_chain(WeylKind(family, n), (n0 + 1,))
+            mirror = reversal_bijection
+            if family == "D" and n0 == 0 and n % 2:
+                # the zero-free D chain keeps the even words, which the reversal sends
+                # to odd ones at odd n; negating the last letter as well (it swaps
+                # edges n-1 and n, both of weight 1) brings them back
+                mirror = lambda w: reversal_bijection(w[:-1] + (-w[-1],))
             for s in ker.states:
                 row = ker.row(s)
-                mirrored = ker.row(reversal_bijection(s))
-                assert {reversal_bijection(t): p for t, p in row.items()} == mirrored
+                mirrored = ker.row(mirror(s))
+                assert {mirror(t): p for t, p in row.items()} == mirrored
 
 
 def test_invalid_counts():
-    with pytest.raises(InvalidCounts):
-        build_two_species(WeylKind("B", 3), 3, 5)
+    for cuts in ((6,), (5,), (0, 2), (2, 2), (3, 2), ()):
+        with pytest.raises(InvalidCounts, match="cuts must rise strictly within 1..4"):
+            build_cut_chain(WeylKind("B", 3), cuts)
     with pytest.raises(InvalidCounts):
         DStarParams(0, 1, 1, 1)

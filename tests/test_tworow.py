@@ -135,22 +135,22 @@ def test_validate_and_labels_agree_with_oracles(c):
 
 def test_q_weight_examples():
     p_all1 = DStarParams(1, 1, 1, 1)
-    assert q_weight(cfg(Z, Z), p_all1) == 1
+    assert q_weight(label_counts(cfg(Z, Z)), p_all1) == 1
     p = DStarParams(R(1, 2), 1, 1, 1)
-    assert q_weight(cfg(S, RISE, Z), p) == 2
+    assert q_weight(label_counts(cfg(S, RISE, Z)), p) == 2
     p = DStarParams(R(1, 2), R(1, 3), R(1, 5), R(1, 7))
-    assert q_weight(cfg(S, RISE, Z), p) == 6  # one y (2) and the left star (3)
+    assert q_weight(label_counts(cfg(S, RISE, Z)), p) == 6  # one y (2) and the left star (3)
     # a vanishing non-starred rate under a label is a hard error
     from types import SimpleNamespace
 
     broken = SimpleNamespace(alpha=R(1), alpha_star=R(1), beta=ZERO, beta_star=R(1))
     with pytest.raises(ZeroParameter):
-        q_weight(cfg(Z, FALL, S), broken)
+        q_weight(label_counts(cfg(Z, FALL, S)), broken)
 
 
 def test_q_weight_ignores_zero_starred_rates():
     p = DStarParams(1, 0, 1, 0)
-    assert q_weight(cfg(S, Z, S), p) == 1
+    assert q_weight(label_counts(cfg(S, Z, S)), p) == 1
 
 
 def test_wall_map_examples():
@@ -216,7 +216,7 @@ def test_transfer_identity(params):
     for n in range(3, 7):
         for n0 in range(0, min(n, 2) + 1):
             for c in enumerate_configs(n, n0):
-                qc = q_weight(c, params)
+                qc = q_weight(label_counts(c), params)
                 for i in range(1, n):
                     c2, rule, j = tr._apply(c, i)
                     if rule is None:
@@ -224,7 +224,7 @@ def test_transfer_identity(params):
                     _, back, _ = tr._apply(c2, j)
                     assert tr.rate_of(rule, params) * qc == tr.rate_of(
                         back, params
-                    ) * q_weight(c2, params)
+                    ) * q_weight(label_counts(c2), params)
 
 
 def test_wall_maps_match_apply():

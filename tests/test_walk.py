@@ -41,7 +41,6 @@ from weyltasep.weyl import (
     identity_window,
     kac_weights,
     root_data,
-    wprod,
 )
 
 B2 = WeylKind("B", 2)
@@ -223,7 +222,7 @@ def test_ascent_table_matches_geometry(family, n):
             beta, lev = wall(g)
             k = 2 * (_dot(beta, x) - lev) // _dot(beta, beta)
             x = [a - k * b for a, b in zip(x, beta)]
-            w = wprod(w, apply_generator(identity_window(n), g, kind))
+            w = oracles.wprod(w, apply_generator(identity_window(n), g, kind))
     assert state.asc == status()
     assert state.point() == tuple(Fraction(v, d) for v in x)
     assert state.crossings == separation_count(state.point(), kind, n)

@@ -10,17 +10,14 @@ from weyltasep.weyl import (
     WeylKind,
     act,
     apply_generator,
-    inverse,
     inverse_act_theta,
     kac_weights,
     length,
     root_data,
-    signed_permutations,
     theta_raises,
-    wprod,
 )
 
-from oracles import bfs_word_lengths
+from oracles import bfs_word_lengths, inverse, signed_permutations, wprod
 
 B = lambda n: WeylKind("B", n)
 C = lambda n: WeylKind("C", n)
