@@ -15,7 +15,6 @@ from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
 from .markov import Dist, Kernel, exact_stationary
 from .models import STAR, DStarParams, build_multi
 from .ratio import ONE, R, ZERO
-from .tworow import project_top_row
 from .tworow import stationary as tworow_stationary
 from .weyl import WeylKind, inverse_act_theta, theta_raises
 
@@ -483,13 +482,12 @@ def _bcheck_marginals(n: int, n0: int):
     A border * splits evenly between the two signs it identifies.
     """
     dist, _ = tworow_stationary(n + 1, n0, BCHECK_DSTAR_PARAMS)
-    top = project_top_row(dist)
     p_last_sign = ZERO  # one sign at the chain's last site
     p_pen_plus = ZERO
     p_pen_minus = ZERO
     p_pair_plus = ZERO  # (1, *) / 2
     p_pair_minus = ZERO  # (-1, *) / 2
-    for row, p in top.items():
+    for (row, _), p in dist.items():
         if p == 0:
             continue
         if row[-1] == STAR:

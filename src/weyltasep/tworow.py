@@ -18,6 +18,11 @@ particle pair left or right along these paths; extended with a wall output
 they form a bijection of (configurations x walls), which yields the
 product-form stationary law computed by :func:`stationary`.  The maps are
 tabulated once per (n, n0), shared by :func:`kernel` and the checks.
+
+Each rule is written once: the scan step (:func:`_scan`, over the column
+set of each position) says which columns may follow and how they are
+labelled, :func:`_class_weights` holds the closed class for the law and Z,
+and the insert helpers find the wall where a moved pair lands.
 """
 from __future__ import annotations
 
@@ -47,37 +52,13 @@ COL_UP = (1, 1)
 COL_DOWN = (-1, -1)
 COL_RISE = (-1, 1)  # level step, bottom particle positive
 COL_FALL = (1, -1)  # level step, bottom particle negative
+BORDER_COLS = (COL_ZERO, COL_STAR)
 MID_COLS = (COL_ZERO, COL_UP, COL_DOWN, COL_RISE, COL_FALL)
 
 
-def validate(c: Config) -> bool:
-    """Whether the pair of rows is a valid configuration."""
-    top, bot = c
-    n = len(top)
-    if n == 0 or len(bot) != n:
-        return False
-    height = 0
-    for k in range(n):
-        t, b = top[k], bot[k]
-        if t == STAR or b == STAR:
-            if (t, b) != COL_STAR or k not in (0, n - 1):
-                return False
-            continue
-        if t == 0 or b == 0:
-            if (t, b) != COL_ZERO or height != 0:
-                return False
-            continue
-        if t not in (-1, 1) or b not in (-1, 1):
-            return False
-        if k in (0, n - 1):
-            return False
-        if (t, b) == COL_UP:
-            height += 1
-        elif (t, b) == COL_DOWN:
-            height -= 1
-            if height < 0:
-                return False
-    return height == 0
+def _columns(pos: int, n: int) -> tuple:
+    """The columns that position pos of n may hold: 0/* at the borders, the rest inside."""
+    return BORDER_COLS if pos in (0, n - 1) else MID_COLS
 
 
 @dataclass(frozen=True)
@@ -93,24 +74,27 @@ class LabelCounts:
 _START = (0, 0, False, False, 0, 0, False, False)
 
 
-def _scan(state: tuple, col: tuple, pos: int, n: int) -> tuple:
-    """The scan state after column col at position pos of n: the label rule.
+def _scan(state: tuple, col: tuple, pos: int, n: int) -> tuple | None:
+    """The scan state after column col at position pos of n: the column and label rule.
 
-    Scanning left to right with the lattice-path height: a fall at height
-    zero is labelled z when no 0-column lies right of it (the falls since
-    the last 0-column) and z' when none lies left of it; an up-step or a
-    rise at height zero is labelled y when neither a 0-column nor a z' lies
-    left of it.  Star columns at the borders set their own flags.  Columns
-    inside an up/down matched stretch are never labelled.
+    None when the column cannot follow: a 0-column above the axis, or a
+    down-step on it.  Scanning left to right with the lattice-path height:
+    a fall at height zero is labelled z when no 0-column lies right of it
+    (the falls since the last 0-column) and z' when none lies left of it; an
+    up-step or a rise at height zero is labelled y when neither a 0-column
+    nor a z' lies left of it.  Star columns at the borders set their own
+    flags.  Columns inside an up/down matched stretch are never labelled.
     """
     height, zeros, seen0, zprime, ny, falls, left, right = state
     if col == COL_ZERO:
-        return height, zeros + 1, True, False, ny, 0, left, right
+        return None if height else (0, zeros + 1, True, False, ny, 0, left, right)
     if col == COL_STAR:
         return height, zeros, seen0, zprime, ny, falls, left or pos == 0, pos == n - 1
     if height:
         height += (col == COL_UP) - (col == COL_DOWN)
         return height, zeros, seen0, zprime, ny, falls, left, right
+    if col == COL_DOWN:
+        return None
     if col == COL_FALL:
         return 0, zeros, seen0, zprime or not seen0, ny, falls + 1, left, right
     # an up-step or a rise on the axis
@@ -122,29 +106,44 @@ def _label_vector(state: tuple) -> LabelCounts:
     return LabelCounts(state[4], state[5], int(state[6]), int(state[7]))
 
 
+def _scan_config(c: Config) -> tuple | None:
+    """The final scan state of a pair of rows, or None when it is not a configuration."""
+    top, bot = c
+    n = len(top)
+    if n == 0 or len(bot) != n:
+        return None
+    state = _START
+    for pos, col in enumerate(zip(top, bot)):
+        if col not in _columns(pos, n) or (state := _scan(state, col, pos, n)) is None:
+            return None
+    return None if state[0] else state
+
+
+def validate(c: Config) -> bool:
+    """Whether the pair of rows is a valid configuration."""
+    return _scan_config(c) is not None
+
+
 def _transfer(n: int, n0: int, start, grow) -> dict:
     """Every column sequence of the (n, n0) space, walked one column at a time.
 
     ``start`` is the value of the empty prefix and ``grow(value, col)`` the
     value of the prefixes extended by a column; values of prefixes that
     reach the same scan state are added up.  Returns the value per final
-    scan state.  Columns that cannot return to height zero, or cannot place
-    the remaining zeros, in the columns left are pruned.
+    scan state.  Columns past the n0 zeros are dropped, and so are columns
+    that cannot return to height zero, or cannot place the remaining zeros,
+    in the columns left.
     """
     if n < 1 or not 0 <= n0 <= n:
         raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
     values = {_START: start}
     for pos in range(n):
-        left = n - pos - 1
-        cols = (COL_ZERO, COL_STAR) if pos in (0, n - 1) else MID_COLS
+        left, cols = n - pos - 1, _columns(pos, n)
         nxt: dict = {}
         for state, value in values.items():
-            height, zeros = state[0], state[1]
             for col in cols:
-                if col is COL_ZERO and (height or zeros == n0) or col is COL_DOWN and not height:
-                    continue
                 after = _scan(state, col, pos, n)
-                if after[0] > left or n0 - after[1] > left:
+                if after is None or after[0] > left or not 0 <= n0 - after[1] <= left:
                     continue
                 grown = grow(value, col)
                 if after in nxt:
@@ -178,12 +177,9 @@ def enumerate_configs(n: int, n0: int) -> tuple[Config, ...]:
 
 def label_counts(c: Config) -> LabelCounts:
     """Count the weight-carrying labels of a configuration, by the scan of :func:`_scan`."""
-    if not validate(c):
+    state = _scan_config(c)
+    if state is None:
         raise InvalidConfig(f"invalid configuration {c!r}")
-    n = len(c[0])
-    state = _START
-    for pos, col in enumerate(zip(*c)):
-        state = _scan(state, col, pos, n)
     return _label_vector(state)
 
 
@@ -211,45 +207,45 @@ def q_weight(lab: LabelCounts, params: DStarParams):
     return q
 
 
-def _j1(top, i: int) -> int:
-    """Leftmost wall whose right-side run of top -1 entries reaches wall i-1."""
-    w = i - 1
-    while w - 1 >= 1 and top[w - 1] == -1:
-        w -= 1
-    return w
+def _left_insert(c: Config, i: int, remove: int, rule: str):
+    """Column remove out and a (-1/1) column in at wall j1: (config, rule, j1).
 
-
-def _j2(top, i: int) -> int:
-    """Rightmost wall whose left-side run of top 1 entries starts at wall i+1."""
-    n = len(top)
-    w = i + 1
-    while w + 1 <= n - 1 and top[w] == 1:
-        w += 1
-    return w
-
-
-def _left_insert(c: Config, remove: int, j1: int) -> Config:
-    top = list(c[0])
-    bot = list(c[1])
+    j1 is the leftmost wall whose right-side run of top -1 entries reaches wall i-1.
+    """
+    top, bot = list(c[0]), list(c[1])
+    j1 = i - 1
+    while j1 > 1 and top[j1 - 1] == -1:
+        j1 -= 1
     top.pop(remove)
     bot.pop(remove)
     top.insert(j1, -1)
     bot.insert(j1, 1)
-    return tuple(top), tuple(bot)
+    return (tuple(top), tuple(bot)), rule, j1
 
 
-def _right_insert(c: Config, rm_top: int, rm_bot: int, j2: int) -> Config:
-    blocker = c[0][j2]  # top entry just right of wall j2, in original indexing
-    top = list(c[0])
-    bot = list(c[1])
+def _right_insert(c: Config, i: int, rm_top: int, rm_bot: int, rule: str):
+    """A top 1 and a bottom -1 taken out and put back at wall j2: (config, rule, j2).
+
+    j2 is the rightmost wall whose left-side run of top 1 entries starts at
+    wall i+1; the bottom -1 goes right of the wall when a top -1 blocks it.
+    """
+    top, bot = list(c[0]), list(c[1])
+    j2 = i + 1
+    while j2 < len(top) - 1 and top[j2] == 1:
+        j2 += 1
+    blocked = top[j2] == -1
     top.pop(rm_top)
     bot.pop(rm_bot)
     top.insert(j2 - 1, 1)
-    if blocker == -1:
-        bot.insert(j2, -1)
-    else:
-        bot.insert(j2 - 1, -1)
-    return tuple(top), tuple(bot)
+    bot.insert(j2 if blocked else j2 - 1, -1)
+    return (tuple(top), tuple(bot)), rule, j2
+
+
+def _replace_pair(c: Config, i: int, left: tuple, right: tuple, rule: str):
+    """Columns i-1 and i set to left and right, the wall staying i: (config, rule, i)."""
+    top, bot = c
+    return ((top[:i - 1] + (left[0], right[0]) + top[i + 1:],
+             bot[:i - 1] + (left[1], right[1]) + bot[i + 1:]), rule, i)
 
 
 def _apply(c: Config, i: int):
@@ -264,39 +260,26 @@ def _apply(c: Config, i: int):
     bt, bb = top[i], bot[i]
     if i == 1:
         if at == STAR and (bt, bb) == COL_RISE:
-            j2 = _j2(top, i)
-            return _right_insert(c, 1, 1, j2), "L1", j2
+            return _right_insert(c, i, 1, 1, "L1")
         if at == STAR and bt == 0:
-            j2 = _j2(top, i)
-            return _right_insert(c, 0, 0, j2), "L2", j2
+            return _right_insert(c, i, 0, 0, "L2")
         if at == 0 and (bt, bb) == COL_RISE:
-            ntop, nbot = list(top), list(bot)
-            ntop[0] = nbot[0] = STAR
-            ntop[1] = nbot[1] = 0
-            return (tuple(ntop), tuple(nbot)), "L3", 1
+            return _replace_pair(c, i, COL_STAR, COL_ZERO, "L3")
         return c, None, i
     if i == n - 1:
         if bt == STAR and (at, ab) == COL_FALL:
-            j1 = _j1(top, i)
-            return _left_insert(c, i - 1, j1), "R1", j1
+            return _left_insert(c, i, i - 1, "R1")
         if bt == STAR and at == 0:
-            j1 = _j1(top, i)
-            return _left_insert(c, i, j1), "R2", j1
+            return _left_insert(c, i, i, "R2")
         if (at, ab) == COL_FALL and bt == 0:
-            ntop, nbot = list(top), list(bot)
-            ntop[i - 1] = nbot[i - 1] = 0
-            ntop[i] = nbot[i] = STAR
-            return (tuple(ntop), tuple(nbot)), "R3", n - 1
+            return _replace_pair(c, i, COL_ZERO, COL_STAR, "R3")
         return c, None, i
     if (bt, bb) == COL_RISE and (at == 1 or at == 0):
-        j1 = _j1(top, i)
-        return _left_insert(c, i, j1), "B1", j1
+        return _left_insert(c, i, i, "B1")
     if at == 1 and (bt, bb) == COL_DOWN:
-        j2 = _j2(top, i)
-        return _right_insert(c, i - 1, i, j2), "B2", j2
+        return _right_insert(c, i, i - 1, i, "B2")
     if (at, ab) == COL_FALL and bt == 0:
-        j2 = _j2(top, i)
-        return _right_insert(c, i - 1, i - 1, j2), "B2", j2
+        return _right_insert(c, i, i - 1, i - 1, "B2")
     return c, None, i
 
 
@@ -379,11 +362,19 @@ def _in_class(lab: LabelCounts, params: DStarParams) -> bool:
     return bool((lab.n_ystar or params.alpha_star) and (lab.n_zstar or params.beta_star))
 
 
-def _class_weights(counts, params: DStarParams):
-    """The weight q of each label vector of a histogram, and Z = sum of multiplicity x q."""
-    weights = {lab: q_weight(lab, params) for lab in counts}
-    z = exact_sum(m * weights[lab] for lab, m in counts.items())
-    return weights, z
+def _class_weights(hist: dict, params: DStarParams):
+    """The weight q of each label vector of the closed class, and Z = sum of multiplicity x q.
+
+    hist maps each label vector of a space to its number of configurations.
+    A space of one configuration is its own class; otherwise the class is
+    the label vectors of :func:`_in_class`, and an empty class raises.
+    """
+    if sum(hist.values()) != 1:
+        hist = {lab: m for lab, m in hist.items() if _in_class(lab, params)}
+    if not hist:
+        raise NotIrreducible("no configurations in the restricted class")
+    weights = {lab: q_weight(lab, params) for lab in hist}
+    return weights, exact_sum(m * weights[lab] for lab, m in hist.items())
 
 
 def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
@@ -399,17 +390,9 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     closed class whatever the rates: its law is the point mass, Z = 1.
     """
     configs, labels = _space(n, n0)
-    kept = list(zip(configs, labels))
-    if len(configs) != 1:
-        kept = [(c, lab) for c, lab in kept if _in_class(lab, params)]
-    if not kept:
-        raise NotIrreducible("no configurations in the restricted class")
-    weights, z = _class_weights(Counter(lab for _, lab in kept), params)
+    weights, z = _class_weights(Counter(labels), params)
     law = {lab: w / z for lab, w in weights.items()}
-    probs = dict.fromkeys(configs, ZERO)
-    for c, lab in kept:
-        probs[c] = law[lab]
-    return Dist(probs), z
+    return Dist({c: law.get(lab, ZERO) for c, lab in zip(configs, labels)}), z
 
 
 @lru_cache(maxsize=None)
@@ -432,12 +415,7 @@ def partition_sum(n: int, n0: int, params: DStarParams):
     Z sums multiplicity x q over :func:`_label_histogram`, restricted to the
     closed class as in :func:`stationary`.
     """
-    hist = dict(_label_histogram(n, n0))
-    if sum(hist.values()) != 1:
-        hist = {lab: m for lab, m in hist.items() if _in_class(lab, params)}
-    if not hist:
-        raise NotIrreducible("no configurations in the restricted class")
-    return _class_weights(hist, params)[1]
+    return _class_weights(dict(_label_histogram(n, n0)), params)[1]
 
 
 def project_top_row(dist: Dist) -> Dist:

@@ -307,15 +307,12 @@ def chamber_label(x, kind: WeylKind) -> tuple:
 def dominant_representative(x, kind: WeylKind) -> tuple:
     """Image of x in the closed dominant chamber of the finite group.
 
-    Coordinates are sorted by absolute value and made positive; for the D
-    family an odd number of sign flips leaves one negative sign on the
-    smallest coordinate.
+    sign(a_j) * x_j goes to place |a_j|, where a = chamber_label(x, kind), so
+    for D an odd number of negative coordinates leaves the smallest one negative.
     """
-    vals = sorted(x, key=abs)
-    negs = sum(1 for v in x if v < 0)
-    out = [abs(v) for v in vals]
-    if kind.root_family == "D" and negs % 2:
-        out[0] = -out[0]
+    out = [None] * len(x)
+    for v, a in zip(x, chamber_label(x, kind)):
+        out[abs(a) - 1] = v if a > 0 else -v
     return tuple(out)
 
 

@@ -10,7 +10,9 @@ counts from brute enumeration, exclusion-chain state spaces from the signed
 permutations with a parity filter and from zero positions and signs instead
 of cut colourings, exclusion-chain kernels from literal
 per-pair pattern tables instead of the wall rule, the starred kernel from
-a branch per boundary pattern instead of two boundary tables, two-row laws from one
+a branch per boundary pattern instead of two boundary tables, two-row
+validity from a hand loop over the columns instead of the checked label
+scan, two-row laws from one
 weight per configuration instead of one per label class, two-row labels
 from the positions of the 0-columns instead of a one-pass scan, two-row
 label histograms by labelling every listed configuration instead of a
@@ -368,6 +370,36 @@ def branch_dstar_kernel(n: int, n0: int, params):
     return fraction_kernel(dstar_words(n, n0), moves)
 
 # --- two-row weights and Motzkin paths, one product per object ---------------
+
+
+def tworow_valid(c) -> bool:
+    """Whether the pair of rows is a valid configuration, checked column by column."""
+    top, bot = c
+    n = len(top)
+    if n == 0 or len(bot) != n:
+        return False
+    height = 0
+    for k in range(n):
+        t, b = top[k], bot[k]
+        if t == STAR or b == STAR:
+            if (t, b) != COL_STAR or k not in (0, n - 1):
+                return False
+            continue
+        if t == 0 or b == 0:
+            if (t, b) != COL_ZERO or height != 0:
+                return False
+            continue
+        if t not in (-1, 1) or b not in (-1, 1):
+            return False
+        if k in (0, n - 1):
+            return False
+        if (t, b) == COL_UP:
+            height += 1
+        elif (t, b) == COL_DOWN:
+            height -= 1
+            if height < 0:
+                return False
+    return height == 0
 
 
 def tworow_labels(c) -> LabelCounts:

@@ -211,6 +211,19 @@ def _golden_cli_cases():
             for n0 in range(n + 1):
                 yield (f"stationary-two-{kind}-{n}-{n0}",
                        ["stationary", "--model", "two", *size, "--n0", str(n0)])
+    # Two-row laws at the default rates and with a zero starred rate (the
+    # closed-class restriction), and two-row partition sums past the listing.
+    zero_star = ["--alpha", "2/3", "--alpha-star", "0", "--beta", "1/2", "--beta-star", "5/11"]
+    for n in range(1, 6):
+        for n0 in range(n + 1):
+            size = ["--model", "tworow", "--n", str(n), "--n0", str(n0)]
+            yield f"stationary-tworow-{n}-{n0}", ["stationary", *size]
+            yield f"stationary-tworow-zero-star-{n}-{n0}", ["stationary", *size, *zero_star]
+    rates = ["--alpha", "2/3", "--alpha-star", "3/7", "--beta", "1/2", "--beta-star", "5/11"]
+    for n in range(1, 9):
+        for n0 in range(n + 1):
+            yield (f"partition-tworow-{n}-{n0}",
+                   ["partition", "--model", "tworow", "--n", str(n), "--n0", str(n0), *rates])
 
 
 def test_default_verify_reports_match_golden_digests(

@@ -125,7 +125,7 @@ def two_rows(draw):
 def test_validate_and_labels_agree_with_oracles(c):
     top = c[0]
     listed = c in enumerate_configs(len(top), top.count(0))
-    assert validate(c) == listed
+    assert validate(c) == oracles.tworow_valid(c) == listed
     if listed:
         assert repr(label_counts(c)) == repr(oracles.tworow_labels(c))
     else:
@@ -375,13 +375,113 @@ CONFIG_ORDER_SHA256 = {
 }
 
 
+# sha256 of repr(tr._wall_maps(n, n0)) and of repr(tr._label_histogram(n, n0)),
+# taken when the j1/j2 wall search and the column rule were still written out
+# at each of their call sites; the table and the histogram order must not move.
+MAPS_AND_HISTOGRAM_SHA256 = {
+    (1, 0): ("6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8",
+             "50787991bdd467986827779526c67d6624a72850e5b25a801dbfa18e2034c65d"),
+    (1, 1): ("6af22f1bc2d94295cb210c6a0734b0d7459c92909665da49d949785ecea55bf8",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (2, 0): ("9fab708787fcf840558d552d7fedcaa0252ed057828d9976d32884d3e99e45eb",
+             "50787991bdd467986827779526c67d6624a72850e5b25a801dbfa18e2034c65d"),
+    (2, 1): ("1364ffc5e18a001ab2b3cde1ac0ff81e4e56be6087631d521a1a98c9f5b610a8",
+             "8776280988682a5141aa0acecf0099e52e155bbcc65a3272f19ef8e284733fc8"),
+    (2, 2): ("9fab708787fcf840558d552d7fedcaa0252ed057828d9976d32884d3e99e45eb",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (3, 0): ("8c8153803053038879d900dfdbab81ac9a03660e894d6fd11b9e31c53914dc90",
+             "7aafdcf1619500f71bc292d957efc7afdad7acf4878cda5e28dbf1c369cf0830"),
+    (3, 1): ("9f181de834361b34ec88c694d31df7185cd22a0b00033b6a8081f04c782cacbd",
+             "8fd21ab46f8ef8970c367225639ce299377dca25cd428e83d05f0b7c9aab1893"),
+    (3, 2): ("49e7e4cd41371f336d605870525d9e8952c02cd215cfc703d8428659eaa5d5f1",
+             "26aab752a38094d1d788b3271e24e9f9232ea7f2f3710d1840c51a7ff52e40c9"),
+    (3, 3): ("7514e6a07d7f1f22fa2a81dcf91de4c76e397721dcf20f4237a7bac0b04a7719",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (4, 0): ("cdee8ac26071dc3e3a7b8be70345561295fff379d61930501e40906e1cca09a4",
+             "3724ecfc1cc6a778dde7e391cb9c06361dea0908429387e060edec543b486f5b"),
+    (4, 1): ("4c22cc7c09b7a7099c54774e58e2c3dbbaa7adf525d7cbf089af53fbac40f166",
+             "587875c49d0f9ab9cb3b886c2f520ea27b3ab03d9f47b9c4257a08a87b14ebc6"),
+    (4, 2): ("5498d0a2da5d887149df606825274243a8e58dcd13cbed951a658b532b5d0b2d",
+             "1e7574fc9cb67af01c3f581ccc29c16f8a3c941e485c339a6f4ede1efecff1b0"),
+    (4, 3): ("dd785622470a758af3086b8f19a2cf8a4c737cc64771bc20f9ed509c6f3b2cbe",
+             "8c7b3accf08c3454e9a4f974652e34b33bdfb5e388a4a50364362896f47d0fcb"),
+    (4, 4): ("9eb049c7ffb262e0d61e668a217326e66ef0eed6f0df71ae392510a70c2a500e",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (5, 0): ("ad04a9cac246c2d78c8b10630232071a905f45bd3bd46d4038c7318c45746456",
+             "c35720082cc44161614517aa7f57dfac031442d61bb6fef152628cd5f0dd6b10"),
+    (5, 1): ("0460660e9025e7a05b241e5c50f477f2ad036b8428ae325994520cdaf574a23d",
+             "46997c8c9dd7ecb549f8d2bc2a46df1f08185511ad609f5df73fbcaa5b685d68"),
+    (5, 2): ("18d85deffe2d2cbcd22e14945fcb418c1f553fa6e97ffda68aa33e397526c54c",
+             "a7ab7e4a3071827a67d9957754575c1bb48510967820d2aaf3e7036184aa8f95"),
+    (5, 3): ("0f7db0b57fab0ed4c0e48362bdce84b3dce350fd52aa6e8652bd26b776b56816",
+             "6308c456518bd276152afa3637fcc43749ed456b51eea8c033deadddd4a2cde4"),
+    (5, 4): ("3be39fb161aac7fef8d267ea2253247e6a1aa980eb79340478dd79806c9c50cb",
+             "1e3a518930cbaa6cff180a60672eb98af451124084e9022911848fc15d2f77fd"),
+    (5, 5): ("27438410e7190a9ff3012e23aa20713c6ed8a8a4df47f177345ca91ae9232232",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (6, 0): ("9b2857f7cdbe39932a2902c69e5b8b0a1bf444f05c0e3f9f57b400ecaeb6d897",
+             "6f14fe3e6b1544139637a696a7b72ddea7023ed590e1402a1aebc459b5c64e17"),
+    (6, 1): ("17e7fd6778a7cec0a8101358c74da8b8ad9e8e9f6084eb278d1fd25000c8a2d9",
+             "b6d8edd5dfa09d9c58f97d861ef01ca50f99be944c9a800af4acaa97262d0794"),
+    (6, 2): ("ed372f8f08de6dc2958d33bfe6245ce52aad08e8355cdf1d26868b10a2c49453",
+             "d2eb64946823a96414862a8758708a7d45cb36a79086a49f7dda561d387866bd"),
+    (6, 3): ("1c6431a8c517ba5a89d838f864ab997b219efe464ecc56bde24e68d120b608d0",
+             "fbcc2d6ae777d9fbfe9a12d143ef1bd434c3ba9fdca73eb9731300e3d832b74f"),
+    (6, 4): ("5369b146e0b4b9ba3906d132de4522dcab2029843ccf96c94529116aa9cc51e4",
+             "de34882e97dede7aebaf3f3acd7ea49981f7a7c5531741d991a7d8c34d17bba7"),
+    (6, 5): ("09350874fef4d03a609e3e7ddcb5bd00c5de36dcd4aceaf84931a2b5fbfdaaaf",
+             "775921451e7e460b9b9de9c398fc658203cf3a4191cf5b09224b9af7fc16281a"),
+    (6, 6): ("fdeb2a011d1bd6dd2522a00694db8ffbe784d18cc6fe6fda868311199fa985a0",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (7, 0): ("36df793d61549d519e99c82dbed019f80872d865258d9ad2a1fc01f53415d028",
+             "efbb1e4b3d8bc1ef76e639d008532e1d7064b13093f378efc712d1e1d4e7a54e"),
+    (7, 1): ("8ce381f10cf56459ecffa8454fea928e33ab750740a36446855702bc58b6d41a",
+             "3416a742e733b5cef1cc5be2bcbef2cc86967fad1f38368f39283b3c12d70f8f"),
+    (7, 2): ("03a74f8715d6907df6378e1dd6949f7052895c467de515c206655b658c4ab221",
+             "fc079677ebc9469c01daf890f194069f0286941cb307459604e4809dc9463080"),
+    (7, 3): ("2489da0d6e6397b362160b38222828086d41d4d9ab9ca3a2af92778424956310",
+             "a404dc83e8e607c1af6cab9c31e70cfdc6d8f84797f54895c5fdff8a3600cba8"),
+    (7, 4): ("922b01ee1f0c5c17d063e875402f7cf74e1d34e3ec57dec20688212837d8a90b",
+             "ddea0b507b14bf140f01b90cf957589c20c2cc75c4b6bb646860197f0774b419"),
+    (7, 5): ("ab2362ddc1c61e3d3b1d074004f1bae69a7e7e2d16c62ca7d9ff0bb52caefb4c",
+             "c76f4c46011af2ba5d4e9e1919babd173705cb74586a8ae3f190e4759a89f396"),
+    (7, 6): ("e73e4fc7abb01c16b9ee3739ded336a457b75d249e62823ef7a48509d1e56bd8",
+             "bcabf8f0b0d2ffa057983a731ab7ea9edf499b4e05c9685ba6b88a69422e7b00"),
+    (7, 7): ("9f1998972e89fc094c720f591900005b6703f8ca88acc9ed5ffbefe1fde8b55c",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+    (8, 0): ("b4533042257e36a4168e326495f190d10a21d6e25add7b4d0606b198eb8aa024",
+             "99984fadb190168fed36cbe84ec18170cb3608dd71d53c21bc79db3ae34bce77"),
+    (8, 1): ("d5e2cdc3d1da26d033962b1a5c4bd21ffb5c929e2101b4ac2118a62b9e25995d",
+             "2ec7066d118b5261603fcc862bcfe961a30b2bed0227d6f886d999b2b0ece8ea"),
+    (8, 2): ("8309e55512f2413d1bf811c57d53c1713a2df631b335b9f280840f24555ad8f7",
+             "fe720233323988882e18d5945b03a6179652966a0822366125902baaa968115d"),
+    (8, 3): ("16f898c70ee53efb0d617b8dbf19cc11b887f8c11c957754e0caf3ca0dd10c2a",
+             "8d48020f3975e0d7d9448968a11b45d10a86a51c8d4095f7fcf26d46a81bba7c"),
+    (8, 4): ("8f1278f12503fb27791075822399c87e8d25ebd10b6749c10d80b11818b63840",
+             "fe8ffa554c55a7506cc21106957d0d3be3dcf68ce3c8c16661f5caaf91037e5b"),
+    (8, 5): ("3a56a7313a059566fa90cd2c087771e7e614dbc73112fccc4ecc37d7189cb917",
+             "3833260d069e67404aeb0f187c78c40966eff99be71b58a6393f2c9d1eeea7ee"),
+    (8, 6): ("74735dec5410bdc51ccd894ec8582925d1b1a6ec725a84af4ce6d731a718048d",
+             "98a09151c126cc42dd6605abebed5346526936bbef85825c6dd7ce719c0b88bd"),
+    (8, 7): ("eb8cda8fc22b7f0e302b3a4ca5d9c0c58f9e49a09af9cb4604b8362dc4096de7",
+             "2c66b7ccceb6da7c4608a02e5d76eccc5ec93bc78e583547f2216b2671cbb273"),
+    (8, 8): ("9021ea65450ae9d7b937f257278f9eeb828152eb28eb7da3f2a07ca06c849384",
+             "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62"),
+}
+
+
+def _sha256(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
 def test_enumeration_order_is_pinned():
     for n in range(1, 9):
         for n0 in range(n + 1):
             configs = enumerate_configs(n, n0)
             assert isinstance(configs, tuple)
-            digest = hashlib.sha256(repr(configs).encode()).hexdigest()
-            assert digest == CONFIG_ORDER_SHA256[n, n0], (n, n0)
+            assert _sha256(configs) == CONFIG_ORDER_SHA256[n, n0], (n, n0)
+            maps, hist = _sha256(tr._wall_maps(n, n0)), _sha256(tr._label_histogram(n, n0))
+            assert (maps, hist) == MAPS_AND_HISTOGRAM_SHA256[n, n0], (n, n0)
 
 
 # PARAM_POINTS plus the B, D and semipermeable specialisations of verify.

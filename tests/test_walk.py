@@ -133,6 +133,32 @@ def test_dominant_representative():
     assert chamber_label((Fraction(3), Fraction(-1)), B2) == (2, -1)
 
 
+def _sorted_dominant(x, kind):
+    """The dominant image by a sort on |x|, with the D parity fixed on the smallest entry."""
+    out = [abs(v) for v in sorted(x, key=abs)]
+    if kind.root_family == "D" and sum(1 for v in x if v < 0) % 2:
+        out[0] = -out[0]
+    return tuple(out)
+
+
+@st.composite
+def generic_points(draw):
+    """A family, a rank, and a point with distinct nonzero |x_j| in random order and signs."""
+    family = draw(st.sampled_from(("B", "C", "D", "Bcheck", "Ccheck")))
+    n = draw(st.integers(2, 6))
+    sizes = draw(st.lists(st.fractions(min_value=Fraction(1, 20), max_value=5,
+                                       max_denominator=20), min_size=n, max_size=n, unique=True))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return WeylKind(family, n), tuple(s * v for s, v in zip(signs, draw(st.permutations(sizes))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(generic_points())
+def test_dominant_representative_matches_the_sort(case):
+    kind, x = case
+    assert dominant_representative(x, kind) == _sorted_dominant(x, kind)
+
+
 def test_estimate_direction_small():
     est = estimate_direction(B2, 2, steps=50_000, trials=5, seed=11, processes=1)
     assert est.cosine_vs_closed_form > 0.999
