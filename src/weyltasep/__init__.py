@@ -29,7 +29,7 @@ from .closedform import (
     z_d,
     z_semiperm,
 )
-from .lumping import cut_coloring, project_distribution, star_collapse, verify_lumping
+from .lumping import cut_coloring, project_distribution, star_lift, verify_lumping
 from .markov import (
     communicating_classes,
     Dist,

@@ -12,8 +12,8 @@ from functools import lru_cache
 from math import comb
 
 from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
-from .markov import Dist, Kernel, exact_stationary
-from .models import STAR, DStarParams, build_multi
+from .markov import Dist, exact_stationary
+from .models import STAR, STAR_RATES, build_multi
 from .ratio import ONE, R, ZERO
 from .tworow import stationary as tworow_stationary
 from .weyl import WeylKind, inverse_act_theta, theta_raises
@@ -387,20 +387,17 @@ def b_first_site(n: int, k: int):
 
 
 @lru_cache(maxsize=None)
-def stationary_multi(family: str, n: int) -> tuple[Kernel, Dist]:
-    """Exact stationary law of the multispecies chain (cached)."""
-    kind = WeylKind(family, n)
-    kernel = build_multi(kind, n)
-    return kernel, exact_stationary(kernel)
+def stationary_multi(family: str, n: int) -> Dist:
+    """Exact stationary law of the multispecies chain (cached; the kernel is not kept)."""
+    return exact_stationary(build_multi(WeylKind(family, n), n))
 
 
 def pair_correlations(family: str, n: int) -> dict:
     """Exact final-pair probabilities of the multispecies chain."""
     if n < 2:
         raise InvalidRank(f"final-pair correlations need rank n >= 2, got {n}")
-    _, pi = stationary_multi(family, n)
     out: dict = {}
-    for w, p in pi.items():
+    for w, p in stationary_multi(family, n).items():
         if p == 0:
             continue
         key = (w[-2], w[-1])
@@ -457,9 +454,8 @@ def limdir_exact_lam(kind: WeylKind, n: int) -> DirectionVector:
     stationary probability times the pulled-back highest root.
     """
     wkind = WeylKind(kind.family, n)
-    _, pi = stationary_multi(kind.family, n)
     psi = [ZERO] * n
-    for w, p in pi.items():
+    for w, p in stationary_multi(kind.family, n).items():
         if p == 0 or not theta_raises(w, wkind):
             continue
         v = inverse_act_theta(w, wkind)
@@ -469,19 +465,17 @@ def limdir_exact_lam(kind: WeylKind, n: int) -> DirectionVector:
     return DirectionVector(tuple(psi))
 
 
-BCHECK_DSTAR_PARAMS = DStarParams(R(1, 2), 0, R(1, 2), R(1, 2))
-
-
 @lru_cache(maxsize=None)
 def _bcheck_marginals(n: int, n0: int):
     """Boundary marginals of the starred process attached to the Bcheck chain.
 
-    The two-species Bcheck chain on n sites embeds (first site fixed to *)
-    into the starred process on n+1 sites at rates (1/2, 0, 1/2, 1/2); its
-    stationary top-row law gives the needed boundary-pair probabilities.
-    A border * splits evenly between the two signs it identifies.
+    The law of the two-species Bcheck chain on n sites lifts by
+    ``lumping.star_lift`` onto that of the starred process on n+1 sites at
+    ``models.STAR_RATES["Bcheck"]``, whose top-row law gives the needed
+    boundary-pair probabilities.  A border * splits evenly between the two
+    signs it identifies.
     """
-    dist, _ = tworow_stationary(n + 1, n0, BCHECK_DSTAR_PARAMS)
+    dist, _ = tworow_stationary(n + 1, n0, STAR_RATES["Bcheck"])
     p_last_sign = ZERO  # one sign at the chain's last site
     p_pen_plus = ZERO
     p_pen_minus = ZERO

@@ -4,6 +4,11 @@ A state map is a callable that sends the big chain's states onto the small
 chain's states; it is a lumping when each aggregated row depends only on
 the image state.  :func:`verify_lumping` checks this together with
 agreement against the small kernel, exactly, row by row.
+
+:func:`star_lift` maps a family's one-cut chain into ``models.star_chain``.
+The lifts of Ccheck, B and D lump the kernels; those of C and Bcheck carry
+only the stationary law, their moves having a constant multiple of the
+starred chain's probabilities (a time change).
 """
 from __future__ import annotations
 
@@ -14,8 +19,9 @@ from typing import Callable
 
 from .errors import InvalidCounts
 from .markov import Dist, Kernel
-from .models import STAR
+from .models import STAR, STAR_RATES
 from .ratio import R, ZERO
+from .weyl import WeylKind
 
 
 def cut_coloring(word: tuple, cuts: tuple) -> tuple:
@@ -26,22 +32,21 @@ def cut_coloring(word: tuple, cuts: tuple) -> tuple:
     return tuple(bisect_right(cuts, x) if x >= 0 else -bisect_right(cuts, -x) for x in word)
 
 
-def star_collapse(word: tuple, mode: str) -> tuple:
-    """Identify border +-1 with the star symbol.
+def star_lift(word: tuple, kind: WeylKind) -> tuple:
+    """Lift a word of the family's one-cut chain into the family's starred chain.
 
-    ``last_site``: prepend a fixed *-site and star the final entry, embedding
-    an n-site two-species word into an (n+1)-site starred word.
-    ``both_ends``: star the first and last entries in place.
+    The shape follows ``models.STAR_RATES``: an end whose starred rate is
+    zero gains a fixed star site, and at an end with both rates nonzero a
+    border +-1 collapses to the star.
     """
-    if mode == "last_site":
-        return (STAR,) + word[:-1] + (STAR if word[-1] in (1, -1) else word[-1],)
-    if mode == "both_ends":
-        if len(word) < 2:
-            raise InvalidCounts("both_ends needs at least 2 sites")
-        first = STAR if word[0] in (1, -1) else word[0]
-        last = STAR if word[-1] in (1, -1) else word[-1]
-        return (first,) + word[1:-1] + (last,)
-    raise ValueError(f"unknown mode {mode!r}")
+    if len(word) != kind.n:
+        raise InvalidCounts(f"a {kind.family}{kind.n} word has {kind.n} sites, got {len(word)}")
+    rates = STAR_RATES[kind.family]
+    lift = list(word)
+    for end, star_rate in ((0, rates.alpha_star), (-1, rates.beta_star)):
+        if star_rate and lift[end] in (1, -1):
+            lift[end] = STAR
+    return (STAR,) * (rates.alpha_star == 0) + tuple(lift) + (STAR,) * (rates.beta_star == 0)
 
 
 @dataclass

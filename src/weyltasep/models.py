@@ -14,6 +14,10 @@ and it moves the word by the group generator s_g, the step of the reduced
 alcove walk.  The chains differ only in the edge probabilities.  The
 literal per-pair pattern tables the rule replaces are kept in the tests as
 oracles.  The starred chain has a boundary table of its own at each end.
+
+``STAR_RATES`` holds the starred rates of each family, and :func:`star_chain`
+gives the starred chain a family's one-cut chain lifts to by
+``lumping.star_lift``; the lift's shape follows from the rates.
 """
 from __future__ import annotations
 
@@ -22,8 +26,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InvalidCounts, InvalidRank
-from .markov import Kernel, build_kernel
+from .errors import InvalidCounts, InvalidRank, NotIrreducible
+from .markov import Kernel, build_kernel, communicating_classes
 from .ratio import R
 from .weyl import WeylKind, alcove_walls, apply_generator, kac_weights
 
@@ -59,6 +63,17 @@ class DStarParams:
                 raise InvalidCounts(f"{name} outside [0,1]")
         if self.alpha <= 0 or self.beta <= 0:
             raise InvalidCounts("alpha and beta must be positive")
+
+
+# The rates (alpha, alpha*, beta, beta*) whose starred chain each family's
+# one-cut chain lifts to.
+STAR_RATES = {
+    "Ccheck": DStarParams(1, 0, 1, 0),
+    "C": DStarParams(R(1, 2), 0, R(1, 2), 0),
+    "B": DStarParams(1, 0, R(1, 2), R(1, 2)),
+    "Bcheck": DStarParams(R(1, 2), 0, R(1, 2), R(1, 2)),
+    "D": DStarParams(*(R(1, 2),) * 4),
+}
 
 
 def cut_states(kind: WeylKind, cuts) -> list:
@@ -155,6 +170,21 @@ def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
             yield index[w[:-2] + hit[0]], hit[1]
 
     return build_kernel(states, moves, probs)
+
+
+def star_chain(kind: WeylKind, n0: int) -> Kernel:
+    """The starred chain at the family's ``STAR_RATES`` that its one-cut chain (n0 + 1,) lifts to.
+
+    It has n sites plus a fixed star per zero starred rate, restricted to
+    its one closed class (NotIrreducible if there is not exactly one).
+    """
+    params = STAR_RATES[kind.family]
+    pads = (params.alpha_star == 0) + (params.beta_star == 0)
+    ker = build_dstar(kind.n + pads, n0, params)
+    closed = [c for c in communicating_classes(ker) if c.closed]
+    if len(closed) != 1:
+        raise NotIrreducible(f"{len(closed)} closed classes")
+    return ker.restrict(closed[0].states)
 
 
 def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:

@@ -11,9 +11,10 @@ import math
 from . import closedform as cf
 from . import tworow as tr
 from .errors import InvalidRank, RangeError
-from .lumping import cut_coloring, project_distribution, star_collapse, verify_lumping
-from .markov import communicating_classes, exact_stationary
-from .models import DStarParams, STAR, build_cut_chain, build_dstar, build_multi
+from .lumping import cut_coloring, project_distribution, star_lift, verify_lumping
+from .markov import exact_stationary
+from .models import (DStarParams, STAR, STAR_RATES, build_cut_chain, build_dstar, build_multi,
+                     star_chain)
 from .ratio import R, ZERO, fmt_ratio, parse_ratio
 from .weyl import WeylKind
 
@@ -246,22 +247,15 @@ def suite_tworow(
     okb = okd = okc = True
     for n in range(2, partition_n_max + 1):
         for n0 in range(0, n + 1):
-            zb = tr.partition_sum(n + 1, n0, DStarParams(1, 0, R(1, 2), R(1, 2)))
-            if zb != cf.z_b(n, n0):
-                okb = False
-            zd = tr.partition_sum(n, n0, DStarParams(*(R(1, 2),) * 4))
-            if n0 >= 1:
-                if zd != cf.z_d(n, n0):
-                    okd = False
-            elif 4 * zd != cf.z_d(n, 0):
-                # The zero-free partition constant counts each starred state
-                # once per sign choice at the two borders.
-                okd = False
+            okb &= tr.partition_sum(n + 1, n0, STAR_RATES["B"]) == cf.z_b(n, n0)
+            # The zero-free partition constant counts each starred state
+            # once per sign choice at the two borders.
+            zd = tr.partition_sum(n, n0, STAR_RATES["D"])
+            okd &= (zd if n0 else 4 * zd) == cf.z_d(n, n0)
     for n in range(1, partition_n_max - 1):
         for n0 in range(0, n + 1):
-            zc = tr.partition_sum(n + 2, n0, DStarParams(1, 0, 1, 0))
-            if zc != cf.ballot(n + n0 + 1, n - n0):
-                okc = False
+            zc = tr.partition_sum(n + 2, n0, STAR_RATES["Ccheck"])
+            okc &= zc == cf.ballot(n + n0 + 1, n - n0)
     _check(checks, "partition-b", okb, n_max=partition_n_max)
     _check(checks, "partition-d", okd, n_max=partition_n_max)
     _check(checks, "partition-semipermeable", okc)
@@ -288,39 +282,18 @@ def suite_lumping(n_max: int = 4) -> dict:
                     ok = False
     _check(checks, "k-coloring-lumpings", ok, n_max=n_max)
 
-    ok = True
-    for n in range(1, n_max + 1):
-        for n0 in range(n + 1):
-            cc = build_cut_chain(WeylKind("Ccheck", n), (n0 + 1,))
-            dst = build_dstar(n + 2, n0, DStarParams(1, 0, 1, 0))
-            closed = [c for c in communicating_classes(dst) if c.closed]
-            sub = dst.restrict(closed[0].states)
-            rep = verify_lumping(cc, lambda w: (STAR,) + w + (STAR,), sub)
-            if not (rep.passed and len(sub) == len(cc) and len(closed) == 1):
-                ok = False
-    _check(checks, "doubly-starred-embedding", ok)
-
-    ok = True
-    for n in range(2, n_max + 1):
-        for n0 in range(n + 1):
-            bb = build_cut_chain(WeylKind("B", n), (n0 + 1,))
-            dst = build_dstar(n + 1, n0, DStarParams(1, 0, R(1, 2), R(1, 2)))
-            closed = [c for c in communicating_classes(dst) if c.closed]
-            sub = dst.restrict(closed[0].states)
-            rep = verify_lumping(bb, lambda w: star_collapse(w, "last_site"), sub)
-            if not rep.passed:
-                ok = False
-    _check(checks, "last-site-star-collapse", ok)
-
-    ok = True
-    for n in range(3, n_max + 2):
-        for n0 in range(n + 1):
-            dd = build_cut_chain(WeylKind("D", n), (n0 + 1,))
-            dst = build_dstar(n, n0, DStarParams(*(R(1, 2),) * 4))
-            rep = verify_lumping(dd, lambda w: star_collapse(w, "both_ends"), dst)
-            if not rep.passed:
-                ok = False
-    _check(checks, "both-ends-star-collapse", ok)
+    # Each one-cut chain lumps onto its starred chain; Ccheck's lift is one-to-one.
+    for name, fam, ranks in (("doubly-starred-embedding", "Ccheck", range(1, n_max + 1)),
+                             ("last-site-star-collapse", "B", range(2, n_max + 1)),
+                             ("both-ends-star-collapse", "D", range(3, n_max + 2))):
+        ok = True
+        for n in ranks:
+            kind = WeylKind(fam, n)
+            for n0 in range(n + 1):
+                one, star = build_cut_chain(kind, (n0 + 1,)), star_chain(kind, n0)
+                ok &= verify_lumping(one, lambda w: star_lift(w, kind), star).passed
+                ok &= fam != "Ccheck" or len(star) == len(one)
+        _check(checks, name, ok)
 
     ok = True
     for n, n0 in ((3, 1), (4, 1), (4, 2)):
@@ -332,20 +305,13 @@ def suite_lumping(n_max: int = 4) -> dict:
             ok = False
     _check(checks, "two-row-to-starred", ok)
 
-    ok = True
-    big = build_multi(WeylKind("Ccheck", 3), 3)
-    pi_big = exact_stationary(big)
-    small = build_cut_chain(WeylKind("Ccheck", 3), (2,))
-    if project_distribution(pi_big, lambda w: cut_coloring(w, (2,))) != exact_stationary(small):
-        ok = False
-    dm = build_multi(WeylKind("D", 3), 3)
-    pi_dm = exact_stationary(dm)
-    dst = build_dstar(3, 1, DStarParams(*(R(1, 2),) * 4))
-    proj = project_distribution(
-        pi_dm, lambda w: star_collapse(cut_coloring(w, (2,)), "both_ends")
-    )
-    if proj != exact_stationary(dst):
-        ok = False
+    c3, d3 = WeylKind("Ccheck", 3), WeylKind("D", 3)
+    colour = lambda w: cut_coloring(w, (2,))
+    proj = project_distribution(exact_stationary(build_multi(c3, 3)), colour)
+    ok = proj == exact_stationary(build_cut_chain(c3, (2,)))
+    proj = project_distribution(exact_stationary(build_multi(d3, 3)),
+                                lambda w: star_lift(colour(w), d3))
+    ok &= proj == exact_stationary(star_chain(d3, 1))
     _check(checks, "projection-commutes", ok)
 
     return _report("lumping", checks)

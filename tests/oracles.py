@@ -653,7 +653,7 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
 def last_site_density(family: str, n: int) -> dict:
     """Law of the letter at the last site of the exact multispecies law."""
     out: dict = {}
-    for w, p in cf.stationary_multi(family, n)[1].items():
+    for w, p in cf.stationary_multi(family, n).items():
         out[w[-1]] = out.get(w[-1], Fraction(0)) + p
     return out
 
@@ -661,7 +661,7 @@ def last_site_density(family: str, n: int) -> dict:
 def first_site_density(family: str, n: int) -> dict:
     """Law of the letter at the first site of the exact multispecies law."""
     out: dict = {}
-    for w, p in cf.stationary_multi(family, n)[1].items():
+    for w, p in cf.stationary_multi(family, n).items():
         out[w[0]] = out.get(w[0], Fraction(0)) + p
     return out
 

@@ -7,17 +7,19 @@ from hypothesis import strategies as st
 from weyltasep.lumping import (
     cut_coloring,
     project_distribution,
-    star_collapse,
+    star_lift,
     verify_lumping,
 )
+from weyltasep.errors import InvalidCounts
 from weyltasep.markov import Dist, Kernel, communicating_classes, exact_stationary
 from weyltasep.models import (
-    DStarParams,
     STAR,
+    STAR_RATES,
     build_cut_chain,
     build_dstar,
     build_multi,
     cut_states,
+    star_chain,
 )
 from weyltasep.ratio import R
 from weyltasep.verify import suite_lumping
@@ -54,10 +56,48 @@ def test_cut_coloring_counts(seed):
     assert image in cut_states(WeylKind("B", n), cuts)
 
 
-def test_star_collapse_examples():
-    assert star_collapse((1, 0, -1), "last_site") == (STAR, 1, 0, STAR)
-    assert star_collapse((0, 1, 0), "both_ends") == (0, 1, 0)
-    assert star_collapse((-1, 0, 1), "both_ends") == (STAR, 0, STAR)
+def test_star_rates_are_pinned():
+    half = R(1, 2)
+    assert {f: (p.alpha, p.alpha_star, p.beta, p.beta_star) for f, p in STAR_RATES.items()} == {
+        "Ccheck": (1, 0, 1, 0),
+        "C": (half, 0, half, 0),
+        "B": (1, 0, half, half),
+        "Bcheck": (half, 0, half, half),
+        "D": (half, half, half, half),
+    }
+
+
+def test_star_lift_examples():
+    # a zero starred rate adds a fixed star; a nonzero one collapses a border +-1
+    assert star_lift((1, 0, -1), WeylKind("B", 3)) == (STAR, 1, 0, STAR)
+    assert star_lift((1, 0, -1), WeylKind("Bcheck", 3)) == (STAR, 1, 0, STAR)
+    assert star_lift((0, 1, 0), WeylKind("D", 3)) == (0, 1, 0)
+    assert star_lift((-1, 0, 1), WeylKind("D", 3)) == (STAR, 0, STAR)
+    assert star_lift((-1, 0, 1), WeylKind("Ccheck", 3)) == (STAR, -1, 0, 1, STAR)
+    assert star_lift((1,), WeylKind("C", 1)) == (STAR, 1, STAR)
+    assert star_lift((-1,), WeylKind("B", 1)) == (STAR, STAR)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_star_lift_rejects_a_word_of_the_wrong_length(family):
+    kind = WeylKind(family, 3)
+    for word in ((1, 0), (1, 0, 0, -1)):
+        with pytest.raises(InvalidCounts):
+            star_lift(word, kind)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_star_lift_carries_the_one_cut_law(family):
+    # every n0: the lift of the one-cut law is the law of the starred chain;
+    # the kernels of Ccheck, B and D lump too, those of C and Bcheck only at n0 = n
+    for n in range(3 if family == "D" else 2, 5):
+        kind = WeylKind(family, n)
+        for n0 in range(n + 1):
+            one, star = build_cut_chain(kind, (n0 + 1,)), star_chain(kind, n0)
+            lift = lambda w: star_lift(w, kind)
+            assert project_distribution(exact_stationary(one), lift) == exact_stationary(star)
+            lumps = family in ("Ccheck", "B", "D") or n0 == n
+            assert verify_lumping(one, lift, star).passed == lumps, (n, n0)
 
 
 def test_verify_lumping_identity_map():
@@ -133,11 +173,13 @@ def test_multi_to_two_species_lumping_rank3():
 
 
 def test_two_species_into_starred_chain():
-    bb = build_cut_chain(WeylKind("B", 3), (2,))
-    dst = build_dstar(4, 1, DStarParams(1, 0, R(1, 2), R(1, 2)))
+    b3 = WeylKind("B", 3)
+    bb = build_cut_chain(b3, (2,))
+    dst = build_dstar(4, 1, STAR_RATES["B"])
     closed = [c for c in communicating_classes(dst) if c.closed]
     sub = dst.restrict(closed[0].states)
-    rep = verify_lumping(bb, lambda w: star_collapse(w, "last_site"), sub)
+    assert len(closed) == 1 and star_chain(b3, 1).states == sub.states
+    rep = verify_lumping(bb, lambda w: star_lift(w, b3), sub)
     assert rep.passed
 
 
@@ -154,11 +196,12 @@ def test_projection_matches_small_stationary():
 
 
 def test_composite_projection_to_starred_chain():
-    dm = build_multi(WeylKind("D", 3), 3)
-    dst = build_dstar(3, 1, DStarParams(R(1, 2), R(1, 2), R(1, 2), R(1, 2)))
+    d3 = WeylKind("D", 3)
+    dm = build_multi(d3, 3)
+    dst = build_dstar(3, 1, STAR_RATES["D"])
     proj = project_distribution(
         exact_stationary(dm),
-        lambda w: star_collapse(cut_coloring(w, (2,)), "both_ends"),
+        lambda w: star_lift(cut_coloring(w, (2,)), d3),
     )
     assert proj == exact_stationary(dst)
 
