@@ -2,9 +2,9 @@
 
 For each family the walk drifts along a fixed direction once it is
 confined to a chamber.  We print the exact coefficients from the closed
-forms, re-derive them from the stationary law of the family's multispecies
-chain, and finish with a Monte Carlo estimate from the
-walk itself.
+forms, re-derive them from the exact stationary laws of the family's n
+one-cut chains (the highest-root sum, read as tails), and finish with a
+Monte Carlo estimate from the walk itself.
 """
 from weyltasep import WeylKind, fmt_ratio, limdir_closed, limdir_exact_lam
 from weyltasep.walk import estimate_direction

@@ -4,19 +4,26 @@ and the limiting directions of the reduced alcove walks.
 Everything here evaluates exactly over the rationals.  Each closed form has
 an independent exact route in the test-suite (stationary solves of the
 matching chains, brute-force path enumeration, or the two-row model).
+
+One reader of the highest-root wall serves both exact direction routes: it
+takes the laws of the n one-cut chains, which ``limdir_exact_lam`` solves by
+elimination and Bcheck's closed form reads off the two-row product form.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
+from .lumping import star_lift
 from .markov import Dist, exact_stationary
-from .models import STAR, STAR_RATES, build_multi
-from .ratio import ONE, R, ZERO
+from .models import STAR_RATES, build_cut_chain, build_multi, cut_states
+from .ratio import ONE, R, ZERO, exact_sum
+from .tworow import project_top_row
 from .tworow import stationary as tworow_stationary
-from .weyl import WeylKind, inverse_act_theta, theta_raises
+from .weyl import WeylKind, alcove_walls
 
 
 def comb0(n: int, k: int) -> int:
@@ -447,68 +454,50 @@ class DirectionVector:
         return dot / (na * nb)
 
 
+def _tail_direction(kind: WeylKind, law_of) -> DirectionVector:
+    """The highest-root direction from the laws of the one-cut chains.
+
+    law_of(i) is the law of the one-cut chain (i,), i = 1..n.  Each word u
+    that the highest-root generator raises adds pi(u) * (-c_t * sign u[t])
+    over the sites t of the -theta wall of ``weyl.alcove_walls``.  As u[t]
+    is -1, 0 or 1, that term is -pi(u) times the wall pairing s, and u is
+    raised when s < 0 (:func:`weyl.theta_raises`).  The sum is the tail
+    T_i = psi_i + ... + psi_n of the stationary-weighted highest-root sum:
+    where both wall sites hold letters >= i of opposite signs their two
+    terms cancel, and otherwise the coloured test equals the true one.
+    Then psi_i = T_i - T_{i+1}.
+    """
+    i0, c0, i1, c1 = alcove_walls(kind)[kind.n]
+    tails = []
+    for i in range(1, kind.n + 1):
+        pairings = ((p, c0 * u[i0] + c1 * u[i1]) for u, p in law_of(i).items())
+        tails.append(exact_sum(-p * s for p, s in pairings if s < 0))
+    tails.append(ZERO)
+    return DirectionVector(tuple(a - b for a, b in zip(tails, tails[1:])))
+
+
 def limdir_exact_lam(kind: WeylKind, n: int) -> DirectionVector:
     """Limiting direction from the stationary-weighted highest-root sum.
 
-    Sums, over the states raised by the highest-root generator, the
-    stationary probability times the pulled-back highest root.
+    The sum is read off the exact laws of the n one-cut chains, each solved
+    by elimination (independent of the two-row product form).
     """
     wkind = WeylKind(kind.family, n)
-    psi = [ZERO] * n
-    for w, p in stationary_multi(kind.family, n).items():
-        if p == 0 or not theta_raises(w, wkind):
-            continue
-        v = inverse_act_theta(w, wkind)
-        for idx, c in enumerate(v):
-            if c:
-                psi[idx] += p * c
-    return DirectionVector(tuple(psi))
+    return _tail_direction(wkind, lambda i: exact_stationary(build_cut_chain(wkind, (i,))))
 
 
-@lru_cache(maxsize=None)
-def _bcheck_marginals(n: int, n0: int):
-    """Boundary marginals of the starred process attached to the Bcheck chain.
+def _lifted_law(kind: WeylKind, n0: int) -> dict:
+    """The law of the one-cut chain (n0 + 1,) read off the starred product form.
 
-    The law of the two-species Bcheck chain on n sites lifts by
-    ``lumping.star_lift`` onto that of the starred process on n+1 sites at
-    ``models.STAR_RATES["Bcheck"]``, whose top-row law gives the needed
-    boundary-pair probabilities.  A border * splits evenly between the two
-    signs it identifies.
+    Each word u takes the probability of its lift ``lumping.star_lift(u, kind)``
+    in the top-row law of the two-row model at ``models.STAR_RATES``; a
+    border * splits evenly between the words it identifies.
     """
-    dist, _ = tworow_stationary(n + 1, n0, STAR_RATES["Bcheck"])
-    p_last_sign = ZERO  # one sign at the chain's last site
-    p_pen_plus = ZERO
-    p_pen_minus = ZERO
-    p_pair_plus = ZERO  # (1, *) / 2
-    p_pair_minus = ZERO  # (-1, *) / 2
-    for (row, _), p in dist.items():
-        if p == 0:
-            continue
-        if row[-1] == STAR:
-            p_last_sign += p / 2
-            if row[-2] == 1:
-                p_pair_plus += p / 2
-            elif row[-2] == -1:
-                p_pair_minus += p / 2
-        if row[-2] == 1:
-            p_pen_plus += p
-        elif row[-2] == -1:
-            p_pen_minus += p
-    return p_last_sign, p_pen_plus, p_pen_minus, p_pair_plus, p_pair_minus
-
-
-def _limdir_bcheck(n: int) -> DirectionVector:
-    marg = [_bcheck_marginals(n, n0) for n0 in range(n + 1)] + [
-        (ZERO, ZERO, ZERO, ZERO, ZERO)
-    ]
-    coeffs = []
-    for k in range(1, n + 1):
-        col = marg[k - 1][0] - marg[k][0]
-        row = marg[k - 1][1] - marg[k][1]
-        hd = marg[k - 1][3] - marg[k][3]
-        hu = marg[k - 1][4] - marg[k][4]
-        coeffs.append(row - hd + col - hu)
-    return DirectionVector(tuple(coeffs))
+    words = cut_states(kind, (n0 + 1,))
+    lifts = [star_lift(u, kind) for u in words]
+    dist, _ = tworow_stationary(len(lifts[0]), n0, STAR_RATES[kind.family])
+    top, share = project_top_row(dist), Counter(lifts)
+    return {u: top[v] / share[v] for u, v in zip(words, lifts)}
 
 
 def _limdir_c(n: int) -> DirectionVector:
@@ -551,7 +540,8 @@ def limdir_closed(kind: WeylKind, n: int) -> DirectionVector:
     if fam == "C":
         return _limdir_c(n)
     if fam == "Bcheck":
-        return _limdir_bcheck(n)
+        bkind = WeylKind(fam, n)
+        return _tail_direction(bkind, lambda i: _lifted_law(bkind, i - 1))
     raise UnsupportedRange(f"unknown family {fam}")
 
 

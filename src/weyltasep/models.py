@@ -175,12 +175,16 @@ def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
 def star_chain(kind: WeylKind, n0: int) -> Kernel:
     """The starred chain at the family's ``STAR_RATES`` that its one-cut chain (n0 + 1,) lifts to.
 
-    It has n sites plus a fixed star per zero starred rate, restricted to
-    its one closed class (NotIrreducible if there is not exactly one).
+    It has n sites plus a fixed star per zero starred rate.  It keeps the
+    states holding that star at each padded end (no move takes it away),
+    restricted to their one closed class (NotIrreducible if there is not
+    exactly one).
     """
     params = STAR_RATES[kind.family]
     pads = (params.alpha_star == 0) + (params.beta_star == 0)
     ker = build_dstar(kind.n + pads, n0, params)
+    ker = ker.restrict(w for w in ker.states if (params.alpha_star or w[0] == STAR)
+                       and (params.beta_star or w[-1] == STAR))
     closed = [c for c in communicating_classes(ker) if c.closed]
     if len(closed) != 1:
         raise NotIrreducible(f"{len(closed)} closed classes")

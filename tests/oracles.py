@@ -21,8 +21,10 @@ instead of one table per configuration space, Motzkin sums from one weight produ
 exponent histograms by walking every step word instead of a transfer over
 steps, the alcove walk on two lists (window and y) with a full ascent
 refresh instead of one packed list, walk proposals from a float CDF and
-bisection instead of a byte table, and the separation count in Fractions
-instead of integers scaled by a common denominator.  It also keeps the helpers only tests use: site densities and
+bisection instead of a byte table, the separation count in Fractions
+instead of integers scaled by a common denominator, and the highest-root
+direction summed over the full multispecies law instead of the tails of
+the one-cut chains.  It also keeps the helpers only tests use: site densities and
 hook sums read off the exact multispecies law, the JSON decoder of a law,
 the reversal symmetry of two-species words, and window products and inverses.
 """
@@ -50,8 +52,10 @@ from weyltasep.weyl import (
     alcove_walls,
     apply_generator,
     identity_window,
+    inverse_act_theta,
     kac_weights,
     root_data,
+    theta_raises,
 )
 
 
@@ -645,6 +649,20 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
             raise NonGenericPoint(f"point lies on a wall of root {alpha}")
         total += abs(math.floor(px) - math.floor(pa))
     return total
+
+
+# --- the highest-root direction on the full chain ------------------------------
+
+
+def full_chain_direction(family: str, n: int) -> cf.DirectionVector:
+    """Sum over the exact multispecies law of pi(w) * w^{-1}(theta), for w raised by s_theta."""
+    kind = WeylKind(family, n)
+    psi = [Fraction(0)] * n
+    for w, p in cf.stationary_multi(family, n).items():
+        if p and theta_raises(w, kind):
+            for idx, c in enumerate(inverse_act_theta(w, kind)):
+                psi[idx] += p * c
+    return cf.DirectionVector(tuple(psi))
 
 
 # --- helpers only the tests use -----------------------------------------------

@@ -211,6 +211,11 @@ def _golden_cli_cases():
             for n0 in range(n + 1):
                 yield (f"stationary-two-{kind}-{n}-{n0}",
                        ["stationary", "--model", "two", *size, "--n0", str(n0)])
+        # The closed forms up to rank 8, and the highest-root direction at rank 5.
+        for n in range(2 if kind == "d" else 1, 9):
+            yield (f"limdir-closed-{kind}-{n}",
+                   ["limdir", "--method", "closed", "--kind", kind, "--n", str(n)])
+        yield f"limdir-lam-{kind}-5", ["limdir", "--method", "lam", "--kind", kind, "--n", "5"]
     # Two-row laws at the default rates and with a zero starred rate (the
     # closed-class restriction), and two-row partition sums past the listing.
     zero_star = ["--alpha", "2/3", "--alpha-star", "0", "--beta", "1/2", "--beta-star", "5/11"]

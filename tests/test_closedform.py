@@ -6,7 +6,7 @@ import pytest
 import oracles
 import weyltasep.closedform as cf
 from weyltasep.errors import InvalidRank, RangeError
-from weyltasep.markov import exact_stationary
+from weyltasep.markov import Dist, exact_stationary
 from weyltasep.models import build_cut_chain, build_semipermeable
 from weyltasep.ratio import R, ZERO
 from weyltasep.weyl import WeylKind
@@ -244,14 +244,47 @@ def test_direction_exact_vs_closed(family, n, pattern):
 LAM_RATIO = {"B": 1, "C": 2, "Bcheck": 1, "Ccheck": 2, "D": 1}
 
 
-@pytest.mark.parametrize("family", sorted(LAM_RATIO))
-def test_lam_direction_is_proportional_to_closed_form(family):
-    for n in range(2 if family == "D" else 1, 5):
+def _check_lam_against_closed(family, ranks):
+    for n in ranks:
         kind = WeylKind(family, n)
         lam, closed = cf.limdir_exact_lam(kind, n), cf.limdir_closed(kind, n)
         assert lam.proportional_to(closed), n
         if n >= 2:
             assert lam.coeffs == tuple(LAM_RATIO[family] * c for c in closed.coeffs), n
+
+
+@pytest.mark.parametrize("family", sorted(LAM_RATIO))
+def test_lam_direction_is_proportional_to_closed_form(family):
+    _check_lam_against_closed(family, range(2 if family == "D" else 1, 8))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", sorted(LAM_RATIO))
+def test_lam_direction_is_proportional_to_closed_form_rank8(family):
+    _check_lam_against_closed(family, [8])
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f in sorted(LAM_RATIO)
+                                      for n in range(2 if f == "D" else 1, 5)] + [("D", 5)])
+def test_lam_direction_equals_the_full_chain_sum(family, n):
+    # the one-cut tails against the highest-root sum over the full chain's law
+    kind = WeylKind(family, n)
+    assert cf.limdir_exact_lam(kind, n) == oracles.full_chain_direction(family, n)
+
+
+@pytest.mark.slow
+def test_lam_direction_equals_the_full_chain_sum_b5():
+    assert cf.limdir_exact_lam(WeylKind("B", 5), 5) == oracles.full_chain_direction("B", 5)
+
+
+@pytest.mark.parametrize("family", sorted(LAM_RATIO))
+def test_lifted_law_equals_the_eliminated_one_cut_law(family):
+    # the starred product form read back onto the one-cut chain, every n0
+    for n in range(3 if family == "D" else 1, 6):
+        kind = WeylKind(family, n)
+        for n0 in range(n + 1):
+            lifted = Dist(cf._lifted_law(kind, n0))
+            assert lifted == exact_stationary(build_cut_chain(kind, (n0 + 1,))), (n, n0)
 
 
 def test_direction_closed_formulas():
