@@ -5,7 +5,10 @@ lattice-path steps, the wall maps shuffle a conserved particle pair along
 the paths.  Extended with an output wall they are a bijection, which is
 what makes the stationary law a product of boundary-rate factors.
 """
-from weyltasep import DStarParams, R, build_dstar, exact_stationary, fmt_ratio
+from operator import itemgetter
+
+from weyltasep import (DStarParams, R, build_dstar, exact_stationary, fmt_ratio,
+                       project_distribution)
 import weyltasep.tworow as tr
 
 
@@ -38,6 +41,6 @@ for c in configs:
 solved = exact_stationary(tr.kernel(4, 1, params))
 print("\nAgrees with the exact solve of the chain:", law == solved)
 
-top = tr.project_top_row(law)
+top = project_distribution(law, itemgetter(0))
 starred = exact_stationary(build_dstar(4, 1, params))
 print("Top rows reproduce the starred chain's stationary law:", top == starred)

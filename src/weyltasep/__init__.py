@@ -51,7 +51,6 @@ from .tworow import (
     count_segment,
     enumerate_configs,
     label_counts,
-    project_top_row,
     q_weight,
     tstar,
     tstar_bar,

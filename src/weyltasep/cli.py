@@ -24,7 +24,6 @@ from .models import (
     build_dstar,
     build_multi,
     build_semipermeable,
-    state_sort_key,
 )
 from .ratio import R, fmt_ratio, parse_ratio
 from .walk import estimate_direction, svg_trajectory
@@ -128,14 +127,12 @@ def _cmd_stationary(args) -> int:
         dist, z = tr.stationary(args.n, args.n0, _params_from(args))
         out = _meta(args, model="tworow", n=args.n, n0=args.n0)
         out["partition"] = fmt_ratio(z)
-        out["dist"] = dist.to_json_obj(
-            state_key=lambda c: (state_sort_key(c[0]), state_sort_key(c[1]))
-        )
+        out["dist"] = dist.to_json_obj()
         _emit(out, args)
         return 0
     dist = exact_stationary(kernel)
     out = _meta(args, model=args.model, kind=args.kind, n=args.n, n0=args.n0)
-    out["dist"] = dist.to_json_obj(state_key=state_sort_key)
+    out["dist"] = dist.to_json_obj()
     _emit(out, args)
     return 0
 

@@ -15,13 +15,13 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 
 from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
-from .lumping import star_lift
+from .lumping import project_distribution, star_lift
 from .markov import Dist, exact_stationary
 from .models import STAR_RATES, build_cut_chain, build_multi, cut_states
 from .ratio import ONE, R, ZERO, exact_sum
-from .tworow import project_top_row
 from .tworow import stationary as tworow_stationary
 from .weyl import WeylKind, alcove_walls
 
@@ -496,7 +496,7 @@ def _lifted_law(kind: WeylKind, n0: int) -> dict:
     words = cut_states(kind, (n0 + 1,))
     lifts = [star_lift(u, kind) for u in words]
     dist, _ = tworow_stationary(len(lifts[0]), n0, STAR_RATES[kind.family])
-    top, share = project_top_row(dist), Counter(lifts)
+    top, share = project_distribution(dist, itemgetter(0)), Counter(lifts)
     return {u: top[v] / share[v] for u, v in zip(words, lifts)}
 
 

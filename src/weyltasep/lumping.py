@@ -2,8 +2,10 @@
 
 A state map is a callable that sends the big chain's states onto the small
 chain's states; it is a lumping when each aggregated row depends only on
-the image state.  :func:`verify_lumping` checks this together with
-agreement against the small kernel, exactly, row by row.
+the image state.  :func:`verify_lumping` answers yes or no: whether the map
+is a lumping whose aggregated rows are the small kernel's, checked exactly,
+row by row.  :func:`project_distribution` carries a law along a map, adding
+each class's probabilities once.
 
 :func:`star_lift` maps a family's one-cut chain into ``models.star_chain``.
 The lifts of Ccheck, B and D lump the kernels; those of C and Bcheck carry
@@ -13,14 +15,13 @@ starred chain's probabilities (a time change).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from math import lcm
 from typing import Callable
 
 from .errors import InvalidCounts
 from .markov import Dist, Kernel
 from .models import STAR, STAR_RATES
-from .ratio import R, ZERO
+from .ratio import exact_sum
 from .weyl import WeylKind
 
 
@@ -49,67 +50,39 @@ def star_lift(word: tuple, kind: WeylKind) -> tuple:
     return (STAR,) * (rates.alpha_star == 0) + tuple(lift) + (STAR,) * (rates.beta_star == 0)
 
 
-@dataclass
-class LumpReport:
-    passed: bool
-    violations: list = field(default_factory=list)
+def verify_lumping(big: Kernel, state_map: Callable, small: Kernel) -> bool:
+    """Whether the map carries the big kernel onto the small one, exactly.
 
-    def to_json_obj(self) -> dict:
-        return {"pass": self.passed, "violations": self.violations}
-
-
-def verify_lumping(big: Kernel, state_map: Callable, small: Kernel) -> LumpReport:
-    """Exact check that the map carries the big kernel onto the small one.
-
-    Every big state's row, aggregated over image states, must equal the
-    small kernel's row at its image.  Each big state is mapped once, to the
-    small chain's index of its image; each row's integer numerators are
-    summed per image index and compared with the small chain's row over
-    the lcm of the two denominators.  Violations are collected, not raised.
+    The images must be exactly the small chain's states, and every big
+    state's row, aggregated over image states, must equal the small
+    kernel's row at its image.  Each big state is mapped once, to the small
+    chain's index of its image; each row's integer numerators are summed
+    per image index and compared with the small chain's row over the lcm
+    of the two denominators.
     """
     images = [state_map(s) for s in big.states]
-    image_set, small_set = set(images), set(small.states)
-    if image_set != small_set:
-        mismatch = {
-            "kind": "image-mismatch",
-            "extra": sorted(map(repr, image_set - small_set)),
-            "missing": sorted(map(repr, small_set - image_set)),
-        }
-        return LumpReport(False, [mismatch])
+    if set(images) != set(small.states):
+        return False
     pos = [small.index[u] for u in images]
     big_scale, small_scale = (lcm(big.den, small.den) // d for d in (big.den, small.den))
-    violations = []
     for i, row in enumerate(big.rows):
         agg: dict[int, int] = {}
         for j, a in row.items():
             agg[pos[j]] = agg.get(pos[j], 0) + a
         want = small.rows[pos[i]]
-        if len(agg) == len(want) and all(a * big_scale == want.get(u, 0) * small_scale
+        if len(agg) != len(want) or any(a * big_scale != want.get(u, 0) * small_scale
                                          for u, a in agg.items()):
-            continue
-        # report by state, in the key order of the state-keyed rows
-        agg = {small.states[u]: R(a, big.den) for u, a in agg.items()}
-        expected = small.row(images[i])
-        for u in set(agg) | set(expected):
-            got, want = agg.get(u, ZERO), expected.get(u, ZERO)
-            if got != want:
-                violations.append(
-                    {
-                        "kind": "row-mismatch",
-                        "state": repr(big.states[i]),
-                        "image": repr(images[i]),
-                        "target": repr(u),
-                        "aggregated": str(got),
-                        "small": str(want),
-                    }
-                )
-    return LumpReport(not violations, violations)
+            return False
+    return True
 
 
 def project_distribution(dist: Dist, state_map: Callable) -> Dist:
-    """Class-wise sums of an exact distribution under a state map."""
-    probs: dict = {}
+    """Class-wise sums of an exact distribution under a state map.
+
+    Each class's probabilities are added once, by ``ratio.exact_sum``; the
+    classes keep the order in which their first states come in ``dist``.
+    """
+    classes: dict = {}
     for s, p in dist.items():
-        u = state_map(s)
-        probs[u] = probs.get(u, ZERO) + p
-    return Dist(probs)
+        classes.setdefault(state_map(s), []).append(p)
+    return Dist({u: exact_sum(ps) for u, ps in classes.items()})

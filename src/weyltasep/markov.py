@@ -234,11 +234,8 @@ class Dist(Mapping):
         keys = set(self._p) | set(other._p)
         return all(self[k] == other[k] for k in keys)
 
-    def to_json_obj(self, state_key=None) -> list:
-        items = self._p.items()
-        if state_key is not None:
-            items = sorted(items, key=lambda kv: state_key(kv[0]))
-        return [{"state": _state_json(s), "p": fmt_ratio(p)} for s, p in items]
+    def to_json_obj(self) -> list:
+        return [{"state": _state_json(s), "p": fmt_ratio(p)} for s, p in self._p.items()]
 
 
 def _state_json(s):

@@ -199,6 +199,8 @@ def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:
     (rate beta); zeros are conserved.  The discrete chain selects among n+1
     edges uniformly and scales the boundary moves by the rates.
     """
+    if n < 1:
+        raise InvalidRank(f"the semipermeable process needs rank n >= 1, got {n}")
     alpha, beta = R(alpha), R(beta)
     if alpha <= 0 or beta <= 0:
         raise InvalidCounts("boundary rates must be positive")

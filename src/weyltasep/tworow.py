@@ -29,7 +29,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
 
 from .errors import (
     InvalidConfig,
@@ -38,7 +37,6 @@ from .errors import (
     NotIrreducible,
     ZeroParameter,
 )
-from .lumping import project_distribution
 from .markov import Dist, Kernel, build_kernel
 from .models import STAR, DStarParams, state_sort_key
 from .ratio import ONE, R, ZERO, exact_sum
@@ -416,11 +414,6 @@ def partition_sum(n: int, n0: int, params: DStarParams):
     closed class as in :func:`stationary`.
     """
     return _class_weights(dict(_label_histogram(n, n0)), params)[1]
-
-
-def project_top_row(dist: Dist) -> Dist:
-    """Push a configuration law to its top rows (the starred process states)."""
-    return project_distribution(dist, itemgetter(0))
 
 
 @lru_cache(maxsize=None)

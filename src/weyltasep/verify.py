@@ -7,6 +7,7 @@ check is explicitly about floating-point proximity.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 
 from . import closedform as cf
 from . import tworow as tr
@@ -239,7 +240,7 @@ def suite_tworow(
     for n in range(3, 6):
         for n0 in range(0, min(n, 3) + 1):
             for params in PARAM_POINTS:
-                top = tr.project_top_row(tr.stationary(n, n0, params)[0])
+                top = project_distribution(tr.stationary(n, n0, params)[0], itemgetter(0))
                 if top != exact_stationary(build_dstar(n, n0, params)):
                     ok = False
     _check(checks, "top-row-projection", ok)
@@ -278,8 +279,7 @@ def suite_lumping(n_max: int = 4) -> dict:
             big = build_multi(kind, n)
             for k in range(1, n + 1):
                 small = build_cut_chain(kind, (k,))
-                if not verify_lumping(big, lambda w, k=k: cut_coloring(w, (k,)), small).passed:
-                    ok = False
+                ok &= verify_lumping(big, lambda w, k=k: cut_coloring(w, (k,)), small)
     _check(checks, "k-coloring-lumpings", ok, n_max=n_max)
 
     # Each one-cut chain lumps onto its starred chain; Ccheck's lift is one-to-one.
@@ -291,18 +291,15 @@ def suite_lumping(n_max: int = 4) -> dict:
             kind = WeylKind(fam, n)
             for n0 in range(n + 1):
                 one, star = build_cut_chain(kind, (n0 + 1,)), star_chain(kind, n0)
-                ok &= verify_lumping(one, lambda w: star_lift(w, kind), star).passed
+                ok &= verify_lumping(one, lambda w: star_lift(w, kind), star)
                 ok &= fam != "Ccheck" or len(star) == len(one)
         _check(checks, name, ok)
 
     ok = True
     for n, n0 in ((3, 1), (4, 1), (4, 2)):
         params = PARAM_POINTS[0]
-        rep = verify_lumping(
-            tr.kernel(n, n0, params), lambda c: c[0], build_dstar(n, n0, params)
-        )
-        if not rep.passed:
-            ok = False
+        ok &= verify_lumping(tr.kernel(n, n0, params), itemgetter(0),
+                             build_dstar(n, n0, params))
     _check(checks, "two-row-to-starred", ok)
 
     c3, d3 = WeylKind("Ccheck", 3), WeylKind("D", 3)

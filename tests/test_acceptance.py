@@ -229,6 +229,22 @@ def _golden_cli_cases():
         for n0 in range(n + 1):
             yield (f"partition-tworow-{n}-{n0}",
                    ["partition", "--model", "tworow", "--n", str(n), "--n0", str(n0), *rates])
+    # The D*-TASEP and the semipermeable laws (D* at n = 2, n0 = 1 has two
+    # closed classes), and the B, D and semipermeable partition functions.
+    semiperm = ["--alpha", "2/3", "--beta", "3/5"]
+    for n in range(1, 9):
+        for n0 in range(n + 1):
+            size = ["--n", str(n), "--n0", str(n0)]
+            if 3 <= n <= 5:
+                yield f"stationary-dstar-{n}-{n0}", ["stationary", "--model", "dstar", *size, *rates]
+            if n <= 5:
+                yield (f"stationary-semiperm-{n}-{n0}",
+                       ["stationary", "--model", "semiperm", *size, *semiperm])
+            if n >= 2:
+                yield f"partition-b-{n}-{n0}", ["partition", "--model", "b", *size]
+                yield f"partition-d-{n}-{n0}", ["partition", "--model", "d", *size]
+            yield (f"partition-semiperm-{n}-{n0}",
+                   ["partition", "--model", "semiperm", *size, *semiperm])
 
 
 def test_default_verify_reports_match_golden_digests(

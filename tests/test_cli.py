@@ -315,6 +315,10 @@ def test_zero_counts_rejected(capsys, argv):
          "semipermeable process needs rank n >= 1, got 0"),
         (["partition", "--model", "semiperm", "--n", "-1", "--alpha", "1", "--beta", "1"],
          "semipermeable process needs rank n >= 1, got -1"),
+        (["stationary", "--model", "semiperm", "--n", "0", "--alpha", "1", "--beta", "1"],
+         "semipermeable process needs rank n >= 1, got 0"),
+        (["stationary", "--model", "semiperm", "--n", "-1", "--alpha", "1", "--beta", "1"],
+         "semipermeable process needs rank n >= 1, got -1"),
         (["partition", "--model", "d", "--n", "1"], "D two-species process needs rank n >= 2, got 1"),
         (["partition", "--model", "b", "--n", "-2"],
          "B two-species process needs rank n >= 2, got -2"),
@@ -353,6 +357,7 @@ def test_zero_counts_rejected(capsys, argv):
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
          "partition-semiperm-rank-0", "partition-semiperm-negative-rank",
+         "stationary-semiperm-rank-0", "stationary-semiperm-negative-rank",
          "partition-d-rank-1", "partition-b-negative-rank", "corr-ccheck-rank-1",
          "corr-c-rank-1",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",

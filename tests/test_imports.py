@@ -26,7 +26,7 @@ PUBLIC_NAMES = [
     "errors", "estimate_direction", "exact_stationary", "fmt_ratio", "fundamental_point",
     "inverse_act_theta", "kac_weights", "label_counts", "limdir_closed", "limdir_exact_lam",
     "lumping", "m_poly", "markov", "models", "multi_sums", "parse_ratio",
-    "project_distribution", "project_top_row", "q_weight", "ratio", "root_data", "run_walk",
+    "project_distribution", "q_weight", "ratio", "root_data", "run_walk",
     "semiperm_density", "separation_count", "star_lift", "theta_raises", "tstar",
     "tstar_bar", "tworow", "v_poly", "verify_lumping", "walk", "weyl", "z_b", "z_d",
     "z_semiperm",

@@ -1,5 +1,6 @@
 import hashlib
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from weyltasep.errors import (
     NotIrreducible,
     ZeroParameter,
 )
+from weyltasep.lumping import project_distribution
 from weyltasep.markov import exact_stationary
 from weyltasep.models import DStarParams, STAR, build_dstar
 from weyltasep.ratio import R, ZERO
@@ -22,7 +24,6 @@ from weyltasep.tworow import (
     count_segment,
     enumerate_configs,
     label_counts,
-    project_top_row,
     q_weight,
     tstar,
     tstar_bar,
@@ -302,7 +303,7 @@ def test_kernel_rows_sum_to_one():
 @pytest.mark.parametrize("n,n0", [(3, 1), (4, 2), (5, 3), (5, 1)])
 def test_top_row_projection_matches_starred_chain(n, n0):
     for params in POINTS:
-        top = project_top_row(tr.stationary(n, n0, params)[0])
+        top = project_distribution(tr.stationary(n, n0, params)[0], itemgetter(0))
         assert top == exact_stationary(build_dstar(n, n0, params))
 
 
@@ -310,7 +311,7 @@ def test_point_mass_projection():
     from weyltasep.markov import Dist
 
     c = cfg(S, Z, S)
-    assert project_top_row(Dist({c: R(1)})) == Dist({c[0]: R(1)})
+    assert project_distribution(Dist({c: R(1)}), itemgetter(0)) == Dist({c[0]: R(1)})
 
 
 def test_count_segment():
