@@ -31,7 +31,7 @@ from .closedform import (
 )
 from .lumping import cut_coloring, project_distribution, star_lift, verify_lumping
 from .markov import (
-    communicating_classes,
+    closed_class,
     Dist,
     exact_stationary,
     Kernel,

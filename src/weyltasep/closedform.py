@@ -20,7 +20,7 @@ from operator import itemgetter
 from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
 from .lumping import project_distribution, star_lift
 from .markov import Dist, exact_stationary
-from .models import STAR_RATES, build_cut_chain, build_multi, cut_states
+from .models import build_cut_chain, build_multi, cut_states, star_rates
 from .ratio import ONE, R, ZERO, exact_sum
 from .tworow import stationary as tworow_stationary
 from .weyl import WeylKind, alcove_walls
@@ -191,7 +191,6 @@ class CorrelationTable:
 
     entries: dict
     z: object
-    context: str
 
     def cell(self, i, j):
         return self.entries.get((i, j), ZERO)
@@ -229,7 +228,7 @@ def b_pair_table(n: int, n0: int) -> CorrelationTable:
         (1, 1): 2 * comb0(2 * n - 3, n - n0 - 2),
     }
     entries = {ij: R(v, z) for ij, v in raw.items()}
-    return CorrelationTable(entries, R(z), f"two-species B, n={n}, n0={n0}")
+    return CorrelationTable(entries, R(z))
 
 
 def z_d(n: int, n0: int) -> int:
@@ -278,7 +277,7 @@ def d_pair_table(n: int, n0: int) -> CorrelationTable:
         (1, 0): comb0(2 * n - 4, n - n0 - 1),
     }
     entries = {ij: R(v, z) for ij, v in raw.items()}
-    return CorrelationTable(entries, R(z), f"two-species D, n={n}, n0={n0}")
+    return CorrelationTable(entries, R(z))
 
 
 @dataclass(frozen=True)
@@ -495,7 +494,7 @@ def _lifted_law(kind: WeylKind, n0: int) -> dict:
     """
     words = cut_states(kind, (n0 + 1,))
     lifts = [star_lift(u, kind) for u in words]
-    dist, _ = tworow_stationary(len(lifts[0]), n0, STAR_RATES[kind.family])
+    dist, _ = tworow_stationary(len(lifts[0]), n0, star_rates(kind))
     top, share = project_distribution(dist, itemgetter(0)), Counter(lifts)
     return {u: top[v] / share[v] for u, v in zip(words, lifts)}
 
@@ -553,7 +552,6 @@ def limdir_closed(kind: WeylKind, n: int) -> DirectionVector:
 class ConjectureValue:
     value: object
     case: int
-    is_conjecture: bool = True
 
 
 def conjecture_b_value(n: int, i: int, j: int) -> ConjectureValue:

@@ -18,7 +18,7 @@ class InvalidCounts(WeylTasepError):
 
 
 class NotIrreducible(WeylTasepError):
-    """The chain has more than one closed communicating class."""
+    """The chain does not have exactly one closed communicating class."""
 
 
 class InvalidConfig(WeylTasepError):

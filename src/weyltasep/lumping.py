@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import InvalidCounts
 from .markov import Dist, Kernel
-from .models import STAR, STAR_RATES
+from .models import STAR, star_rates
 from .ratio import exact_sum
 from .weyl import WeylKind
 
@@ -38,11 +38,11 @@ def star_lift(word: tuple, kind: WeylKind) -> tuple:
 
     The shape follows ``models.STAR_RATES``: an end whose starred rate is
     zero gains a fixed star site, and at an end with both rates nonzero a
-    border +-1 collapses to the star.
+    border +-1 collapses to the star.  D needs rank 3 (InvalidRank).
     """
     if len(word) != kind.n:
         raise InvalidCounts(f"a {kind.family}{kind.n} word has {kind.n} sites, got {len(word)}")
-    rates = STAR_RATES[kind.family]
+    rates = star_rates(kind)
     lift = list(word)
     for end, star_rate in ((0, rates.alpha_star), (-1, rates.beta_star)):
         if star_rate and lift[end] in (1, -1):

@@ -1,8 +1,10 @@
-"""Exact finite Markov chains: sparse kernels, closed classes, stationary laws.
+"""Exact finite Markov chains: sparse kernels, the closed class, stationary laws.
 
 A kernel stores each row as positive integers over one denominator `den`,
 the holding mass included, summing to den; Fractions are built only when
-an entry is asked for.  The stationary solver is the subtraction-free
+an entry is asked for.  A law is solved for only on a kernel with exactly
+one closed communicating class (:func:`closed_class`), and transient states
+get probability zero.  The stationary solver is the subtraction-free
 state-elimination scheme of Grassmann, Taksar and Heyman with a
 fill-reducing elimination order, written once for any number type.  It
 runs first in floats; it subtracts nothing, so each float probability
@@ -21,7 +23,6 @@ scales pi to integers and reads the kernel's integer rows as they are.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
 from math import floor, inf, isqrt, lcm
 from sys import float_info
@@ -138,70 +139,57 @@ def build_kernel(
     return Kernel._from_checked(states, index, rows, den)
 
 
-@dataclass(frozen=True)
-class CommClass:
-    states: frozenset
-    closed: bool
+def closed_class(kernel: Kernel) -> tuple:
+    """The states of the kernel's one closed communicating class, in kernel order.
 
-
-def communicating_classes(kernel: Kernel) -> list[CommClass]:
-    """Strongly connected components of the transition digraph, closed-flagged."""
-    m = len(kernel)
-    adj = [tuple(j for j in row if j != i) for i, row in enumerate(kernel.rows)]
-    # Tarjan, iterative.
-    indices = [-1] * m
-    low = [0] * m
-    on_stack = [False] * m
-    stack: list[int] = []
-    comp_of = [-1] * m
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(m):
-        if indices[root] != -1:
+    Kosaraju's two searches: the finish order of a search over the reversed
+    digraph, then forward searches over unassigned states from the latest
+    finished first.  Each forward search collects one class, sink classes
+    first, so a class is closed exactly when its search reaches no class
+    found before it.  Raises NotIrreducible unless exactly one is closed.
+    """
+    rows = kernel.rows
+    back: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in row:
+            back[j].append(i)
+    seen = [False] * len(rows)
+    order = []
+    for root in range(len(rows)):
+        if seen[root]:
             continue
-        work = [(root, 0)]
+        seen[root] = True
+        work = [(root, iter(back[root]))]
         while work:
-            v, pi = work[-1]
-            if pi == 0:
-                indices[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                u = adj[v][k]
-                if indices[u] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((u, 0))
-                    advanced = True
+            v, preds = work[-1]
+            for u in preds:
+                if not seen[u]:
+                    seen[u] = True
+                    work.append((u, iter(back[u])))
                     break
-                if on_stack[u]:
-                    low[v] = min(low[v], indices[u])
-            if advanced:
-                continue
-            if low[v] == indices[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    on_stack[u] = False
-                    comp_of[u] = len(comps)
-                    comp.append(u)
-                    if u == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    out = []
-    for ci, comp in enumerate(comps):
-        closed = all(
-            comp_of[j] == ci for i in comp for j in kernel.rows[i] if j != i
-        )
-        out.append(
-            CommClass(frozenset(kernel.states[i] for i in comp), closed)
-        )
-    return out
+            else:
+                work.pop()
+                order.append(v)
+    found = [-1] * len(rows)
+    closed = []
+    for root in reversed(order):
+        if found[root] >= 0:
+            continue
+        found[root] = root
+        members, stack, leaves = [root], [root], False
+        while stack:
+            for j in rows[stack.pop()]:
+                if found[j] < 0:
+                    found[j] = root
+                    members.append(j)
+                    stack.append(j)
+                elif found[j] != root:
+                    leaves = True
+        if not leaves:
+            closed.append(members)
+    if len(closed) != 1:
+        raise NotIrreducible(f"{len(closed)} closed classes")
+    return tuple(kernel.states[i] for i in sorted(closed[0]))
 
 
 class Dist(Mapping):
@@ -258,11 +246,7 @@ def exact_stationary(kernel: Kernel) -> Dist:
     made it, a law is returned only after it passes the exact certificate
     (sum 1 and pi . P = pi).
     """
-    classes = communicating_classes(kernel)
-    closed = [c for c in classes if c.closed]
-    if len(closed) != 1:
-        raise NotIrreducible(f"{len(closed)} closed classes")
-    members = sorted(kernel.index[s] for s in closed[0].states)
+    members = [kernel.index[s] for s in closed_class(kernel)]
     pi_idx = None
     xs = _eliminate(kernel, members, _float)
     # The float law's relative error grows about linearly with the number
@@ -311,6 +295,8 @@ def _certified(kernel: Kernel, members: list[int], found) -> dict[int, R] | None
 def _eliminate(kernel: Kernel, members: list[int], num: Callable) -> list | None:
     """The stationary law on `members`, in that order, in the numbers num makes.
 
+    `members` is a closed class: no row out of it leaves it.
+
     num(a, den) turns each kernel entry a / den into a number: a float, or a
     Decimal of the current context.  Censors states one at a time, greedily
     taking the state with the fewest in-degree x out-degree off-diagonal
@@ -324,10 +310,8 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable) -> list | None
     any working precision (O'Cinneide 1993).  Returns None when an S_k or the
     final total is zero or not finite (a float rate that underflows).
     """
-    member_set = set(members)
     den = kernel.den
-    out = {i: {j: num(a, den) for j, a in kernel.rows[i].items() if j != i and j in member_set}
-           for i in members}
+    out = {i: {j: num(a, den) for j, a in kernel.rows[i].items() if j != i} for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
         for j in row:

@@ -26,8 +26,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from .errors import InvalidCounts, InvalidRank, NotIrreducible
-from .markov import Kernel, build_kernel, communicating_classes
+from .errors import InvalidCounts, InvalidRank
+from .markov import Kernel, build_kernel, closed_class
 from .ratio import R
 from .weyl import WeylKind, alcove_walls, apply_generator, kac_weights
 
@@ -74,6 +74,13 @@ STAR_RATES = {
     "Bcheck": DStarParams(R(1, 2), 0, R(1, 2), R(1, 2)),
     "D": DStarParams(*(R(1, 2),) * 4),
 }
+
+
+def star_rates(kind: WeylKind) -> DStarParams:
+    """The family's ``STAR_RATES``; InvalidRank for D2, whose two sites are both ends."""
+    if kind.family == "D" and kind.n < 3:
+        raise InvalidRank(f"the D starred chain needs rank n >= 3, got {kind.n}")
+    return STAR_RATES[kind.family]
 
 
 def cut_states(kind: WeylKind, cuts) -> list:
@@ -178,17 +185,14 @@ def star_chain(kind: WeylKind, n0: int) -> Kernel:
     It has n sites plus a fixed star per zero starred rate.  It keeps the
     states holding that star at each padded end (no move takes it away),
     restricted to their one closed class (NotIrreducible if there is not
-    exactly one).
+    exactly one).  D needs rank 3 (InvalidRank).
     """
-    params = STAR_RATES[kind.family]
+    params = star_rates(kind)
     pads = (params.alpha_star == 0) + (params.beta_star == 0)
     ker = build_dstar(kind.n + pads, n0, params)
     ker = ker.restrict(w for w in ker.states if (params.alpha_star or w[0] == STAR)
                        and (params.beta_star or w[-1] == STAR))
-    closed = [c for c in communicating_classes(ker) if c.closed]
-    if len(closed) != 1:
-        raise NotIrreducible(f"{len(closed)} closed classes")
-    return ker.restrict(closed[0].states)
+    return ker.restrict(closed_class(ker))
 
 
 def build_semipermeable(n: int, n0: int, alpha, beta) -> Kernel:

@@ -207,7 +207,6 @@ class WalkState:
     n: int
     z: list
     asc: list
-    crossings: int
 
     def decode(self) -> tuple:
         """The inverse window and y, read off z."""
@@ -232,7 +231,7 @@ def initial_state(kind: WeylKind, n: int) -> WalkState:
     _, m, x0 = _walk_tables(kind, n)[:3]
     # x0 lies on its own side of every wall: every generator is an ascent
     z = [m * v + i for i, v in enumerate(x0, start=1)]
-    return WalkState(WeylKind(kind.family, n), n, z, [True] * (n + 1), 0)
+    return WalkState(WeylKind(kind.family, n), n, z, [True] * (n + 1))
 
 
 def _advance(state: WalkState, proposals) -> int:
@@ -254,7 +253,6 @@ def _advance(state: WalkState, proposals) -> int:
                 asc[h] = c0 * z[i0] + c1 * z[i1] > lev
             asc[g] = False
             accepted += 1
-    state.crossings += accepted
     return accepted
 
 

@@ -24,8 +24,9 @@ refresh instead of one packed list, walk proposals from a float CDF and
 bisection instead of a byte table, the separation count in Fractions
 instead of integers scaled by a common denominator, and the highest-root
 direction summed over the full multispecies law instead of the tails of
-the one-cut chains.  It also keeps the helpers only tests use: site densities and
-hook sums read off the exact multispecies law, the JSON decoder of a law,
+the one-cut chains, and the closed classes by reachability from every
+state instead of two searches.  It also keeps the helpers only tests use:
+site densities and hook sums read off the exact multispecies law, the JSON decoder of a law,
 the reversal symmetry of two-species words, and window products and inverses.
 """
 from __future__ import annotations
@@ -205,6 +206,27 @@ def fraction_gth(kernel, members: list[int]) -> dict[int, Fraction]:
         pi[k] = sum((pi[i] * f for i, f in cols.items()), Fraction(0))
     total = sum(pi.values(), Fraction(0))
     return {i: p / total for i, p in pi.items()}
+
+
+def closed_classes(kernel) -> list[frozenset]:
+    """The closed communicating classes, by their least state index.
+
+    A state's reachable set is a closed class exactly when every state in
+    it reaches back; quadratic, for small chains only.  The reference for
+    markov.closed_class, which finds the class by two searches.
+    """
+    reach = []
+    for i in range(len(kernel)):
+        seen, todo = {i}, [i]
+        while todo:
+            for j in kernel.rows[todo.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    todo.append(j)
+        reach.append(seen)
+    closed = {frozenset(kernel.states[j] for j in r) for i, r in enumerate(reach)
+              if all(i in reach[j] for j in r)}
+    return sorted(closed, key=lambda c: min(map(kernel.index.__getitem__, c)))
 
 
 def fraction_certificate(kernel, pi_idx: dict) -> bool:

@@ -247,6 +247,23 @@ def _golden_cli_cases():
                    ["partition", "--model", "semiperm", *size, *semiperm])
 
 
+# The full-chain correlations at rank 5 (3840 states for B, C, Bcheck and
+# Ccheck): checked under `slow`, the rest of tests/golden_verify.json below.
+SLOW_GOLDEN_CASES = {f"corr-{kind}-5": ["corr", "--kind", kind, "--n", "5"]
+                     for kind in ("b", "c", "bcheck", "ccheck", "d")}
+
+
+def _golden():
+    return json.loads((Path(__file__).parent / "golden_verify.json").read_text())
+
+
+def _cli_digest(key, argv):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main([*argv, "--format", "json"]) == 0, key
+    return _sha256(out.getvalue())
+
+
 def test_default_verify_reports_match_golden_digests(
     identities_report, tworow_report, lumping_report, conjecture_b_report, tables_report
 ):
@@ -264,12 +281,14 @@ def test_default_verify_reports_match_golden_digests(
     digests = {name: _sha256(json.dumps(report, sort_keys=True))
                for name, report in reports.items()}
     for key, argv in _golden_cli_cases():
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert main([*argv, "--format", "json"]) == 0, key
-        digests[key] = _sha256(out.getvalue())
-    golden = json.loads((Path(__file__).parent / "golden_verify.json").read_text())
-    assert digests == golden
+        digests[key] = _cli_digest(key, argv)
+    assert digests == {k: v for k, v in _golden().items() if k not in SLOW_GOLDEN_CASES}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("key", sorted(SLOW_GOLDEN_CASES))
+def test_rank5_correlations_match_golden_digests(key):
+    assert _cli_digest(key, SLOW_GOLDEN_CASES[key]) == _golden()[key]
 
 
 @pytest.mark.slow

@@ -353,6 +353,7 @@ def test_zero_counts_rejected(capsys, argv):
          "argument --decimal: expected a positive integer, got '-1'"),
         (["corr", "--kind", "b", "--n", "2", "--decimal", "0"],
          "argument --decimal: expected a positive integer, got '0'"),
+        (["stationary", "--model", "dstar", "--n", "2", "--n0", "1"], "2 closed classes"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
@@ -365,7 +366,7 @@ def test_zero_counts_rejected(capsys, argv):
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
          "verify-lumping-k-max", "walk-svg-unwritable", "limdir-closed-steps",
          "limdir-lam-trials", "limdir-closed-seed", "verify-csv", "limdir-negative-decimal",
-         "corr-negative-decimal", "corr-zero-decimal"],
+         "corr-negative-decimal", "corr-zero-decimal", "dstar-two-closed-classes"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -7,7 +7,8 @@ import oracles
 import weyltasep.closedform as cf
 from weyltasep.errors import InvalidRank, RangeError
 from weyltasep.markov import Dist, exact_stationary
-from weyltasep.models import build_cut_chain, build_semipermeable
+from weyltasep.lumping import star_lift
+from weyltasep.models import build_cut_chain, build_semipermeable, star_chain
 from weyltasep.ratio import R, ZERO
 from weyltasep.weyl import WeylKind
 
@@ -287,6 +288,18 @@ def test_lifted_law_equals_the_eliminated_one_cut_law(family):
             assert lifted == exact_stationary(build_cut_chain(kind, (n0 + 1,))), (n, n0)
 
 
+def test_d_below_rank_3_has_no_starred_chain():
+    # both of D2's sites are ends, so its starred chain would have no moves
+    d2 = WeylKind("D", 2)
+    rank = "the D starred chain needs rank n >= 3, got 2"
+    for n0 in range(3):
+        for refuse in (cf._lifted_law, star_chain):
+            with pytest.raises(InvalidRank, match=rank):
+                refuse(d2, n0)
+    with pytest.raises(InvalidRank, match=rank):
+        star_lift((1, 0), d2)
+
+
 def test_direction_closed_formulas():
     assert cf.limdir_closed(WeylKind("B", 4), 4).coeffs == tuple(
         R(2 * k - 1, 28) for k in range(1, 5)
@@ -318,7 +331,6 @@ def test_conjectured_pair_values():
     assert cf.conjecture_b_value(4, 4, -1).case == 5
     assert cf.conjecture_b_value(4, 1, -2).value == R(1, 32)
     assert cf.conjecture_b_value(4, 1, -2).case == 4
-    assert all(cv.is_conjecture for _, _, cv in cf.conjecture_b_pairs(4))
     with pytest.raises(RangeError):
         cf.conjecture_b_value(4, -2, -2)
     with pytest.raises(RangeError):

@@ -21,7 +21,7 @@ PUBLIC_NAMES = [
     "DStarParams", "DirectionVector", "Dist", "Kernel", "R", "STAR", "WeylKind", "act",
     "apply_generator", "b_first_site", "b_pair_table", "ballot", "build_cut_chain",
     "build_dstar", "build_multi", "build_semipermeable", "catalan", "ccheck_last_density",
-    "closedform", "communicating_classes", "conjecture_b_value", "count_segment",
+    "closed_class", "closedform", "conjecture_b_value", "count_segment",
     "cut_coloring", "cut_states", "d_pair_table", "dstar_states", "enumerate_configs",
     "errors", "estimate_direction", "exact_stationary", "fmt_ratio", "fundamental_point",
     "inverse_act_theta", "kac_weights", "label_counts", "limdir_closed", "limdir_exact_lam",

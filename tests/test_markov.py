@@ -13,7 +13,7 @@ from weyltasep.markov import (
     Dist,
     Kernel,
     build_kernel,
-    communicating_classes,
+    closed_class,
     exact_stationary,
 )
 from weyltasep.models import DStarParams, build_cut_chain, build_dstar, build_multi
@@ -22,6 +22,7 @@ from weyltasep.verify import PARAM_POINTS
 from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 
 from oracles import (
+    closed_classes,
     dist_from_json_obj,
     fraction_certificate,
     fraction_gth,
@@ -47,8 +48,7 @@ def test_build_kernel_holds_leftover_mass():
 
 def test_one_state_chain():
     k = build_kernel(("x",), lambda k: [], [])
-    cls = communicating_classes(k)
-    assert len(cls) == 1 and cls[0].closed
+    assert closed_classes(k) == [frozenset({"x"})]
     assert exact_stationary(k)["x"] == R(1)
 
 
@@ -76,8 +76,7 @@ def test_exact_stationary_multispecies_small():
 def test_not_irreducible_raises():
     # the zero-free D-type two-species chain on every sign word conserves sign parity
     ker = table_two_species_kernel("D", 3, 0)
-    cls = [c for c in communicating_classes(ker) if c.closed]
-    assert len(cls) == 2
+    assert len(closed_classes(ker)) == 2
     with pytest.raises(NotIrreducible):
         exact_stationary(ker)
 
@@ -91,14 +90,12 @@ def test_transient_states_get_zero():
 def test_starred_chain_closed_classes():
     # with both starred rates zero, the closed class keeps stars at both ends
     ker = build_dstar(3, 1, DStarParams(1, 0, 1, 0))
-    closed = [c for c in communicating_classes(ker) if c.closed]
-    assert len(closed) == 1
-    assert all(s[0] == "*" and s[-1] == "*" for s in closed[0].states)
+    (closed,) = closed_classes(ker)
+    assert all(s[0] == "*" and s[-1] == "*" for s in closed)
     # with only the left starred rate zero, stars persist at the first site
     ker = build_dstar(3, 1, DStarParams(1, 0, 1, R(1, 2)))
-    closed = [c for c in communicating_classes(ker) if c.closed]
-    assert len(closed) == 1
-    assert all(s[0] == "*" for s in closed[0].states)
+    (closed,) = closed_classes(ker)
+    assert all(s[0] == "*" for s in closed)
 
 
 def test_dist_json_roundtrip():
@@ -119,15 +116,15 @@ def test_symmetry_invariance_of_stationary():
 def test_restrict_to_closed_class_matches_direct_kernel():
     # only the left starred rate vanishes: states without a first-site star are transient
     ker = build_dstar(3, 1, DStarParams(1, 0, 1, R(1, 2)))
-    (cls,) = [c for c in communicating_classes(ker) if c.closed]
-    sub = ker.restrict(cls.states)
-    states = [s for s in ker.states if s in cls.states]
+    (cls,) = closed_classes(ker)
+    sub = ker.restrict(cls)
+    states = [s for s in ker.states if s in cls]
     direct = fraction_kernel(states, lambda s: ker.row(s).items())
     assert len(sub) < len(ker) and sub.den == ker.den
     assert sub.states == direct.states
     assert all(sub.row(s) == direct.row(s) for s in states)
     pi = exact_stationary(ker)
-    assert exact_stationary(sub) == Dist({s: p for s, p in pi.items() if s in cls.states})
+    assert exact_stationary(sub) == Dist({s: p for s, p in pi.items() if s in cls})
 
 
 def test_rank5_d_law_gives_closed_form_direction():
@@ -169,19 +166,18 @@ def test_kernel_holds_fraction_rows_as_integers_over_one_denominator(case):
     for s, row in zip(names, rows):
         assert kernel.row(s) == {names[j]: p for j, p in row.items() if p}
         assert all(kernel.prob(s, names[j]) == p for j, p in row.items())
-    for cls in communicating_classes(kernel):
-        if cls.closed:
-            sub = kernel.restrict(cls.states)
-            assert sub.den == kernel.den
-            assert all(sub.row(s) == kernel.row(s) for s in sub.states)
+    for cls in closed_classes(kernel):
+        sub = kernel.restrict(cls)
+        assert sub.den == kernel.den
+        assert all(sub.row(s) == kernel.row(s) for s in sub.states)
 
 
 # --- both passes against the Fraction elimination -------------------------
 
 
 def _oracle_law(kernel) -> Dist:
-    (cls,) = [c for c in communicating_classes(kernel) if c.closed]
-    members = sorted(kernel.index[s] for s in cls.states)
+    (cls,) = closed_classes(kernel)
+    members = sorted(kernel.index[s] for s in cls)
     return Dist({kernel.states[i]: p for i, p in fraction_gth(kernel, members).items()})
 
 
@@ -250,7 +246,7 @@ def test_decimal_fallback_matches_fraction_oracle(kernel):
         with pytest.MonkeyPatch.context() as mp:
             if force_fallback:
                 _float_pass_fails(mp)
-            if sum(c.closed for c in communicating_classes(kernel)) != 1:
+            if len(closed_classes(kernel)) != 1:
                 with pytest.raises(NotIrreducible):
                     exact_stationary(kernel)
                 continue
@@ -260,9 +256,33 @@ def test_decimal_fallback_matches_fraction_oracle(kernel):
 @settings(max_examples=50, deadline=None)
 @given(two_closed_classes())
 def test_two_closed_classes_raise(kernel):
-    assert sum(c.closed for c in communicating_classes(kernel)) == 2
+    assert len(closed_classes(kernel)) == 2
     with pytest.raises(NotIrreducible):
         exact_stationary(kernel)
+
+
+def _disjoint_union(kernels) -> Kernel:
+    """The kernels side by side, state s of the k-th renamed (k, s)."""
+    states, rows = [], []
+    for k, ker in enumerate(kernels):
+        offset = len(states)
+        states += [(k, s) for s in ker.states]
+        rows += [{offset + j: Fraction(a, ker.den) for j, a in row.items()} for row in ker.rows]
+    return Kernel(states, rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(sparse_chains(), two_closed_classes()), max_size=3)
+       .map(_disjoint_union))
+def test_closed_class_matches_reachability_oracle(kernel):
+    # no kernel (no closed class), one, or several side by side, with
+    # transient states and self-loops
+    closed = closed_classes(kernel)
+    if len(closed) == 1:
+        assert closed_class(kernel) == tuple(s for s in kernel.states if s in closed[0])
+    else:
+        with pytest.raises(NotIrreducible, match=f"^{len(closed)} closed classes$"):
+            closed_class(kernel)
 
 
 @pytest.fixture
@@ -429,8 +449,7 @@ def laws_to_certify(draw):
     added outside the support (the law stays stationary).
     """
     kernel = draw(st.one_of(sparse_chains(), fraction_row_kernels().map(lambda case: case[1])))
-    closed = [c for c in communicating_classes(kernel) if c.closed]
-    members = sorted(kernel.index[s] for s in draw(st.sampled_from(closed)).states)
+    members = sorted(kernel.index[s] for s in draw(st.sampled_from(closed_classes(kernel))))
     pi = fraction_gth(kernel, members)
     how = draw(st.sampled_from(["none", "move", "change", "scale", "zero"]))
     delta = Fraction(draw(st.integers(1, 5)), draw(st.integers(1, 50)))

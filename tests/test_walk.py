@@ -82,17 +82,14 @@ def test_replay_eight_step_word():
     st = initial_state(B2, 2)
     for g in (2, 0, 1, 0, 2, 0, 2, 1):
         assert _advance(st, (g,)) == 1
-    assert st.crossings == 8
     assert separation_count(st.point(), B2, 2) == 8
 
 
 def test_first_proposals_all_accepted_then_repeats_rejected():
     for g in (0, 1, 2):
         st = initial_state(B2, 2)
-        _advance(st, (g,))
-        assert st.crossings == 1
-        _advance(st, (g,))
-        assert st.crossings == 1  # held: the same wall cannot be recrossed
+        assert _advance(st, (g,)) == 1
+        assert _advance(st, (g,)) == 0  # held: the same wall cannot be recrossed
 
 
 @pytest.mark.parametrize("family,n", [("B", 2), ("C", 2), ("Ccheck", 2), ("D", 3)])
@@ -240,11 +237,14 @@ def test_ascent_table_matches_geometry(family, n):
 
     state = initial_state(kind, n)
     rng = random.Random(n)
+    crossings = 0
     for _ in range(2000):
         expected = status()
         assert state.asc == expected
         g = rng.randrange(n + 1)
-        assert (_advance(state, (g,)) == 1) == expected[g]
+        accepted = _advance(state, (g,))
+        assert (accepted == 1) == expected[g]
+        crossings += accepted
         if expected[g]:
             beta, lev = wall(g)
             k = 2 * (_dot(beta, x) - lev) // _dot(beta, beta)
@@ -252,7 +252,7 @@ def test_ascent_table_matches_geometry(family, n):
             w = oracles.wprod(w, apply_generator(identity_window(n), g, kind))
     assert state.asc == status()
     assert state.point() == tuple(Fraction(v, d) for v in x)
-    assert state.crossings == separation_count(state.point(), kind, n)
+    assert crossings == separation_count(state.point(), kind, n)
 
 
 # Seeded outputs of the walk, taken before the ascent-table walk replaced the
@@ -415,11 +415,11 @@ def test_packed_walk_matches_two_list_oracle(spec, seed, steps):
 def test_packed_state_decodes_far_from_the_base_point():
     # seed 2 takes y to about +225000 and -75000 (scaled by d = 6) in 300k steps
     state = initial_state(B2, 2)
-    _advance(state, _proposals(B2, 2, 300_000, 2))
+    crossings = _advance(state, _proposals(B2, 2, 300_000, 2))
     accepted, winv, y, point = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 2))
     assert min(y) < -50_000 and max(y) > 50_000
     assert state.decode() == (winv, y)
-    assert (state.crossings, state.point()) == (accepted, point)
+    assert (crossings, state.point()) == (accepted, point)
 
 
 @pytest.mark.parametrize("family,n", [("B", 1), ("C", 3), ("D", 6), ("Bcheck", 6)])
@@ -429,7 +429,7 @@ def test_decode_inverts_packing(family, n):
     for y in (-10**40, -10**6 - 1, -1, 0, 1, 10**6 + 1, 10**40):
         winv = [a * (-1) ** a for a in range(1, n + 1)]
         ys = [y + i for i in range(n)]
-        state = WalkState(kind, n, [m * b + a for a, b in zip(winv, ys)], [True] * (n + 1), 0)
+        state = WalkState(kind, n, [m * b + a for a, b in zip(winv, ys)], [True] * (n + 1))
         assert state.decode() == (winv, ys)
 
 
