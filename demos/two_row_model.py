@@ -35,8 +35,9 @@ print(f"  {len(configs) * 3} inputs -> {len(images)} distinct images\n")
 params = DStarParams(R(2, 3), R(3, 7), R(1, 2), R(5, 11))
 law, z = tr.stationary(4, 1, params)
 print(f"Product-form stationary law at rates (2/3, 3/7, 1/2, 5/11), Z = {fmt_ratio(z)}:")
-for c in configs:
-    print(f"  {show(c)}    {fmt_ratio(law[c])}")
+for c in configs:  # the weight q is one inverse rate per label
+    q = tr.q_weight(tr.label_counts(c), params)
+    print(f"  {show(c)}    q = {fmt_ratio(q):>7}   q/Z = {fmt_ratio(law[c])}")
 
 solved = exact_stationary(tr.kernel(4, 1, params))
 print("\nAgrees with the exact solve of the chain:", law == solved)

@@ -21,7 +21,7 @@ from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
 from .lumping import project_distribution, star_lift
 from .markov import Dist, exact_stationary
 from .models import build_cut_chain, build_multi, cut_states, star_rates
-from .ratio import ONE, R, ZERO, exact_sum
+from .ratio import ONE, R, ZERO, exact_sum, inverse_power_sum
 from .tworow import stationary as tworow_stationary
 from .weyl import WeylKind, alcove_walls
 
@@ -62,7 +62,7 @@ def m_poly(k: int, beta):
     beta = R(beta)
     if beta == 0:
         raise ZeroParameter("beta must be nonzero")
-    return sum((ballot(k, k - i) / beta**i for i in range(k + 1)), ZERO)
+    return inverse_power_sum((((i,), ballot(k, k - i)) for i in range(k + 1)), (beta,))
 
 
 def v_poly(k: int, alpha, beta):
@@ -70,15 +70,10 @@ def v_poly(k: int, alpha, beta):
     alpha, beta = R(alpha), R(beta)
     if alpha == 0 or beta == 0:
         raise ZeroParameter("alpha and beta must be nonzero")
-    if k == 0:
-        return ONE
-    total = ZERO
-    for i in range(k + 1):
-        for j in range(k - i + 1):
-            c = ballot0(k - 1, k - i - j)
-            if c:
-                total += c / (alpha**i * beta**j)
-    return total
+    return inverse_power_sum(
+        (((i, j), ballot0(k - 1, k - i - j)) for i in range(k + 1) for j in range(k - i + 1)),
+        (alpha, beta),
+    )
 
 
 def enumerate_bicolored_motzkin(k: int, alpha, beta):
@@ -96,10 +91,7 @@ def enumerate_bicolored_motzkin(k: int, alpha, beta):
     alpha, beta = R(alpha), R(beta)
     if alpha == 0 or beta == 0:
         raise ZeroParameter("alpha and beta must be nonzero")
-    return sum(
-        (m / (alpha**i * beta**j) for (i, j), m in _motzkin_exponents(k)),
-        ZERO,
-    )
+    return inverse_power_sum(_motzkin_exponents(k), (alpha, beta))
 
 
 @lru_cache(maxsize=None)
@@ -139,21 +131,18 @@ def _z_semiperm(n: int, n0: int, alpha, beta):
     if not 0 <= n0 <= n:
         raise RangeError("negative zero count" if n0 < 0 else f"bad zero count {n0}")
     if alpha == beta:
-        return sum(
-            ((k + 1) * ballot0(n + n0 - 1, n - n0 - k) / alpha**k
-             for k in range(n - n0 + 1)),
-            ZERO,
+        return inverse_power_sum(
+            (((k,), (k + 1) * ballot0(n + n0 - 1, n - n0 - k)) for k in range(n - n0 + 1)),
+            (alpha,),
         )
     # Unequal-rates branch; the k+1 exponent makes it the analytic
     # continuation of the equal-rates branch (their beta -> alpha limits
     # agree), which the exact kernels confirm.
-    denom = 1 / beta - 1 / alpha
-    total = ZERO
+    terms = []
     for k in range(n - n0 + 1):
         c = ballot0(n + n0 - 1, n - n0 - k)
-        if c:
-            total += c * (1 / beta ** (k + 1) - 1 / alpha ** (k + 1)) / denom
-    return total
+        terms += [((0, k + 1), c), ((k + 1, 0), -c)]  # c (beta^-(k+1) - alpha^-(k+1))
+    return inverse_power_sum(terms, (alpha, beta)) / (1 / beta - 1 / alpha)
 
 
 def semiperm_density(n: int, n0: int, j: int, alpha, beta):
@@ -165,9 +154,8 @@ def semiperm_density(n: int, n0: int, j: int, alpha, beta):
     total = ZERO
     for i in range(min(n - j, n - n0)):  # fewer than n0 sites hold no configuration
         total += catalan(i) * z_semiperm(n - i - 1, n0, alpha, beta) / zn
-    tail = sum(
-        (ballot0(n - j - 1, n - j - k) / beta ** (k + 1) for k in range(n - j + 1)),
-        ZERO,
+    tail = inverse_power_sum(
+        (((k + 1,), ballot0(n - j - 1, n - j - k)) for k in range(n - j + 1)), (beta,)
     )
     if j - 1 >= n0:
         total += _z_semiperm(j - 1, n0, alpha, beta) / zn * tail

@@ -21,14 +21,16 @@ tabulated once per (n, n0), shared by :func:`kernel` and the checks.
 
 Each rule is written once: the scan step (:func:`_scan`, over the column
 set of each position) says which columns may follow and how they are
-labelled, :func:`_class_weights` holds the closed class for the law and Z,
-and the insert helpers find the wall where a moved pair lands.
+labelled, :func:`_class_weights` holds the closed class for the law and Z
+(weights as integer numerators over one denominator, summed over label
+histograms counted by one transfer per width), and the insert helpers find
+the wall where a moved pair lands.
 """
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     InvalidConfig,
@@ -39,7 +41,7 @@ from .errors import (
 )
 from .markov import Dist, Kernel, build_kernel
 from .models import STAR, DStarParams, state_sort_key
-from .ratio import ONE, R, ZERO, exact_sum
+from .ratio import ONE, R, ZERO, inverse_powers
 
 Config = tuple[tuple, tuple]  # (top row, bottom row)
 
@@ -59,8 +61,9 @@ def _columns(pos: int, n: int) -> tuple:
     return BORDER_COLS if pos in (0, n - 1) else MID_COLS
 
 
-@dataclass(frozen=True)
-class LabelCounts:
+class LabelCounts(NamedTuple):
+    """The label counts of a configuration, also the exponents of its inverse rates."""
+
     n_y: int
     n_z: int
     n_ystar: int
@@ -122,17 +125,19 @@ def validate(c: Config) -> bool:
     return _scan_config(c) is not None
 
 
-def _transfer(n: int, n0: int, start, grow) -> dict:
+def _transfer(n: int, n0: int | None, start, grow) -> dict:
     """Every column sequence of the (n, n0) space, walked one column at a time.
 
     ``start`` is the value of the empty prefix and ``grow(value, col)`` the
     value of the prefixes extended by a column; values of prefixes that
     reach the same scan state are added up.  Returns the value per final
-    scan state.  Columns past the n0 zeros are dropped, and so are columns
-    that cannot return to height zero, or cannot place the remaining zeros,
-    in the columns left.
+    scan state.  Columns that cannot return to height zero in the columns
+    left are dropped; with n0 given, so are those past the n0 zeros or that
+    cannot place the remaining zeros.  n0=None walks every zero count at
+    once (state[1]), keeping each n0's states in its own walk's order,
+    since every prefix of a viable state is viable.
     """
-    if n < 1 or not 0 <= n0 <= n:
+    if n < 1 or n0 is not None and not 0 <= n0 <= n:
         raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
     values = {_START: start}
     for pos in range(n):
@@ -141,7 +146,8 @@ def _transfer(n: int, n0: int, start, grow) -> dict:
         for state, value in values.items():
             for col in cols:
                 after = _scan(state, col, pos, n)
-                if after is None or after[0] > left or not 0 <= n0 - after[1] <= left:
+                if after is None or after[0] > left or (
+                        n0 is not None and not 0 <= n0 - after[1] <= left):
                     continue
                 grown = grow(value, col)
                 if after in nxt:
@@ -181,28 +187,24 @@ def label_counts(c: Config) -> LabelCounts:
     return _label_vector(state)
 
 
-def q_weight(lab: LabelCounts, params: DStarParams):
-    """Product of inverse boundary rates over a label vector (see :func:`label_counts`).
+def _label_powers(labs, params: DStarParams) -> tuple[dict, int]:
+    """The weight of each label vector as nums[lab] / L over one integer L.
 
     A starred factor whose rate is zero is skipped (those configurations
     only arise inside the corresponding restricted class, where the flag
     is constant); a zero rate on a y or z label is an error.
     """
-    q = ONE
-    for count, rate, starred in (
-        (lab.n_y, params.alpha, False),
-        (lab.n_ystar, params.alpha_star, True),
-        (lab.n_z, params.beta, False),
-        (lab.n_zstar, params.beta_star, True),
-    ):
-        if count == 0:
-            continue
-        if rate == 0:
-            if starred:
-                continue
-            raise ZeroParameter("zero rate on a labelled column")
-        q = q / rate**count
-    return q
+    rates = (params.alpha, params.beta, params.alpha_star or ONE, params.beta_star or ONE)
+    try:
+        return inverse_powers(labs, rates)
+    except ZeroDivisionError:
+        raise ZeroParameter("zero rate on a labelled column") from None
+
+
+def q_weight(lab: LabelCounts, params: DStarParams):
+    """Product of inverse boundary rates over a label vector, by :func:`_label_powers`."""
+    nums, den = _label_powers((lab,), params)
+    return R(nums[lab], den)
 
 
 def _left_insert(c: Config, i: int, remove: int, rule: str):
@@ -360,8 +362,8 @@ def _in_class(lab: LabelCounts, params: DStarParams) -> bool:
     return bool((lab.n_ystar or params.alpha_star) and (lab.n_zstar or params.beta_star))
 
 
-def _class_weights(hist: dict, params: DStarParams):
-    """The weight q of each label vector of the closed class, and Z = sum of multiplicity x q.
+def _class_weights(hist: dict, params: DStarParams) -> tuple[dict, int, int]:
+    """(nums, L, total): q = nums[lab] / L on the closed class, Z = total / L.
 
     hist maps each label vector of a space to its number of configurations.
     A space of one configuration is its own class; otherwise the class is
@@ -371,40 +373,48 @@ def _class_weights(hist: dict, params: DStarParams):
         hist = {lab: m for lab, m in hist.items() if _in_class(lab, params)}
     if not hist:
         raise NotIrreducible("no configurations in the restricted class")
-    weights = {lab: q_weight(lab, params) for lab in hist}
-    return weights, exact_sum(m * weights[lab] for lab, m in hist.items())
+    nums, den = _label_powers(hist, params)
+    return nums, den, sum(m * nums[lab] for lab, m in hist.items())
 
 
 def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     """Product-form stationary law and its normalizing constant.
 
     A configuration's weight is the label product of :func:`q_weight`, so
-    it depends only on its :class:`LabelCounts`: the weight q and the
-    probability q/Z are evaluated once per distinct label vector, and Z is
-    the sum of q times the number of configurations carrying it.  When a
-    starred rate vanishes the law lives on the class of configurations
-    whose matching border is a *-column, and other configurations get
-    probability zero.  A space of one configuration (n0 = n) is a single
-    closed class whatever the rates: its law is the point mass, Z = 1.
+    it depends only on its :class:`LabelCounts`: the probability q/Z is
+    built once per distinct label vector, as an integer numerator over the
+    integer total of :func:`_class_weights`.  When a starred rate vanishes
+    the law lives on the class of configurations whose matching border is
+    a *-column, and other configurations get probability zero.  A space of
+    one configuration (n0 = n) is a single closed class whatever the rates:
+    its law is the point mass, Z = 1.
     """
     configs, labels = _space(n, n0)
-    weights, z = _class_weights(Counter(labels), params)
-    law = {lab: w / z for lab, w in weights.items()}
-    return Dist({c: law.get(lab, ZERO) for c, lab in zip(configs, labels)}), z
+    nums, den, total = _class_weights(Counter(labels), params)
+    law = {lab: R(a, total) for lab, a in nums.items()}
+    return Dist({c: law.get(lab, ZERO) for c, lab in zip(configs, labels)}), R(total, den)
 
 
 @lru_cache(maxsize=None)
-def _label_histogram(n: int, n0: int) -> tuple[tuple[LabelCounts, int], ...]:
-    """Each label vector of the (n, n0) space with the number of configurations carrying it.
+def _label_histograms(n: int) -> tuple[tuple[tuple[LabelCounts, int], ...], ...]:
+    """The label histogram of every (n, n0) space, indexed by n0.
 
-    The counting use of :func:`_transfer`: partial configurations are
-    counted per scan state, and no configuration is listed.
+    The counting use of :func:`_transfer`, once per width over every zero
+    count: partial configurations are counted per scan state, and no
+    configuration is listed.
     """
-    hist: dict = {}
-    for state, m in _transfer(n, n0, 1, lambda m, col: m).items():
-        lab = _label_vector(state)
+    hists: list[dict] = [{} for _ in range(n + 1)]
+    for state, m in _transfer(n, None, 1, lambda m, col: m).items():
+        hist, lab = hists[state[1]], _label_vector(state)
         hist[lab] = hist.get(lab, 0) + m
-    return tuple(hist.items())
+    return tuple(tuple(hist.items()) for hist in hists)
+
+
+def _label_histogram(n: int, n0: int) -> tuple[tuple[LabelCounts, int], ...]:
+    """Each label vector of the (n, n0) space with the number of configurations carrying it."""
+    if not 0 <= n0 <= n:  # a bad width raises in the transfer
+        raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
+    return _label_histograms(n)[n0]
 
 
 def partition_sum(n: int, n0: int, params: DStarParams):
@@ -413,7 +423,8 @@ def partition_sum(n: int, n0: int, params: DStarParams):
     Z sums multiplicity x q over :func:`_label_histogram`, restricted to the
     closed class as in :func:`stationary`.
     """
-    return _class_weights(dict(_label_histogram(n, n0)), params)[1]
+    _, den, total = _class_weights(dict(_label_histogram(n, n0)), params)
+    return R(total, den)
 
 
 @lru_cache(maxsize=None)

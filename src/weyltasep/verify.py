@@ -220,12 +220,10 @@ def suite_tworow(
                         classes.add((rule, labels[k], maps[t][j - 1][1], labels[t]))
     _check(checks, "wall-map-bijective", ok, n_max=bij_n_max, n0_max=bij_n0_max)
 
-    ok = all(
-        tr.rate_of(rule, params) * tr.q_weight(lab, params)
-        == tr.rate_of(back, params) * tr.q_weight(back_lab, params)
-        for params in PARAM_POINTS
-        for rule, lab, back, back_lab in classes
-    )
+    labs = {lab for c in classes for lab in c[1::2]}  # rate x numerator over one L per point
+    nums = {p: tr._label_powers(labs, p)[0] for p in PARAM_POINTS}
+    ok = all(tr.rate_of(rule, p) * nums[p][lab] == tr.rate_of(back, p) * nums[p][back_lab]
+             for p in PARAM_POINTS for rule, lab, back, back_lab in classes)
     _check(checks, "transfer-identity", ok, points=len(PARAM_POINTS))
 
     ok = True

@@ -13,7 +13,9 @@ per-pair pattern tables instead of the wall rule, the starred kernel from
 a branch per boundary pattern instead of two boundary tables, two-row
 validity from a hand loop over the columns instead of the checked label
 scan, two-row laws from one
-weight per configuration instead of one per label class, two-row labels
+weight per configuration instead of one per label class, label weights and
+sums of inverse rate powers from one Fraction operation per factor instead
+of integer numerators over one denominator, two-row labels
 from the positions of the 0-columns instead of a one-pass scan, two-row
 label histograms by labelling every listed configuration instead of a
 column transfer, the two-row kernel from the wall maps applied as it is built
@@ -42,7 +44,7 @@ from functools import lru_cache
 
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
-from weyltasep.errors import NonGenericPoint
+from weyltasep.errors import NonGenericPoint, ZeroParameter
 from weyltasep.markov import Dist, Kernel
 from weyltasep.models import STAR, state_sort_key
 from weyltasep.ratio import R, parse_ratio
@@ -463,9 +465,25 @@ def tworow_labels(c) -> LabelCounts:
     )
 
 
-def tworow_weight(c, params) -> Fraction:
-    """Product of inverse boundary rates over the labels of one configuration."""
-    lab = tworow_labels(c)
+def inverse_power_product(e, rates) -> Fraction:
+    """prod r_k^(-e_k), one Fraction power and division per rate."""
+    q = Fraction(1)
+    for rate, count in zip(rates, e):
+        q = q / Fraction(rate) ** count
+    return q
+
+
+def inverse_power_sum(terms, rates) -> Fraction:
+    """The sum of m * prod r_k^(-e_k) over the (e, m) pairs, one Fraction at a time."""
+    return sum((m * inverse_power_product(e, rates) for e, m in terms), Fraction(0))
+
+
+def label_weight(lab, params) -> Fraction:
+    """Product of inverse boundary rates over a label vector, one label kind at a time.
+
+    A starred factor whose rate is zero is skipped; a zero rate on a y or z
+    label raises ZeroParameter.
+    """
     q = Fraction(1)
     for count, rate, starred in (
         (lab.n_y, params.alpha, False),
@@ -473,10 +491,19 @@ def tworow_weight(c, params) -> Fraction:
         (lab.n_z, params.beta, False),
         (lab.n_zstar, params.beta_star, True),
     ):
-        if count == 0 or (rate == 0 and starred):
+        if count == 0:
             continue
+        if rate == 0:
+            if starred:
+                continue
+            raise ZeroParameter("zero rate on a labelled column")
         q = q / Fraction(rate) ** count
     return q
+
+
+def tworow_weight(c, params) -> Fraction:
+    """Product of inverse boundary rates over the labels of one configuration."""
+    return label_weight(tworow_labels(c), params)
 
 
 def tworow_stationary(n: int, n0: int, params):

@@ -152,6 +152,43 @@ def test_q_weight_examples():
 def test_q_weight_ignores_zero_starred_rates():
     p = DStarParams(1, 0, 1, 0)
     assert q_weight(label_counts(cfg(S, Z, S)), p) == 1
+    lab = label_counts(cfg(S, RISE, FALL, S))  # one y, one z and both stars
+    assert q_weight(lab, DStarParams(R(1, 2), 0, R(1, 3), 0)) == 6
+    assert q_weight(lab, DStarParams(R(1, 2), 1, R(1, 3), 1)) == 6
+
+
+def _zero_rate(name):
+    """Rates the DStarParams check refuses: alpha or beta zero."""
+    from types import SimpleNamespace
+
+    rates = dict(alpha=R(1, 2), alpha_star=R(1, 3), beta=R(2, 5), beta_star=R(3, 4))
+    return SimpleNamespace(**{**rates, name: ZERO})
+
+
+@pytest.mark.parametrize("name, lab", [("alpha", tr.LabelCounts(1, 0, 1, 0)),
+                                       ("beta", tr.LabelCounts(0, 2, 0, 1))])
+def test_zero_rate_under_a_label_raises(name, lab):
+    params = _zero_rate(name)
+    with pytest.raises(ZeroParameter):
+        q_weight(lab, params)
+    with pytest.raises(ZeroParameter):
+        oracles.label_weight(lab, params)
+    # (3, 1) holds y and z labels; width 2 and the all-zero space hold none
+    for solve in (tr.stationary, tr.partition_sum):
+        with pytest.raises(ZeroParameter):
+            solve(3, 1, params)
+    for n, n0 in ((2, 0), (2, 1), (4, 4)):
+        law, z = tr.stationary(n, n0, params)
+        assert z == tr.partition_sum(n, n0, params) == oracles.tworow_stationary(n, n0, params)[1]
+        assert sum(law.values()) == 1
+
+
+def test_q_weight_matches_label_loop_oracle():
+    labs = {lab for n in range(1, 8) for n0 in range(n + 1)
+            for lab, _ in tr._label_histogram(n, n0)}
+    for params in ORACLE_POINTS:
+        for lab in labs:
+            assert q_weight(lab, params) == oracles.label_weight(lab, params), (lab, params)
 
 
 def test_wall_map_examples():
@@ -471,6 +508,35 @@ MAPS_AND_HISTOGRAM_SHA256 = {
 }
 
 
+# sha256 of repr(tr._label_histogram(n, n0)) at the widths past the table
+# above, taken when the histogram was still counted by one transfer per
+# (n, n0): counting every zero count of a width in one transfer must keep
+# each slice's items and their order.
+WIDE_HISTOGRAM_SHA256 = {
+    (9, 0): "38d4e62f62a76b2765b98c507fb4465ceb467ba4ee7bb8649ce1becc60874ca6",
+    (9, 1): "a5146f31b54ecda1a25d09cb88f1040043432623eaa045b943d2f1b83450c646",
+    (9, 2): "25a9e048cad832cd0bf7b50ebaa4899936554c6cfdebed54eaf399157bc87784",
+    (9, 3): "8ecdc96a1a002e0fc12a54985a214f61e093134dfb6b2e2ce6aeea6aff21d0a7",
+    (9, 4): "33a1dd43ea412c8cdbc073dc364bb91ed01ac78a486b09e7dec7d93820b4b7ed",
+    (9, 5): "3e6bc8c05673b3b7691f8e9e686ea3634133b28913081b788455e4d38936413e",
+    (9, 6): "c70dcb5e597f109435b3e29f5076c9606b6c808d7feab43bc18e343f09a91a47",
+    (9, 7): "4a29d5beb32d8b27ce8e7e9214ea6804c993b1c333414184f3793c58550d19d1",
+    (9, 8): "f4923c0ff29a601a5764604b77d99fdd1c7da9c0e0bf94f26b2677f4ae794d2c",
+    (9, 9): "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62",
+    (10, 0): "c8ffeac6bfb394b790ad83b114f0af49c2c0a29e9fed598509fa91ae5bb0aa34",
+    (10, 1): "023a4696d165995b09a0fe805cc4fe395e272695f082c3178563ba37103121ac",
+    (10, 2): "f435f30cc88a0835d41e5dd0ec902eb42b7d49871b82ff16603ae3941e076cd4",
+    (10, 3): "787f1aae8fadc8e4c112f9fd546b608b79da130a42af48af6e8a3e23e55add6c",
+    (10, 4): "406571a4e4ac7a17e1673298c592ccfaee2c60a69171ec6d7510c96de5995e48",
+    (10, 5): "821e27f381678a3f4e6623ef4bcfa3c74fb16e6d7a0239b293635e05d50ee177",
+    (10, 6): "7df6737eb7e01976bfa0eeb05cd9d3d193ebb1bff93e53040def3654c7bd4fb9",
+    (10, 7): "d6e154690c9f6b20586fb17b91afba8617d116ca800b235a9a5422b73f71e5a6",
+    (10, 8): "8ae0bbd03576695c48348f94efc381f444bb54b95d2170e8667ca28555927135",
+    (10, 9): "4995b79ac1e19d5672df963f7338eb6364d795d97a273be750b5aa21c1f486df",
+    (10, 10): "64ea3ca18cc83ef44867d0969fa21af830ce18da90554f96c938e0385a3a1b62",
+}
+
+
 def _sha256(obj) -> str:
     return hashlib.sha256(repr(obj).encode()).hexdigest()
 
@@ -483,6 +549,8 @@ def test_enumeration_order_is_pinned():
             assert _sha256(configs) == CONFIG_ORDER_SHA256[n, n0], (n, n0)
             maps, hist = _sha256(tr._wall_maps(n, n0)), _sha256(tr._label_histogram(n, n0))
             assert (maps, hist) == MAPS_AND_HISTOGRAM_SHA256[n, n0], (n, n0)
+    for (n, n0), digest in WIDE_HISTOGRAM_SHA256.items():
+        assert _sha256(tr._label_histogram(n, n0)) == digest, (n, n0)
 
 
 # PARAM_POINTS plus the B, D and semipermeable specialisations of verify.
