@@ -52,7 +52,6 @@ from .tworow import (
     enumerate_configs,
     label_counts,
     q_weight,
-    tstar,
     tstar_bar,
 )
 from .walk import (

@@ -5,22 +5,26 @@ Everything here evaluates exactly over the rationals.  Each closed form has
 an independent exact route in the test-suite (stationary solves of the
 matching chains, brute-force path enumeration, or the two-row model).
 
-One reader of the highest-root wall serves both exact direction routes: it
-takes the laws of the n one-cut chains, which ``limdir_exact_lam`` solves by
-elimination and Bcheck's closed form reads off the two-row product form.
+The chain-side quantities read cut-chain laws, each solved once by
+elimination and cached (``_cut_law``); the 2^n n! multispecies chain is not
+solved here.  ``pair_correlations`` reads the two-cut chains.  One reader of
+the highest-root wall serves both exact direction routes: it takes the laws
+of the n one-cut chains, from that cache in ``limdir_exact_lam`` and off the
+two-row product form in Bcheck's closed form.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations, product
 from math import comb
 from operator import itemgetter
 
 from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
 from .lumping import project_distribution, star_lift
 from .markov import Dist, exact_stationary
-from .models import build_cut_chain, build_multi, cut_states, star_rates
+from .models import build_cut_chain, cut_states, star_rates
 from .ratio import ONE, R, ZERO, exact_sum, inverse_power_sum
 from .tworow import stationary as tworow_stationary
 from .weyl import WeylKind, alcove_walls
@@ -377,25 +381,42 @@ def b_first_site(n: int, k: int):
 
 
 # ---------------------------------------------------------------------------
-# Exact chain-side quantities (oracle routes).
+# Exact chain-side quantities.
 
 
 @lru_cache(maxsize=None)
-def stationary_multi(family: str, n: int) -> Dist:
-    """Exact stationary law of the multispecies chain (cached; the kernel is not kept)."""
-    return exact_stationary(build_multi(WeylKind(family, n), n))
+def _cut_law(kind: WeylKind, cuts: tuple) -> Dist:
+    """Exact law of ``build_cut_chain(kind, cuts)``, solved once per sorted cut tuple."""
+    return exact_stationary(build_cut_chain(kind, cuts))
 
 
 def pair_correlations(family: str, n: int) -> dict:
-    """Exact final-pair probabilities of the multispecies chain."""
+    """Exact final-pair probabilities of the multispecies chain, zero cells left out.
+
+    T(s, t), the law of the signs of the final pair (x, y) on |x| >= s and
+    |y| >= t, is read off the two-cut chain (a, b) for s, t in {a, b}, as
+    colour k means |x| >= cuts[k - 1]; past n it is zero.  P(x = i, y = j)
+    is the sum of (-1)^(e + d) T(|i| + e, |j| + d) over e, d in {0, 1}.
+    """
     if n < 2:
         raise InvalidRank(f"final-pair correlations need rank n >= 2, got {n}")
+    kind = WeylKind(family, n)
+    tails: dict = {}  # (s, t, x > 0, y > 0) -> T(s, t) at those signs
+    for cuts in combinations(range(1, n + 1), 2):
+        terms: dict = {}
+        for (*_, x, y), p in _cut_law(kind, cuts).items():
+            for s, t in product(cuts[:abs(x)], cuts[:abs(y)]):
+                terms.setdefault((s, t, x > 0, y > 0), []).append(p)
+        # T(a, a) and T(b, b) come from several chains, all lumpings of one law
+        tails.update((key, exact_sum(ps)) for key, ps in terms.items())
     out: dict = {}
-    for w, p in stationary_multi(family, n).items():
-        if p == 0:
-            continue
-        key = (w[-2], w[-1])
-        out[key] = out.get(key, ZERO) + p
+    for a, b in permutations(range(1, n + 1), 2):
+        for sx, sy in product((False, True), repeat=2):
+            # T(a, b), T(a, b + 1), T(a + 1, b), T(a + 1, b + 1)
+            t = [tails.get((a + e, b + d, sx, sy), ZERO) for e in (0, 1) for d in (0, 1)]
+            p = t[0] - t[1] - t[2] + t[3]
+            if p:
+                out[(a if sx else -a, b if sy else -b)] = p
     return out
 
 
@@ -470,7 +491,7 @@ def limdir_exact_lam(kind: WeylKind, n: int) -> DirectionVector:
     by elimination (independent of the two-row product form).
     """
     wkind = WeylKind(kind.family, n)
-    return _tail_direction(wkind, lambda i: exact_stationary(build_cut_chain(wkind, (i,))))
+    return _tail_direction(wkind, lambda i: _cut_law(wkind, (i,)))
 
 
 def _lifted_law(kind: WeylKind, n0: int) -> dict:

@@ -283,20 +283,14 @@ def _apply(c: Config, i: int):
     return c, None, i
 
 
-def tstar(c: Config, i: int) -> Config:
-    """The wall-i transition target (the configuration itself if no rule fires).
-
-    The paper's map T*_i; :func:`kernel` moves by its table, and the tests
-    solve that kernel exactly against :func:`stationary`.
-    """
-    return tstar_bar(c, i)[0]
-
-
 def tstar_bar(c: Config, i: int) -> tuple[Config, int]:
     """The extended wall map (configuration, wall) -> (configuration, wall).
 
     This map is a bijection of the product space; the output wall depends
-    on the rule that fired.
+    on the rule that fired.  Its configuration part is the paper's map T*_i,
+    the wall-i transition target (the configuration itself if no rule
+    fires); :func:`kernel` moves by its table, and the tests solve that
+    kernel exactly against :func:`stationary`.
     """
     if not validate(c):
         raise InvalidConfig(f"invalid configuration {c!r}")

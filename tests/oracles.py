@@ -26,9 +26,12 @@ refresh instead of one packed list, walk proposals from a float CDF and
 bisection instead of a byte table, the separation count in Fractions
 instead of integers scaled by a common denominator, and the highest-root
 direction summed over the full multispecies law instead of the tails of
-the one-cut chains, and the closed classes by reachability from every
+the one-cut chains, final-pair correlations tallied over the full
+multispecies law instead of read off the two-cut chains by
+inclusion-exclusion, and the closed classes by reachability from every
 state instead of two searches.  It also keeps the helpers only tests use:
-site densities and hook sums read off the exact multispecies law, the JSON decoder of a law,
+the full multispecies law (solved by elimination, once per test run), site
+densities and hook sums read off it, the JSON decoder of a law,
 the reversal symmetry of two-species words, and window products and inverses.
 """
 from __future__ import annotations
@@ -45,8 +48,8 @@ from functools import lru_cache
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
 from weyltasep.errors import NonGenericPoint, ZeroParameter
-from weyltasep.markov import Dist, Kernel
-from weyltasep.models import STAR, state_sort_key
+from weyltasep.markov import Dist, Kernel, exact_stationary
+from weyltasep.models import STAR, build_multi, state_sort_key
 from weyltasep.ratio import R, parse_ratio
 from weyltasep.tworow import COL_DOWN, COL_RISE, COL_STAR, COL_UP, COL_ZERO, LabelCounts
 from weyltasep.walk import fundamental_point
@@ -700,14 +703,29 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     return total
 
 
-# --- the highest-root direction on the full chain ------------------------------
+# --- the full multispecies chain ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def full_chain_law(family: str, n: int) -> Dist:
+    """Exact law of the 2^n n! multispecies chain, solved once per test run."""
+    return exact_stationary(build_multi(WeylKind(family, n), n))
+
+
+def full_chain_pairs(family: str, n: int) -> dict:
+    """Final-pair probabilities tallied over the full chain's law, zero cells left out."""
+    out: dict = {}
+    for w, p in full_chain_law(family, n).items():
+        if p:
+            out[(w[-2], w[-1])] = out.get((w[-2], w[-1]), Fraction(0)) + p
+    return out
 
 
 def full_chain_direction(family: str, n: int) -> cf.DirectionVector:
     """Sum over the exact multispecies law of pi(w) * w^{-1}(theta), for w raised by s_theta."""
     kind = WeylKind(family, n)
     psi = [Fraction(0)] * n
-    for w, p in cf.stationary_multi(family, n).items():
+    for w, p in full_chain_law(family, n).items():
         if p and theta_raises(w, kind):
             for idx, c in enumerate(inverse_act_theta(w, kind)):
                 psi[idx] += p * c
@@ -720,7 +738,7 @@ def full_chain_direction(family: str, n: int) -> cf.DirectionVector:
 def last_site_density(family: str, n: int) -> dict:
     """Law of the letter at the last site of the exact multispecies law."""
     out: dict = {}
-    for w, p in cf.stationary_multi(family, n).items():
+    for w, p in full_chain_law(family, n).items():
         out[w[-1]] = out.get(w[-1], Fraction(0)) + p
     return out
 
@@ -728,14 +746,14 @@ def last_site_density(family: str, n: int) -> dict:
 def first_site_density(family: str, n: int) -> dict:
     """Law of the letter at the first site of the exact multispecies law."""
     out: dict = {}
-    for w, p in cf.stationary_multi(family, n).items():
+    for w, p in full_chain_law(family, n).items():
         out[w[0]] = out.get(w[0], Fraction(0)) + p
     return out
 
 
 def hook_sums_exact(family: str, n: int, i: int):
-    """Row/column/hook sums straight from the exact final-pair law."""
-    corr = cf.pair_correlations(family, n)
+    """Row/column/hook sums straight from the final pairs of the full chain's law."""
+    corr = full_chain_pairs(family, n)
     row = sum((p for (a, _), p in corr.items() if a == i), Fraction(0))
     col = sum((p for (_, b), p in corr.items() if b == i), Fraction(0))
     if i < 0:

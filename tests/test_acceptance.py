@@ -211,11 +211,13 @@ def _golden_cli_cases():
             for n0 in range(n + 1):
                 yield (f"stationary-two-{kind}-{n}-{n0}",
                        ["stationary", "--model", "two", *size, "--n0", str(n0)])
-        # The closed forms up to rank 8, and the highest-root direction at rank 5.
+        # The closed forms up to rank 8, and the highest-root direction and the
+        # final-pair correlations at rank 5.
         for n in range(2 if kind == "d" else 1, 9):
             yield (f"limdir-closed-{kind}-{n}",
                    ["limdir", "--method", "closed", "--kind", kind, "--n", str(n)])
         yield f"limdir-lam-{kind}-5", ["limdir", "--method", "lam", "--kind", kind, "--n", "5"]
+        yield f"corr-{kind}-5", ["corr", "--kind", kind, "--n", "5"]
     # Two-row laws at the default rates and with a zero starred rate (the
     # closed-class restriction), and two-row partition sums past the listing.
     zero_star = ["--alpha", "2/3", "--alpha-star", "0", "--beta", "1/2", "--beta-star", "5/11"]
@@ -247,23 +249,6 @@ def _golden_cli_cases():
                    ["partition", "--model", "semiperm", *size, *semiperm])
 
 
-# The full-chain correlations at rank 5 (3840 states for B, C, Bcheck and
-# Ccheck): checked under `slow`, the rest of tests/golden_verify.json below.
-SLOW_GOLDEN_CASES = {f"corr-{kind}-5": ["corr", "--kind", kind, "--n", "5"]
-                     for kind in ("b", "c", "bcheck", "ccheck", "d")}
-
-
-def _golden():
-    return json.loads((Path(__file__).parent / "golden_verify.json").read_text())
-
-
-def _cli_digest(key, argv):
-    out = io.StringIO()
-    with redirect_stdout(out):
-        assert main([*argv, "--format", "json"]) == 0, key
-    return _sha256(out.getvalue())
-
-
 def test_default_verify_reports_match_golden_digests(
     identities_report, tworow_report, lumping_report, conjecture_b_report, tables_report
 ):
@@ -281,21 +266,18 @@ def test_default_verify_reports_match_golden_digests(
     digests = {name: _sha256(json.dumps(report, sort_keys=True))
                for name, report in reports.items()}
     for key, argv in _golden_cli_cases():
-        digests[key] = _cli_digest(key, argv)
-    assert digests == {k: v for k, v in _golden().items() if k not in SLOW_GOLDEN_CASES}
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main([*argv, "--format", "json"]) == 0, key
+        digests[key] = _sha256(out.getvalue())
+    assert digests == json.loads((Path(__file__).parent / "golden_verify.json").read_text())
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("key", sorted(SLOW_GOLDEN_CASES))
-def test_rank5_correlations_match_golden_digests(key):
-    assert _cli_digest(key, SLOW_GOLDEN_CASES[key]) == _golden()[key]
-
-
-@pytest.mark.slow
-def test_criterion_11b_conjectured_pair_values_rank5():
-    report = suite_conjecture_b(n=5)
+@pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
+def test_criterion_11b_conjectured_pair_values_at_rank(n):
+    report = suite_conjecture_b(n=n)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
-    _passed("11b", "conjectured case families verified exactly at n=5")
+    _passed("11b", f"conjectured case families verified exactly at n={n}")
 
 
 def test_criterion_12_alcove_walk_directions():

@@ -265,8 +265,12 @@ def test_lam_direction_is_proportional_to_closed_form_rank8(family):
     _check_lam_against_closed(family, [8])
 
 
-@pytest.mark.parametrize("family,n", [(f, n) for f in sorted(LAM_RATIO)
-                                      for n in range(2 if f == "D" else 1, 5)] + [("D", 5)])
+# Each full chain is solved once per test run (oracles.full_chain_law).
+FULL_CHAIN_CASES = [(f, n) for f in sorted(LAM_RATIO)
+                    for n in range(2 if f == "D" else 1, 5)] + [("D", 5)]
+
+
+@pytest.mark.parametrize("family,n", FULL_CHAIN_CASES)
 def test_lam_direction_equals_the_full_chain_sum(family, n):
     # the one-cut tails against the highest-root sum over the full chain's law
     kind = WeylKind(family, n)
@@ -276,6 +280,17 @@ def test_lam_direction_equals_the_full_chain_sum(family, n):
 @pytest.mark.slow
 def test_lam_direction_equals_the_full_chain_sum_b5():
     assert cf.limdir_exact_lam(WeylKind("B", 5), 5) == oracles.full_chain_direction("B", 5)
+
+
+@pytest.mark.parametrize("family,n", [(f, n) for f, n in FULL_CHAIN_CASES if n >= 2])
+def test_pair_correlations_equal_the_full_chain_tally(family, n):
+    # inclusion-exclusion over the two-cut chains against the full chain's final pairs
+    assert cf.pair_correlations(family, n) == oracles.full_chain_pairs(family, n)
+
+
+@pytest.mark.slow
+def test_pair_correlations_equal_the_full_chain_tally_b5():
+    assert cf.pair_correlations("B", 5) == oracles.full_chain_pairs("B", 5)
 
 
 @pytest.mark.parametrize("family", sorted(LAM_RATIO))

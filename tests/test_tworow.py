@@ -25,7 +25,6 @@ from weyltasep.tworow import (
     enumerate_configs,
     label_counts,
     q_weight,
-    tstar,
     tstar_bar,
     validate,
 )
@@ -193,16 +192,16 @@ def test_q_weight_matches_label_loop_oracle():
 
 def test_wall_map_examples():
     # left border creation of a star column
-    assert tstar(cfg(Z, RISE, S), 1) == cfg(S, Z, S)
+    assert tstar_bar(cfg(Z, RISE, S), 1)[0] == cfg(S, Z, S)
     # no matching rule holds the configuration
-    assert tstar(cfg(S, RISE, Z), 2) == cfg(S, RISE, Z)
+    assert tstar_bar(cfg(S, RISE, Z), 2)[0] == cfg(S, RISE, Z)
     with pytest.raises(InvalidWall):
-        tstar(cfg(S, Z, S), 3)
+        tstar_bar(cfg(S, Z, S), 3)
     with pytest.raises(InvalidConfig):
-        tstar(cfg(U, DN), 1)
+        tstar_bar(cfg(U, DN), 1)
     # bulk relocation: the pair crosses a run and lands as a column
-    assert tstar(cfg(S, U, DN, Z), 2) == cfg(S, RISE, FALL, Z)
-    assert tstar(cfg(S, U, DN, S), 2) == cfg(S, RISE, FALL, S)
+    assert tstar_bar(cfg(S, U, DN, Z), 2)[0] == cfg(S, RISE, FALL, Z)
+    assert tstar_bar(cfg(S, U, DN, S), 2)[0] == cfg(S, RISE, FALL, S)
 
 
 def test_extended_wall_map_regression():

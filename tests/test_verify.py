@@ -1,7 +1,8 @@
 import pytest
 
+import weyltasep.closedform as cf
 from weyltasep.errors import RangeError
-from weyltasep.verify import suite_identities, suite_tworow
+from weyltasep.verify import suite_conjecture_b, suite_identities, suite_tables, suite_tworow
 
 
 @pytest.mark.parametrize(
@@ -39,3 +40,12 @@ def test_smallest_accepted_sizes_pass():
     report = suite_tworow(bij_n_max=3, bij_n0_max=0, stationary_cases=((3, 1),),
                           partition_n_max=3)
     assert report["pass"]
+
+
+def test_tables_reads_the_pair_law_that_conjecture_b_solved():
+    # verify runs conjecture-b before tables; both read B4's two-cut laws
+    cf._cut_law.cache_clear()
+    suite_conjecture_b()
+    solved = cf._cut_law.cache_info().misses
+    suite_tables()
+    assert cf._cut_law.cache_info().misses == solved
