@@ -28,9 +28,11 @@ instead of integers scaled by a common denominator, and the highest-root
 direction summed over the full multispecies law instead of the tails of
 the one-cut chains, final-pair correlations tallied over the full
 multispecies law instead of read off the two-cut chains by
-inclusion-exclusion, and the closed classes by reachability from every
-state instead of two searches.  It also keeps the helpers only tests use:
-the full multispecies law (solved by elimination, once per test run), site
+inclusion-exclusion, the closed classes by reachability from every
+state instead of two searches, and the coarsest exact lumping by rounds
+of re-signing every state instead of splitter refinement.  It also keeps
+the helpers only tests use: the full multispecies law (solved once per
+test run), site
 densities and hook sums read off it, the JSON decoder of a law,
 the reversal symmetry of two-species words, and window products and inverses.
 """
@@ -247,6 +249,45 @@ def fraction_certificate(kernel, pi_idx: dict) -> bool:
         for j, a in kernel.rows[i].items():
             flow[j] = flow.get(j, Fraction(0)) + p * Fraction(a, kernel.den)
     return all(flow.get(j, 0) == pi_idx.get(j, 0) for j in flow.keys() | pi_idx.keys())
+
+
+def exact_lumping(kernel, members: list[int]) -> set[frozenset]:
+    """The coarsest exactly lumpable partition of `members`, by rounds to a fixpoint.
+
+    Each round signs every state j by its block and the set of pairs
+    (block B', sum over i in B' of rows[i][j]) with a nonzero sum, and the
+    new blocks are the states with equal signatures; the rounds stop when
+    the number of blocks stays the same.  Quadratic per round, for small
+    chains only.  The reference for markov._lumped, which refines by
+    splitters.
+    """
+    block = {i: 0 for i in members}
+    count = 1
+    while True:
+        sums: dict[int, Counter] = {j: Counter() for j in members}
+        for i in members:
+            for j, a in kernel.rows[i].items():
+                sums[j][block[i]] += a
+        signs = {j: (block[j], frozenset(sums[j].items())) for j in members}
+        names = {sig: k for k, sig in enumerate(dict.fromkeys(signs.values()))}
+        block = {j: names[signs[j]] for j in members}
+        if len(names) == count:
+            break
+        count = len(names)
+    parts: dict[int, set] = {}
+    for j, b in block.items():
+        parts.setdefault(b, set()).add(j)
+    return {frozenset(p) for p in parts.values()}
+
+
+def is_exactly_lumpable(kernel, parts) -> bool:
+    """Every state of a block gets the same column sum from every block, checked pairwise."""
+    for source in parts:
+        for target in parts:
+            sums = {sum(kernel.rows[i].get(j, 0) for i in source) for j in target}
+            if len(sums) > 1:
+                return False
+    return True
 
 
 # --- kernels with one Fraction per entry -------------------------------------

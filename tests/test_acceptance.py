@@ -273,7 +273,7 @@ def test_default_verify_reports_match_golden_digests(
     assert digests == json.loads((Path(__file__).parent / "golden_verify.json").read_text())
 
 
-@pytest.mark.parametrize("n", [5, pytest.param(6, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("n", [5, 6])
 def test_criterion_11b_conjectured_pair_values_at_rank(n):
     report = suite_conjecture_b(n=n)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]

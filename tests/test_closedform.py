@@ -277,7 +277,6 @@ def test_lam_direction_equals_the_full_chain_sum(family, n):
     assert cf.limdir_exact_lam(kind, n) == oracles.full_chain_direction(family, n)
 
 
-@pytest.mark.slow
 def test_lam_direction_equals_the_full_chain_sum_b5():
     assert cf.limdir_exact_lam(WeylKind("B", 5), 5) == oracles.full_chain_direction("B", 5)
 
@@ -288,7 +287,6 @@ def test_pair_correlations_equal_the_full_chain_tally(family, n):
     assert cf.pair_correlations(family, n) == oracles.full_chain_pairs(family, n)
 
 
-@pytest.mark.slow
 def test_pair_correlations_equal_the_full_chain_tally_b5():
     assert cf.pair_correlations("B", 5) == oracles.full_chain_pairs("B", 5)
 

@@ -24,10 +24,12 @@ from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 from oracles import (
     closed_classes,
     dist_from_json_obj,
+    exact_lumping,
     fraction_certificate,
     fraction_gth,
     fraction_kernel,
     full_chain_law,
+    is_exactly_lumpable,
     power_iteration,
     reversal_bijection,
     table_two_species_kernel,
@@ -202,7 +204,7 @@ def _index_kernel(moves: dict):
 
 
 @st.composite
-def sparse_chains(draw):
+def sparse_moves(draw):
     n = draw(st.integers(1, 12))
     cyclic = draw(st.booleans())
     moves = {}
@@ -211,7 +213,22 @@ def sparse_chains(draw):
         if cyclic and (i + 1) % n not in targets:
             targets.append((i + 1) % n)
         moves[i] = _draw_row(draw, targets)
-    return _index_kernel(moves)
+    return moves
+
+
+def sparse_chains():
+    return sparse_moves().map(_index_kernel)
+
+
+def _doubled(moves: dict) -> dict:
+    """Each state s as (s, 0) and (s, 1), each move to t split evenly over (t, 0) and (t, 1)."""
+    return {(s, c): [((t, d), p / 2) for t, p in row for d in (0, 1)]
+            for s, row in moves.items() for c in (0, 1)}
+
+
+def doubled_chains():
+    """Sparse chains with a planted symmetry: {(s, 0), (s, 1)} lumps exactly."""
+    return sparse_moves().map(_doubled).map(_index_kernel)
 
 
 @st.composite
@@ -253,6 +270,63 @@ def test_decimal_fallback_matches_fraction_oracle(kernel):
                     exact_stationary(kernel)
                 continue
             assert exact_stationary(kernel) == _oracle_law(kernel)
+
+
+def _blocks(members, lumped) -> set[frozenset]:
+    """The partition markov._lumped found, as sets of state indices."""
+    if lumped is None:
+        return {frozenset([i]) for i in members}
+    _, block, _ = lumped
+    parts: dict[int, set] = {}
+    for i, b in zip(members, block):
+        parts.setdefault(b, set()).add(i)
+    return {frozenset(p) for p in parts.values()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(sparse_chains(), doubled_chains()))
+def test_lumping_is_the_coarsest_exact_one_and_lifts_the_law(kernel):
+    for cls in closed_classes(kernel):
+        members = sorted(kernel.index[s] for s in cls)
+        lumped = markov._lumped(kernel, members)
+        parts = _blocks(members, lumped)
+        assert parts == exact_lumping(kernel, members)
+        assert is_exactly_lumpable(kernel, parts)
+        if isinstance(kernel.states[0], tuple) and len(cls) > 1:
+            # the planted pairs lump exactly, so the coarsest partition keeps each together
+            block_of = {kernel.states[i]: p for p in parts for i in p}
+            assert all(block_of[(s, c)] is block_of[(s, 1 - c)] for s, c in cls)
+        if lumped is None:
+            assert len(parts) == len(members)
+            continue
+        quotient, block, size = lumped
+        assert all(a > 0 for row in quotient.rows for a in row.values())
+        assert all(sum(row.values()) == quotient.den for row in quotient.rows)
+        # the quotient's law split evenly over each block, in Fractions
+        law = fraction_gth(quotient, list(range(len(quotient))))
+        lifted = {i: law[b] / size[b] for i, b in zip(members, block)}
+        assert lifted == fraction_gth(kernel, members)
+    if len(closed_classes(kernel)) == 1:
+        assert exact_stationary(kernel) == _oracle_law(kernel)
+
+
+@pytest.mark.parametrize("family, n, blocks", [("B", 3, 24), ("D", 4, 24)])
+def test_decimal_pass_solves_the_quotient(precisions, monkeypatch, family, n, blocks):
+    kernel = build_multi(WeylKind(family, n), n)
+    float_law = exact_stationary(kernel)
+    quotients = []
+    lumped = markov._lumped
+
+    def spy(ker, members):
+        found = lumped(ker, members)
+        quotients.append(len(found[0]))
+        return found
+
+    _float_pass_fails(monkeypatch)
+    monkeypatch.setattr(markov, "_lumped", spy)
+    assert exact_stationary(kernel) == float_law
+    assert quotients == [blocks]
+    assert precisions == [32]
 
 
 @settings(max_examples=50, deadline=None)
@@ -371,20 +445,40 @@ def test_underflowing_rate_falls_back_to_decimal(precisions):
 
 
 @pytest.mark.parametrize(
-    "build",
+    "build, sizes",
     [
-        lambda: build_multi(WeylKind("B", 3), 3),
-        lambda: build_multi(WeylKind("Ccheck", 3), 3),
-        lambda: build_multi(WeylKind("D", 3), 3),
-        lambda: tworow.kernel(6, 2, PARAM_POINTS[0]),
+        (lambda: build_multi(WeylKind("B", 3), 3), (48, 24)),
+        (lambda: build_multi(WeylKind("Ccheck", 3), 3), (48, 24)),
+        (lambda: build_multi(WeylKind("D", 3), 3), (24, 5)),
+        (lambda: tworow.kernel(6, 2, PARAM_POINTS[0]), (165, 165)),
+        (lambda: build_multi(WeylKind("B", 4), 4), (384, 192)),
+        (lambda: build_multi(WeylKind("Ccheck", 4), 4), (384, 192)),
+        (lambda: build_multi(WeylKind("D", 4), 4), (192, 24)),
     ],
-    ids=["B3", "Ccheck3", "D3", "tworow-6-2"],
+    ids=["B3", "Ccheck3", "D3", "tworow-6-2", "B4", "Ccheck4", "D4"],
 )
-def test_small_laws_never_reach_the_fallback(precisions, build):
+def test_small_laws_never_reach_the_fallback(precisions, monkeypatch, build, sizes):
+    # the float pass solves the coarsest exact lumping (sizes: chain, states
+    # eliminated) and certifies the lifted law once, on the kernel passed in
     kernel = build()
+    solved, certified = [], []
+    eliminate, certify = markov._eliminate, markov._is_stationary
+
+    def eliminate_spy(ker, members, num):
+        solved.append(len(members))
+        return eliminate(ker, members, num)
+
+    def certify_spy(ker, pi_idx):
+        certified.append(ker)
+        return certify(ker, pi_idx)
+
+    monkeypatch.setattr(markov, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(markov, "_is_stationary", certify_spy)
     pi = exact_stationary(kernel)
     assert precisions == []
-    assert markov._is_stationary(kernel, {kernel.index[s]: p for s, p in pi.items() if p})
+    assert (len(kernel), *solved) == sizes
+    assert certified == [kernel]
+    assert certify(kernel, {kernel.index[s]: p for s, p in pi.items() if p})
 
 
 # --- recovering rationals from perturbed floats ------------------------------
