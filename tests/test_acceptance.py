@@ -218,6 +218,9 @@ def _golden_cli_cases():
                    ["limdir", "--method", "closed", "--kind", kind, "--n", str(n)])
         yield f"limdir-lam-{kind}-5", ["limdir", "--method", "lam", "--kind", kind, "--n", "5"]
         yield f"corr-{kind}-5", ["corr", "--kind", kind, "--n", "5"]
+        if kind in ("b", "d"):
+            yield (f"stationary-multi-{kind}-5",
+                   ["stationary", "--model", "multi", "--kind", kind, "--n", "5"])
     # Two-row laws at the default rates and with a zero starred rate (the
     # closed-class restriction), and two-row partition sums past the listing.
     zero_star = ["--alpha", "2/3", "--alpha-star", "0", "--beta", "1/2", "--beta-star", "5/11"]
@@ -239,7 +242,7 @@ def _golden_cli_cases():
             size = ["--n", str(n), "--n0", str(n0)]
             if 3 <= n <= 5:
                 yield f"stationary-dstar-{n}-{n0}", ["stationary", "--model", "dstar", *size, *rates]
-            if n <= 5:
+            if n <= 7:
                 yield (f"stationary-semiperm-{n}-{n0}",
                        ["stationary", "--model", "semiperm", *size, *semiperm])
             if n >= 2:
