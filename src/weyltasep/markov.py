@@ -4,27 +4,25 @@ A kernel stores each row as positive integers over one denominator `den`,
 the holding mass included, summing to den; Fractions are built only when
 an entry is asked for.  A law is solved for only on a kernel with exactly
 one closed communicating class (:func:`closed_class`), and transient states
-get probability zero.  The stationary solver is the subtraction-free
-state-elimination scheme of Grassmann, Taksar and Heyman with a
-fill-reducing elimination order, written once for any number type.  It
-runs first in floats; it subtracts nothing, so each float probability
-carries a small relative error, and the exact law is read off the floats
-by building up a common denominator from the smallest entries.  When that
-fails, the same elimination runs in `decimal` at 32 significant digits,
-then 64, 128, ..., and the law is read off the same way.  Either way a law
-is returned only after it passes the exact certificate: it sums to 1 and
-pi . P = pi over the rationals.
+get probability zero.
 
-Before either pass the closed class is lumped: splitter refinement finds
-its coarsest exactly lumpable partition, in which every state of a block
-gets the same column sum from every block.  A step of the chain keeps a
-law even on each block of such a partition, so the stationary law is the
-quotient's law split evenly over each block (Buchholz 1994).  The elimination runs
-on the quotient, the lifted law is read off as above, and the certificate
-runs on the original kernel, so a lumping can cost time but cannot make a
-law wrong.  At rank 4 every B/C/D cut chain of more than one state
-lumps, by 1.1 to 8 times (the full chains by 2, D's by 8); the two-row
-kernels at generic rates mostly stay discrete and are solved as they are.
+The solver lumps the class first: splitter refinement finds its coarsest
+exactly lumpable partition, in which every state of a block gets the same
+column sum from every block, and the quotient (or the class itself, when
+the partition is discrete) is the one target solved.  The elimination is
+the subtraction-free scheme of Grassmann, Taksar and Heyman with a
+fill-reducing order, written once for any number type.  It runs first in
+floats, whose small relative error lets the target's exact law be read off
+by building up a common denominator from the smallest entries; when that
+fails it runs in `decimal` at 32, 64, 128, ... digits, up to the rung at
+which the Markov chain tree theorem says the reading cannot miss, and past
+that it raises.  The law read off is split evenly over each block, which
+is the stationary law of an exact lumping (Buchholz 1994), and returned
+only after it passes the exact certificate on the kernel passed in: it
+sums to 1 and pi . P = pi over the rationals.  So a lumping can cost time
+but cannot make a law wrong.  At rank 4 every B/C/D cut chain of more
+than one state lumps, by 1.1 to 8 times (the full chains by 2, D's by 8);
+the two-row kernels at generic rates mostly stay discrete.
 
 The bookkeeping around the solver is exact but avoids one Fraction
 operation per entry: a kernel built from moves adds integer edge weights
@@ -35,7 +33,7 @@ scales pi to integers and reads the kernel's integer rows as they are.
 from __future__ import annotations
 
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
-from math import floor, inf, isqrt, lcm
+from math import floor, inf, isqrt, lcm, prod
 from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
@@ -247,66 +245,64 @@ def exact_stationary(kernel: Kernel) -> Dist:
     """The unique stationary distribution, exactly.
 
     Requires a unique closed communicating class; transient states get
-    probability zero.  The class is first lumped (:func:`_lumped`): when
-    its coarsest exactly lumpable partition has a block of more than one
-    state, the elimination runs on the quotient and each block's mass is
-    split evenly over its states, which for an exact lumping is the
-    stationary law (Buchholz 1994); a discrete partition leaves the kernel
-    as it is.  The elimination (:func:`_eliminate`) runs in floats and the
-    exact law is read off the floats by a common denominator
-    (:func:`_recover`).  When that fails -- a pivot underflows, no common
-    denominator below the error bound fits, or the guess fails the
-    certificate -- the same elimination runs again in `decimal` with 32
-    significant digits and an exponent range no rate leaves, and the
-    precision doubles until the law read off it passes.  Whichever pass
-    made it, a law is returned only after it passes the exact certificate
-    (sum 1 and pi . P = pi) on the kernel passed in, not on the quotient.
+    probability zero.  The target is the class's quotient by its coarsest
+    exact lumping, or the class itself (:func:`_lumped`).  Each pass runs
+    one law step: the target's elimination (:func:`_eliminate`), its law
+    read off as numerators nums over one L (:func:`_recover`), the exact
+    lift pi_i = nums[b] / (L size[b]) to each state of block b, and the
+    exact certificate (sum 1 and pi . P = pi) on the kernel passed in.
+    The first pass runs in floats.  When it fails -- a pivot underflows, no
+    common denominator below the error bound fits, or the law fails the
+    certificate -- the step runs in `decimal` with 32 significant digits
+    and an exponent range no rate leaves, and the precision doubles until
+    a law passes.  With k solved states and S_v their off-diagonal integer
+    row sums, the target's law has a common denominator of at most
+    B = k prod_v S_v (Markov chain tree theorem), and the reading cannot
+    miss once rel_err * B**2 < 1/4; a law that still fails at that rung is
+    a solver fault, and RuntimeError is raised.
     """
     members = [kernel.index[s] for s in closed_class(kernel)]
-    lumped = _lumped(kernel, members)
+    rows, den, solved, block, size = _lumped(kernel, members)
 
-    def eliminate(num):
-        """The law on members in the numbers num makes, lifted from the quotient if any."""
-        if lumped is None:
-            return _eliminate(kernel, members, num)
-        quotient, block, size = lumped
-        xs = _eliminate(quotient, range(len(size)), num)
-        if xs is None:
+    def law(num, rel_err) -> dict[int, R] | None:
+        """The law by state index, solved in the numbers num makes, if it passes the certificate."""
+        xs = _eliminate(rows, den, solved, num)
+        # An entry whose error bound leaves the normal range of floats cannot
+        # be read; such a law goes to the decimal pass.
+        if xs is None or (num is _float and min(xs) * rel_err < float_info.min):
             return None
-        share = [x / k for x, k in zip(xs, size)]
-        return [share[b] for b in block]
+        found = _recover(xs, rel_err)
+        if found is None:
+            return None
+        nums, big_l = found
+        pi_idx = {i: R(nums[b], big_l * size[b]) for i, b in zip(members, block)}
+        return pi_idx if _is_stationary(kernel, pi_idx) else None
 
-    pi_idx = None
-    xs = eliminate(_float)
     # The float law's relative error grows about linearly with the number
-    # of eliminations, and the even split adds one rounding.  The bound
-    # counts the class, not the quotient: on the B/C/D full and cut chains
-    # of 192 to 3840 states, all lifted from a quotient, the error stays
-    # 90 to 600 times below it, and on the two-row (7, n0) chains, which
-    # do not lump, 20 to 80 times.
-    rel_err = (len(members) + 16) * 2.0**-52
-    # An entry whose error bound leaves the normal range of floats cannot
-    # be read; such a law goes to the decimal pass.
-    if xs is not None and min(xs) * rel_err >= float_info.min:
-        pi_idx = _certified(kernel, members, _recover(xs, rel_err))
+    # of eliminations, so the bound counts the solved states.  On the B/C/D
+    # full and cut chains of 192 to 3840 states (24 to 1920 solved) the
+    # error stays 22 to 190 times below it, and on the two-row (7, n0)
+    # chains, which mostly do not lump, 12 to 76 times.
+    k = len(solved)
+    pi_idx = law(_float, (k + 16) * 2.0**-52)
     prec = 32
     while pi_idx is None:
         # A fresh context, not a copy of the caller's: the error bound
         # assumes rounding to nearest, and no inexact result may trap.
         context = Context(prec=prec, rounding=ROUND_HALF_EVEN, Emin=MIN_EMIN, Emax=MAX_EMAX)
         with localcontext(context):
-            xs = eliminate(_decimal)
-            rel_err = (len(members) + 16) * Decimal(10) ** (1 - prec)
-            pi_idx = _certified(kernel, members, _recover(xs, rel_err))
+            pi_idx = law(_decimal, (k + 16) * Decimal(10) ** (1 - prec))
+        # 10**(prec-1) > 4 (k + 16) B**2 says rel_err * B**2 < 1/4 at this rung.
+        if pi_idx is None and 10 ** (prec - 1) > 4 * (k + 16) * (
+                k * prod(den - rows[v].get(v, 0) for v in solved))**2:
+            raise RuntimeError(f"no law of the {k} solved states passed the certificate "
+                               f"at {prec} digits")
         prec *= 2
-    probs = {s: ZERO for s in kernel.states}
-    for i, p in pi_idx.items():
-        probs[kernel.states[i]] = p
-    return Dist(probs)
+    return Dist({s: pi_idx.get(i, ZERO) for i, s in enumerate(kernel.states)})
 
 
-def _lumped(kernel: Kernel, members: list[int]) -> tuple[Kernel, list[int], list[int]] | None:
-    """The quotient of the closed class `members` by its coarsest exact lumping, or None.
+def _lumped(kernel: Kernel, members: list[int]) -> tuple:
+    """The target to solve for the closed class `members`: its coarsest exact lumping.
 
     The partition is the coarsest one in which, for every two blocks B'
     and B, each state j of B gets the same column sum
@@ -320,14 +316,15 @@ def _lumped(kernel: Kernel, members: list[int]) -> tuple[Kernel, list[int], list
     the queue empties on a stable partition, and each state is read in
     O(log n) splitters.  A one-state splitter's sums are its row, a
     one-state block is never split, and the refinement stops when every
-    block has one state: then the partition is discrete and None is
-    returned.
+    block has one state.
 
-    Otherwise returns (quotient, block, size).  Member k lies in block
-    block[k], numbered from 0, which has size[block[k]] states.  The
-    quotient is a kernel on the block numbers whose row B' is
-    sum_{i in B'} sum_{j in B} rows[i][j] / (|B'| den), held as integers
-    over den times the lcm of the block sizes.
+    Returns (rows, den, solved, block, size): the target's integer rows
+    over den, read at the states in solved, and for member k its block
+    block[k], of size[block[k]] states.  The target is the quotient on the
+    block numbers, whose row B' is
+    sum_{i in B'} sum_{j in B} rows[i][j] / (|B'| den) over den times the
+    lcm of the block sizes, or, for a discrete partition, the class itself:
+    the kernel's own rows (not copied), den and members.
     """
     rows = kernel.rows
     where = [0] * len(rows)  # a member's block; transient states are never read
@@ -369,7 +366,7 @@ def _lumped(kernel: Kernel, members: list[int]) -> tuple[Kernel, list[int], list
                 queue.append(len(blocks))
                 blocks.append(part)
     if len(blocks) == len(members):
-        return None
+        return rows, kernel.den, members, range(len(members)), [1] * len(members)
     size = [len(part) for part in blocks]
     big_l = lcm(*size)
     quotient = []
@@ -382,9 +379,7 @@ def _lumped(kernel: Kernel, members: list[int]) -> tuple[Kernel, list[int], list
                 row[b] = get(b, 0) + a
         scale = big_l // len(part)
         quotient.append({b: a * scale for b, a in row.items()})
-    states = tuple(range(len(blocks)))
-    return (Kernel._from_checked(states, dict(zip(states, states)), quotient, kernel.den * big_l),
-            [where[i] for i in members], size)
+    return quotient, kernel.den * big_l, range(len(blocks)), [where[i] for i in members], size
 
 
 def _float(a: int, den: int) -> float:
@@ -397,21 +392,14 @@ def _decimal(a: int, den: int) -> Decimal:
     return Decimal(a) / den
 
 
-def _certified(kernel: Kernel, members: list[int], found) -> dict[int, R] | None:
-    """The law found by :func:`_recover`, by state index, if it passes the certificate."""
-    if found is None:
-        return None
-    nums, den = found
-    pi_idx = {i: R(a, den) for i, a in zip(members, nums)}
-    return pi_idx if _is_stationary(kernel, pi_idx) else None
-
-
-def _eliminate(kernel: Kernel, members: list[int], num: Callable) -> list | None:
+def _eliminate(rows: Sequence[Mapping[int, int]], den: int, members: Sequence[int],
+               num: Callable) -> list | None:
     """The stationary law on `members`, in that order, in the numbers num makes.
 
-    `members` is a closed class: no row out of it leaves it.
+    rows[i] maps column j to a positive integer over den, and `members` is
+    a closed class: no row out of it leaves it.
 
-    num(a, den) turns each kernel entry a / den into a number: a float, or a
+    num(a, den) turns each entry a / den into a number: a float, or a
     Decimal of the current context.  Censors states one at a time, greedily
     taking the state with the fewest in-degree x out-degree off-diagonal
     links among those left, the lowest index among equals.  The costs sit in
@@ -424,8 +412,7 @@ def _eliminate(kernel: Kernel, members: list[int], num: Callable) -> list | None
     any working precision (O'Cinneide 1993).  Returns None when an S_k or the
     final total is zero or not finite (a float rate that underflows).
     """
-    den = kernel.den
-    out = {i: {j: num(a, den) for j, a in kernel.rows[i].items() if j != i} for i in members}
+    out = {i: {j: num(a, den) for j, a in rows[i].items() if j != i} for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
         for j in row:

@@ -425,7 +425,7 @@ def partition_sum(n: int, n0: int, params: DStarParams):
 def count_segment(k: int, n0: int) -> int:
     """Number of star-free k-column stretches with n0 zero-columns.
 
-    Counted by the same recursion that the enumerator uses (heights stay
+    Counted by its own recursion over the columns (heights stay
     nonnegative, return to zero at every 0-column and at the end); the
     closed ballot form is checked against this count in the tests.
     """

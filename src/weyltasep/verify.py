@@ -11,7 +11,7 @@ from operator import itemgetter
 
 from . import closedform as cf
 from . import tworow as tr
-from .errors import InvalidRank, RangeError
+from .errors import RangeError
 from .lumping import cut_coloring, project_distribution, star_lift, verify_lumping
 from .markov import exact_stationary
 from .models import (DStarParams, STAR, STAR_RATES, build_cut_chain, build_dstar, build_multi,
@@ -266,8 +266,7 @@ def suite_tworow(
 
 
 def suite_lumping(n_max: int = 4) -> dict:
-    if n_max < 2:
-        raise InvalidRank(f"the lumping suite needs n_max >= 2, got {n_max}")
+    _at_least("lumping", n_max=(n_max, 2))
     checks: list = []
 
     ok = True
@@ -316,8 +315,7 @@ def suite_lumping(n_max: int = 4) -> dict:
 
 
 def suite_conjecture_b(n: int = 4) -> dict:
-    if n < 2:
-        raise InvalidRank(f"the conjecture-b suite needs n >= 2, got {n}")
+    _at_least("conjecture-b", n=(n, 2))
     checks: list = []
     corr = cf.pair_correlations("B", n)
     by_case: dict[int, list] = {}

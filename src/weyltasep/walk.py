@@ -43,7 +43,6 @@ import math
 import os
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 
@@ -73,10 +72,10 @@ def fundamental_point(kind: WeylKind, n: int) -> tuple:
         b = [rhs[i] for i in range(n + 1) if i != drop]
         vertices.append(_solve_exact(sub, b))
     bary = tuple(
-        sum((v[j] for v in vertices), Fraction(0)) / (n + 1) for j in range(n)
+        sum((v[j] for v in vertices), R(0)) / (n + 1) for j in range(n)
     )
     for alpha in rs.positive_roots:
-        pairing = sum(Fraction(c) * x for c, x in zip(alpha, bary))
+        pairing = sum(R(c) * x for c, x in zip(alpha, bary))
         if pairing.denominator == 1:
             raise NonGenericPoint(f"barycenter meets a wall of root {alpha}")
     return bary
@@ -84,7 +83,7 @@ def fundamental_point(kind: WeylKind, n: int) -> tuple:
 
 def _solve_exact(rows, rhs):
     n = len(rows)
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    a = [[R(x) for x in row] + [R(b)] for row, b in zip(rows, rhs)]
     for col in range(n):
         piv = next((r for r in range(col, n) if a[r][col] != 0), None)
         if piv is None:
@@ -109,7 +108,7 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     """
     kind = WeylKind(kind.family, n)
     base = fundamental_point(kind, n)
-    x = [Fraction(v) for v in x]
+    x = [R(v) for v in x]
     den = math.lcm(*(v.denominator for v in (*base, *x)))
     xs = [v.numerator * (den // v.denominator) for v in x]
     bs = [v.numerator * (den // v.denominator) for v in base]
@@ -224,7 +223,7 @@ class WalkState:
                 x[a - 1] += x0[i] - y[i]
             else:
                 x[-a - 1] -= x0[i] - y[i]
-        return tuple(Fraction(v, d) for v in x)
+        return tuple(R(v, d) for v in x)
 
 
 def initial_state(kind: WeylKind, n: int) -> WalkState:

@@ -1,13 +1,14 @@
 from decimal import ROUND_FLOOR, Inexact, getcontext, localcontext
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import weyltasep.markov as markov
 from weyltasep import tworow
-from weyltasep.closedform import DirectionVector, limdir_closed
+from weyltasep.closedform import DirectionVector, limdir_closed, semiperm_density
 from weyltasep.errors import InvalidRates, NotIrreducible
 from weyltasep.markov import (
     Dist,
@@ -16,8 +17,9 @@ from weyltasep.markov import (
     closed_class,
     exact_stationary,
 )
-from weyltasep.models import DStarParams, build_cut_chain, build_dstar, build_multi
-from weyltasep.ratio import R
+from weyltasep.models import (DStarParams, build_cut_chain, build_dstar, build_multi,
+                              build_semipermeable)
+from weyltasep.ratio import R, ZERO
 from weyltasep.verify import PARAM_POINTS
 from weyltasep.weyl import WeylKind, inverse_act_theta, theta_raises
 
@@ -251,8 +253,8 @@ def _float_pass_fails(monkeypatch):
     """Make the float elimination report an underflow, so the decimal pass runs."""
     eliminate = markov._eliminate
 
-    def spy(kernel, members, num):
-        return None if num is markov._float else eliminate(kernel, members, num)
+    def spy(rows, den, members, num):
+        return None if num is markov._float else eliminate(rows, den, members, num)
 
     monkeypatch.setattr(markov, "_eliminate", spy)
 
@@ -272,11 +274,8 @@ def test_decimal_fallback_matches_fraction_oracle(kernel):
             assert exact_stationary(kernel) == _oracle_law(kernel)
 
 
-def _blocks(members, lumped) -> set[frozenset]:
+def _blocks(members, block) -> set[frozenset]:
     """The partition markov._lumped found, as sets of state indices."""
-    if lumped is None:
-        return {frozenset([i]) for i in members}
-    _, block, _ = lumped
     parts: dict[int, set] = {}
     for i, b in zip(members, block):
         parts.setdefault(b, set()).add(i)
@@ -288,22 +287,25 @@ def _blocks(members, lumped) -> set[frozenset]:
 def test_lumping_is_the_coarsest_exact_one_and_lifts_the_law(kernel):
     for cls in closed_classes(kernel):
         members = sorted(kernel.index[s] for s in cls)
-        lumped = markov._lumped(kernel, members)
-        parts = _blocks(members, lumped)
+        rows, den, solved, block, size = markov._lumped(kernel, members)
+        parts = _blocks(members, block)
         assert parts == exact_lumping(kernel, members)
+        assert sorted(map(len, parts)) == sorted(size)
         assert is_exactly_lumpable(kernel, parts)
         if isinstance(kernel.states[0], tuple) and len(cls) > 1:
             # the planted pairs lump exactly, so the coarsest partition keeps each together
             block_of = {kernel.states[i]: p for p in parts for i in p}
             assert all(block_of[(s, c)] is block_of[(s, 1 - c)] for s, c in cls)
-        if lumped is None:
-            assert len(parts) == len(members)
+        if len(parts) == len(members):
+            # a discrete partition: the target is the class itself, its rows not copied
+            assert (rows, den, solved) == (kernel.rows, kernel.den, members)
+            assert rows is kernel.rows and solved is members
             continue
-        quotient, block, size = lumped
-        assert all(a > 0 for row in quotient.rows for a in row.values())
-        assert all(sum(row.values()) == quotient.den for row in quotient.rows)
+        assert list(solved) == list(range(len(size)))
+        assert all(a > 0 for b in solved for a in rows[b].values())
+        assert all(sum(rows[b].values()) == den for b in solved)
         # the quotient's law split evenly over each block, in Fractions
-        law = fraction_gth(quotient, list(range(len(quotient))))
+        law = fraction_gth(SimpleNamespace(rows=rows, den=den), list(solved))
         lifted = {i: law[b] / size[b] for i, b in zip(members, block)}
         assert lifted == fraction_gth(kernel, members)
     if len(closed_classes(kernel)) == 1:
@@ -319,7 +321,7 @@ def test_decimal_pass_solves_the_quotient(precisions, monkeypatch, family, n, bl
 
     def spy(ker, members):
         found = lumped(ker, members)
-        quotients.append(len(found[0]))
+        quotients.append(len(found[2]))
         return found
 
     _float_pass_fails(monkeypatch)
@@ -367,10 +369,10 @@ def precisions(monkeypatch):
     calls = []
     eliminate = markov._eliminate
 
-    def spy(kernel, members, num):
+    def spy(rows, den, members, num):
         if num is markov._decimal:
             calls.append(getcontext().prec)
-        return eliminate(kernel, members, num)
+        return eliminate(rows, den, members, num)
 
     monkeypatch.setattr(markov, "_eliminate", spy)
     return calls
@@ -426,11 +428,35 @@ def test_failed_certificate_doubles_the_precision(precisions, monkeypatch):
     _float_pass_fails(monkeypatch)
     monkeypatch.setattr(markov, "_recover", off_by_one_at_32_digits)
     monkeypatch.setattr(markov, "_is_stationary", spy)
-    ker = build_multi(WeylKind("Ccheck", 2), 2)
+    # B3's 24-block quotient has its tree-theorem rung past 32 digits, so a
+    # law that fails at 32 digits is retried at 64
+    ker = build_multi(WeylKind("B", 3), 3)
     pi = exact_stationary(ker)
     assert pi == _oracle_law(ker)
     assert certificates == [False, True]
     assert precisions == [32, 64]
+
+
+def test_the_ladder_ends_at_the_tree_theorem_rung(precisions, monkeypatch):
+    # D4's quotient has 24 blocks and a tree-theorem bound B of 38 digits, so
+    # (24 + 16) * 10**(1-p) * B**2 < 1/4 first holds at a rung of 128 digits;
+    # a certificate that refuses every law is a fault there, not a hang
+    monkeypatch.setattr(markov, "_is_stationary", lambda kernel, pi_idx: False)
+    with pytest.raises(RuntimeError, match="^no law of the 24 solved states passed "
+                                           "the certificate at 128 digits$"):
+        exact_stationary(build_multi(WeylKind("D", 4), 4))
+    assert precisions == [32, 64, 128]
+
+
+@pytest.mark.parametrize("n, n0, alpha, beta, rungs",
+                         [(6, 0, R(2, 3), R(3, 5), [32]), (7, 0, R(9, 10), R(7, 9), [32, 64])])
+def test_semipermeable_laws_climb_the_ladder(precisions, n, n0, alpha, beta, rungs):
+    # the floats cannot pin these laws, so the decimal pass reads them off
+    pi = exact_stationary(build_semipermeable(n, n0, alpha, beta))
+    assert precisions == rungs
+    for j in range(1, n + 1):
+        density = sum((p for w, p in pi.items() if w[j - 1] == 1), ZERO)
+        assert density == semiperm_density(n, n0, j, alpha, beta)
 
 
 def test_underflowing_rate_falls_back_to_decimal(precisions):
@@ -464,9 +490,9 @@ def test_small_laws_never_reach_the_fallback(precisions, monkeypatch, build, siz
     solved, certified = [], []
     eliminate, certify = markov._eliminate, markov._is_stationary
 
-    def eliminate_spy(ker, members, num):
+    def eliminate_spy(rows, den, members, num):
         solved.append(len(members))
-        return eliminate(ker, members, num)
+        return eliminate(rows, den, members, num)
 
     def certify_spy(ker, pi_idx):
         certified.append(ker)

@@ -2,7 +2,8 @@ import pytest
 
 import weyltasep.closedform as cf
 from weyltasep.errors import RangeError
-from weyltasep.verify import suite_conjecture_b, suite_identities, suite_tables, suite_tworow
+from weyltasep.verify import (suite_conjecture_b, suite_identities, suite_lumping, suite_tables,
+                              suite_tworow)
 
 
 @pytest.mark.parametrize(
@@ -33,6 +34,19 @@ def test_identities_rejects_sizes_that_check_nothing(kwargs, message):
 def test_tworow_rejects_sizes_that_check_nothing(kwargs, message):
     with pytest.raises(RangeError, match=message):
         suite_tworow(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "suite,kwargs,message",
+    [
+        (suite_lumping, {"n_max": 1}, "the lumping suite needs n_max >= 2, got 1"),
+        (suite_conjecture_b, {"n": 1}, "the conjecture-b suite needs n >= 2, got 1"),
+    ],
+    ids=["lumping", "conjecture-b"],
+)
+def test_rank_suites_reject_sizes_that_check_nothing(suite, kwargs, message):
+    with pytest.raises(RangeError, match=message):
+        suite(**kwargs)
 
 
 def test_smallest_accepted_sizes_pass():
