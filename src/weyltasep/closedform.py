@@ -11,6 +11,13 @@ solved here.  ``pair_correlations`` reads the two-cut chains.  One reader of
 the highest-root wall serves both exact direction routes: it takes the laws
 of the n one-cut chains, from that cache in ``limdir_exact_lam`` and off the
 two-row product form in Bcheck's closed form.
+
+Colouring every letter below a cut as 0 lumps a multispecies chain onto the
+two-species chain with that many zeros, so a quantity of species i is the
+difference of two-species quantities at the zero counts |i| - 1 and |i|.
+The D hook sums are read that way off ``d_pair_table``, and C's direction
+off the semipermeable last-site density at rates 1/2 (the difference that
+``ccheck_last_density`` takes at rate 1).
 """
 from __future__ import annotations
 
@@ -177,17 +184,6 @@ def ccheck_last_density(n: int, i: int):
     return semiperm_density(n, i - 1, n, 1, 1) - semiperm_density(n, i, n, 1, 1)
 
 
-@dataclass(frozen=True)
-class CorrelationTable:
-    """Exact probabilities of value pairs at the two final sites."""
-
-    entries: dict
-    z: object
-
-    def cell(self, i, j):
-        return self.entries.get((i, j), ZERO)
-
-
 def _check_two_species(family: str, n: int, n0: int) -> None:
     """The ranges of the B and D two-species chains: n >= 2 and 0 <= n0 <= n."""
     if n < 2:
@@ -202,8 +198,8 @@ def z_b(n: int, n0: int) -> int:
     return comb(2 * n, n - n0)
 
 
-def b_pair_table(n: int, n0: int) -> CorrelationTable:
-    """Final-pair probabilities of the B-type two-species process.
+def b_pair_table(n: int, n0: int) -> dict:
+    """Final-pair probabilities of the B-type two-species process, by value pair.
 
     A formula of the paper; the tests check each cell against the exact chain.
     """
@@ -219,8 +215,7 @@ def b_pair_table(n: int, n0: int) -> CorrelationTable:
         (1, 0): ballot0(n + n0 - 2, n - n0 - 1),
         (1, 1): 2 * comb0(2 * n - 3, n - n0 - 2),
     }
-    entries = {ij: R(v, z) for ij, v in raw.items()}
-    return CorrelationTable(entries, R(z))
+    return {ij: R(v, z) for ij, v in raw.items()}
 
 
 def z_d(n: int, n0: int) -> int:
@@ -234,42 +229,45 @@ def z_d(n: int, n0: int) -> int:
     )
 
 
-def _d_cell_00(n: int, n0: int) -> int:
-    # A (0, 0) ending needs two zeros; the binomial alone misses that at n0=1.
-    return comb0(2 * n - 4, n - n0) if n0 >= 2 else 0
-
-
-def _d_cell_m0(n: int, n0: int) -> int:
-    # Column-0 complement: <0 at last> carries weight comb(2n-2, n-n0).
-    return comb0(2 * n - 2, n - n0) - _d_cell_00(n, n0) - comb0(2 * n - 4, n - n0 - 1)
-
-
-def d_pair_table(n: int, n0: int) -> CorrelationTable:
-    """Final-pair probabilities of the D-type two-species process (n0 >= 1).
+def d_pair_table(n: int, n0: int) -> dict:
+    """Final-pair probabilities of the D-type two-species process (n >= 3, n0 >= 1).
 
     The +-1 column is shared: a 1 and a -1 at the last site are equally
     likely.  The (0,0) and (-1,0) cells vanish/adjust at n0 = 1, where a
-    double-zero ending does not exist.  A formula of the paper; the tests
-    check each cell against the exact chain.
+    double-zero ending does not exist.  Rank 2 is refused: there the cells
+    contradict the exact D2 chain.  A formula of the paper; the tests check
+    each cell against the exact chain.
     """
+    if n < 3:
+        raise RangeError("needs n >= 3")
     if not 1 <= n0 <= n:
         raise RangeError("the pair table needs n0 >= 1")
     z = z_d(n, n0)
-    minus_pm = _d_sum_minus(n, n0)
-    plus_pm = _d_sum_plus(n, n0)
+    # total weight of the words ending (-1, +-1) and (1, +-1), one sign each
+    minus_pm = sum(
+        comb0(2 * j - 2, j) * comb0(2 * n - 2 * j - 2, n - j - n0)
+        for j in range(2, n - n0 + 1)
+    )
+    plus_pm = sum(
+        comb(2 * j, j) * comb0(2 * n - 2 * j - 4, n - j - n0 - 1)
+        for j in range(1, n - n0)
+    )
+    zero_pm = comb0(2 * n - 4, n - n0 - 1)
+    # A (0, 0) ending needs two zeros; the binomial alone misses that at n0=1.
+    zero_zero = comb0(2 * n - 4, n - n0) if n0 >= 2 else 0
     raw = {
         (-1, -1): minus_pm,
         (-1, 1): minus_pm,
-        (-1, 0): _d_cell_m0(n, n0),
-        (0, -1): comb0(2 * n - 4, n - n0 - 1),
-        (0, 1): comb0(2 * n - 4, n - n0 - 1),
-        (0, 0): _d_cell_00(n, n0),
+        # Column-0 complement: <0 at last> carries weight comb(2n-2, n-n0).
+        (-1, 0): comb0(2 * n - 2, n - n0) - zero_zero - zero_pm,
+        (0, -1): zero_pm,
+        (0, 1): zero_pm,
+        (0, 0): zero_zero,
         (1, -1): plus_pm,
         (1, 1): plus_pm,
-        (1, 0): comb0(2 * n - 4, n - n0 - 1),
+        (1, 0): zero_pm,
     }
-    entries = {ij: R(v, z) for ij, v in raw.items()}
-    return CorrelationTable(entries, R(z))
+    return {ij: R(v, z) for ij, v in raw.items()}
 
 
 @dataclass(frozen=True)
@@ -283,7 +281,13 @@ class HookSums:
 def multi_sums(family: str, n: int, i: int) -> HookSums:
     """Closed row/column/hook sums of final-pair correlations, families B, D.
 
-    A formula of the paper; the acceptance tests check it against the exact chain.
+    Over the final pairs (x, y): row = P(x = i), col = P(y = i) and, for
+    i > 0, hd and hu sum P(i, -j) + P(j, -i) and P(-j, i) + P(-i, j) over
+    j > i.  B's are explicit polynomials of the paper.  D's are read off
+    ``d_pair_table`` at the zero counts |i| - 1 and |i|: col from the
+    marginal of a last -1, row from that of a next-to-last sign(i), hd and
+    hu from the cells (1, 1) and (-1, 1).  The tests check both against
+    the exact chain.
     """
     if i == 0 or abs(i) > n:
         raise RangeError(f"species {i} outside +-1..{n}")
@@ -312,58 +316,25 @@ def multi_sums(family: str, n: int, i: int) -> HookSums:
     raise UnsupportedRange(f"no closed hook sums for family {family}")
 
 
-def _d_sum_minus(n: int, m: int) -> int:
-    # total weight of words ending (-1, +-1), one sign, scaled by z_d(n, m)
-    return sum(
-        comb0(2 * j - 2, j) * comb0(2 * n - 2 * j - 2, n - j - m)
-        for j in range(2, n - m + 1)
-    )
-
-
-def _d_sum_plus(n: int, m: int) -> int:
-    # total weight of words ending (1, +-1), one sign, scaled by z_d(n, m)
-    return sum(
-        comb(2 * j, j) * comb0(2 * n - 2 * j - 4, n - j - m - 1)
-        for j in range(1, n - m)
-    )
-
-
-def _d_pen_minus(n: int, n0: int):
-    """P(-1 at the next-to-last site) in the D-type two-species process."""
-    if n0 == 0:
-        # Even-signs class of the zero-free chain: both signs are equally
-        # likely at every boundary site.
-        return R(1, 2)
-    return R(2 * _d_sum_minus(n, n0) + _d_cell_m0(n, n0), z_d(n, n0))
+# The pair table at zero count 0: the zero-free D chain is uniform on its
+# 2^(n-1) even-sign words, so each final sign pair has probability 1/4.
+_D_QUARTERS = {pair: R(1, 4) for pair in product((-1, 1), repeat=2)}
 
 
 def _multi_sums_d(n: int, i: int) -> HookSums:
-    m = abs(i)
-    if m == 1:
-        col = R(comb(2 * n - 2, n - 1), 2 ** (2 * n - 1))
-    else:
-        col = R(comb0(2 * n - 2, n - m), 2 * z_d(n, m)) - R(
-            comb0(2 * n - 2, n - m + 1), 2 * z_d(n, m - 1)
-        )
-    if i == 1:
-        row = R(comb(2 * n - 4, n - 2), 4 ** (n - 1))
-    elif i < 0:
-        row = _d_pen_minus(n, m - 1) - _d_pen_minus(n, m)
-    else:
-        row = R(
-            2 * _d_sum_plus(n, i - 1) + comb0(2 * n - 4, n - i), z_d(n, i - 1)
-        ) - R(2 * _d_sum_plus(n, i) + comb0(2 * n - 4, n - i - 1), z_d(n, i))
+    m, sign = abs(i), 1 if i > 0 else -1
+    tables = (_D_QUARTERS if m == 1 else d_pair_table(n, m - 1), d_pair_table(n, m))
+
+    def step(cells: list):
+        # the marginal over these cells at zero count m - 1 minus that at m
+        upper, lower = (exact_sum(t.get(c, ZERO) for c in cells) for t in tables)
+        return upper - lower
+
+    col = step([(x, -1) for x in (-1, 0, 1)])
+    row = step([(sign, y) for y in (-1, 0, 1)])
     if i < 0:
         return HookSums(row, col, None, None)
-    if i == 1:
-        hd = R(comb(2 * n - 4, n - 2), 4 ** (n - 1))
-        hu = R(comb(2 * n - 3, n - 2), 4 ** (n - 1))
-    else:
-        hd = R(_d_sum_plus(n, i - 1), z_d(n, i - 1)) - R(_d_sum_plus(n, i), z_d(n, i))
-        hu = R(_d_sum_minus(n, i - 1), z_d(n, i - 1)) - R(
-            _d_sum_minus(n, i), z_d(n, i)
-        )
-    return HookSums(row, col, hd, hu)
+    return HookSums(row, col, step([(1, 1)]), step([(-1, 1)]))
 
 
 def b_first_site(n: int, k: int):
@@ -508,19 +479,6 @@ def _lifted_law(kind: WeylKind, n0: int) -> dict:
     return {u: top[v] / share[v] for u, v in zip(words, lifts)}
 
 
-def _limdir_c(n: int) -> DirectionVector:
-    half = R(1, 2)
-
-    def dens(n0: int):
-        if n0 > n - 1:
-            return ZERO
-        return 2 * _z_semiperm(n - 1, n0, half, half) / z_semiperm(n, n0, half, half)
-
-    return DirectionVector(
-        tuple(dens(i - 1) - dens(i) for i in range(1, n + 1))
-    )
-
-
 def limdir_closed(kind: WeylKind, n: int) -> DirectionVector:
     """Closed-form limiting direction for any of the five families."""
     fam = kind.family
@@ -538,15 +496,16 @@ def limdir_closed(kind: WeylKind, n: int) -> DirectionVector:
         coeffs = [ZERO]
         for i in range(2, n + 1):
             first = R(i - 1, n + i - 2) * comb0(2 * n - 3, n - i) / z_d(n, i)
-            second = (
-                R(i - 2, n + i - 3) * comb0(2 * n - 3, n - i + 1) / z_d(n, i - 1)
-                if i > 2
-                else ZERO
-            )
+            second = R(i - 2, n + i - 3) * comb0(2 * n - 3, n - i + 1) / z_d(n, i - 1)
             coeffs.append(first - second)
         return DirectionVector(tuple(coeffs))
     if fam == "C":
-        return _limdir_c(n)
+        # the semipermeable last-site difference of ccheck_last_density, at rates 1/2
+        half = R(1, 2)
+        return DirectionVector(tuple(
+            semiperm_density(n, i - 1, n, half, half) - semiperm_density(n, i, n, half, half)
+            for i in range(1, n + 1)
+        ))
     if fam == "Bcheck":
         bkind = WeylKind(fam, n)
         return _tail_direction(bkind, lambda i: _lifted_law(bkind, i - 1))

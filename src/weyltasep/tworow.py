@@ -406,7 +406,7 @@ def _label_histograms(n: int) -> tuple[tuple[tuple[LabelCounts, int], ...], ...]
 
 def _label_histogram(n: int, n0: int) -> tuple[tuple[LabelCounts, int], ...]:
     """Each label vector of the (n, n0) space with the number of configurations carrying it."""
-    if not 0 <= n0 <= n:  # a bad width raises in the transfer
+    if n < 1 or not 0 <= n0 <= n:
         raise InvalidCounts(f"bad sizes n={n}, n0={n0}")
     return _label_histograms(n)[n0]
 

@@ -8,7 +8,6 @@ import io
 import json
 import time
 from contextlib import redirect_stdout
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,7 +17,7 @@ import weyltasep.closedform as cf
 from weyltasep.cli import main
 from weyltasep.markov import exact_stationary
 from weyltasep.models import build_multi
-from weyltasep.ratio import R, ZERO
+from weyltasep.ratio import R, ZERO, parse_ratio
 from weyltasep.verify import (
     TABLE_B_PAIRS_N4,
     suite_conjecture_b,
@@ -65,11 +64,6 @@ def tables_report():
     return suite_tables()
 
 
-def _frac(text):
-    f = Fraction(text)
-    return R(f.numerator, f.denominator)
-
-
 def test_criterion_01_pair_correlation_table_rank4():
     t0 = time.time()
     kernel = build_multi(WeylKind("B", 4), 4)
@@ -81,8 +75,8 @@ def test_criterion_01_pair_correlation_table_rank4():
     elapsed = time.time() - t0
     for i, cells in TABLE_B_PAIRS_N4.items():
         for j, text in zip((-4, -3, -2, -1), cells):
-            assert corr.get((i, j), ZERO) == _frac(text), (i, j)
-            assert corr.get((i, -j), ZERO) == _frac(text), (i, -j)
+            assert corr.get((i, j), ZERO) == parse_ratio(text), (i, j)
+            assert corr.get((i, -j), ZERO) == parse_ratio(text), (i, -j)
     assert corr.get((-3, -2)) == R(19, 448)
     assert corr.get((2, -3)) == R(3, 56)
     assert corr.get((3, -4)) == R(13, 224)

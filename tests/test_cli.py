@@ -322,6 +322,7 @@ def test_zero_counts_rejected(capsys, argv):
         (["partition", "--model", "d", "--n", "1"], "D two-species process needs rank n >= 2, got 1"),
         (["partition", "--model", "b", "--n", "-2"],
          "B two-species process needs rank n >= 2, got -2"),
+        (["partition", "--model", "tworow", "--n", "0"], "bad sizes n=0, n0=0"),
         (["corr", "--kind", "ccheck", "--n", "1"], "correlations need rank n >= 2, got 1"),
         (["corr", "--kind", "c", "--n", "1"], "correlations need rank n >= 2, got 1"),
         (["stationary", "--model", "dstar", "--n", "3", "--decimal", "3"],
@@ -359,7 +360,8 @@ def test_zero_counts_rejected(capsys, argv):
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
          "partition-semiperm-rank-0", "partition-semiperm-negative-rank",
          "stationary-semiperm-rank-0", "stationary-semiperm-negative-rank",
-         "partition-d-rank-1", "partition-b-negative-rank", "corr-ccheck-rank-1",
+         "partition-d-rank-1", "partition-b-negative-rank", "partition-tworow-rank-0",
+         "corr-ccheck-rank-1",
          "corr-c-rank-1",
          "stationary-decimal", "walk-decimal", "verify-lumping-negative-n-max",
          "verify-lumping-n-max-1", "verify-conjecture-b-n-max-1", "verify-negative-k-max",

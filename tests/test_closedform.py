@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import product
 
 import pytest
 
@@ -152,18 +153,18 @@ def test_ccheck_last_density():
 def test_b_partition_and_pair_table():
     assert cf.z_b(4, 1) == 56 == math.comb(8, 3)
     tab = cf.b_pair_table(3, 2)
-    assert tab.cell(0, 0) == R(2, 6)
+    assert tab[(0, 0)] == R(2, 6)
     for n, n0 in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 0), (4, 4)):
         tab = cf.b_pair_table(n, n0)
-        assert tab.cell(1, -1) == R(2 * cf.comb0(2 * n - 3, n - n0 - 2), cf.z_b(n, n0))
+        assert tab[(1, -1)] == R(2 * cf.comb0(2 * n - 3, n - n0 - 2), cf.z_b(n, n0))
         pi = exact_stationary(build_cut_chain(WeylKind("B", n), (n0 + 1,)))
         exact = {}
         for w, p in pi.items():
             exact[(w[-2], w[-1])] = exact.get((w[-2], w[-1]), ZERO) + p
-        for ij, p in tab.entries.items():
+        for ij, p in tab.items():
             assert exact.get(ij, ZERO) == p
         # single-site densities from the margins
-        plus = sum((p for (a, b), p in tab.entries.items() if b == 1), ZERO)
+        plus = sum((p for (a, b), p in tab.items() if b == 1), ZERO)
         assert plus == R(n - n0, 2 * n)
 
 
@@ -177,10 +178,24 @@ def test_d_partition_and_pair_table():
         exact = {}
         for w, p in pi.items():
             exact[(w[-2], w[-1])] = exact.get((w[-2], w[-1]), ZERO) + p
-        for ij, p in tab.entries.items():
+        for ij, p in tab.items():
             assert exact.get(ij, ZERO) == p
     with pytest.raises(RangeError):
         cf.d_pair_table(4, 0)
+    # At rank 2 the cells would contradict the exact D2 chain.
+    with pytest.raises(RangeError, match="needs n >= 3"):
+        cf.d_pair_table(2, 1)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_zero_free_d_chain_is_uniform(n):
+    # The pair table at zero count 0 that the D hook sums read.
+    pi = exact_stationary(build_cut_chain(WeylKind("D", n), (1,)))
+    assert len(pi) == 2 ** (n - 1) and set(pi.values()) == {R(1, 2 ** (n - 1))}
+    pairs = {}
+    for w, p in pi.items():
+        pairs[w[-2:]] = pairs.get(w[-2:], ZERO) + p
+    assert pairs == {pair: R(1, 4) for pair in product((-1, 1), repeat=2)}
 
 
 def test_partition_generating_series():
@@ -201,6 +216,24 @@ def test_hook_sums_closed_forms():
             assert (closed.row, closed.col) == (exact.row, exact.col)
             if i > 0:
                 assert (closed.hd, closed.hu) == (exact.hd, exact.hu)
+
+
+def test_b_hook_sums_are_pair_table_differences():
+    # Colouring the letters below a cut as 0 lumps the B chain onto the
+    # two-species chain with that many zeros; species i sits between the
+    # zero counts |i| - 1 and |i|.
+    for n in range(2, 13):
+        for i in [*range(-n, 0), *range(1, n + 1)]:
+            upper, lower = cf.b_pair_table(n, abs(i) - 1), cf.b_pair_table(n, abs(i))
+
+            def step(cells):
+                return sum((upper.get(c, ZERO) - lower.get(c, ZERO) for c in cells), ZERO)
+
+            sums, sign = cf.multi_sums("B", n, i), 1 if i > 0 else -1
+            assert sums.col == step([(x, -1) for x in (-1, 0, 1)]), (n, i)
+            assert sums.row == step([(sign, y) for y in (-1, 0, 1)]), (n, i)
+            if i > 0:
+                assert (sums.hd, sums.hu) == (step([(1, 1)]), step([(-1, 1)])), (n, i)
 
 
 def test_first_site_densities():

@@ -583,7 +583,7 @@ def test_label_histogram_matches_enumeration_oracle(n):
 
 def test_label_histogram_rejects_bad_sizes():
     for n, n0 in ((0, 0), (3, 4), (3, -1)):
-        with pytest.raises(InvalidCounts):
+        with pytest.raises(InvalidCounts, match=f"^bad sizes n={n}, n0={n0}$"):
             tr.partition_sum(n, n0, POINTS[0])
 
 
