@@ -36,10 +36,20 @@ is one table lookup.  An accepted one reflects z by s_g, clears g, whose
 wall y has just crossed, and recomputes the table at the other Dynkin
 neighbours of g only.  The window, y and the point x = u(x0) are decoded
 only when they are asked for.
+
+An accepted step took about 95% of the time of a generic loop, almost all
+of it interpreter overhead: subscripts of z, unpacking the move of g and
+looping over the refresh terms.  So the loop is written out as Python
+source once per family and rank and compiled (`_compile_loop`): z lives in
+locals, and each generator runs its own straight-line branch with its swap,
+shift and wall tests as integer literals, picked by a balanced comparison
+tree on g.  The fundamental point comes from one inverse of the simple-root
+matrix, so setting up a rank-128 walk takes a fraction of a second.
 """
 from __future__ import annotations
 
 import math
+import operator
 import os
 import random
 from dataclasses import dataclass
@@ -48,7 +58,7 @@ from itertools import chain
 
 from .closedform import DirectionVector, limdir_closed
 from .errors import NonGenericPoint, UnsupportedRange
-from .ratio import R
+from .ratio import R, exact_sum
 from .weyl import (
     WeylKind, alcove_walls, apply_generator, identity_window, kac_weights, root_data
 )
@@ -59,43 +69,53 @@ def fundamental_point(kind: WeylKind, n: int) -> tuple:
     """Barycenter of the fundamental alcove, as exact fractions.
 
     The alcove is the simplex cut out by the simple-root half-spaces and
-    the affine wall of the highest root; the barycenter of its vertices is
-    generic for every family considered here.
+    the affine wall of the highest root.  Its vertices are 0 and, for each
+    i, omega_i / <theta, omega_i>, the point on every wall but alpha_i's,
+    where omega is the dual basis of the simple roots (<alpha_j, omega_i>
+    is 1 at j = i and 0 elsewhere).  The omega_i are the columns of the
+    inverse of the simple-root matrix, so one elimination gives every
+    vertex.  The barycenter is generic for every family considered here.
     """
     kind = WeylKind(kind.family, n)
     rs = root_data(kind)
-    rows = [list(a) for a in rs.simple_roots] + [list(rs.theta)]
-    rhs = [0] * n + [1]
-    vertices = []
-    for drop in range(n + 1):
-        sub = [rows[i] for i in range(n + 1) if i != drop]
-        b = [rhs[i] for i in range(n + 1) if i != drop]
-        vertices.append(_solve_exact(sub, b))
+    omega = _inverse_columns(rs.simple_roots)  # the simple roots are a basis
+    theta = [(i, c) for i, c in enumerate(rs.theta) if c]
+    heights = [sum(c * w[i] for i, c in theta) for w in omega]
+    if 0 in heights:  # theta lies in the span of the other simple roots: no vertex i
+        raise UnsupportedRange("the alcove walls are linearly dependent (as for D2)")
     bary = tuple(
-        sum((v[j] for v in vertices), R(0)) / (n + 1) for j in range(n)
+        exact_sum(w[j] / h for w, h in zip(omega, heights)) / (n + 1) for j in range(n)
     )
+    d = math.lcm(*(v.denominator for v in bary))
+    xs = [v.numerator * (d // v.denominator) for v in bary]
     for alpha in rs.positive_roots:
-        pairing = sum(R(c) * x for c, x in zip(alpha, bary))
-        if pairing.denominator == 1:
+        if sum(map(operator.mul, alpha, xs)) % d == 0:
             raise NonGenericPoint(f"barycenter meets a wall of root {alpha}")
     return bary
 
 
-def _solve_exact(rows, rhs):
+def _inverse_columns(rows) -> list:
+    """The columns of the inverse of an invertible integer matrix, by Gauss-Jordan.
+
+    A row operation skips the zero entries of the pivot row and leaves the
+    rows with a zero in the pivot column alone, so the near-bidiagonal
+    simple-root matrices cost O(n^2) Fraction operations, not O(n^3).
+    """
     n = len(rows)
-    a = [[R(x) for x in row] + [R(b)] for row, b in zip(rows, rhs)]
+    a = [[R(x) for x in row] + [R(int(i == r)) for i in range(n)] for r, row in enumerate(rows)]
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise UnsupportedRange("the alcove walls are linearly dependent (as for D2)")
+        piv = next(r for r in range(col, n) if a[r][col])
         a[col], a[piv] = a[piv], a[col]
         inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        pivot = a[col] = [x * inv if x else x for x in a[col]]
+        live = [(j, y) for j, y in enumerate(pivot) if y]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(a[r][n] for r in range(n))
+            f = a[r][col]
+            if r != col and f:
+                row = a[r]
+                for j, y in live:
+                    row[j] -= f * y
+    return [[a[r][n + i] for r in range(n)] for i in range(n)]
 
 
 def separation_count(x, kind: WeylKind, n: int) -> int:
@@ -144,18 +164,20 @@ def _byte_table(kind: WeylKind) -> tuple:
 
 @lru_cache(maxsize=None)
 def _walk_tables(kind: WeylKind, n: int):
-    """Scale d, packing modulus m, scaled base point x0, moves and byte table.
+    """Scale d, packing modulus m, scaled base point x0, walk loop and byte table.
 
     The byte table (`_byte_table`) comes first: a family whose step weights
-    do not fit in a byte fails before any geometry is computed.
+    do not fit in a byte fails before any geometry is computed or any code
+    generated.
 
-    moves[g] = (p, q, s, tp, tq, refresh).  Right multiplication by s_g maps
-    entries p, q of the packed list z to s times each other (p == q negates
-    one entry); the affine generator then adds its shift, tp at p and tq at
-    q (zero for the finite generators).  refresh holds (h, i0, c0, i1, c1,
-    lev) for every Dynkin neighbour h != g of g, with wall h oriented to
-    x0's side at level l: h is an ascent iff c0*y[i0] + c1*y[i1] > l, that
-    is iff c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
+    The walk loop is `_compile_loop` of the moves.  moves[g] = (p, q, s, tp,
+    tq, refresh).  Right multiplication by s_g maps entries p, q of the
+    packed list z to s times each other (p == q negates one entry); the
+    affine generator then adds its shift, tp at p and tq at q (zero for the
+    finite generators).  refresh holds (h, i0, c0, i1, c1, lev) for every
+    Dynkin neighbour h != g of g, with wall h oriented to x0's side at level
+    l: h is an ascent iff c0*y[i0] + c1*y[i1] > l, that is iff
+    c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
     """
     kind = WeylKind(kind.family, n)
     table, delete = _byte_table(kind)
@@ -187,7 +209,58 @@ def _walk_tables(kind: WeylKind, n: int):
             if h != g and sum(a * b for a, b in zip(alpha, beta))
         )
         moves.append((p, q, 1 if win[p] > 0 else -1, tp, tq, refresh))
-    return d, m, x0, tuple(moves), table, delete
+    return d, m, x0, _compile_loop(kind, moves), table, delete
+
+
+def _compile_loop(kind: WeylKind, moves):
+    """advance(z, asc, proposals) for one family and rank, written out and compiled.
+
+    z is unpacked into the locals z0..z{n-1} and written back on exit; the
+    branch of an accepted g, its move as integer literals, is picked by a
+    balanced comparison tree (a flat if/elif chain costs O(n) tests per
+    step and lost to a generic loop from rank 60 on).  asc stays a list.
+    """
+    n = len(moves) - 1
+
+    def affine(terms, const=0):
+        """Source of sum(c * z_i for c, i in terms) + const, zero terms left out."""
+        out = ""
+        for c, i in terms:
+            if c:
+                mag = f"z{i}" if abs(c) == 1 else f"{abs(c)} * z{i}"
+                sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+                out += sign + mag
+        return out + (f" + {const}" if const > 0 else f" - {-const}" if const < 0 else "")
+
+    def branch(lo, hi, pad):
+        if hi - lo > 1:
+            mid = (lo + hi) // 2
+            return [f"{pad}if g < {mid}:", *branch(lo, mid, pad + "    "),
+                    f"{pad}else:", *branch(mid, hi, pad + "    ")]
+        p, q, s, tp, tq, refresh = moves[lo]
+        if p == q:
+            lines = [f"{pad}z{p} = {affine([(s, p)], tq)}"]
+        else:
+            lines = [f"{pad}z{p}, z{q} = {affine([(s, q)], tp)}, {affine([(s, p)], tq)}"]
+        lines += [f"{pad}asc[{h}] = {affine([(c0, i0), (c1, i1)])} > {lev}"
+                  for h, i0, c0, i1, c1, lev in refresh]
+        return lines + [f"{pad}asc[{lo}] = False"]
+
+    names = ", ".join(f"z{i}" for i in range(n)) + ","
+    source = "\n".join([
+        "def advance(z, asc, proposals):",
+        f"    {names} = z",
+        "    accepted = 0",
+        "    for g in proposals:",
+        "        if asc[g]:",
+        *branch(0, n + 1, " " * 12),
+        "            accepted += 1",
+        f"    z[:] = {names}",
+        "    return accepted",
+    ])
+    namespace: dict = {}
+    exec(compile(source, f"<walk loop {kind.family}{n}>", "exec"), namespace)
+    return namespace["advance"]
 
 
 @dataclass
@@ -236,23 +309,13 @@ def initial_state(kind: WeylKind, n: int) -> WalkState:
 def _advance(state: WalkState, proposals) -> int:
     """Run the proposed generators in order; returns how many were accepted.
 
-    A held proposal costs one table lookup.  An accepted one moves the state,
-    clears g and refreshes the ascent table at the other Dynkin neighbours of
-    g only: for h with s_g s_h = s_h s_g, u s_g (alpha_h) = u (alpha_h), so h
-    keeps its status.
+    The loop is the one `_compile_loop` generated for the state's family and
+    rank.  A held proposal costs one table lookup.  An accepted one moves
+    the state, clears g and refreshes the ascent table at the other Dynkin
+    neighbours of g only: for h with s_g s_h = s_h s_g, u s_g (alpha_h) =
+    u (alpha_h), so h keeps its status.
     """
-    moves = _walk_tables(state.kind, state.n)[3]
-    z, asc = state.z, state.asc
-    accepted = 0
-    for g in proposals:
-        if asc[g]:
-            p, q, s, tp, tq, refresh = moves[g]
-            z[p], z[q] = s * z[q] + tp, s * z[p] + tq
-            for h, i0, c0, i1, c1, lev in refresh:
-                asc[h] = c0 * z[i0] + c1 * z[i1] > lev
-            asc[g] = False
-            accepted += 1
-    return accepted
+    return _walk_tables(state.kind, state.n)[3](state.z, state.asc, proposals)
 
 
 def derive_stream(seed: int, trial: int) -> int:
@@ -277,7 +340,7 @@ def _proposals(kind: WeylKind, n: int, steps: int, seed: int, trial: int = 0):
     the chunks are chained and the last one is cut at `steps` values, so a
     shorter walk proposes a prefix of what a longer one proposes.
     """
-    table, delete = _walk_tables(kind, n)[4:]
+    table, delete = _walk_tables(kind, n)[4:6]
     bits = random.Random(derive_stream(seed, trial)).getrandbits
 
     def chunks(left):

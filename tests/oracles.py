@@ -24,7 +24,9 @@ exponent histograms by walking every step word instead of a transfer over
 steps, the alcove walk on two lists (window and y) with a full ascent
 refresh instead of one packed list, walk proposals from a float CDF and
 bisection instead of a byte table, the separation count in Fractions
-instead of integers scaled by a common denominator, and the highest-root
+instead of integers scaled by a common denominator, the fundamental
+point from one elimination per alcove vertex instead of one inverse of
+the simple-root matrix, and the highest-root
 direction summed over the full multispecies law instead of the tails of
 the one-cut chains, final-pair correlations tallied over the full
 multispecies law instead of read off the two-cut chains by
@@ -49,7 +51,7 @@ from functools import lru_cache
 
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
-from weyltasep.errors import NonGenericPoint, ZeroParameter
+from weyltasep.errors import NonGenericPoint, UnsupportedRange, ZeroParameter
 from weyltasep.markov import Dist, Kernel, exact_stationary
 from weyltasep.models import STAR, build_multi, state_sort_key
 from weyltasep.ratio import R, parse_ratio
@@ -657,13 +659,50 @@ def bicolored_motzkin_sum(k: int, alpha, beta) -> Fraction:
 # --- alcove walk on two lists ------------------------------------------------
 
 
+def fundamental_point_by_vertices(kind: WeylKind, n: int) -> tuple:
+    """Barycenter of the fundamental alcove, one exact elimination per vertex.
+
+    Vertex k solves the n of the n + 1 wall equations (the simple roots at
+    0, theta at 1) that leave out wall k, by Gauss-Jordan over Fractions;
+    the walls are dependent (UnsupportedRange) when one of those systems is
+    singular.  The genericity test takes every root pairing in Fractions.
+    """
+    kind = WeylKind(kind.family, n)
+    rs = root_data(kind)
+    rows = [list(a) for a in rs.simple_roots] + [list(rs.theta)]
+    rhs = [0] * n + [1]
+    vertices = []
+    for drop in range(n + 1):
+        a = [[Fraction(x) for x in rows[i]] + [Fraction(rhs[i])]
+             for i in range(n + 1) if i != drop]
+        for col in range(n):
+            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+            if piv is None:
+                raise UnsupportedRange("the alcove walls are linearly dependent (as for D2)")
+            a[col], a[piv] = a[piv], a[col]
+            inv = 1 / a[col][col]
+            a[col] = [x * inv for x in a[col]]
+            for r in range(n):
+                if r != col and a[r][col] != 0:
+                    f = a[r][col]
+                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+        vertices.append([a[r][n] for r in range(n)])
+    bary = tuple(sum((v[j] for v in vertices), Fraction(0)) / (n + 1) for j in range(n))
+    for alpha in rs.positive_roots:
+        if sum(Fraction(c) * x for c, x in zip(alpha, bary)).denominator == 1:
+            raise NonGenericPoint(f"barycenter meets a wall of root {alpha}")
+    return bary
+
+
 def two_list_walk(kind: WeylKind, n: int, proposals):
     """The alcove walk on two lists, the inverse window and y, with full refresh.
 
-    The kernel `walk._advance` replaced: an accepted generator g swaps the
-    same two entries in both lists, adds the affine shift entry by entry and
-    re-tests every Dynkin neighbour of g, g itself included.  Returns the
-    accepted count, the window, y (scaled by d) and the point u(x0).
+    The kernel the packed walk replaced, and the reference for the loop
+    `walk._advance` runs, generated per family and rank: an accepted
+    generator g swaps the same two entries in both lists, adds the affine
+    shift entry by entry and re-tests every Dynkin neighbour of g, g itself
+    included.  Returns the accepted count, the window, y (scaled by d), the
+    point u(x0) and the ascent table.
     """
     kind = WeylKind(kind.family, n)
     rs = root_data(kind)
@@ -707,7 +746,7 @@ def two_list_walk(kind: WeylKind, n: int, proposals):
             x[a - 1] += x0[i] - y[i]
         else:
             x[-a - 1] -= x0[i] - y[i]
-    return accepted, winv, y, tuple(Fraction(v, d) for v in x)
+    return accepted, winv, y, tuple(Fraction(v, d) for v in x), asc
 
 
 def float_cdf_proposals(kind: WeylKind, n: int, steps: int, seed: int) -> list:

@@ -46,6 +46,18 @@ from weyltasep.weyl import (
 B2 = WeylKind("B", 2)
 
 
+@pytest.mark.parametrize("family", ["B", "C", "D", "Bcheck", "Ccheck"])
+def test_fundamental_point_matches_the_vertex_oracle(family):
+    for n in range(2 if family == "D" else 1, 11):
+        kind = WeylKind(family, n)
+        if (family, n) == ("D", 2):
+            for route in (fundamental_point, oracles.fundamental_point_by_vertices):
+                with pytest.raises(UnsupportedRange, match="linearly dependent"):
+                    route(kind, n)
+        else:
+            assert fundamental_point(kind, n) == oracles.fundamental_point_by_vertices(kind, n)
+
+
 def test_fundamental_point_inequalities():
     x = fundamental_point(B2, 2)
     assert 0 < x[0] < x[1] and x[0] + x[1] < 1
@@ -351,7 +363,8 @@ def test_byte_table_gives_each_generator_its_kac_share(family):
         counts = Counter(table[b] for b in range(keep))
         assert counts == {g: a * keep // total for g, a in enumerate(weights)}
         if (family, n) != ("D", 2):
-            assert _walk_tables(kind, n)[4:] == (table, delete)
+            tables = _walk_tables(kind, n)
+            assert (tables[4], tables[5]) == (table, delete)
 
 
 @pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
@@ -408,15 +421,52 @@ def test_packed_walk_matches_two_list_oracle(spec, seed, steps):
     family, n = spec
     kind = WeylKind(family, n)
     s = run_walk(kind, n, steps, seed=seed)
-    accepted, _, _, point = oracles.two_list_walk(kind, n, _proposals(kind, n, steps, seed))
+    accepted, _, _, point, _ = oracles.two_list_walk(kind, n, _proposals(kind, n, steps, seed))
     assert (s.accepted, s.final_point, s.crossings) == (accepted, point, accepted)
+
+
+ORACLE_KINDS = [
+    (family, n)
+    for family in ("B", "C", "Bcheck", "Ccheck", "D")
+    for n in range(3 if family == "D" else 1, 9)
+] + [("B", 40), ("D", 40)]
+
+
+def _against_two_list_oracle(family, n, proposals):
+    """The generated loop fed the whole stream and one proposal per call, against the oracle."""
+    kind = WeylKind(family, n)
+    accepted, _, _, point, asc = oracles.two_list_walk(kind, n, proposals)
+    whole = initial_state(kind, n)
+    assert _advance(whole, proposals) == accepted
+    single = initial_state(kind, n)
+    assert sum(_advance(single, (g,)) for g in proposals) == accepted
+    for state in (whole, single):
+        assert (state.point(), state.asc) == (point, asc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ORACLE_KINDS), st.integers(0, 2**31 - 1), st.integers(0, 3000))
+def test_generated_loop_matches_two_list_oracle(spec, seed, steps):
+    family, n = spec
+    rng = random.Random(seed)
+    _against_two_list_oracle(family, n, [rng.randrange(n + 1) for _ in range(steps)])
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family,n", [("B", 128), ("D", 129)])
+def test_generated_loop_at_the_largest_byte_ranks(family, n):
+    kind = WeylKind(family, n)
+    proposals = list(_proposals(kind, n, 1000, 1))
+    _against_two_list_oracle(family, n, proposals)
+    s = run_walk(kind, n, 1000, seed=1)
+    assert s.accepted == s.crossings == separation_count(s.final_point, kind, n)
 
 
 def test_packed_state_decodes_far_from_the_base_point():
     # seed 2 takes y to about +225000 and -75000 (scaled by d = 6) in 300k steps
     state = initial_state(B2, 2)
     crossings = _advance(state, _proposals(B2, 2, 300_000, 2))
-    accepted, winv, y, point = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 2))
+    accepted, winv, y, point, _ = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 2))
     assert min(y) < -50_000 and max(y) > 50_000
     assert state.decode() == (winv, y)
     assert (crossings, state.point()) == (accepted, point)
