@@ -61,7 +61,6 @@ from .walk import (
     separation_count,
 )
 from .weyl import (
-    act,
     apply_generator,
     inverse_act_theta,
     kac_weights,

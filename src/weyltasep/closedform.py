@@ -219,7 +219,13 @@ def b_pair_table(n: int, n0: int) -> dict:
 
 
 def z_d(n: int, n0: int) -> int:
-    """Partition function of the D-type two-species process."""
+    """Partition function of the D-type two-species process.
+
+    For n >= 3 and n0 >= 1 it is the least common denominator L of the
+    exact law of the one-cut chain (n0 + 1,).  It follows other
+    normalizations elsewhere, as measured against those laws: z_d(n, 0) =
+    4^n = 2^(n+1) * L, and z_d(2, 1) = 2 * L.
+    """
     _check_two_species("D", n, n0)
     if n0 == 0:
         return 4**n

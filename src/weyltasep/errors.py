@@ -9,10 +9,6 @@ class InvalidRank(WeylTasepError):
     """Rank outside the admissible range for the requested family."""
 
 
-class DimensionMismatch(WeylTasepError):
-    """Vector length does not match the group rank."""
-
-
 class InvalidCounts(WeylTasepError):
     """Inconsistent site/particle counts for a configuration space."""
 

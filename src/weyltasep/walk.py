@@ -43,13 +43,18 @@ looping over the refresh terms.  So the loop is written out as Python
 source once per family and rank and compiled (`_compile_loop`): z lives in
 locals, and each generator runs its own straight-line branch with its swap,
 shift and wall tests as integer literals, picked by a balanced comparison
-tree on g.  The fundamental point comes from one inverse of the simple-root
-matrix, so setting up a rank-128 walk takes a fraction of a second.
+tree on g.
+
+Every root is a two-term pairing (`weyl.root_data`), so a root pairing
+costs O(1): the separation count and the genericity test of the
+fundamental point are O(n^2), and the Dynkin neighbours come from the
+walls indexed per coordinate.  The fundamental point comes from one
+inverse of the simple-root matrix.  So setting up a walk even at rank 255
+takes a fraction of a second.
 """
 from __future__ import annotations
 
 import math
-import operator
 import os
 import random
 from dataclasses import dataclass
@@ -79,8 +84,8 @@ def fundamental_point(kind: WeylKind, n: int) -> tuple:
     kind = WeylKind(kind.family, n)
     rs = root_data(kind)
     omega = _inverse_columns(rs.simple_roots)  # the simple roots are a basis
-    theta = [(i, c) for i, c in enumerate(rs.theta) if c]
-    heights = [sum(c * w[i] for i, c in theta) for w in omega]
+    t0, c0, t1, c1 = rs.theta
+    heights = [c0 * w[t0] + c1 * w[t1] for w in omega]
     if 0 in heights:  # theta lies in the span of the other simple roots: no vertex i
         raise UnsupportedRange("the alcove walls are linearly dependent (as for D2)")
     bary = tuple(
@@ -89,20 +94,25 @@ def fundamental_point(kind: WeylKind, n: int) -> tuple:
     d = math.lcm(*(v.denominator for v in bary))
     xs = [v.numerator * (d // v.denominator) for v in bary]
     for alpha in rs.positive_roots:
-        if sum(map(operator.mul, alpha, xs)) % d == 0:
+        i0, c0, i1, c1 = alpha
+        if (c0 * xs[i0] + c1 * xs[i1]) % d == 0:
             raise NonGenericPoint(f"barycenter meets a wall of root {alpha}")
     return bary
 
 
 def _inverse_columns(rows) -> list:
-    """The columns of the inverse of an invertible integer matrix, by Gauss-Jordan.
+    """The columns of the inverse of an invertible matrix of root pairings, by Gauss-Jordan.
 
-    A row operation skips the zero entries of the pivot row and leaves the
-    rows with a zero in the pivot column alone, so the near-bidiagonal
-    simple-root matrices cost O(n^2) Fraction operations, not O(n^3).
+    Row r is the root rows[r].  A row operation skips the zero entries of
+    the pivot row and leaves the rows with a zero in the pivot column
+    alone, so the near-bidiagonal simple-root matrices cost O(n^2) Fraction
+    operations, not O(n^3).
     """
     n = len(rows)
-    a = [[R(x) for x in row] + [R(int(i == r)) for i in range(n)] for r, row in enumerate(rows)]
+    a = [[R(0)] * n + [R(int(i == r)) for i in range(n)] for r in range(n)]
+    for row, (i0, c0, i1, c1) in zip(a, rows):
+        row[i0] += c0
+        row[i1] += c1
     for col in range(n):
         piv = next(r for r in range(col, n) if a[r][col])
         a[col], a[piv] = a[piv], a[col]
@@ -122,9 +132,10 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     """Number of affine hyperplanes separating x from the fundamental point.
 
     Counts, over every positive root, the integers lying strictly between
-    the root pairings at the two points.  Both points are scaled by the lcm
-    D of their denominators, so a pairing P stands for P/D: it lies on a wall
-    when D divides it, and its floor is P // D.
+    the root pairings at the two points, each pairing two terms.  Both
+    points are scaled by the lcm D of their denominators, so a pairing P
+    stands for P/D: it lies on a wall when D divides it, and its floor is
+    P // D.
     """
     kind = WeylKind(kind.family, n)
     base = fundamental_point(kind, n)
@@ -134,10 +145,11 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     bs = [v.numerator * (den // v.denominator) for v in base]
     total = 0
     for alpha in root_data(kind).positive_roots:
-        px = sum(c * v for c, v in zip(alpha, xs))
+        i0, c0, i1, c1 = alpha
+        px = c0 * xs[i0] + c1 * xs[i1]
         if px % den == 0:
             raise NonGenericPoint(f"point lies on a wall of root {alpha}")
-        total += abs(px // den - sum(c * v for c, v in zip(alpha, bs)) // den)
+        total += abs(px // den - (c0 * bs[i0] + c1 * bs[i1]) // den)
     return total
 
 
@@ -178,36 +190,45 @@ def _walk_tables(kind: WeylKind, n: int):
     Dynkin neighbour h != g of g, with wall h oriented to x0's side at level
     l: h is an ascent iff c0*y[i0] + c1*y[i1] > l, that is iff
     c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
+
+    The Dynkin neighbours of g are the walls with a nonzero inner product
+    with wall g, looked for among the walls that share a coordinate with it
+    (sharing is not enough: D's alpha_0 = e1+e2 and alpha_1 = e2-e1 share
+    both coordinates and are orthogonal), so the set-up is O(n).
     """
     kind = WeylKind(kind.family, n)
     table, delete = _byte_table(kind)
-    rs = root_data(kind)
     base = fundamental_point(kind, n)
     d = math.lcm(*(v.denominator for v in base))
     x0 = tuple(int(v * d) for v in base)
-    walls = rs.simple_roots + (rs.theta,)
+    walls = alcove_walls(kind)
     # for a window w, |c0*w[i0] + c1*w[i1]| <= (|c0| + |c1|)*n = m//2 < m - m//2
-    m = 2 * n * max(abs(c0) + abs(c1) for _, c0, _, c1 in alcove_walls(kind)) + 1
+    m = 2 * n * max(abs(c0) + abs(c1) for _, c0, _, c1 in walls) + 1
     # x0 is generic, so y never lies on a wall and '>' needs no tie rule
     ascent = []
-    for g, (i0, c0, i1, c1) in enumerate(alcove_walls(kind)):
+    touching = [[] for _ in range(n)]  # the walls with a term at each coordinate
+    for g, (i0, c0, i1, c1) in enumerate(walls):
         lev = -d if g == n else 0  # wall n is <-theta, y> = -d
         side = 1 if c0 * x0[i0] + c1 * x0[i1] > lev else -1
         ascent.append((g, i0, side * c0, i1, side * c1, m * side * lev + m // 2))
-    theta_norm = sum(c * c for c in rs.theta)
-    tau = tuple(m * d * (2 * c // theta_norm) for c in rs.theta)  # integral for B, C, D
+        touching[i0].append(g)
+        if c1:
+            touching[i1].append(g)
+    # the affine shift is m*d times the coroot 2 theta/<theta, theta>, integral for B, C, D
+    t0, c0, t1, c1 = walls[n]  # the terms of -theta
+    tau = {t: -2 * c // (c0 * c0 + c1 * c1) * m * d for t, c in ((t0, c0), (t1, c1)) if c}
     moves = []
-    for g, alpha in enumerate(walls):
+    for g, (i0, c0, i1, c1) in enumerate(walls):
         # s_g is a signed transposition of two entries or one sign change
         win = apply_generator(identity_window(n), g, kind)
         supp = [i for i in range(n) if win[i] != i + 1]
         p, q = supp[0], supp[-1]
-        # the affine shift tau is a multiple of theta, so it lives on p and q
-        tp, tq = (tau[p], tau[q]) if g == n else (0, 0)
-        refresh = tuple(
-            ascent[h] for h, beta in enumerate(walls)
-            if h != g and sum(a * b for a, b in zip(alpha, beta))
-        )
+        # tau lives on theta's terms, which are p and q
+        tp, tq = (tau.get(p, 0), tau.get(q, 0)) if g == n else (0, 0)
+        near = sorted({h for i in (i0, i1) for h in touching[i]} - {g})
+        # <wall g, wall h>, summed over the terms of wall h
+        refresh = tuple(ascent[h] for h in near if sum(
+            c * (c0 * (j == i0) + c1 * (j == i1)) for j, c in (walls[h][:2], walls[h][2:])))
         moves.append((p, q, 1 if win[p] > 0 else -1, tp, tq, refresh))
     return d, m, x0, _compile_loop(kind, moves), table, delete
 

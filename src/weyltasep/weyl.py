@@ -5,6 +5,9 @@ Elements are kept in window notation: ``w = (w_1, ..., w_n)`` means
 the convention ``w . e_i = e_{w^{-1}(i)}`` where ``e_{-i} = -e_i``; in
 coordinates ``(w . v)_j = sign(w_j) * v_{|w_j|}``.
 
+Every root of these families is +-e_i, +-2e_i or +-e_i +- e_j, so a root is
+kept as its two-term pairing (i0, c0, i1, c1): <alpha, v> = c0*v[i0] +
+c1*v[i1], with 0-based indices, and a one-term root pads with (0, 0).
 Families ``Bcheck`` and ``Ccheck`` share the root systems of B and C; they
 differ only in their step weights (dual Kac labels).
 """
@@ -12,14 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
-from .errors import DimensionMismatch, InvalidRank
+from .errors import InvalidRank
 
 FAMILIES = ("B", "C", "Bcheck", "Ccheck", "D")
 
 Window = tuple[int, ...]
-Vector = tuple
 
 
 @dataclass(frozen=True)
@@ -44,9 +45,11 @@ class WeylKind:
 
 @dataclass(frozen=True)
 class RootSystem:
-    positive_roots: tuple[Vector, ...]
-    simple_roots: tuple[Vector, ...]
-    theta: Vector
+    """Positive roots, simple roots alpha_0..alpha_{n-1} and theta, as pairings."""
+
+    positive_roots: tuple
+    simple_roots: tuple
+    theta: tuple
 
 
 @dataclass(frozen=True)
@@ -58,43 +61,26 @@ class KacWeights:
         object.__setattr__(self, "total", sum(self.weights))
 
 
-def _e(i: int, n: int, c: int = 1) -> Vector:
-    v = [0] * n
-    v[i - 1] = c
-    return tuple(v)
-
-
-def _e2(i: int, j: int, n: int, ci: int, cj: int) -> Vector:
-    v = [0] * n
-    v[i - 1] = ci
-    v[j - 1] = cj
-    return tuple(v)
-
-
 @lru_cache(maxsize=None)
 def root_data(kind: WeylKind) -> RootSystem:
-    """Positive roots, simple roots and highest root of the finite system."""
+    """Positive roots, simple roots and highest root of the finite system.
+
+    B's short roots e_i are (i, 1, 0, 0) and C's long roots 2e_i are
+    (i, 2, 0, 0); every family has e_j - e_i = (i, -1, j, 1) and
+    e_i + e_j = (i, 1, j, 1) for i < j.
+    """
     n = kind.n
     fam = kind.root_family
-    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
-    pos: list[Vector] = []
-    if fam == "B":
-        pos += [_e(i, n) for i in range(1, n + 1)]
-    elif fam == "C":
-        pos += [_e(i, n, 2) for i in range(1, n + 1)]
-    pos += [_e2(i, j, n, -1, 1) for i, j in pairs]
-    pos += [_e2(i, j, n, 1, 1) for i, j in pairs]
-    if fam == "B":
-        simple = (_e(1, n),) + tuple(_e2(i, i + 1, n, -1, 1) for i in range(1, n))
-        theta = _e2(n - 1, n, n, 1, 1) if n >= 2 else _e(1, n)
-    elif fam == "C":
-        simple = (_e(1, n, 2),) + tuple(_e2(i, i + 1, n, -1, 1) for i in range(1, n))
-        theta = _e(n, n, 2)
-    else:  # D
-        simple = (_e2(1, 2, n, 1, 1),) + tuple(
-            _e2(i, i + 1, n, -1, 1) for i in range(1, n)
-        )
-        theta = _e2(n - 1, n, n, 1, 1)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    c = {"B": 1, "C": 2}.get(fam)  # D has no one-term root
+    pos = [(i, c, 0, 0) for i in range(n)] if c else []
+    pos += [(i, -1, j, 1) for i, j in pairs] + [(i, 1, j, 1) for i, j in pairs]
+    first = (0, c, 0, 0) if c else (0, 1, 1, 1)
+    simple = (first,) + tuple((i, -1, i + 1, 1) for i in range(n - 1))
+    if fam == "C":
+        theta = (n - 1, 2, 0, 0)
+    else:
+        theta = (n - 2, 1, n - 1, 1) if n >= 2 else (0, 1, 0, 0)
     return RootSystem(tuple(pos), simple, theta)
 
 
@@ -124,13 +110,6 @@ def identity_window(n: int) -> Window:
     return tuple(range(1, n + 1))
 
 
-def act(w: Window, v: Sequence) -> Vector:
-    """Linear action of w on a vector: (w.v)_j = sign(w_j) v_{|w_j|}."""
-    if len(v) != len(w):
-        raise DimensionMismatch(f"vector length {len(v)} != rank {len(w)}")
-    return tuple(v[a - 1] if a > 0 else -v[-a - 1] for a in w)
-
-
 def apply_generator(w: Window, g: int, kind: WeylKind) -> Window:
     """Apply generator g (0..n, where n means the highest-root reflection).
 
@@ -158,31 +137,15 @@ def apply_generator(w: Window, g: int, kind: WeylKind) -> Window:
 
 
 @lru_cache(maxsize=None)
-def _positive_root_set(kind: WeylKind) -> frozenset:
-    return frozenset(root_data(kind).positive_roots)
-
-
-def length(w: Window, kind: WeylKind) -> int:
-    """Number of positive roots sent to negative roots by the action of w."""
-    pos = _positive_root_set(kind)
-    return sum(1 for alpha in pos if act(w, alpha) not in pos)
-
-
-@lru_cache(maxsize=None)
 def alcove_walls(kind: WeylKind) -> tuple:
-    """Normals of the fundamental alcove's walls as two-term pairings.
+    """Normals of the fundamental alcove's walls, as pairings.
 
     Wall g (0..n-1) is the simple root alpha_g and wall n is -theta, so the
-    alcove lies on the positive side of every wall.  Each entry is
-    (i0, c0, i1, c1) with <wall_g, v> = c0*v[i0] + c1*v[i1]; a one-term
-    wall pads with (0, 0).
+    alcove lies on the positive side of every wall.
     """
     rs = root_data(kind)
-    walls = []
-    for alpha in rs.simple_roots + (tuple(-c for c in rs.theta),):
-        terms = [(i, c) for i, c in enumerate(alpha) if c] + [(0, 0)]
-        walls.append(terms[0] + terms[1])
-    return tuple(walls)
+    i0, c0, i1, c1 = rs.theta
+    return rs.simple_roots + ((i0, -c0, i1, -c1),)
 
 
 def theta_raises(w: Window, kind: WeylKind) -> bool:
@@ -196,7 +159,7 @@ def theta_raises(w: Window, kind: WeylKind) -> bool:
     return c0 * w[i0] + c1 * w[i1] < 0
 
 
-def inverse_act_theta(w: Window, kind: WeylKind) -> Vector:
+def inverse_act_theta(w: Window, kind: WeylKind) -> tuple:
     """w^{-1} applied to the highest root, read off the window entries."""
     i0, c0, i1, c1 = alcove_walls(kind)[kind.n]  # the terms of -theta
     v = [0] * len(w)

@@ -24,7 +24,8 @@ exponent histograms by walking every step word instead of a transfer over
 steps, the alcove walk on two lists (window and y) with a full ascent
 refresh instead of one packed list, walk proposals from a float CDF and
 bisection instead of a byte table, the separation count in Fractions
-instead of integers scaled by a common denominator, the fundamental
+over dense root vectors instead of integers over two-term pairings
+scaled by a common denominator, the fundamental
 point from one elimination per alcove vertex instead of one inverse of
 the simple-root matrix, and the highest-root
 direction summed over the full multispecies law instead of the tails of
@@ -36,7 +37,10 @@ of re-signing every state instead of splitter refinement.  It also keeps
 the helpers only tests use: the full multispecies law (solved once per
 test run), site
 densities and hook sums read off it, the JSON decoder of a law,
-the reversal symmetry of two-species words, and window products and inverses.
+the reversal symmetry of two-species words, the linear action of a window,
+window products and inverses,
+the roots as dense vectors in textbook coordinates, and the length of a
+window as the number of positive roots it sends to negative ones.
 """
 from __future__ import annotations
 
@@ -45,7 +49,7 @@ import itertools
 import math
 import random
 from bisect import bisect_left
-from collections import Counter, deque
+from collections import Counter, deque, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -64,7 +68,6 @@ from weyltasep.weyl import (
     identity_window,
     inverse_act_theta,
     kac_weights,
-    root_data,
     theta_raises,
 )
 
@@ -109,6 +112,13 @@ def dstar_words(n: int, n0: int) -> list:
     return sorted(states, key=state_sort_key)
 
 
+def act(w, v) -> tuple:
+    """Linear action of w on a vector: (w.v)_j = sign(w_j) v_{|w_j|}."""
+    if len(v) != len(w):
+        raise ValueError(f"vector length {len(v)} != rank {len(w)}")
+    return tuple(v[a - 1] if a > 0 else -v[-a - 1] for a in w)
+
+
 def wprod(a, b):
     """Window of the composed linear map: act(wprod(a,b), v) == act(a, act(b, v))."""
     return tuple(b[x - 1] if x > 0 else -b[-x - 1] for x in a)
@@ -143,6 +153,60 @@ def bfs_word_lengths(kind: WeylKind) -> dict:
                 queue.append(v)
     assert len(dist) == len(multi_words(kind.family, n)), "generators miss part of the group"
     return dist
+
+
+# --- roots as dense vectors ---------------------------------------------------
+
+
+DenseRoots = namedtuple("DenseRoots", "positive_roots simple_roots theta")
+
+
+@lru_cache(maxsize=None)
+def dense_roots(kind: WeylKind) -> DenseRoots:
+    """The roots of `weyl.root_data` as dense n-tuples, from the textbook coordinates.
+
+    Positive roots, in this order: e_i (B) or 2e_i (C) for each i, then
+    e_j - e_i, then e_i + e_j, for i < j ordered by j and then i.  Simple
+    roots: e_1 (B), 2e_1 (C) or e_1 + e_2 (D), then e_{i+1} - e_i.  The
+    highest root: e_{n-1} + e_n (B from rank 2, D), e_1 (B1) or 2e_n (C).
+    """
+    n, fam = kind.n, kind.root_family
+
+    def e(*terms):
+        """Sum of c * e_i over the (c, i) terms, i from 1."""
+        v = [0] * n
+        for c, i in terms:
+            v[i - 1] += c
+        return tuple(v)
+
+    pairs = [(i, j) for j in range(2, n + 1) for i in range(1, j)]
+    one_term = {"B": [e((1, i)) for i in range(1, n + 1)],
+                "C": [e((2, i)) for i in range(1, n + 1)], "D": []}[fam]
+    positive = one_term + [e((-1, i), (1, j)) for i, j in pairs] + [e((1, i), (1, j)) for i, j in pairs]
+    first = e((1, 1), (1, 2)) if fam == "D" else e((2 if fam == "C" else 1, 1))
+    simple = (first,) + tuple(e((-1, i), (1, i + 1)) for i in range(1, n))
+    if fam == "C":
+        theta = e((2, n))
+    else:
+        theta = e((1, n - 1), (1, n)) if n >= 2 else e((1, 1))
+    return DenseRoots(tuple(positive), simple, theta)
+
+
+def as_pairing(alpha) -> tuple:
+    """The two-term pairing (i0, c0, i1, c1) of a dense root, as `weyl` writes roots."""
+    terms = [(i, c) for i, c in enumerate(alpha) if c] + [(0, 0)]
+    return terms[0] + terms[1]
+
+
+@lru_cache(maxsize=None)
+def _positive_root_set(kind: WeylKind) -> frozenset:
+    return frozenset(dense_roots(kind).positive_roots)
+
+
+def length(w, kind: WeylKind) -> int:
+    """Number of positive roots sent to negative roots by the action of w."""
+    pos = _positive_root_set(kind)
+    return sum(1 for alpha in pos if act(w, alpha) not in pos)
 
 
 def power_iteration(kernel, sweeps: int = 20000) -> dict:
@@ -668,7 +732,7 @@ def fundamental_point_by_vertices(kind: WeylKind, n: int) -> tuple:
     singular.  The genericity test takes every root pairing in Fractions.
     """
     kind = WeylKind(kind.family, n)
-    rs = root_data(kind)
+    rs = dense_roots(kind)
     rows = [list(a) for a in rs.simple_roots] + [list(rs.theta)]
     rhs = [0] * n + [1]
     vertices = []
@@ -690,7 +754,7 @@ def fundamental_point_by_vertices(kind: WeylKind, n: int) -> tuple:
     bary = tuple(sum((v[j] for v in vertices), Fraction(0)) / (n + 1) for j in range(n))
     for alpha in rs.positive_roots:
         if sum(Fraction(c) * x for c, x in zip(alpha, bary)).denominator == 1:
-            raise NonGenericPoint(f"barycenter meets a wall of root {alpha}")
+            raise NonGenericPoint(f"barycenter meets a wall of root {as_pairing(alpha)}")
     return bary
 
 
@@ -705,7 +769,7 @@ def two_list_walk(kind: WeylKind, n: int, proposals):
     point u(x0) and the ascent table.
     """
     kind = WeylKind(kind.family, n)
-    rs = root_data(kind)
+    rs = dense_roots(kind)
     base = fundamental_point(kind, n)
     d = math.lcm(*(v.denominator for v in base))
     x0 = tuple(int(v * d) for v in base)
@@ -774,11 +838,11 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     kind = WeylKind(kind.family, n)
     base = fundamental_point(kind, n)
     total = 0
-    for alpha in root_data(kind).positive_roots:
+    for alpha in dense_roots(kind).positive_roots:
         pa = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, base))
         px = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, x))
         if px.denominator == 1:
-            raise NonGenericPoint(f"point lies on a wall of root {alpha}")
+            raise NonGenericPoint(f"point lies on a wall of root {as_pairing(alpha)}")
         total += abs(math.floor(px) - math.floor(pa))
     return total
 

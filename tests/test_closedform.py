@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -196,6 +196,49 @@ def test_zero_free_d_chain_is_uniform(n):
     for w, p in pi.items():
         pairs[w[-2:]] = pairs.get(w[-2:], ZERO) + p
     assert pairs == {pair: R(1, 4) for pair in product((-1, 1), repeat=2)}
+
+
+def _lcd(law) -> int:
+    """The least common denominator of an exact law."""
+    return math.lcm(*(p.denominator for p in law.values()))
+
+
+def test_partition_functions_are_the_one_cut_law_denominators():
+    # z_d's other normalizations are the ones its docstring states
+    for n in range(2, 6):
+        for n0 in range(n):
+            assert cf.z_b(n, n0) == _lcd(cf._cut_law(WeylKind("B", n), (n0 + 1,)))
+            lcd_d = _lcd(cf._cut_law(WeylKind("D", n), (n0 + 1,)))
+            if n0 == 0:
+                assert cf.z_d(n, 0) == 2 ** (n + 1) * lcd_d
+            elif n == 2:
+                assert cf.z_d(2, 1) == 2 * lcd_d
+            else:
+                assert cf.z_d(n, n0) == lcd_d
+
+
+def _two_cut_denominators_divide_the_one_cut_products(family, n):
+    """The part prime to 6 of each two-cut law's L divides Z_a * Z_b, Z_i the L of (i,)."""
+    kind = WeylKind(family, n)
+    z = {i: _lcd(cf._cut_law(kind, (i,))) for i in range(1, n + 1)}
+    for a, b in combinations(range(1, n + 1), 2):
+        rest = _lcd(cf._cut_law(kind, (a, b)))
+        for p in (2, 3):
+            while rest % p == 0:
+                rest //= p
+        assert z[a] * z[b] % rest == 0, (a, b)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("family", ["B", "C", "Bcheck", "Ccheck", "D"])
+def test_two_cut_denominators_divide_the_one_cut_products(family, n):
+    _two_cut_denominators_divide_the_one_cut_products(family, n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family", ["B", "C", "Bcheck", "Ccheck", "D"])
+def test_two_cut_denominators_divide_the_one_cut_products_rank6(family):
+    _two_cut_denominators_divide_the_one_cut_products(family, 6)
 
 
 def test_partition_generating_series():

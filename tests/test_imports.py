@@ -18,7 +18,7 @@ from pathlib import Path
 import weyltasep
 
 PUBLIC_NAMES = [
-    "DStarParams", "DirectionVector", "Dist", "Kernel", "R", "STAR", "WeylKind", "act",
+    "DStarParams", "DirectionVector", "Dist", "Kernel", "R", "STAR", "WeylKind",
     "apply_generator", "b_first_site", "b_pair_table", "ballot", "build_cut_chain",
     "build_dstar", "build_multi", "build_semipermeable", "catalan", "ccheck_last_density",
     "closed_class", "closedform", "conjecture_b_value", "count_segment",
@@ -165,8 +165,6 @@ def test_public_definitions_scan():
 # Formulas of the paper that nothing in the package uses; the tests check
 # each against the exact chains.
 UNREAD_FORMULAS = {"closedform.b_first_site", "closedform.b_pair_table", "closedform.multi_sums"}
-# Read only by the tests; it belongs in tests/oracles.py, together with its cache.
-TEST_ONLY_HELPERS = {"weyl.length"}
 
 
 def test_every_public_name_is_read():
@@ -177,4 +175,4 @@ def test_every_public_name_is_read():
     modules = [p for p in paths if p.parent.name == "weyltasep"]
     unread = {f"{p.stem}.{name}" for p in modules for name in public_definitions(p.read_text())
               if name not in read}
-    assert sorted(unread) == sorted(UNREAD_FORMULAS | TEST_ONLY_HELPERS)
+    assert sorted(unread) == sorted(UNREAD_FORMULAS)

@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyltasep.errors import DimensionMismatch, InvalidRank
+from weyltasep.errors import InvalidRank
 from weyltasep.weyl import (
     WeylKind,
-    act,
     apply_generator,
     inverse_act_theta,
     kac_weights,
-    length,
     root_data,
     theta_raises,
 )
 
-from oracles import bfs_word_lengths, inverse, signed_permutations, wprod
+from oracles import (
+    act, bfs_word_lengths, dense_roots, inverse, length, signed_permutations, wprod
+)
 
 B = lambda n: WeylKind("B", n)
 C = lambda n: WeylKind("C", n)
@@ -35,9 +35,10 @@ def test_kind_validation():
 
 
 def test_root_data_examples():
-    assert root_data(B(2)).theta == (1, 1)
+    assert root_data(B(2)).theta == (0, 1, 1, 1)  # e1 + e2
     c1 = root_data(C(1))
-    assert c1.positive_roots == ((2,),) and c1.theta == (2,)
+    assert c1.positive_roots == ((0, 2, 0, 0),) and c1.theta == (0, 2, 0, 0)  # 2e1
+    assert root_data(D(3)).simple_roots[0] == (0, 1, 1, 1)
     # brute enumeration: pairs +-e_i +- e_j with i < j
     count = sum(1 for _ in itertools.combinations(range(3), 2)) * 2
     assert len(root_data(D(3)).positive_roots) == count == 6
@@ -49,6 +50,23 @@ def test_simple_roots_are_positive():
         for alpha in rs.simple_roots:
             assert alpha in rs.positive_roots
         assert rs.theta in rs.positive_roots
+
+
+@pytest.mark.parametrize("family", ["B", "C", "Bcheck", "Ccheck", "D"])
+def test_dense_roots_are_the_pairings_expanded(family):
+    def expand(alpha, n):
+        i0, c0, i1, c1 = alpha
+        v = [0] * n
+        v[i0] += c0
+        v[i1] += c1
+        return tuple(v)
+
+    for n in range(2 if family == "D" else 1, 13):
+        kind = WeylKind(family, n)
+        rs, dense = root_data(kind), dense_roots(kind)
+        assert tuple(expand(a, n) for a in rs.positive_roots) == dense.positive_roots
+        assert tuple(expand(a, n) for a in rs.simple_roots) == dense.simple_roots
+        assert expand(rs.theta, n) == dense.theta
 
 
 @pytest.mark.parametrize(
@@ -70,7 +88,7 @@ def test_kac_weights(kind, n, expected):
 def test_kac_weights_decompose_theta():
     # the highest root equals the weighted sum of simple roots
     for kind in (B(3), B(4), C(2), C(4), D(3), D(4), D(5)):
-        rs = root_data(kind)
+        rs = dense_roots(kind)
         a = kac_weights(kind).weights
         vec = [0] * kind.n
         for coeff, alpha in zip(a, rs.simple_roots):
@@ -83,7 +101,7 @@ def test_act_examples():
     assert act((1, 2, 3), (5, 7, 11)) == (5, 7, 11)
     assert act((-1,), (1,)) == (-1,)
     assert act((2, 1), (1, 0)) == (0, 1)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError):
         act((1, 2), (1, 0, 0))
 
 
@@ -107,7 +125,7 @@ def test_inverse_act_theta():
 
 def test_inverse_act_theta_vs_action():
     for kind in (B(3), C(3), D(3)):
-        theta = root_data(kind).theta
+        theta = dense_roots(kind).theta
         for w in signed_permutations(3, even_only=kind.family == "D"):
             assert inverse_act_theta(w, kind) == act(inverse(w), theta)
 
