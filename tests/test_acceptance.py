@@ -231,11 +231,18 @@ def _golden_cli_cases():
     # The D*-TASEP and the semipermeable laws (D* at n = 2, n0 = 1 has two
     # closed classes), and the B, D and semipermeable partition functions.
     semiperm = ["--alpha", "2/3", "--beta", "3/5"]
+    rates_p2 = ["--alpha", "9/10", "--alpha-star", "1/5", "--beta", "2/5", "--beta-star", "7/9"]
+    yield ("stationary-dstar-half-3-1",  # the README example
+           ["stationary", "--model", "dstar", "--n", "3", "--n0", "1",
+            "--alpha", "1/2", "--alpha-star", "1/2", "--beta", "1/2", "--beta-star", "1/2"])
     for n in range(1, 9):
         for n0 in range(n + 1):
             size = ["--n", str(n), "--n0", str(n0)]
             if 3 <= n <= 5:
                 yield f"stationary-dstar-{n}-{n0}", ["stationary", "--model", "dstar", *size, *rates]
+            if 6 <= n:  # at verify.PARAM_POINTS[2], where (6, 1), (7, 2) and (8, 3) solve in decimal
+                yield (f"stationary-dstar-p2-{n}-{n0}",
+                       ["stationary", "--model", "dstar", *size, *rates_p2])
             if n <= 7:
                 yield (f"stationary-semiperm-{n}-{n0}",
                        ["stationary", "--model", "semiperm", *size, *semiperm])
