@@ -26,14 +26,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb
-from operator import itemgetter
 
 from .errors import InvalidRank, RangeError, UnsupportedRange, ZeroParameter
-from .lumping import project_distribution, star_lift
+from .lumping import star_lift
 from .markov import Dist, exact_stationary
 from .models import build_cut_chain, cut_states, star_rates
 from .ratio import ONE, R, ZERO, exact_sum, inverse_power_sum
-from .tworow import stationary as tworow_stationary
+from .tworow import top_row_law
 from .weyl import WeylKind, alcove_walls
 
 
@@ -475,13 +474,13 @@ def _lifted_law(kind: WeylKind, n0: int) -> dict:
     """The law of the one-cut chain (n0 + 1,) read off the starred product form.
 
     Each word u takes the probability of its lift ``lumping.star_lift(u, kind)``
-    in the top-row law of the two-row model at ``models.STAR_RATES``; a
-    border * splits evenly between the words it identifies.
+    in the top-row law of the two-row model at ``models.STAR_RATES``
+    (``tworow.top_row_law``); a border * splits evenly between the words it
+    identifies.
     """
     words = cut_states(kind, (n0 + 1,))
     lifts = [star_lift(u, kind) for u in words]
-    dist, _ = tworow_stationary(len(lifts[0]), n0, star_rates(kind))
-    top, share = project_distribution(dist, itemgetter(0)), Counter(lifts)
+    top, share = top_row_law(len(lifts[0]), n0, star_rates(kind)), Counter(lifts)
     return {u: top[v] / share[v] for u, v in zip(words, lifts)}
 
 

@@ -1,15 +1,21 @@
 """Exact finite Markov chains: sparse kernels, the closed class, stationary laws.
 
 A kernel stores each row as positive integers over one denominator `den`,
-the holding mass included, summing to den; Fractions are built only when
-an entry is asked for.  A law is solved for only on a kernel with exactly
-one closed communicating class (:func:`closed_class`), and transient states
-get probability zero.
+the holding mass included, summing to den.  A law is solved for only on a
+kernel with exactly one closed communicating class (:func:`closed_class`),
+and transient states get probability zero.
 
-The solver lumps the class first: splitter refinement finds its coarsest
-exactly lumpable partition, in which every state of a block gets the same
-column sum from every block, and the quotient (or the class itself, when
-the partition is discrete) is the one target solved.  The elimination is
+A caller that knows a candidate law (a product form, say) passes it as a
+guess.  The guess is certified, never trusted: it is returned only when it
+passes the exact certificate below on the kernel passed in, and that law is
+the only one that can pass it, since one closed class leaves one invariant
+vector up to scale.  A certified guess skips the lumping and every
+elimination pass; a guess that fails costs the certificate and nothing else.
+
+Otherwise the solver lumps the class first: splitter refinement finds its
+coarsest exactly lumpable partition, in which every state of a block gets
+the same column sum from every block, and the quotient (or the class
+itself, when the partition is discrete) is the one target solved.  The elimination is
 the subtraction-free scheme of Grassmann, Taksar and Heyman with a
 fill-reducing order, written once for any number type.  It runs first in
 floats, whose small relative error lets the target's exact law be read off
@@ -88,12 +94,6 @@ class Kernel:
 
     def __len__(self) -> int:
         return len(self.states)
-
-    def prob(self, src: State, dst: State) -> R:
-        return R(self.rows[self.index[src]].get(self.index[dst], 0), self.den)
-
-    def row(self, src: State) -> dict[State, R]:
-        return {self.states[j]: R(a, self.den) for j, a in self.rows[self.index[src]].items()}
 
     def restrict(self, keep: Iterable[State]) -> "Kernel":
         """Sub-kernel on a closed set of states (rows must not leave it), over the same den."""
@@ -241,13 +241,19 @@ def _state_json(s):
     return s
 
 
-def exact_stationary(kernel: Kernel) -> Dist:
+def exact_stationary(kernel: Kernel, guess: Mapping[State, object] | None = None) -> Dist:
     """The unique stationary distribution, exactly.
 
     Requires a unique closed communicating class; transient states get
-    probability zero.  The target is the class's quotient by its coarsest
-    exact lumping, or the class itself (:func:`_lumped`).  Each pass runs
-    one law step: the target's elimination (:func:`_eliminate`), its law
+    probability zero.  A guess, mapping states to anything Fraction
+    accepts (states it leaves out get zero), is certified, never trusted:
+    when every state it names is the kernel's and it passes the exact
+    certificate (sum 1 and pi . P = pi) on this kernel, it is returned over
+    the kernel's states in kernel order, and nothing below runs.  Any other
+    guess is dropped, and the law is solved for as with none.
+
+    The target is the class's quotient by its coarsest exact lumping, or
+    the class itself (:func:`_lumped`).  Each pass runs one law step: the target's elimination (:func:`_eliminate`), its law
     read off as numerators nums over one L (:func:`_recover`), the exact
     lift pi_i = nums[b] / (L size[b]) to each state of block b, and the
     exact certificate (sum 1 and pi . P = pi) on the kernel passed in.
@@ -262,6 +268,10 @@ def exact_stationary(kernel: Kernel) -> Dist:
     a solver fault, and RuntimeError is raised.
     """
     members = [kernel.index[s] for s in closed_class(kernel)]
+    if guess is not None and all(s in kernel.index for s in guess):
+        pi_idx = {kernel.index[s]: _rational(p) for s, p in guess.items()}
+        if _is_stationary(kernel, pi_idx):
+            return Dist({s: pi_idx.get(i, ZERO) for i, s in enumerate(kernel.states)})
     rows, den, solved, block, size = _lumped(kernel, members)
 
     def law(num, rel_err) -> dict[int, R] | None:

@@ -16,7 +16,8 @@ as level steps, each stretch between 0-columns is a nonnegative lattice
 path returning to height zero.  The wall maps move a conserved {1, -1}
 particle pair left or right along these paths; extended with a wall output
 they form a bijection of (configurations x walls), which yields the
-product-form stationary law computed by :func:`stationary`.  The maps are
+product-form stationary law computed by :func:`stationary`, and its top
+rows the starred chain's law (:func:`top_row_law`).  The maps are
 tabulated once per (n, n0), shared by :func:`kernel` and the checks.
 
 Each rule is written once: the scan step (:func:`_scan`, over the column
@@ -387,6 +388,23 @@ def stationary(n: int, n0: int, params: DStarParams) -> tuple[Dist, object]:
     nums, den, total = _class_weights(Counter(labels), params)
     law = {lab: R(a, total) for lab, a in nums.items()}
     return Dist({c: law.get(lab, ZERO) for c, lab in zip(configs, labels)}), R(total, den)
+
+
+def top_row_law(n: int, n0: int, params: DStarParams) -> Dist:
+    """The top-row law of :func:`stationary`: the starred chain's law on n sites, n0 zeros.
+
+    Each top row gets the integer numerators of its configurations, over
+    the closed class and the total of :func:`_class_weights`, added up
+    before one Fraction is built; it equals
+    ``lumping.project_distribution(stationary(n, n0, params)[0], itemgetter(0))``.
+    """
+    configs, labels = _space(n, n0)
+    nums, _, total = _class_weights(Counter(labels), params)
+    tops: dict = {}
+    get = tops.get
+    for (top, _), lab in zip(configs, labels):
+        tops[top] = get(top, 0) + nums.get(lab, 0)
+    return Dist({top: R(a, total) for top, a in tops.items()})
 
 
 @lru_cache(maxsize=None)

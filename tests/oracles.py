@@ -34,8 +34,8 @@ multispecies law instead of read off the two-cut chains by
 inclusion-exclusion, the closed classes by reachability from every
 state instead of two searches, and the coarsest exact lumping by rounds
 of re-signing every state instead of splitter refinement.  It also keeps
-the helpers only tests use: the full multispecies law (solved once per
-test run), site
+the helpers only tests use: a kernel's entries and rows as Fractions,
+the full multispecies law (solved once per test run), site
 densities and hook sums read off it, the JSON decoder of a law,
 the reversal symmetry of two-species words, the linear action of a window,
 window products and inverses,
@@ -70,6 +70,19 @@ from weyltasep.weyl import (
     kac_weights,
     theta_raises,
 )
+
+
+# --- kernel entries as Fractions --------------------------------------------
+
+
+def kernel_prob(kernel: Kernel, src, dst) -> R:
+    """Entry (src, dst) of a kernel as a Fraction."""
+    return R(kernel.rows[kernel.index[src]].get(kernel.index[dst], 0), kernel.den)
+
+
+def kernel_row(kernel: Kernel, src) -> dict:
+    """The row of src as state -> Fraction, its nonzero entries only."""
+    return {kernel.states[j]: R(a, kernel.den) for j, a in kernel.rows[kernel.index[src]].items()}
 
 
 # --- state spaces by brute enumeration -------------------------------------

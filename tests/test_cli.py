@@ -80,6 +80,30 @@ def test_stationary_json_roundtrip(capsys):
     assert obj["parameters"]["model"] == "dstar"
 
 
+@pytest.mark.parametrize(
+    "rates",
+    [[], ["--alpha", "9/10", "--alpha-star", "1/5", "--beta", "2/5", "--beta-star", "7/9"],
+     ["--alpha-star", "0"], ["--alpha-star", "0", "--beta-star", "0"]],
+    ids=["default", "point2", "alpha-star-zero", "both-stars-zero"],
+)
+def test_stationary_dstar_prints_the_same_law_with_no_guess(capsys, monkeypatch, rates):
+    # A guess that cannot be formed counts as none, and the kernel is solved.
+    tried = []
+
+    def no_guess(*args):
+        tried.append(args)
+        raise weyltasep.errors.NotIrreducible("no configurations in the restricted class")
+
+    cases = ((3, 0), (4, 1), (5, 2), (6, 3), (6, 6))
+    for n, n0 in cases:
+        argv = ["stationary", "--model", "dstar", "--n", str(n), "--n0", str(n0), *rates]
+        with monkeypatch.context() as patch:
+            patch.setattr(weyltasep.tworow, "top_row_law", no_guess)
+            solved = run(capsys, *argv)
+        assert run(capsys, *argv) == solved, argv
+    assert len(tried) == len(cases)
+
+
 def test_corr_csv(capsys):
     code, out = run(
         capsys, "corr", "--kind", "b", "--n", "2", "--format", "csv"
@@ -355,6 +379,8 @@ def test_zero_counts_rejected(capsys, argv):
         (["corr", "--kind", "b", "--n", "2", "--decimal", "0"],
          "argument --decimal: expected a positive integer, got '0'"),
         (["stationary", "--model", "dstar", "--n", "2", "--n0", "1"], "2 closed classes"),
+        (["stationary", "--model", "dstar", "--n", "3", "--n0", "2", "--alpha-star", "0",
+          "--beta-star", "0"], "2 closed classes"),
     ],
     ids=["d2-walk", "n0-above-n", "d1-limdir", "alpha-zero-denominator", "alpha-not-rational",
          "missing-kind", "semiperm-oversized-rate", "semiperm-partition-n0-above-n",
@@ -368,7 +394,8 @@ def test_zero_counts_rejected(capsys, argv):
          "verify-tables-n-max", "verify-tworow-k-max", "verify-identities-n-max",
          "verify-lumping-k-max", "walk-svg-unwritable", "limdir-closed-steps",
          "limdir-lam-trials", "limdir-closed-seed", "verify-csv", "limdir-negative-decimal",
-         "corr-negative-decimal", "corr-zero-decimal", "dstar-two-closed-classes"],
+         "corr-negative-decimal", "corr-zero-decimal", "dstar-two-closed-classes",
+         "dstar-no-product-form"],
 )
 def test_bad_input_is_one_line_and_exit_2(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

@@ -25,7 +25,7 @@ from weyltasep.ratio import R
 from weyltasep.verify import suite_lumping
 from weyltasep.weyl import FAMILIES, WeylKind
 
-from oracles import closed_classes, signed_permutations
+from oracles import closed_classes, kernel_prob, kernel_row, signed_permutations
 
 
 def test_cut_coloring_examples():
@@ -147,14 +147,15 @@ def test_verify_lumping_detects_violation():
     big = build_cut_chain(WeylKind("B", 3), (2,))
     small = build_cut_chain(WeylKind("Ccheck", 3), (2,))
     assert verify_lumping(big, lambda s: s, small) is False
-    differ = {(repr(s), repr(t)): (str(big.prob(s, t)), str(small.prob(s, t)))
-              for s in small.states for t in small.states if big.prob(s, t) != small.prob(s, t)}
+    pairs = ((s, t, kernel_prob(big, s, t), kernel_prob(small, s, t))
+             for s in small.states for t in small.states)
+    differ = {(repr(s), repr(t)): (str(p), str(q)) for s, t, p, q in pairs if p != q}
     assert differ == {(s, t): (agg, sm) for s, t, agg, sm in B_VS_CCHECK_VIOLATIONS}
     # Ccheck's kernel fails with any one of B's differing rows put in, and
     # passes with none.
-    bad_rows = {small.index[s] for s in big.states if big.row(s) != small.row(s)}
+    bad_rows = {small.index[s] for s in big.states if kernel_row(big, s) != kernel_row(small, s)}
     for bad in (None, *bad_rows):
-        rows = [(big if i == bad else small).row(u) for i, u in enumerate(small.states)]
+        rows = [kernel_row(big if i == bad else small, u) for i, u in enumerate(small.states)]
         patched = Kernel(small.states, [{small.index[t]: p for t, p in row.items()}
                                         for row in rows])
         assert verify_lumping(patched, lambda s: s, small) is (bad is None), bad

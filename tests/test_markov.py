@@ -32,6 +32,8 @@ from oracles import (
     fraction_kernel,
     full_chain_law,
     is_exactly_lumpable,
+    kernel_prob,
+    kernel_row,
     power_iteration,
     reversal_bijection,
     table_two_species_kernel,
@@ -42,13 +44,13 @@ def test_kernel_row_sums_enforced():
     with pytest.raises(ValueError):
         Kernel(("a", "b"), ({0: R(1, 2)}, {1: R(1)}))
     k = Kernel(("a", "b"), ({0: R(1, 2), 1: R(1, 2)}, {1: R(1)}))
-    assert k.prob("a", "b") == R(1, 2)
+    assert kernel_prob(k, "a", "b") == R(1, 2)
 
 
 def test_build_kernel_holds_leftover_mass():
     k = build_kernel(("a", "b"), lambda k: [(1, 0)] if k == 0 else [], [R(1, 3)])
-    assert k.prob("a", "a") == R(2, 3)
-    assert k.prob("b", "b") == R(1)
+    assert kernel_prob(k, "a", "a") == R(2, 3)
+    assert kernel_prob(k, "b", "b") == R(1)
 
 
 def test_one_state_chain():
@@ -124,10 +126,10 @@ def test_restrict_to_closed_class_matches_direct_kernel():
     (cls,) = closed_classes(ker)
     sub = ker.restrict(cls)
     states = [s for s in ker.states if s in cls]
-    direct = fraction_kernel(states, lambda s: ker.row(s).items())
+    direct = fraction_kernel(states, lambda s: kernel_row(ker, s).items())
     assert len(sub) < len(ker) and sub.den == ker.den
     assert sub.states == direct.states
-    assert all(sub.row(s) == direct.row(s) for s in states)
+    assert all(kernel_row(sub, s) == kernel_row(direct, s) for s in states)
     pi = exact_stationary(ker)
     assert exact_stationary(sub) == Dist({s: p for s, p in pi.items() if s in cls})
 
@@ -170,12 +172,12 @@ def test_kernel_holds_fraction_rows_as_integers_over_one_denominator(case):
     assert all(sum(row.values()) == kernel.den for row in kernel.rows)
     names = kernel.states
     for s, row in zip(names, rows):
-        assert kernel.row(s) == {names[j]: p for j, p in row.items() if p}
-        assert all(kernel.prob(s, names[j]) == p for j, p in row.items())
+        assert kernel_row(kernel, s) == {names[j]: p for j, p in row.items() if p}
+        assert all(kernel_prob(kernel, s, names[j]) == p for j, p in row.items())
     for cls in closed_classes(kernel):
         sub = kernel.restrict(cls)
         assert sub.den == kernel.den
-        assert all(sub.row(s) == kernel.row(s) for s in sub.states)
+        assert all(kernel_row(sub, s) == kernel_row(kernel, s) for s in sub.states)
 
 
 # --- both passes against the Fraction elimination -------------------------
@@ -640,7 +642,7 @@ def test_build_kernel_rejects_bad_moves_of_every_type(conv):
         build_kernel(("a", "b"), lambda k: [(1, 0)] if k == 0 else [], [neg])
     # An edge above 1 is an error only in a row whose moves carry it.
     big = build_kernel(("a", "b"), lambda k: [(1, 0)] if k == 0 else [], [one, conv(2)])
-    assert big.prob("a", "b") == 1 == big.prob("b", "b")
+    assert kernel_prob(big, "a", "b") == 1 == kernel_prob(big, "b", "b")
 
 
 def test_build_kernel_rejects_duplicate_states_before_any_row():
@@ -664,7 +666,7 @@ def test_build_kernel_folds_duplicate_fractional_moves(conv):
         folded = build_kernel(
             ("a", "b"), lambda k: [(1, e) for e in edges] if k == 0 else [], [quarter, quarter]
         )
-        assert list(folded.row("a").items()) == [("b", R(1, 2)), ("a", R(1, 2))]
+        assert list(kernel_row(folded, "a").items()) == [("b", R(1, 2)), ("a", R(1, 2))]
 
 
 @pytest.mark.parametrize("conv", TYPES)
@@ -687,3 +689,45 @@ def test_fractions_are_stored_as_given():
     p, q = R(1, 3), R(2, 3)
     d = Dist({"a": p, "b": q})
     assert d["a"] is p and d["b"] is q
+
+
+# --- guesses: certified, never trusted ---------------------------------------
+
+
+def test_a_certified_guess_is_returned_in_kernel_order_without_a_solve(solver_runs):
+    ker = build_multi(WeylKind("B", 3), 3)
+    law = exact_stationary(ker)
+    assert solver_runs == [len(ker)]
+    shuffled = dict(reversed(list(law.items())))
+    guessed = exact_stationary(ker, guess=shuffled)
+    assert guessed == law and list(guessed) == list(ker.states)
+    assert solver_runs == [len(ker)]
+
+
+def test_a_guess_with_one_entry_moved_falls_back_to_the_solve(solver_runs):
+    ker = build_multi(WeylKind("B", 3), 3)
+    law = exact_stationary(ker)
+    s, t = ker.states[:2]
+    moved = dict(law)
+    moved[s] -= law[s] / 2
+    moved[t] += law[s] / 2
+    assert moved != dict(law) and sum(moved.values()) == 1
+    assert exact_stationary(ker, guess=moved) == law
+    assert solver_runs == [len(ker)] * 2
+
+
+def test_a_guess_naming_a_state_the_kernel_lacks_falls_back(solver_runs):
+    ker = build_cut_chain(WeylKind("D", 3), (2,))
+    law = exact_stationary(ker)
+    for foreign in ((9, 9, 9), "x"):
+        assert exact_stationary(ker, guess={**law, foreign: ZERO}) == law
+    assert solver_runs == [len(ker)] * 3
+
+
+def test_a_guess_does_not_change_the_closed_class_error():
+    ker = build_dstar(2, 1, PARAM_POINTS[0])
+    guess = tworow.top_row_law(2, 1, PARAM_POINTS[0])
+    assert set(guess) == set(ker.states)
+    for given_guess in (None, guess):
+        with pytest.raises(NotIrreducible, match="^2 closed classes$"):
+            exact_stationary(ker, guess=given_guess)

@@ -16,7 +16,7 @@ from weyltasep.errors import (
 )
 from weyltasep.lumping import project_distribution
 from weyltasep.markov import exact_stationary
-from weyltasep.models import DStarParams, STAR, build_dstar
+from weyltasep.models import DStarParams, STAR, STAR_RATES, build_dstar
 from weyltasep.ratio import R, ZERO
 from weyltasep.verify import PARAM_POINTS, suite_tworow
 import weyltasep.tworow as tr
@@ -281,7 +281,7 @@ def test_kernel_matches_apply_oracle(n, n0):
     for params in PARAM_POINTS:
         ker, ref = tr.kernel(n, n0, params), oracles.tworow_kernel(n, n0, params)
         assert ker.states == ref.states
-        assert all(ker.row(c) == ref.row(c) for c in ker.states)
+        assert all(oracles.kernel_row(ker, c) == oracles.kernel_row(ref, c) for c in ker.states)
 
 
 def _transfer_identity_passes():
@@ -341,6 +341,54 @@ def test_top_row_projection_matches_starred_chain(n, n0):
     for params in POINTS:
         top = project_distribution(tr.stationary(n, n0, params)[0], itemgetter(0))
         assert top == exact_stationary(build_dstar(n, n0, params))
+
+
+def _law_or_message(solve):
+    try:
+        return solve()
+    except NotIrreducible as exc:  # an empty restricted class
+        return str(exc)
+
+
+@pytest.mark.parametrize("params", [*POINTS, *STAR_RATES.values()],
+                         ids=[*(f"point{i}" for i in range(len(POINTS))), *STAR_RATES])
+def test_top_row_law_is_the_projected_two_row_law(params):
+    for n in range(1, 8):
+        for n0 in range(n + 1):
+            projected = _law_or_message(
+                lambda: project_distribution(tr.stationary(n, n0, params)[0], itemgetter(0)))
+            assert _law_or_message(lambda: tr.top_row_law(n, n0, params)) == projected, (n, n0)
+
+
+def _guessed_and_solved(n, n0, params):
+    ker = build_dstar(n, n0, params)
+    guess = tr.top_row_law(n, n0, params)
+    return ker, exact_stationary(ker, guess=guess), exact_stationary(ker)
+
+
+@pytest.mark.parametrize("params", POINTS, ids=[f"point{i}" for i in range(len(POINTS))])
+def test_the_top_row_law_certifies_the_starred_chain(params, solver_runs):
+    for n in range(2, 6):
+        for n0 in range(n + 1):
+            if (n, n0) == (2, 1):  # two closed classes, with or without the guess
+                continue
+            solver_runs.clear()
+            ker, guessed, solved = _guessed_and_solved(n, n0, params)
+            assert guessed == solved and list(guessed) == list(ker.states), (n, n0)
+            assert len(solver_runs) == 1, (n, n0)  # only the call without a guess solved
+
+
+def test_the_top_row_law_certifies_a_starred_chain_that_solves_in_decimal(solver_runs):
+    ker, guessed, solved = _guessed_and_solved(8, 3, POINTS[2])
+    assert guessed == solved and solver_runs == [len(ker)]
+
+
+@pytest.mark.slow
+def test_the_top_row_law_certifies_the_starred_chain_at_9_sites(solver_runs):
+    # Eliminating this chain takes a float pass and a decimal pass, about 12 s.
+    ker = build_dstar(9, 3, POINTS[2])
+    guess = tr.top_row_law(9, 3, POINTS[2])
+    assert exact_stationary(ker, guess=guess) == guess and solver_runs == []
 
 
 def test_point_mass_projection():
