@@ -61,9 +61,9 @@ from .walk import (
     separation_count,
 )
 from .weyl import (
-    apply_generator,
     inverse_act_theta,
     kac_weights,
+    reflect,
     root_data,
     theta_raises,
     WeylKind,

@@ -10,10 +10,11 @@ boundary sites.
 The cut chains of all five families and the semipermeable chain share one
 move rule: edge g (0..n) fires exactly when the word lies on the negative
 side of wall g of the fundamental alcove (the simple roots, then -theta),
-and it moves the word by the group generator s_g, the step of the reduced
-alcove walk.  The chains differ only in the edge probabilities.  The
-literal per-pair pattern tables the rule replaces are kept in the tests as
-oracles.  The starred chain has a boundary table of its own at each end.
+and it reflects the word in wall g (`weyl.reflect`), the generator s_g of
+the reduced alcove walk.  The chains differ only in the edge
+probabilities.  The per-pair pattern tables and per-family generator
+branches the rule replaces are kept in the tests as oracles.  The starred
+chain has a boundary table of its own at each end.
 
 ``STAR_RATES`` holds the starred rates of each family, and :func:`star_chain`
 gives the starred chain a family's one-cut chain lifts to by
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from .errors import InvalidCounts, InvalidRank
 from .markov import Kernel, build_kernel, closed_class
 from .ratio import R
-from .weyl import WeylKind, alcove_walls, apply_generator, kac_weights
+from .weyl import WeylKind, alcove_walls, kac_weights, reflect
 
 STAR = "*"
 
@@ -112,15 +113,16 @@ def dstar_states(n: int, n0: int) -> list:
 
 
 def _exclusion_kernel(states, kind: WeylKind, probs) -> Kernel:
-    """Edge g moves w to s_g(w) with probability probs[g] when <wall_g, w> < 0."""
+    """Edge g reflects w in wall g with probability probs[g] when <wall_g, w> < 0."""
     walls = tuple(enumerate(alcove_walls(kind)))
     index = {w: k for k, w in enumerate(states)}
 
     def moves(k):
         w = states[k]
-        for g, (i0, c0, i1, c1) in walls:
+        for g, wall in walls:
+            i0, c0, i1, c1 = wall
             if c0 * w[i0] + c1 * w[i1] < 0:
-                yield index[apply_generator(w, g, kind)], g
+                yield index[reflect(w, wall)], g
 
     return build_kernel(states, moves, probs)
 
@@ -129,8 +131,8 @@ def build_cut_chain(kind: WeylKind, cuts) -> Kernel:
     """Kernel of the family's exclusion chain on the words of :func:`cut_states`.
 
     Edge g (0..n) is selected with probability a_g / sum(a) where a are the
-    family's step weights; the selected edge then moves by s_g when the
-    state is on the negative side of wall g, otherwise the state holds.
+    family's step weights; the selected edge then reflects the state in
+    wall g when it is on the wall's negative side, otherwise the state holds.
     """
     weights = kac_weights(kind)
     probs = [R(a, weights.total) for a in weights.weights]

@@ -32,7 +32,7 @@ base point x0 seen from the fundamental alcove A0, packed in one list
 z = m*y + winv that one signed swap moves (see `WalkState`).  Proposing g
 crosses a new hyperplane exactly when y lies on x0's side of the wall g of
 A0, and an ascent table caches that answer for every g.  A held proposal
-is one table lookup.  An accepted one reflects z by s_g, clears g, whose
+is one table lookup.  An accepted one reflects z in wall g, clears g, whose
 wall y has just crossed, and recomputes the table at the other Dynkin
 neighbours of g only.  The window, y and the point x = u(x0) are decoded
 only when they are asked for.
@@ -62,11 +62,9 @@ from functools import lru_cache
 from itertools import chain
 
 from .closedform import DirectionVector, limdir_closed
-from .errors import NonGenericPoint, UnsupportedRange
+from .errors import InvalidCounts, NonGenericPoint, UnsupportedRange
 from .ratio import R, exact_sum
-from .weyl import (
-    WeylKind, alcove_walls, apply_generator, identity_window, kac_weights, root_data
-)
+from .weyl import WeylKind, alcove_walls, kac_weights, reflection, root_data
 
 
 @lru_cache(maxsize=None)
@@ -135,11 +133,13 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     the root pairings at the two points, each pairing two terms.  Both
     points are scaled by the lcm D of their denominators, so a pairing P
     stands for P/D: it lies on a wall when D divides it, and its floor is
-    P // D.
+    P // D.  A point with other than n coordinates raises InvalidCounts.
     """
+    x = [R(v) for v in x]
+    if len(x) != n:
+        raise InvalidCounts(f"a point of rank {n} has {n} coordinates, got {len(x)}")
     kind = WeylKind(kind.family, n)
     base = fundamental_point(kind, n)
-    x = [R(v) for v in x]
     den = math.lcm(*(v.denominator for v in (*base, *x)))
     xs = [v.numerator * (den // v.denominator) for v in x]
     bs = [v.numerator * (den // v.denominator) for v in base]
@@ -182,14 +182,14 @@ def _walk_tables(kind: WeylKind, n: int):
     do not fit in a byte fails before any geometry is computed or any code
     generated.
 
-    The walk loop is `_compile_loop` of the moves.  moves[g] = (p, q, s, tp,
-    tq, refresh).  Right multiplication by s_g maps entries p, q of the
-    packed list z to s times each other (p == q negates one entry); the
-    affine generator then adds its shift, tp at p and tq at q (zero for the
-    finite generators).  refresh holds (h, i0, c0, i1, c1, lev) for every
-    Dynkin neighbour h != g of g, with wall h oriented to x0's side at level
-    l: h is an ascent iff c0*y[i0] + c1*y[i1] > l, that is iff
-    c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
+    The walk loop is `_compile_loop` of the moves, read off the walls.
+    moves[g] = (p, q, s, tp, tq, refresh).  The reflection in wall g
+    (`weyl.reflection`) maps entries p, q of the packed list z to s times
+    each other (p == q negates one entry); the affine generator then adds
+    its shift, tp at p and tq at q (zero for the finite generators).
+    refresh holds (h, i0, c0, i1, c1, lev) for every Dynkin neighbour h != g
+    of g, with wall h oriented to x0's side at level l: h is an ascent iff
+    c0*y[i0] + c1*y[i1] > l, that is iff c0*z[i0] + c1*z[i1] > lev = m*l + m//2.
 
     The Dynkin neighbours of g are the walls with a nonzero inner product
     with wall g, looked for among the walls that share a coordinate with it
@@ -218,18 +218,16 @@ def _walk_tables(kind: WeylKind, n: int):
     t0, c0, t1, c1 = walls[n]  # the terms of -theta
     tau = {t: -2 * c // (c0 * c0 + c1 * c1) * m * d for t, c in ((t0, c0), (t1, c1)) if c}
     moves = []
-    for g, (i0, c0, i1, c1) in enumerate(walls):
-        # s_g is a signed transposition of two entries or one sign change
-        win = apply_generator(identity_window(n), g, kind)
-        supp = [i for i in range(n) if win[i] != i + 1]
-        p, q = supp[0], supp[-1]
+    for g, wall in enumerate(walls):
+        i0, c0, i1, c1 = wall
+        p, q, s = reflection(wall)
         # tau lives on theta's terms, which are p and q
         tp, tq = (tau.get(p, 0), tau.get(q, 0)) if g == n else (0, 0)
         near = sorted({h for i in (i0, i1) for h in touching[i]} - {g})
         # <wall g, wall h>, summed over the terms of wall h
         refresh = tuple(ascent[h] for h in near if sum(
             c * (c0 * (j == i0) + c1 * (j == i1)) for j, c in (walls[h][:2], walls[h][2:])))
-        moves.append((p, q, 1 if win[p] > 0 else -1, tp, tq, refresh))
+        moves.append((p, q, s, tp, tq, refresh))
     return d, m, x0, _compile_loop(kind, moves), table, delete
 
 

@@ -8,8 +8,10 @@ coordinates ``(w . v)_j = sign(w_j) * v_{|w_j|}``.
 Every root of these families is +-e_i, +-2e_i or +-e_i +- e_j, so a root is
 kept as its two-term pairing (i0, c0, i1, c1): <alpha, v> = c0*v[i0] +
 c1*v[i1], with 0-based indices, and a one-term root pads with (0, 0).
-Families ``Bcheck`` and ``Ccheck`` share the root systems of B and C; they
-differ only in their step weights (dual Kac labels).
+Every generator s_g (0..n) is the reflection in wall g of the fundamental
+alcove (`alcove_walls`): one signed swap of window entries, read off the
+wall's pairing by `reflection`.  Families ``Bcheck`` and ``Ccheck`` share
+the root systems of B and C; they differ only in their step weights.
 """
 from __future__ import annotations
 
@@ -106,36 +108,6 @@ def kac_weights(kind: WeylKind) -> KacWeights:
     return KacWeights(tuple(a))
 
 
-def identity_window(n: int) -> Window:
-    return tuple(range(1, n + 1))
-
-
-def apply_generator(w: Window, g: int, kind: WeylKind) -> Window:
-    """Apply generator g (0..n, where n means the highest-root reflection).
-
-    Generators act on window positions: s_i swaps entries i, i+1; s_0 is the
-    family's first-site move; generator n acts on the last entries.
-    """
-    n = len(w)
-    if not 0 <= g <= n:
-        raise InvalidRank(f"generator {g} outside 0..{n}")
-    fam = kind.root_family
-    lst = list(w)
-    if 1 <= g <= n - 1:
-        lst[g - 1], lst[g] = lst[g], lst[g - 1]
-    elif g == 0:
-        if fam == "D":
-            lst[0], lst[1] = -lst[1], -lst[0]
-        else:
-            lst[0] = -lst[0]
-    else:  # g == n
-        if fam == "C" or n == 1:
-            lst[-1] = -lst[-1]
-        else:
-            lst[-2], lst[-1] = -lst[-1], -lst[-2]
-    return tuple(lst)
-
-
 @lru_cache(maxsize=None)
 def alcove_walls(kind: WeylKind) -> tuple:
     """Normals of the fundamental alcove's walls, as pairings.
@@ -146,6 +118,28 @@ def alcove_walls(kind: WeylKind) -> tuple:
     rs = root_data(kind)
     i0, c0, i1, c1 = rs.theta
     return rs.simple_roots + ((i0, -c0, i1, -c1),)
+
+
+def reflection(wall) -> tuple:
+    """The reflection in a wall pairing (i0, c0, i1, c1) as one signed swap (p, q, s).
+
+    It maps window entries p, q to s times each other.  A one-term wall
+    c0*e_{i0} negates entry i0: (i0, i0, -1).  A two-term wall swaps
+    entries i0 and i1, keeping the signs when c0 == -c1 (a root e_j - e_i)
+    and flipping both when c0 == c1 (e_i + e_j).
+    """
+    i0, c0, i1, c1 = wall
+    if not c1:
+        return i0, i0, -1
+    return i0, i1, 1 if c0 == -c1 else -1
+
+
+def reflect(w: Window, wall) -> Window:
+    """The window w moved by the reflection in `wall`; for wall g of the alcove, w s_g."""
+    p, q, s = reflection(wall)
+    lst = list(w)
+    lst[p], lst[q] = s * w[q], s * w[p]
+    return tuple(lst)
 
 
 def theta_raises(w: Window, kind: WeylKind) -> bool:

@@ -3,7 +3,9 @@
 These deliberately avoid the library's own formulas: word lengths come from
 breadth-first search over the generators, stationary vectors from floating
 point power iteration or from state elimination over fractions.Fraction,
-the stationarity certificate from one Fraction operation per entry,
+the generators from per-family window branches instead of the reflection
+in their walls, the stationarity certificate from one Fraction operation
+per entry,
 kernels assembled with one Fraction per entry instead of integer weights
 over one denominator,
 counts from brute enumeration, exclusion-chain state spaces from the signed
@@ -55,21 +57,13 @@ from functools import lru_cache
 
 from weyltasep import closedform as cf
 from weyltasep import tworow as tr
-from weyltasep.errors import NonGenericPoint, UnsupportedRange, ZeroParameter
+from weyltasep.errors import InvalidRank, NonGenericPoint, UnsupportedRange, ZeroParameter
 from weyltasep.markov import Dist, Kernel, exact_stationary
 from weyltasep.models import STAR, build_multi, state_sort_key
 from weyltasep.ratio import R, parse_ratio
 from weyltasep.tworow import COL_DOWN, COL_RISE, COL_STAR, COL_UP, COL_ZERO, LabelCounts
 from weyltasep.walk import fundamental_point
-from weyltasep.weyl import (
-    WeylKind,
-    alcove_walls,
-    apply_generator,
-    identity_window,
-    inverse_act_theta,
-    kac_weights,
-    theta_raises,
-)
+from weyltasep.weyl import WeylKind, alcove_walls, inverse_act_theta, kac_weights, theta_raises
 
 
 # --- kernel entries as Fractions --------------------------------------------
@@ -146,6 +140,37 @@ def inverse(w):
         else:
             out[-val - 1] = -pos
     return tuple(out)
+
+
+def identity_window(n: int) -> tuple:
+    return tuple(range(1, n + 1))
+
+
+def apply_generator(w, g: int, kind: WeylKind) -> tuple:
+    """Apply generator g (0..n, where n means the highest-root reflection).
+
+    Generators act on window positions: s_i swaps entries i, i+1; s_0 is the
+    family's first-site move; generator n acts on the last entries.  These
+    are the per-family branches that `weyl.reflect` replaced.
+    """
+    n = len(w)
+    if not 0 <= g <= n:
+        raise InvalidRank(f"generator {g} outside 0..{n}")
+    fam = kind.root_family
+    lst = list(w)
+    if 1 <= g <= n - 1:
+        lst[g - 1], lst[g] = lst[g], lst[g - 1]
+    elif g == 0:
+        if fam == "D":
+            lst[0], lst[1] = -lst[1], -lst[0]
+        else:
+            lst[0] = -lst[0]
+    else:  # g == n
+        if fam == "C" or n == 1:
+            lst[-1] = -lst[-1]
+        else:
+            lst[-2], lst[-1] = -lst[-1], -lst[-2]
+    return tuple(lst)
 
 
 def bfs_word_lengths(kind: WeylKind) -> dict:

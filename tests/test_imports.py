@@ -19,14 +19,14 @@ import weyltasep
 
 PUBLIC_NAMES = [
     "DStarParams", "DirectionVector", "Dist", "Kernel", "R", "STAR", "WeylKind",
-    "apply_generator", "b_first_site", "b_pair_table", "ballot", "build_cut_chain",
+    "b_first_site", "b_pair_table", "ballot", "build_cut_chain",
     "build_dstar", "build_multi", "build_semipermeable", "catalan", "ccheck_last_density",
     "closed_class", "closedform", "conjecture_b_value", "count_segment",
     "cut_coloring", "cut_states", "d_pair_table", "dstar_states", "enumerate_configs",
     "errors", "estimate_direction", "exact_stationary", "fmt_ratio", "fundamental_point",
     "inverse_act_theta", "kac_weights", "label_counts", "limdir_closed", "limdir_exact_lam",
     "lumping", "m_poly", "markov", "models", "multi_sums", "parse_ratio",
-    "project_distribution", "q_weight", "ratio", "root_data", "run_walk",
+    "project_distribution", "q_weight", "ratio", "reflect", "root_data", "run_walk",
     "semiperm_density", "separation_count", "star_lift", "theta_raises",
     "tstar_bar", "tworow", "v_poly", "verify_lumping", "walk", "weyl", "z_b", "z_d",
     "z_semiperm",

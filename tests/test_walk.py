@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import weyltasep
 from weyltasep import walk
-from weyltasep.errors import NonGenericPoint, UnsupportedRange
+from weyltasep.errors import InvalidCounts, NonGenericPoint, UnsupportedRange
 from weyltasep.walk import (
     CHUNK,
     WalkState,
@@ -34,12 +34,9 @@ from weyltasep.walk import (
     separation_count,
     svg_trajectory,
 )
-from weyltasep.weyl import (
-    WeylKind,
-    apply_generator,
-    identity_window,
-    kac_weights,
-)
+from weyltasep.weyl import WeylKind, kac_weights
+
+from oracles import apply_generator, identity_window
 
 B2 = WeylKind("B", 2)
 
@@ -81,6 +78,13 @@ def test_separation_after_one_reflection():
     s = sum(x)
     y = (x[0] + (1 - s), x[1] + (1 - s))
     assert separation_count(y, B2, 2) == 1
+
+
+def test_separation_count_needs_n_coordinates():
+    x = fundamental_point(WeylKind("B", 3), 3)
+    for point in (x + (Fraction(7, 3), Fraction(1, 9)), x[:2]):
+        with pytest.raises(InvalidCounts, match=f"has 3 coordinates, got {len(point)}"):
+            separation_count(point, WeylKind("B", 3), 3)
 
 
 def test_separation_rejects_wall_points():
@@ -458,6 +462,48 @@ def test_generated_loop_at_the_largest_byte_ranks(family, n):
     _against_two_list_oracle(family, n, proposals)
     s = run_walk(kind, n, 1000, seed=1)
     assert s.accepted == s.crossings == separation_count(s.final_point, kind, n)
+
+
+def _loop_moves(monkeypatch, kind):
+    """The moves `_walk_tables` hands to `_compile_loop` for a fresh build of kind."""
+    seen = []
+    compile_loop = walk._compile_loop
+
+    def spy(kind, moves):
+        seen.append(moves)
+        return compile_loop(kind, moves)
+
+    monkeypatch.setattr(walk, "_compile_loop", spy)
+    _walk_tables.cache_clear()
+    _walk_tables(kind, kind.n)
+    return seen.pop()
+
+
+def _identity_window_swaps(kind):
+    """(p, q, s) of every generator, read off where it moves the identity window."""
+    swaps = []
+    for g in range(kind.n + 1):
+        win = apply_generator(identity_window(kind.n), g, kind)
+        supp = [i for i in range(kind.n) if win[i] != i + 1]
+        swaps.append((supp[0], supp[-1], 1 if win[supp[0]] > 0 else -1))
+    return swaps
+
+
+@pytest.mark.parametrize("family", ["B", "C", "Bcheck", "Ccheck", "D"])
+def test_loop_moves_match_the_identity_window_swaps(monkeypatch, family):
+    for n in range(3 if family == "D" else 1, 41):
+        kind = WeylKind(family, n)
+        moves = _loop_moves(monkeypatch, kind)
+        assert [move[:3] for move in moves] == _identity_window_swaps(kind)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family,n", [("B", 128), ("C", 128), ("Bcheck", 127), ("D", 129),
+                                      ("Ccheck", 255)])
+def test_loop_moves_at_the_largest_byte_ranks(monkeypatch, family, n):
+    kind = WeylKind(family, n)
+    moves = _loop_moves(monkeypatch, kind)
+    assert [move[:3] for move in moves] == _identity_window_swaps(kind)
 
 
 def test_packed_state_decodes_far_from_the_base_point():

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from weyltasep.errors import InvalidRank
 from weyltasep.weyl import (
     WeylKind,
-    apply_generator,
+    alcove_walls,
     inverse_act_theta,
     kac_weights,
+    reflect,
+    reflection,
     root_data,
     theta_raises,
 )
 
 from oracles import (
-    act, bfs_word_lengths, dense_roots, inverse, length, signed_permutations, wprod
+    act, apply_generator, bfs_word_lengths, dense_roots, inverse, length, signed_permutations,
+    wprod
 )
 
 B = lambda n: WeylKind("B", n)
@@ -131,29 +134,49 @@ def test_inverse_act_theta_vs_action():
 
 
 def test_apply_generator_examples():
-    assert apply_generator((1, 2), 1, B(2)) == (2, 1)
-    assert apply_generator((1, 2), 0, B(2)) == (-1, 2)
-    assert apply_generator((1, 2, 3), 3, B(3)) == (1, -3, -2)
-    assert apply_generator((1, 2), 2, C(2)) == (1, -2)
-    assert apply_generator((1, 2, 3), 0, D(3)) == (-2, -1, 3)
+    def wall(kind, g):
+        return alcove_walls(kind)[g]
+
+    assert reflect((1, 2), wall(B(2), 1)) == (2, 1)
+    assert reflect((1, 2), wall(B(2), 0)) == (-1, 2)
+    assert reflect((1, 2, 3), wall(B(3), 3)) == (1, -3, -2)
+    assert reflect((1, 2), wall(C(2), 2)) == (1, -2)
+    assert reflect((1, 2, 3), wall(D(3), 0)) == (-2, -1, 3)
+
+
+def test_reflection_reads_the_wall_pairing():
+    # a one-term wall negates its entry, whatever its coefficient
+    assert reflection((2, 2, 0, 0)) == reflection((2, -1, 0, 0)) == (2, 2, -1)
+    # e_j - e_i swaps two entries, e_i + e_j swaps and negates them
+    assert reflection((0, -1, 1, 1)) == reflection((0, 1, 1, -1)) == (0, 1, 1)
+    assert reflection((0, 1, 1, 1)) == reflection((0, -1, 1, -1)) == (0, 1, -1)
+
+
+@pytest.mark.parametrize("family", ["B", "C", "Bcheck", "Ccheck", "D"])
+def test_reflect_matches_the_generator_branches(family):
+    for n in range(2 if family == "D" else 1, 6):
+        kind = WeylKind(family, n)
+        walls = alcove_walls(kind)
+        for w in signed_permutations(n):
+            for g, wall in enumerate(walls):
+                assert reflect(w, wall) == apply_generator(w, g, kind)
 
 
 @pytest.mark.parametrize("family", ["B", "C", "D"])
 def test_generators_are_involutions(family):
     for n in range(2 if family == "D" else 1, 5):
-        kind = WeylKind(family, n)
+        walls = alcove_walls(WeylKind(family, n))
         for w in signed_permutations(n, even_only=family == "D"):
-            for g in range(n + 1):
-                v = apply_generator(w, g, kind)
-                assert apply_generator(v, g, kind) == w
+            for wall in walls:
+                assert reflect(reflect(w, wall), wall) == w
 
 
 def test_d_generators_preserve_parity():
     for n in (2, 3, 4):
-        kind = D(n)
+        walls = alcove_walls(D(n))
         for w in signed_permutations(n, even_only=True):
-            for g in range(n + 1):
-                v = apply_generator(w, g, kind)
+            for wall in walls:
+                v = reflect(w, wall)
                 assert sum(1 for x in v if x < 0) % 2 == 0
 
 
