@@ -19,7 +19,8 @@ for family, ranks in [
     ("Bcheck", (2, 3, 4)),
 ]:
     for n in ranks:
-        vec = limdir_closed(WeylKind(family, n), n)
+        kind = WeylKind(family, n)
+        vec = limdir_closed(kind, kind.n)
         print(f"{family:>7} n={n}:  " + ", ".join(fmt_ratio(c) for c in vec.coeffs))
     print()
 
@@ -28,8 +29,8 @@ print("-" * 55)
 for family in ("Ccheck", "B", "D", "C", "Bcheck"):
     for n in (2, 3, 4):
         kind = WeylKind(family, n)
-        lam = limdir_exact_lam(kind, n)
-        closed = limdir_closed(kind, n)
+        lam = limdir_exact_lam(kind)
+        closed = limdir_closed(kind, kind.n)
         tag = "equal" if lam.coeffs == closed.coeffs else "proportional"
         assert lam.proportional_to(closed)
         print(f"{family:>7} n={n}:  {tag} to the closed form")
@@ -39,7 +40,7 @@ print("Monte Carlo route (10 x 200k steps each)")
 print("-" * 55)
 for family, n in [("B", 2), ("Ccheck", 2), ("D", 3)]:
     kind = WeylKind(family, n)
-    est = estimate_direction(kind, n, steps=200_000, trials=10, seed=42)
+    est = estimate_direction(kind, kind.n, steps=200_000, trials=10, seed=42)
     direction = ", ".join(f"{v:.4f}" for v in est.direction)
     print(
         f"{family:>7} n={n}:  ({direction})  "

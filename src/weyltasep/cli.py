@@ -115,7 +115,7 @@ def _cmd_stationary(args) -> int:
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n) if args.kind else None
     guess = None
     if args.model == "multi":
-        kernel = build_multi(kind, args.n)
+        kernel = build_multi(kind, kind.n)
     elif args.model == "two":
         if not 0 <= args.n0 <= args.n:
             raise InvalidCounts(f"need 0 <= n0 <= n, got {args.n0}")
@@ -147,8 +147,7 @@ def _cmd_stationary(args) -> int:
 
 
 def _cmd_corr(args) -> int:
-    fam = FAMILY_FLAGS[args.kind]
-    corr = cf.pair_correlations(fam, args.n)
+    corr = cf.pair_correlations(WeylKind(FAMILY_FLAGS[args.kind], args.n))
     cells = [
         {"i": i, "j": j, "p": _exact(p, args.decimal)}
         for (i, j), p in sorted(corr.items())
@@ -180,11 +179,11 @@ def _cmd_partition(args) -> int:
 def _cmd_limdir(args) -> int:
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
     if args.method == "closed":
-        vec = cf.limdir_closed(kind, args.n)
+        vec = cf.limdir_closed(kind, kind.n)
     elif args.method == "lam":
-        vec = cf.limdir_exact_lam(kind, args.n)
+        vec = cf.limdir_exact_lam(kind)
     else:  # walk
-        est, out = _estimate(args, method=args.method)
+        est, out = _estimate(args, kind, method=args.method)
         if args.format == "text":
             print(", ".join(f"{v:.6f}" for v in est.direction))
         else:
@@ -201,10 +200,9 @@ def _cmd_limdir(args) -> int:
     return 0
 
 
-def _estimate(args, **params) -> tuple:
+def _estimate(args, kind: WeylKind, **params) -> tuple:
     """A walk estimate of the direction and its JSON object, shared by limdir and walk."""
-    kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
-    est = estimate_direction(kind, args.n, args.steps, args.trials, args.seed)
+    est = estimate_direction(kind, kind.n, args.steps, args.trials, args.seed)
     out = _meta(
         args, kind=args.kind, n=args.n, **params, steps=args.steps, trials=args.trials
     )
@@ -216,10 +214,10 @@ def _estimate(args, **params) -> tuple:
 
 def _cmd_walk(args) -> int:
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n)
-    est, out = _estimate(args)
+    est, out = _estimate(args, kind)
     out["chambers"] = {str(list(k)): v for k, v in sorted(est.chamber_counts.items())}
     if args.svg:
-        svg_trajectory(kind, args.n, min(args.steps, 2000), args.seed, args.svg)
+        svg_trajectory(kind, min(args.steps, 2000), args.seed, args.svg)
         out["svg"] = args.svg
     _emit(out, args)
     return 0

@@ -33,7 +33,7 @@ from .markov import Dist, exact_stationary
 from .models import build_cut_chain, cut_states, star_rates
 from .ratio import ONE, R, ZERO, exact_sum, inverse_power_sum
 from .tworow import top_row_law
-from .weyl import WeylKind, alcove_walls
+from .weyl import WeylKind, alcove_walls, check_rank
 
 
 def comb0(n: int, k: int) -> int:
@@ -283,7 +283,7 @@ class HookSums:
     hu: object | None  # up-hook
 
 
-def multi_sums(family: str, n: int, i: int) -> HookSums:
+def multi_sums(kind: WeylKind, i: int) -> HookSums:
     """Closed row/column/hook sums of final-pair correlations, families B, D.
 
     Over the final pairs (x, y): row = P(x = i), col = P(y = i) and, for
@@ -294,9 +294,10 @@ def multi_sums(family: str, n: int, i: int) -> HookSums:
     hu from the cells (1, 1) and (-1, 1).  The tests check both against
     the exact chain.
     """
+    n = kind.n
     if i == 0 or abs(i) > n:
         raise RangeError(f"species {i} outside +-1..{n}")
-    if family == "B":
+    if kind.family == "B":
         if n < 2:
             raise RangeError("needs n >= 2")
         col = R(1, 2 * n)
@@ -314,11 +315,11 @@ def multi_sums(family: str, n: int, i: int) -> HookSums:
         hd = R((n - i) * (n + 3 * i - 1), 2 * n * (2 * n - 1) * (n - 1))
         hu = R(n - i, n * (2 * n - 1))
         return HookSums(row, col, hd, hu)
-    if family == "D":
+    if kind.family == "D":
         if n < 3:
             raise RangeError("needs n >= 3")
         return _multi_sums_d(n, i)
-    raise UnsupportedRange(f"no closed hook sums for family {family}")
+    raise UnsupportedRange(f"no closed hook sums for family {kind.family}")
 
 
 # The pair table at zero count 0: the zero-free D chain is uniform on its
@@ -366,7 +367,7 @@ def _cut_law(kind: WeylKind, cuts: tuple) -> Dist:
     return exact_stationary(build_cut_chain(kind, cuts))
 
 
-def pair_correlations(family: str, n: int) -> dict:
+def pair_correlations(kind: WeylKind) -> dict:
     """Exact final-pair probabilities of the multispecies chain, zero cells left out.
 
     T(s, t), the law of the signs of the final pair (x, y) on |x| >= s and
@@ -374,9 +375,9 @@ def pair_correlations(family: str, n: int) -> dict:
     colour k means |x| >= cuts[k - 1]; past n it is zero.  P(x = i, y = j)
     is the sum of (-1)^(e + d) T(|i| + e, |j| + d) over e, d in {0, 1}.
     """
+    n = kind.n
     if n < 2:
         raise InvalidRank(f"final-pair correlations need rank n >= 2, got {n}")
-    kind = WeylKind(family, n)
     tails: dict = {}  # (s, t, x > 0, y > 0) -> T(s, t) at those signs
     for cuts in combinations(range(1, n + 1), 2):
         terms: dict = {}
@@ -460,14 +461,13 @@ def _tail_direction(kind: WeylKind, law_of) -> DirectionVector:
     return DirectionVector(tuple(a - b for a, b in zip(tails, tails[1:])))
 
 
-def limdir_exact_lam(kind: WeylKind, n: int) -> DirectionVector:
+def limdir_exact_lam(kind: WeylKind) -> DirectionVector:
     """Limiting direction from the stationary-weighted highest-root sum.
 
     The sum is read off the exact laws of the n one-cut chains, each solved
     by elimination (independent of the two-row product form).
     """
-    wkind = WeylKind(kind.family, n)
-    return _tail_direction(wkind, lambda i: _cut_law(wkind, (i,)))
+    return _tail_direction(kind, lambda i: _cut_law(kind, (i,)))
 
 
 def _lifted_law(kind: WeylKind, n0: int) -> dict:
@@ -485,7 +485,8 @@ def _lifted_law(kind: WeylKind, n0: int) -> dict:
 
 
 def limdir_closed(kind: WeylKind, n: int) -> DirectionVector:
-    """Closed-form limiting direction for any of the five families."""
+    """Closed-form limiting direction for any of the five families; n must be kind's rank."""
+    check_rank(kind, n)
     fam = kind.family
     if fam == "Ccheck":
         return DirectionVector(
@@ -512,8 +513,7 @@ def limdir_closed(kind: WeylKind, n: int) -> DirectionVector:
             for i in range(1, n + 1)
         ))
     if fam == "Bcheck":
-        bkind = WeylKind(fam, n)
-        return _tail_direction(bkind, lambda i: _lifted_law(bkind, i - 1))
+        return _tail_direction(kind, lambda i: _lifted_law(kind, i - 1))
     raise UnsupportedRange(f"unknown family {fam}")
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from .errors import InvalidCounts, InvalidRank
 from .markov import Kernel, build_kernel, closed_class
 from .ratio import R
-from .weyl import WeylKind, alcove_walls, kac_weights, reflect
+from .weyl import WeylKind, alcove_walls, check_rank, kac_weights, reflect
 
 STAR = "*"
 
@@ -140,8 +140,9 @@ def build_cut_chain(kind: WeylKind, cuts) -> Kernel:
 
 
 def build_multi(kind: WeylKind, n: int) -> Kernel:
-    """Kernel of the multispecies chain: the cut chain with cuts (1, ..., n)."""
-    return build_cut_chain(WeylKind(kind.family, n), range(1, n + 1))
+    """Kernel of the multispecies chain: the cut chain with cuts (1, ..., n), n kind's rank."""
+    check_rank(kind, n)
+    return build_cut_chain(kind, range(1, n + 1))
 
 
 def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:

@@ -319,7 +319,7 @@ def suite_lumping(n_max: int = 4) -> dict:
 def suite_conjecture_b(n: int = 4) -> dict:
     _at_least("conjecture-b", n=(n, 2))
     checks: list = []
-    corr = cf.pair_correlations("B", n)
+    corr = cf.pair_correlations(WeylKind("B", n))
     by_case: dict[int, list] = {}
     for i, j, cv in cf.conjecture_b_pairs(n):
         by_case.setdefault(cv.case, []).append(
@@ -345,7 +345,7 @@ def suite_conjecture_b(n: int = 4) -> dict:
 def suite_tables() -> dict:
     checks: list = []
 
-    corr = cf.pair_correlations("B", 4)
+    corr = cf.pair_correlations(WeylKind("B", 4))
     ok = True
     for i, cells in TABLE_B_PAIRS_N4.items():
         for col, text in zip((-4, -3, -2, -1), cells):

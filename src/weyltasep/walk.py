@@ -1,11 +1,12 @@
 """Reduced random walks on the alcoves of the affine arrangement.
 
-The walk starts at a generic interior point of the fundamental alcove and
-repeatedly proposes a reflection in a wall of the current alcove, weighted
-by the family's step weights.  A proposal is accepted only if it crosses a
-hyperplane never crossed before (the separation count from the base point
-grows by one); otherwise the walk holds.  All geometry is exact: points
-live on a fixed denominator lattice, so the hot loop is integer-only.
+The walk of a `WeylKind`, which carries the rank n, starts at a generic
+interior point of the fundamental alcove and repeatedly proposes a
+reflection in a wall of the current alcove, weighted by the family's step
+weights.  A proposal is accepted only if it crosses a hyperplane never
+crossed before (the separation count from the base point grows by one);
+otherwise the walk holds.  All geometry is exact: points live on a fixed
+denominator lattice, so the hot loop is integer-only.
 
 The step weights are the Kac labels a_g, small integers with total
 T <= 2(n + 1).  Proposals come from random bytes: a byte b below
@@ -64,11 +65,11 @@ from itertools import chain
 from .closedform import DirectionVector, limdir_closed
 from .errors import InvalidCounts, NonGenericPoint, UnsupportedRange
 from .ratio import R, exact_sum
-from .weyl import WeylKind, alcove_walls, kac_weights, reflection, root_data
+from .weyl import WeylKind, alcove_walls, check_rank, kac_weights, reflection, root_data
 
 
 @lru_cache(maxsize=None)
-def fundamental_point(kind: WeylKind, n: int) -> tuple:
+def fundamental_point(kind: WeylKind) -> tuple:
     """Barycenter of the fundamental alcove, as exact fractions.
 
     The alcove is the simplex cut out by the simple-root half-spaces and
@@ -79,8 +80,7 @@ def fundamental_point(kind: WeylKind, n: int) -> tuple:
     inverse of the simple-root matrix, so one elimination gives every
     vertex.  The barycenter is generic for every family considered here.
     """
-    kind = WeylKind(kind.family, n)
-    rs = root_data(kind)
+    n, rs = kind.n, root_data(kind)
     omega = _inverse_columns(rs.simple_roots)  # the simple roots are a basis
     t0, c0, t1, c1 = rs.theta
     heights = [c0 * w[t0] + c1 * w[t1] for w in omega]
@@ -126,7 +126,7 @@ def _inverse_columns(rows) -> list:
     return [[a[r][n + i] for r in range(n)] for i in range(n)]
 
 
-def separation_count(x, kind: WeylKind, n: int) -> int:
+def separation_count(x, kind: WeylKind) -> int:
     """Number of affine hyperplanes separating x from the fundamental point.
 
     Counts, over every positive root, the integers lying strictly between
@@ -136,10 +136,9 @@ def separation_count(x, kind: WeylKind, n: int) -> int:
     P // D.  A point with other than n coordinates raises InvalidCounts.
     """
     x = [R(v) for v in x]
-    if len(x) != n:
-        raise InvalidCounts(f"a point of rank {n} has {n} coordinates, got {len(x)}")
-    kind = WeylKind(kind.family, n)
-    base = fundamental_point(kind, n)
+    if len(x) != kind.n:
+        raise InvalidCounts(f"a point of rank {kind.n} has {kind.n} coordinates, got {len(x)}")
+    base = fundamental_point(kind)
     den = math.lcm(*(v.denominator for v in (*base, *x)))
     xs = [v.numerator * (den // v.denominator) for v in x]
     bs = [v.numerator * (den // v.denominator) for v in base]
@@ -175,7 +174,7 @@ def _byte_table(kind: WeylKind) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _walk_tables(kind: WeylKind, n: int):
+def _walk_tables(kind: WeylKind):
     """Scale d, packing modulus m, scaled base point x0, walk loop and byte table.
 
     The byte table (`_byte_table`) comes first: a family whose step weights
@@ -196,9 +195,9 @@ def _walk_tables(kind: WeylKind, n: int):
     (sharing is not enough: D's alpha_0 = e1+e2 and alpha_1 = e2-e1 share
     both coordinates and are orthogonal), so the set-up is O(n).
     """
-    kind = WeylKind(kind.family, n)
+    n = kind.n
     table, delete = _byte_table(kind)
-    base = fundamental_point(kind, n)
+    base = fundamental_point(kind)
     d = math.lcm(*(v.denominator for v in base))
     x0 = tuple(int(v * d) for v in base)
     walls = alcove_walls(kind)
@@ -239,8 +238,6 @@ def _compile_loop(kind: WeylKind, moves):
     balanced comparison tree (a flat if/elif chain costs O(n) tests per
     step and lost to a generic loop from rank 60 on).  asc stays a list.
     """
-    n = len(moves) - 1
-
     def affine(terms, const=0):
         """Source of sum(c * z_i for c, i in terms) + const, zero terms left out."""
         out = ""
@@ -265,20 +262,20 @@ def _compile_loop(kind: WeylKind, moves):
                   for h, i0, c0, i1, c1, lev in refresh]
         return lines + [f"{pad}asc[{lo}] = False"]
 
-    names = ", ".join(f"z{i}" for i in range(n)) + ","
+    names = ", ".join(f"z{i}" for i in range(kind.n)) + ","
     source = "\n".join([
         "def advance(z, asc, proposals):",
         f"    {names} = z",
         "    accepted = 0",
         "    for g in proposals:",
         "        if asc[g]:",
-        *branch(0, n + 1, " " * 12),
+        *branch(0, kind.n + 1, " " * 12),
         "            accepted += 1",
         f"    z[:] = {names}",
         "    return accepted",
     ])
     namespace: dict = {}
-    exec(compile(source, f"<walk loop {kind.family}{n}>", "exec"), namespace)
+    exec(compile(source, f"<walk loop {kind.family}{kind.n}>", "exec"), namespace)
     return namespace["advance"]
 
 
@@ -295,19 +292,18 @@ class WalkState:
     """
 
     kind: WeylKind
-    n: int
     z: list
     asc: list
 
     def decode(self) -> tuple:
         """The inverse window and y, read off z."""
-        h = _walk_tables(self.kind, self.n)[1] // 2
+        h = _walk_tables(self.kind)[1] // 2
         pairs = [divmod(v + h, 2 * h + 1) for v in self.z]
         return [r - h for _, r in pairs], [q for q, _ in pairs]
 
     def point(self) -> tuple:
         """The current point u(x0) = x0 + w(x0 - y), with w the window."""
-        d, _, x0 = _walk_tables(self.kind, self.n)[:3]
+        d, _, x0 = _walk_tables(self.kind)[:3]
         winv, y = self.decode()
         x = list(x0)
         for i, a in enumerate(winv):
@@ -318,11 +314,11 @@ class WalkState:
         return tuple(R(v, d) for v in x)
 
 
-def initial_state(kind: WeylKind, n: int) -> WalkState:
-    _, m, x0 = _walk_tables(kind, n)[:3]
+def initial_state(kind: WeylKind) -> WalkState:
+    _, m, x0 = _walk_tables(kind)[:3]
     # x0 lies on its own side of every wall: every generator is an ascent
     z = [m * v + i for i, v in enumerate(x0, start=1)]
-    return WalkState(WeylKind(kind.family, n), n, z, [True] * (n + 1))
+    return WalkState(kind, z, [True] * (kind.n + 1))
 
 
 def _advance(state: WalkState, proposals) -> int:
@@ -334,7 +330,7 @@ def _advance(state: WalkState, proposals) -> int:
     neighbours of g only: for h with s_g s_h = s_h s_g, u s_g (alpha_h) =
     u (alpha_h), so h keeps its status.
     """
-    return _walk_tables(state.kind, state.n)[3](state.z, state.asc, proposals)
+    return _walk_tables(state.kind)[3](state.z, state.asc, proposals)
 
 
 def derive_stream(seed: int, trial: int) -> int:
@@ -352,14 +348,14 @@ def derive_stream(seed: int, trial: int) -> int:
 CHUNK = 1 << 14  # random bytes drawn at a time, so no walk holds a large buffer
 
 
-def _proposals(kind: WeylKind, n: int, steps: int, seed: int, trial: int = 0):
+def _proposals(kind: WeylKind, steps: int, seed: int, trial: int = 0):
     """The `steps` generators proposed by trial `trial` of a walk seeded `seed`.
 
     CHUNK random bytes at a time go through the byte table (`_byte_table`);
     the chunks are chained and the last one is cut at `steps` values, so a
     shorter walk proposes a prefix of what a longer one proposes.
     """
-    table, delete = _walk_tables(kind, n)[4:6]
+    table, delete = _walk_tables(kind)[4:6]
     bits = random.Random(derive_stream(seed, trial)).getrandbits
 
     def chunks(left):
@@ -409,14 +405,14 @@ class WalkSummary:
 def run_walk(
     kind: WeylKind, n: int, steps: int, seed: int = 0, trial: int = 0
 ) -> WalkSummary:
-    """Simulate trial `trial` of a walk seeded `seed`; deterministic in both."""
+    """Simulate trial `trial` of a walk seeded `seed`, n kind's rank; deterministic in both."""
+    check_rank(kind, n)
     if steps <= 0:
         raise ValueError("steps must be positive")
-    kind = WeylKind(kind.family, n)
-    state = initial_state(kind, n)
-    accepted = _advance(state, _proposals(kind, n, steps, seed, trial))
+    state = initial_state(kind)
+    accepted = _advance(state, _proposals(kind, steps, seed, trial))
     pt = state.point()
-    cross = separation_count(pt, kind, n)
+    cross = separation_count(pt, kind)
     return WalkSummary(pt, accepted, steps, cross, chamber_label(pt, kind), seed, trial)
 
 
@@ -436,8 +432,7 @@ def _pin(cpus) -> None:
         pass
 
 
-def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
-                processes: int) -> list:
+def _run_trials(kind: WeylKind, steps: int, seed: int, trials: int, processes: int) -> list:
     """run_walk of trials 0..trials-1, in trial order, over min(processes, trials) processes.
 
     With P processes the caller forks P - 1 children, and child k runs trials
@@ -460,7 +455,7 @@ def _run_trials(kind: WeylKind, n: int, steps: int, seed: int, trials: int,
     shares = min(processes, trials)
 
     def share(k):
-        return [run_walk(kind, n, steps, seed, t) for t in range(k, trials, shares)]
+        return [run_walk(kind, kind.n, steps, seed, t) for t in range(k, trials, shares)]
 
     if shares == 1:
         return share(0)
@@ -543,25 +538,25 @@ def estimate_direction(
 ) -> DirectionEstimate:
     """Mean final direction over independent trials, against the closed form.
 
-    Trial t runs as run_walk(kind, n, steps, seed, t).  The trials are shared
-    among `processes` processes, the caller and forked workers, and the
-    result does not depend on the process count.  By default there is one
-    process per CPU in the caller's affinity set (os.cpu_count() where the
-    OS has no such set), at most one per trial, so a caller confined to one
-    CPU forks nothing.
+    Trial t runs as run_walk(kind, n, steps, seed, t), n kind's rank.  The
+    trials are shared among `processes` processes, the caller and forked
+    workers, and the result does not depend on the process count.  By
+    default there is one process per CPU in the caller's affinity set
+    (os.cpu_count() where the OS has no such set), at most one per trial,
+    so a caller confined to one CPU forks nothing.
     """
+    check_rank(kind, n)
     if steps <= 0 or trials <= 0:
         raise ValueError("steps and trials must be positive")
     if processes is not None and processes <= 0:
         raise ValueError("processes must be positive")
-    kind = WeylKind(kind.family, n)
     # weights beyond a byte or a degenerate alcove fail here, before any fork;
     # the forked workers inherit the tables
-    _walk_tables(kind, n)
+    _walk_tables(kind)
     if processes is None:
         cpus = _allowed_cpus()
         processes = min(trials, len(cpus) if cpus else os.cpu_count() or 1)
-    summaries = _run_trials(kind, n, steps, seed, trials, processes)
+    summaries = _run_trials(kind, steps, seed, trials, processes)
     mean = [0.0] * n
     accepted = 0
     chambers: dict = {}
@@ -583,14 +578,13 @@ def estimate_direction(
     )
 
 
-def svg_trajectory(kind: WeylKind, n: int, steps: int, seed: int, path: str) -> None:
+def svg_trajectory(kind: WeylKind, steps: int, seed: int, path: str) -> None:
     """Dump a rank-2 walk as a simple SVG polyline."""
-    if n != 2:
+    if kind.n != 2:
         raise ValueError("SVG dump is only available for rank 2")
-    kind = WeylKind(kind.family, n)
-    state = initial_state(kind, n)
+    state = initial_state(kind)
     pts = [tuple(map(float, state.point()))]
-    for g in _proposals(kind, n, steps, seed):
+    for g in _proposals(kind, steps, seed):
         if _advance(state, (g,)):
             pts.append(tuple(map(float, state.point())))
     xs = [p[0] for p in pts]

@@ -45,6 +45,12 @@ class WeylKind:
         return {"Bcheck": "B", "Ccheck": "C"}.get(self.family, self.family)
 
 
+def check_rank(kind: WeylKind, n: int) -> None:
+    """InvalidRank unless n is kind's rank, for the calls that take the rank twice."""
+    if n != kind.n:
+        raise InvalidRank(f"n = {n} is not the rank of {kind.family}{kind.n}")
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Positive roots, simple roots alpha_0..alpha_{n-1} and theta, as pairings."""

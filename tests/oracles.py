@@ -761,7 +761,7 @@ def bicolored_motzkin_sum(k: int, alpha, beta) -> Fraction:
 # --- alcove walk on two lists ------------------------------------------------
 
 
-def fundamental_point_by_vertices(kind: WeylKind, n: int) -> tuple:
+def fundamental_point_by_vertices(kind: WeylKind) -> tuple:
     """Barycenter of the fundamental alcove, one exact elimination per vertex.
 
     Vertex k solves the n of the n + 1 wall equations (the simple roots at
@@ -769,8 +769,7 @@ def fundamental_point_by_vertices(kind: WeylKind, n: int) -> tuple:
     the walls are dependent (UnsupportedRange) when one of those systems is
     singular.  The genericity test takes every root pairing in Fractions.
     """
-    kind = WeylKind(kind.family, n)
-    rs = dense_roots(kind)
+    n, rs = kind.n, dense_roots(kind)
     rows = [list(a) for a in rs.simple_roots] + [list(rs.theta)]
     rhs = [0] * n + [1]
     vertices = []
@@ -796,7 +795,7 @@ def fundamental_point_by_vertices(kind: WeylKind, n: int) -> tuple:
     return bary
 
 
-def two_list_walk(kind: WeylKind, n: int, proposals):
+def two_list_walk(kind: WeylKind, proposals):
     """The alcove walk on two lists, the inverse window and y, with full refresh.
 
     The kernel the packed walk replaced, and the reference for the loop
@@ -806,9 +805,8 @@ def two_list_walk(kind: WeylKind, n: int, proposals):
     included.  Returns the accepted count, the window, y (scaled by d), the
     point u(x0) and the ascent table.
     """
-    kind = WeylKind(kind.family, n)
-    rs = dense_roots(kind)
-    base = fundamental_point(kind, n)
+    n, rs = kind.n, dense_roots(kind)
+    base = fundamental_point(kind)
     d = math.lcm(*(v.denominator for v in base))
     x0 = tuple(int(v * d) for v in base)
     walls = rs.simple_roots + (rs.theta,)
@@ -851,7 +849,7 @@ def two_list_walk(kind: WeylKind, n: int, proposals):
     return accepted, winv, y, tuple(Fraction(v, d) for v in x), asc
 
 
-def float_cdf_proposals(kind: WeylKind, n: int, steps: int, seed: int) -> list:
+def float_cdf_proposals(kind: WeylKind, steps: int, seed: int) -> list:
     """The proposal stream the byte table replaced, draw for draw.
 
     The PRNG was seeded with seed * 1000003 (the former per-trial seed of
@@ -859,7 +857,7 @@ def float_cdf_proposals(kind: WeylKind, n: int, steps: int, seed: int) -> list:
     r <= cum[g], cum the float CDF of the step weights with its last entry
     raised above 1.  It only approximates P(g) = a_g / T.
     """
-    weights = kac_weights(WeylKind(kind.family, n)).weights
+    weights = kac_weights(kind).weights
     total = sum(weights)
     cum = list(itertools.accumulate(a / total for a in weights))
     cum[-1] = 1.1
@@ -867,14 +865,13 @@ def float_cdf_proposals(kind: WeylKind, n: int, steps: int, seed: int) -> list:
     return [bisect_left(cum, rnd()) for _ in range(steps)]
 
 
-def separation_count(x, kind: WeylKind, n: int) -> int:
+def separation_count(x, kind: WeylKind) -> int:
     """Hyperplanes separating x from the fundamental point, in Fractions.
 
     Per positive root, the integers strictly between the two pairings,
     with floors taken by math.floor on each Fraction pairing.
     """
-    kind = WeylKind(kind.family, n)
-    base = fundamental_point(kind, n)
+    base = fundamental_point(kind)
     total = 0
     for alpha in dense_roots(kind).positive_roots:
         pa = sum(Fraction(c) * Fraction(v) for c, v in zip(alpha, base))

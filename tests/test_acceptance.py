@@ -18,14 +18,7 @@ from weyltasep.cli import main
 from weyltasep.markov import exact_stationary
 from weyltasep.models import build_multi
 from weyltasep.ratio import R, ZERO, parse_ratio
-from weyltasep.verify import (
-    TABLE_B_PAIRS_N4,
-    suite_conjecture_b,
-    suite_identities,
-    suite_lumping,
-    suite_tables,
-    suite_tworow,
-)
+from weyltasep.verify import SUITES, TABLE_B_PAIRS_N4, suite_conjecture_b
 from weyltasep.walk import estimate_direction
 from weyltasep.weyl import WeylKind
 
@@ -38,30 +31,11 @@ def _checks(report):
     return {c["name"]: c for c in report["checks"]}
 
 
-# Each suite at the sizes `verify.run_suite` uses by default, built once per module.
+# Each suite's report at the sizes `verify.run_suite` uses by default, built once
+# per module in SUITES order (conjecture-b and tables share the B4 pair law).
 @pytest.fixture(scope="module")
-def identities_report():
-    return suite_identities()
-
-
-@pytest.fixture(scope="module")
-def tworow_report():
-    return suite_tworow()
-
-
-@pytest.fixture(scope="module")
-def lumping_report():
-    return suite_lumping()
-
-
-@pytest.fixture(scope="module")
-def conjecture_b_report():
-    return suite_conjecture_b()
-
-
-@pytest.fixture(scope="module")
-def tables_report():
-    return suite_tables()
+def reports():
+    return {name: suite() for name, suite in SUITES.items()}
 
 
 def test_criterion_01_pair_correlation_table_rank4():
@@ -90,7 +64,7 @@ def test_criterion_02_last_site_densities_and_direction_ccheck():
         for i in range(1, n + 1):
             assert dens.get(i, ZERO) == R(2 * i + 1, 2 * n * (2 * n + 1))
     for n in range(2, 5):
-        lam = cf.limdir_exact_lam(WeylKind("Ccheck", n), n)
+        lam = cf.limdir_exact_lam(WeylKind("Ccheck", n))
         pattern = cf.DirectionVector(tuple(R(2 * i + 1) for i in range(1, n + 1)))
         assert lam.proportional_to(pattern)
     _passed(2, "Ccheck last-site densities and direction (3,5,...,2n+1), n<=4")
@@ -98,7 +72,7 @@ def test_criterion_02_last_site_densities_and_direction_ccheck():
 
 def test_criterion_03_direction_b():
     for n in range(2, 5):
-        lam = cf.limdir_exact_lam(WeylKind("B", n), n)
+        lam = cf.limdir_exact_lam(WeylKind("B", n))
         closed = tuple(R(2 * k - 1, n * (2 * n - 1)) for k in range(1, n + 1))
         assert lam.coeffs == closed
         pattern = cf.DirectionVector(tuple(R(2 * k - 1) for k in range(1, n + 1)))
@@ -106,16 +80,16 @@ def test_criterion_03_direction_b():
     _passed(3, "B direction equals ((2k-1)/(n(2n-1)))_k exactly, n<=4")
 
 
-def test_criterion_04_direction_d_table(tables_report):
-    assert _checks(tables_report)["directions-d"]["pass"]
+def test_criterion_04_direction_d_table(reports):
+    assert _checks(reports["tables"])["directions-d"]["pass"]
     for n in range(2, 5):
-        lam = cf.limdir_exact_lam(WeylKind("D", n), n)
+        lam = cf.limdir_exact_lam(WeylKind("D", n))
         assert lam.coeffs == cf.limdir_closed(WeylKind("D", n), n).coeffs
     _passed(4, "D direction table rows n=2..6 and exact equality n<=4")
 
 
-def test_criterion_05_direction_c_and_bcheck_tables(tables_report):
-    checks = _checks(tables_report)
+def test_criterion_05_direction_c_and_bcheck_tables(reports):
+    checks = _checks(reports["tables"])
     assert checks["directions-c"]["pass"]
     assert checks["directions-bcheck"]["pass"]
     for n in range(1, 6):
@@ -125,18 +99,18 @@ def test_criterion_05_direction_c_and_bcheck_tables(tables_report):
     _passed(5, "C and Bcheck direction tables; D/C coincidence n<=5")
 
 
-def test_criterion_06_partition_functions(tworow_report):
+def test_criterion_06_partition_functions(reports):
     # suite_tworow compares the two-row weight sums with z_b and z_d for
     # n <= 8 (4 z_d at n0 = 0) and with the ballot numbers for n <= 6
-    checks = _checks(tworow_report)
+    checks = _checks(reports["tworow"])
     assert checks["partition-b"]["pass"] and checks["partition-b"]["n_max"] == 8
     assert checks["partition-d"]["pass"] and checks["partition-d"]["n_max"] == 8
     assert checks["partition-semipermeable"]["pass"]
     _passed(6, "two-row weight sums match all partition formulas, n<=8")
 
 
-def test_criterion_07_two_row_core(tworow_report):
-    report = tworow_report
+def test_criterion_07_two_row_core(reports):
+    report = reports["tworow"]
     names = {c["name"]: c["pass"] for c in report["checks"]}
     assert names["wall-map-bijective"]
     assert names["transfer-identity"]
@@ -145,15 +119,15 @@ def test_criterion_07_two_row_core(tworow_report):
     _passed(7, "wall-map bijection (n<=6), transfer identity, product form")
 
 
-def test_criterion_08_lumping_tower(lumping_report):
-    report = lumping_report
+def test_criterion_08_lumping_tower(reports):
+    report = reports["lumping"]
     assert _checks(report)["k-coloring-lumpings"]["n_max"] == 4
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
     _passed(8, "colorings, star collapses and projections verified, n<=4")
 
 
-def test_criterion_09_identity_suite(identities_report):
-    report = identities_report
+def test_criterion_09_identity_suite(reports):
+    report = reports["identities"]
     checks = _checks(report)
     assert checks["half-rate-specials"]["k_max"] == 12
     assert checks["motzkin-paths-vs-double-sum"]["k_max"] == 8
@@ -165,7 +139,7 @@ def test_criterion_10_correlation_sums():
     for fam, nmax in (("B", 4), ("D", 4)):
         for n in range((3 if fam == "D" else 2), nmax + 1):
             for i in list(range(-n, 0)) + list(range(1, n + 1)):
-                closed = cf.multi_sums(fam, n, i)
+                closed = cf.multi_sums(WeylKind(fam, n), i)
                 exact = oracles.hook_sums_exact(fam, n, i)
                 assert (closed.row, closed.col) == (exact.row, exact.col), (fam, n, i)
                 if i > 0:
@@ -180,8 +154,8 @@ def test_criterion_10_correlation_sums():
     _passed(10, "row/column/hook sums, first-site law, uniform last site, n<=4")
 
 
-def test_criterion_11_conjectured_pair_values_rank4(conjecture_b_report):
-    report = conjecture_b_report
+def test_criterion_11_conjectured_pair_values_rank4(reports):
+    report = reports["conjecture-b"]
     assert report["n"] == 4
     assert report["status"] == "conjecture verification"
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
@@ -253,20 +227,11 @@ def _golden_cli_cases():
                    ["partition", "--model", "semiperm", *size, *semiperm])
 
 
-def test_default_verify_reports_match_golden_digests(
-    identities_report, tworow_report, lumping_report, conjecture_b_report, tables_report
-):
+def test_default_verify_reports_match_golden_digests(reports):
     # tests/golden_verify.json holds the sha256 of json.dumps(report, sort_keys=True)
     # for each default report, and of the JSON that the CLI prints for each case of
     # _golden_cli_cases (keys "corr-b-2", "limdir-lam-d-4", "stationary-two-b-3-1",
     # ...); an intended change to one of them edits that file.
-    reports = {
-        "identities": identities_report,
-        "tworow": tworow_report,
-        "lumping": lumping_report,
-        "conjecture-b": conjecture_b_report,
-        "tables": tables_report,
-    }
     digests = {name: _sha256(json.dumps(report, sort_keys=True))
                for name, report in reports.items()}
     for key, argv in _golden_cli_cases():

@@ -249,12 +249,12 @@ def test_partition_generating_series():
 
 
 def test_hook_sums_closed_forms():
-    assert cf.multi_sums("B", 4, 2).col == R(1, 8)
-    assert cf.multi_sums("B", 4, 1).hd == R(3, 28) == R(24, 224)
-    assert cf.multi_sums("B", 4, -1).row == R(3, 56)
+    assert cf.multi_sums(WeylKind("B", 4), 2).col == R(1, 8)
+    assert cf.multi_sums(WeylKind("B", 4), 1).hd == R(3, 28) == R(24, 224)
+    assert cf.multi_sums(WeylKind("B", 4), -1).row == R(3, 56)
     for fam, n in (("B", 3), ("D", 3), ("D", 4)):
         for i in list(range(-n, 0)) + list(range(1, n + 1)):
-            closed = cf.multi_sums(fam, n, i)
+            closed = cf.multi_sums(WeylKind(fam, n), i)
             exact = oracles.hook_sums_exact(fam, n, i)
             assert (closed.row, closed.col) == (exact.row, exact.col)
             if i > 0:
@@ -272,7 +272,7 @@ def test_b_hook_sums_are_pair_table_differences():
             def step(cells):
                 return sum((upper.get(c, ZERO) - lower.get(c, ZERO) for c in cells), ZERO)
 
-            sums, sign = cf.multi_sums("B", n, i), 1 if i > 0 else -1
+            sums, sign = cf.multi_sums(WeylKind("B", n), i), 1 if i > 0 else -1
             assert sums.col == step([(x, -1) for x in (-1, 0, 1)]), (n, i)
             assert sums.row == step([(sign, y) for y in (-1, 0, 1)]), (n, i)
             if i > 0:
@@ -309,7 +309,7 @@ DIRECTION_CASES = [
 @pytest.mark.parametrize("family,n,pattern", DIRECTION_CASES)
 def test_direction_exact_vs_closed(family, n, pattern):
     kind = WeylKind(family, n)
-    lam = cf.limdir_exact_lam(kind, n)
+    lam = cf.limdir_exact_lam(kind)
     closed = cf.limdir_closed(kind, n)
     assert lam.proportional_to(closed)
     assert lam.proportional_to(cf.DirectionVector(tuple(R(c) for c in pattern)))
@@ -324,7 +324,7 @@ LAM_RATIO = {"B": 1, "C": 2, "Bcheck": 1, "Ccheck": 2, "D": 1}
 def _check_lam_against_closed(family, ranks):
     for n in ranks:
         kind = WeylKind(family, n)
-        lam, closed = cf.limdir_exact_lam(kind, n), cf.limdir_closed(kind, n)
+        lam, closed = cf.limdir_exact_lam(kind), cf.limdir_closed(kind, n)
         assert lam.proportional_to(closed), n
         if n >= 2:
             assert lam.coeffs == tuple(LAM_RATIO[family] * c for c in closed.coeffs), n
@@ -350,21 +350,21 @@ FULL_CHAIN_CASES = [(f, n) for f in sorted(LAM_RATIO)
 def test_lam_direction_equals_the_full_chain_sum(family, n):
     # the one-cut tails against the highest-root sum over the full chain's law
     kind = WeylKind(family, n)
-    assert cf.limdir_exact_lam(kind, n) == oracles.full_chain_direction(family, n)
+    assert cf.limdir_exact_lam(kind) == oracles.full_chain_direction(family, n)
 
 
 def test_lam_direction_equals_the_full_chain_sum_b5():
-    assert cf.limdir_exact_lam(WeylKind("B", 5), 5) == oracles.full_chain_direction("B", 5)
+    assert cf.limdir_exact_lam(WeylKind("B", 5)) == oracles.full_chain_direction("B", 5)
 
 
 @pytest.mark.parametrize("family,n", [(f, n) for f, n in FULL_CHAIN_CASES if n >= 2])
 def test_pair_correlations_equal_the_full_chain_tally(family, n):
     # inclusion-exclusion over the two-cut chains against the full chain's final pairs
-    assert cf.pair_correlations(family, n) == oracles.full_chain_pairs(family, n)
+    assert cf.pair_correlations(WeylKind(family, n)) == oracles.full_chain_pairs(family, n)
 
 
 def test_pair_correlations_equal_the_full_chain_tally_b5():
-    assert cf.pair_correlations("B", 5) == oracles.full_chain_pairs("B", 5)
+    assert cf.pair_correlations(WeylKind("B", 5)) == oracles.full_chain_pairs("B", 5)
 
 
 @pytest.mark.parametrize("family", sorted(LAM_RATIO))
@@ -427,6 +427,6 @@ def test_conjectured_pair_values():
 
 
 def test_conjectured_pairs_match_exact_rank3():
-    corr = cf.pair_correlations("B", 3)
+    corr = cf.pair_correlations(WeylKind("B", 3))
     for i, j, cv in cf.conjecture_b_pairs(3):
         assert corr.get((i, j), ZERO) == cv.value

@@ -7,7 +7,9 @@ noticeable start-up time, so an exact solve or a walk must not pull it in by
 accident.  A parallel walk forks its own workers, so it does not import
 multiprocessing either.  No module of the package, the tests or the demos imports a name
 it never uses, and every public name that a module of the package defines is
-read by the package, the demos or the benchmark.
+read by the package, the demos or the benchmark.  A `WeylKind` is the one
+carrier of a rank: no function of the package takes a rank beside it, save
+the four the benchmark calls that way, and no public one takes a family name.
 """
 import ast
 import os
@@ -176,3 +178,35 @@ def test_every_public_name_is_read():
     unread = {f"{p.stem}.{name}" for p in modules for name in public_definitions(p.read_text())
               if name not in read}
     assert sorted(unread) == sorted(UNREAD_FORMULAS)
+
+
+def rank_echoes(source: str) -> list[str]:
+    """Functions taking both a `kind` and an `n`, and public ones taking a `family`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            public_family = "family" in params and not node.name.startswith("_")
+            if {"kind", "n"} <= params or public_family:
+                found.append(f"{node.lineno}: {node.name}")
+    return found
+
+
+def test_rank_echo_scan():
+    source = "def f(kind, n): pass\ndef g(kind, m): pass\ndef h(family, n): pass\n" \
+        "def _i(family): pass\nclass K:\n    def j(self, kind, *, n): pass\n"
+    assert rank_echoes(source) == ["1: f", "3: h", "6: j"]
+
+
+# perfbench/workloads.py calls the first four with (kind, n); each raises
+# InvalidRank through weyl.check_rank on an n other than kind.n (tests/test_weyl.py).
+RANK_ECHOES = {"closedform.limdir_closed", "models.build_multi", "walk.estimate_direction",
+               "walk.run_walk", "weyl.check_rank"}
+
+
+def test_the_kind_alone_carries_the_rank():
+    paths = sorted((ROOT / "src" / "weyltasep").glob("*.py"))
+    found = {f"{p.stem}.{hit.partition(': ')[2]}" for p in paths
+             for hit in rank_echoes(p.read_text())}
+    assert sorted(found) == sorted(RANK_ECHOES)

@@ -48,15 +48,15 @@ def test_fundamental_point_matches_the_vertex_oracle(family):
         if (family, n) == ("D", 2):
             for route in (fundamental_point, oracles.fundamental_point_by_vertices):
                 with pytest.raises(UnsupportedRange, match="linearly dependent"):
-                    route(kind, n)
+                    route(kind)
         else:
-            assert fundamental_point(kind, n) == oracles.fundamental_point_by_vertices(kind, n)
+            assert fundamental_point(kind) == oracles.fundamental_point_by_vertices(kind)
 
 
 def test_fundamental_point_inequalities():
-    x = fundamental_point(B2, 2)
+    x = fundamental_point(B2)
     assert 0 < x[0] < x[1] and x[0] + x[1] < 1
-    assert separation_count(x, B2, 2) == 0
+    assert separation_count(x, B2) == 0
 
 
 @pytest.mark.parametrize(
@@ -65,43 +65,43 @@ def test_fundamental_point_inequalities():
 )
 def test_fundamental_point_generic(family, n):
     kind = WeylKind(family, n)
-    x = fundamental_point(kind, n)
+    x = fundamental_point(kind)
     for alpha in oracles.dense_roots(kind).positive_roots:
         pairing = sum(Fraction(c) * v for c, v in zip(alpha, x))
         assert pairing.denominator != 1
-    assert separation_count(x, kind, n) == 0
+    assert separation_count(x, kind) == 0
 
 
 def test_separation_after_one_reflection():
-    x = fundamental_point(B2, 2)
+    x = fundamental_point(B2)
     # reflect in the affine wall of the highest root (level one)
     s = sum(x)
     y = (x[0] + (1 - s), x[1] + (1 - s))
-    assert separation_count(y, B2, 2) == 1
+    assert separation_count(y, B2) == 1
 
 
 def test_separation_count_needs_n_coordinates():
-    x = fundamental_point(WeylKind("B", 3), 3)
+    x = fundamental_point(WeylKind("B", 3))
     for point in (x + (Fraction(7, 3), Fraction(1, 9)), x[:2]):
         with pytest.raises(InvalidCounts, match=f"has 3 coordinates, got {len(point)}"):
-            separation_count(point, WeylKind("B", 3), 3)
+            separation_count(point, WeylKind("B", 3))
 
 
 def test_separation_rejects_wall_points():
     with pytest.raises(NonGenericPoint):
-        separation_count((Fraction(1, 2), Fraction(1, 2)), B2, 2)
+        separation_count((Fraction(1, 2), Fraction(1, 2)), B2)
 
 
 def test_replay_eight_step_word():
-    st = initial_state(B2, 2)
+    st = initial_state(B2)
     for g in (2, 0, 1, 0, 2, 0, 2, 1):
         assert _advance(st, (g,)) == 1
-    assert separation_count(st.point(), B2, 2) == 8
+    assert separation_count(st.point(), B2) == 8
 
 
 def test_first_proposals_all_accepted_then_repeats_rejected():
     for g in (0, 1, 2):
-        st = initial_state(B2, 2)
+        st = initial_state(B2)
         assert _advance(st, (g,)) == 1
         assert _advance(st, (g,)) == 0  # held: the same wall cannot be recrossed
 
@@ -111,7 +111,7 @@ def test_crossings_equal_separation_count(family, n):
     kind = WeylKind(family, n)
     s = run_walk(kind, n, 10_000, seed=3)
     assert s.crossings == s.accepted
-    assert separation_count(s.final_point, kind, n) == s.accepted
+    assert separation_count(s.final_point, kind) == s.accepted
 
 
 # D2 is excluded: its walk is unsupported (linearly dependent roots).
@@ -125,7 +125,7 @@ def test_crossings_equal_separation_count_at_random_kinds_and_seeds(spec, seed, 
     family, n = spec
     kind = WeylKind(family, n)
     s = run_walk(kind, n, steps, seed=seed)
-    assert s.accepted == s.crossings == separation_count(s.final_point, kind, n)
+    assert s.accepted == s.crossings == separation_count(s.final_point, kind)
 
 
 def test_run_walk_deterministic():
@@ -182,11 +182,11 @@ def test_estimate_direction_small():
 
 def test_svg_dump(tmp_path):
     path = tmp_path / "walk.svg"
-    svg_trajectory(B2, 2, 500, seed=1, path=str(path))
+    svg_trajectory(B2, 500, seed=1, path=str(path))
     text = path.read_text()
     assert text.startswith("<svg") and "polyline" in text
     with pytest.raises(ValueError):
-        svg_trajectory(WeylKind("B", 3), 3, 10, seed=1, path=str(path))
+        svg_trajectory(WeylKind("B", 3), 10, seed=1, path=str(path))
 
 
 WALK_KINDS = [
@@ -196,9 +196,9 @@ WALK_KINDS = [
 ]
 
 
-def _separation_or_error(count, x, kind, n):
+def _separation_or_error(count, x, kind):
     try:
-        return count(x, kind, n)
+        return count(x, kind)
     except NonGenericPoint as exc:
         return "NonGenericPoint", str(exc)
 
@@ -213,8 +213,8 @@ def test_integer_separation_count_matches_fraction_oracle(spec, data):
     family, n = spec
     kind = WeylKind(family, n)
     x = tuple(data.draw(st.lists(COORDS, min_size=n, max_size=n)))
-    assert _separation_or_error(separation_count, x, kind, n) == _separation_or_error(
-        oracles.separation_count, x, kind, n)
+    assert _separation_or_error(separation_count, x, kind) == _separation_or_error(
+        oracles.separation_count, x, kind)
 
 
 def _dot(u, v):
@@ -230,7 +230,7 @@ def test_ascent_table_matches_geometry(family, n):
     the image of the fundamental wall g under x -> w.x + (x - w.x0).
     """
     kind = WeylKind(family, n)
-    base = fundamental_point(kind, n)
+    base = fundamental_point(kind)
     d = math.lcm(*(v.denominator for v in base))
     x0 = [int(v * d) for v in base]
     rs = oracles.dense_roots(kind)
@@ -249,7 +249,7 @@ def test_ascent_table_matches_geometry(family, n):
             out.append((_dot(beta, x0) > lev) == (_dot(beta, x) > lev))
         return out
 
-    state = initial_state(kind, n)
+    state = initial_state(kind)
     rng = random.Random(n)
     crossings = 0
     for _ in range(2000):
@@ -266,7 +266,7 @@ def test_ascent_table_matches_geometry(family, n):
             w = oracles.wprod(w, apply_generator(identity_window(n), g, kind))
     assert state.asc == status()
     assert state.point() == tuple(Fraction(v, d) for v in x)
-    assert crossings == separation_count(state.point(), kind, n)
+    assert crossings == separation_count(state.point(), kind)
 
 
 # Seeded outputs of the walk, taken before the ascent-table walk replaced the
@@ -293,8 +293,8 @@ GOLDEN_WALKS = [
 @pytest.mark.parametrize("family,n,seed,accepted,point", GOLDEN_WALKS)
 def test_run_walk_golden(family, n, seed, accepted, point):
     kind = WeylKind(family, n)
-    state = initial_state(kind, n)
-    assert _advance(state, oracles.float_cdf_proposals(kind, n, 20_000, seed)) == accepted
+    state = initial_state(kind)
+    assert _advance(state, oracles.float_cdf_proposals(kind, 20_000, seed)) == accepted
     assert state.point() == tuple(Fraction(v) for v in point)
 
 
@@ -341,14 +341,14 @@ def test_derive_stream_separates_seed_trial_pairs():
     assert (0, 1_000_003) in pairs and (1, 0) in pairs
     streams = {derive_stream(s, t) for s, t in pairs}
     assert len(streams) == len(pairs)
-    firsts = {tuple(islice(_proposals(B2, 2, 64, s, t), 64)) for s, t in pairs}
+    firsts = {tuple(islice(_proposals(B2, 64, s, t), 64)) for s, t in pairs}
     assert len(firsts) == len(pairs)
 
 
 @pytest.mark.parametrize("seed,trial", [(0, 0), (7, 3), (-5, 1), (2**65, 2)])
 def test_trial_job_is_run_walk_of_its_seed_and_trial(seed, trial):
     d4 = WeylKind("D", 4)
-    job = _run_trials(d4, 4, 3000, seed, trial + 2, processes=2)[trial]
+    job = _run_trials(d4, 3000, seed, trial + 2, processes=2)[trial]
     assert job == run_walk(d4, 4, 3000, seed=seed, trial=trial)
     assert (job.seed, job.trial) == (seed, trial)
 
@@ -365,33 +365,33 @@ def test_byte_table_gives_each_generator_its_kac_share(family):
         counts = Counter(table[b] for b in range(keep))
         assert counts == {g: a * keep // total for g, a in enumerate(weights)}
         if (family, n) != ("D", 2):
-            tables = _walk_tables(kind, n)
+            tables = _walk_tables(kind)
             assert (tables[4], tables[5]) == (table, delete)
 
 
 @pytest.mark.parametrize("steps", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
 def test_proposals_are_exactly_steps_long_and_prefixes(steps):
     kind = WeylKind("Ccheck", 3)  # T = 4 divides 256: no byte is rejected
-    full = list(_proposals(kind, 3, 3 * CHUNK + 5, 11))
-    got = list(_proposals(kind, 3, steps, 11))
+    full = list(_proposals(kind, 3 * CHUNK + 5, 11))
+    got = list(_proposals(kind, steps, 11))
     assert got == full[:steps]
     d5 = WeylKind("D", 5)  # T = 8: no byte rejected either; B5 (T = 10) rejects 6 in 256
     b5 = WeylKind("B", 5)
     for kind, n in ((d5, 5), (b5, 5)):
-        got = list(_proposals(kind, n, steps, 3, 1))
+        got = list(_proposals(kind, steps, 3, 1))
         assert len(got) == steps and set(got) <= set(range(n + 1))
-        assert got == list(_proposals(kind, n, 3 * CHUNK + 5, 3, 1))[:steps]
+        assert got == list(_proposals(kind, 3 * CHUNK + 5, 3, 1))[:steps]
 
 
 def test_long_walk_draws_chunks_lazily():
     assert CHUNK <= 1 << 16
-    head = list(islice(_proposals(B2, 2, 10**8, 4), 1000))
-    assert head == list(_proposals(B2, 2, 1000, 4))
+    head = list(islice(_proposals(B2, 10**8, 4), 1000))
+    assert head == list(_proposals(B2, 1000, 4))
 
 
 def test_proposal_frequencies_follow_the_kac_labels():
     kind = WeylKind("B", 3)  # weights 2, 2, 1, 1 of T = 6; keep = 252
-    counts = Counter(_proposals(kind, 3, 60_000, 8))
+    counts = Counter(_proposals(kind, 60_000, 8))
     for g, a in enumerate(kac_weights(kind).weights):
         assert abs(counts[g] / 60_000 - a / 6) < 0.01
 
@@ -423,7 +423,7 @@ def test_packed_walk_matches_two_list_oracle(spec, seed, steps):
     family, n = spec
     kind = WeylKind(family, n)
     s = run_walk(kind, n, steps, seed=seed)
-    accepted, _, _, point, _ = oracles.two_list_walk(kind, n, _proposals(kind, n, steps, seed))
+    accepted, _, _, point, _ = oracles.two_list_walk(kind, _proposals(kind, steps, seed))
     assert (s.accepted, s.final_point, s.crossings) == (accepted, point, accepted)
 
 
@@ -437,10 +437,10 @@ ORACLE_KINDS = [
 def _against_two_list_oracle(family, n, proposals):
     """The generated loop fed the whole stream and one proposal per call, against the oracle."""
     kind = WeylKind(family, n)
-    accepted, _, _, point, asc = oracles.two_list_walk(kind, n, proposals)
-    whole = initial_state(kind, n)
+    accepted, _, _, point, asc = oracles.two_list_walk(kind, proposals)
+    whole = initial_state(kind)
     assert _advance(whole, proposals) == accepted
-    single = initial_state(kind, n)
+    single = initial_state(kind)
     assert sum(_advance(single, (g,)) for g in proposals) == accepted
     for state in (whole, single):
         assert (state.point(), state.asc) == (point, asc)
@@ -458,10 +458,10 @@ def test_generated_loop_matches_two_list_oracle(spec, seed, steps):
 @pytest.mark.parametrize("family,n", [("B", 128), ("D", 129), ("Ccheck", 255)])
 def test_generated_loop_at_the_largest_byte_ranks(family, n):
     kind = WeylKind(family, n)
-    proposals = list(_proposals(kind, n, 1000, 1))
+    proposals = list(_proposals(kind, 1000, 1))
     _against_two_list_oracle(family, n, proposals)
     s = run_walk(kind, n, 1000, seed=1)
-    assert s.accepted == s.crossings == separation_count(s.final_point, kind, n)
+    assert s.accepted == s.crossings == separation_count(s.final_point, kind)
 
 
 def _loop_moves(monkeypatch, kind):
@@ -475,7 +475,7 @@ def _loop_moves(monkeypatch, kind):
 
     monkeypatch.setattr(walk, "_compile_loop", spy)
     _walk_tables.cache_clear()
-    _walk_tables(kind, kind.n)
+    _walk_tables(kind)
     return seen.pop()
 
 
@@ -508,9 +508,9 @@ def test_loop_moves_at_the_largest_byte_ranks(monkeypatch, family, n):
 
 def test_packed_state_decodes_far_from_the_base_point():
     # seed 2 takes y to about +225000 and -75000 (scaled by d = 6) in 300k steps
-    state = initial_state(B2, 2)
-    crossings = _advance(state, _proposals(B2, 2, 300_000, 2))
-    accepted, winv, y, point, _ = oracles.two_list_walk(B2, 2, _proposals(B2, 2, 300_000, 2))
+    state = initial_state(B2)
+    crossings = _advance(state, _proposals(B2, 300_000, 2))
+    accepted, winv, y, point, _ = oracles.two_list_walk(B2, _proposals(B2, 300_000, 2))
     assert min(y) < -50_000 and max(y) > 50_000
     assert state.decode() == (winv, y)
     assert (crossings, state.point()) == (accepted, point)
@@ -519,11 +519,11 @@ def test_packed_state_decodes_far_from_the_base_point():
 @pytest.mark.parametrize("family,n", [("B", 1), ("C", 3), ("D", 6), ("Bcheck", 6)])
 def test_decode_inverts_packing(family, n):
     kind = WeylKind(family, n)
-    m = _walk_tables(kind, n)[1]
+    m = _walk_tables(kind)[1]
     for y in (-10**40, -10**6 - 1, -1, 0, 1, 10**6 + 1, 10**40):
         winv = [a * (-1) ** a for a in range(1, n + 1)]
         ys = [y + i for i in range(n)]
-        state = WalkState(kind, n, [m * b + a for a, b in zip(winv, ys)], [True] * (n + 1))
+        state = WalkState(kind, [m * b + a for a, b in zip(winv, ys)], [True] * (n + 1))
         assert state.decode() == (winv, ys)
 
 
@@ -591,7 +591,7 @@ needs_affinity = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
 def test_each_share_runs_on_one_cpu_of_the_callers_set(monkeypatch, trials, processes):
     allowed = os.sched_getaffinity(0)
     monkeypatch.setattr(walk, "run_walk", _where)
-    got = _run_trials(B2, 2, 100, 0, trials, processes)
+    got = _run_trials(B2, 100, 0, trials, processes)
     assert [t for t, _ in got] == list(range(trials))
     shares = min(trials, processes)
     cpu_of = {}
@@ -606,7 +606,7 @@ def test_shares_zero_and_one_run_on_different_cpus(monkeypatch):
     if len(os.sched_getaffinity(0)) < 2:
         pytest.skip("fewer than 2 CPUs allowed")
     monkeypatch.setattr(walk, "run_walk", _where)
-    (_, first), (_, second) = _run_trials(B2, 2, 100, 0, 2, 2)
+    (_, first), (_, second) = _run_trials(B2, 100, 0, 2, 2)
     assert first != second
 
 
@@ -622,7 +622,7 @@ def test_a_caller_on_one_cpu_runs_every_share_there_and_forks_nothing_by_default
     try:
         with monkeypatch.context() as m:
             m.setattr(walk, "run_walk", _where)
-            assert [cpus for _, cpus in _run_trials(B2, 2, 100, 0, 4, 2)] == [{cpu}] * 4
+            assert [cpus for _, cpus in _run_trials(B2, 100, 0, 4, 2)] == [{cpu}] * 4
         serial = estimate_direction(B2, 2, 2000, 3, seed=4, processes=1)
         monkeypatch.setattr(os, "fork", _no_fork)
         assert estimate_direction(B2, 2, 2000, 3, seed=4) == serial
@@ -660,7 +660,7 @@ def test_the_callers_affinity_comes_back(monkeypatch, failing):
 
 @pytest.mark.parametrize("how", ["refused", "missing"])
 def test_pinning_is_best_effort(monkeypatch, how):
-    want = _run_trials(B2, 2, 500, 3, 5, 3)
+    want = _run_trials(B2, 500, 3, 5, 3)
 
     def refuses(pid, cpus):
         raise OSError(22, "Invalid argument")
@@ -669,7 +669,7 @@ def test_pinning_is_best_effort(monkeypatch, how):
         monkeypatch.setattr(os, "sched_setaffinity", refuses)
     else:
         monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    assert _run_trials(B2, 2, 500, 3, 5, 3) == want
+    assert _run_trials(B2, 500, 3, 5, 3) == want
 
 
 DEAD_WORKER = """

@@ -1,10 +1,12 @@
 import itertools
+import os
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weyltasep import closedform, models, walk
 from weyltasep.errors import InvalidRank
 from weyltasep.weyl import (
     WeylKind,
@@ -35,6 +37,33 @@ def test_kind_validation():
         WeylKind("B", 0)
     with pytest.raises(InvalidRank):
         WeylKind("E", 6)
+
+
+def _no_work(*args, **kwargs):
+    raise AssertionError("work started before the rank check")
+
+
+# The four calls that still take a rank beside the kind, each with the first
+# work it would do: a different rank raises before it.
+ECHOES = {
+    "run_walk": (lambda: walk.run_walk(WeylKind("B", 3), 5, 100, 1), [(walk, "_walk_tables")]),
+    "estimate_direction": (
+        lambda: walk.estimate_direction(WeylKind("B", 3), 2, 100, 2, processes=2),
+        [(walk, "_walk_tables"), (os, "fork")]),
+    "build_multi": (lambda: models.build_multi(WeylKind("B", 3), 2),
+                    [(models, "build_cut_chain")]),
+    "limdir_closed": (lambda: closedform.limdir_closed(WeylKind("D", 3), 2),
+                      [(closedform, "DirectionVector")]),
+}
+
+
+@pytest.mark.parametrize("name", ECHOES)
+def test_a_second_rank_must_be_the_kinds(monkeypatch, name):
+    call, work = ECHOES[name]
+    for module, attr in work:
+        monkeypatch.setattr(module, attr, _no_work)
+    with pytest.raises(InvalidRank, match=r"^n = \d is not the rank of [BD]3$"):
+        call()
 
 
 def test_root_data_examples():
