@@ -102,9 +102,16 @@ def _emit_csv(obj) -> None:
 
 
 def _exact(val, digits: int | None) -> str:
-    """A rational as p/q, followed by its value to `digits` decimals when given."""
+    """A rational as p/q, followed by its value to `digits` decimals when given.
+
+    The decimals are the rational's own, rounded half to even in integers.
+    """
     text = fmt_ratio(val)
-    return f"{text} ({float(val):.{digits}f})" if digits else text
+    if not digits:
+        return text
+    q = round(abs(val) * 10**digits)
+    sign = "-" if val < 0 else ""
+    return f"{text} ({sign}{q // 10**digits}.{q % 10**digits:0{digits}d})"
 
 
 def _params_from(args) -> DStarParams:

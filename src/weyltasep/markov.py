@@ -39,6 +39,7 @@ scales pi to integers and reads the kernel's integer rows as they are.
 from __future__ import annotations
 
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal, localcontext
+from heapq import heapify, heappop, heapreplace
 from math import floor, inf, isqrt, lcm, prod
 from sys import float_info
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -291,8 +292,8 @@ def exact_stationary(kernel: Kernel, guess: Mapping[State, object] | None = None
     # The float law's relative error grows about linearly with the number
     # of eliminations, so the bound counts the solved states.  On the B/C/D
     # full and cut chains of 192 to 3840 states (24 to 1920 solved) the
-    # error stays 22 to 190 times below it, and on the two-row (7, n0)
-    # chains, which mostly do not lump, 12 to 76 times.
+    # error stays 21 to 200 times below it, and on the two-row (7, n0)
+    # chains, which mostly do not lump, 15 to 80 times.
     k = len(solved)
     pi_idx = law(_float, (k + 16) * 2.0**-52)
     prec = 32
@@ -410,38 +411,38 @@ def _eliminate(rows: Sequence[Mapping[int, int]], den: int, members: Sequence[in
     a closed class: no row out of it leaves it.
 
     num(a, den) turns each entry a / den into a number: a float, or a
-    Decimal of the current context.  Censors states one at a time, greedily
-    taking the state with the fewest in-degree x out-degree off-diagonal
-    links among those left, the lowest index among equals.  The costs sit in
-    buckets, cost -> states, and after each step every predecessor and
-    successor whose cost changed moves to its new bucket, so each pick is
-    exact.  This is the elimination of Grassmann, Taksar and Heyman:
-    censoring k adds out[i][k] / S_k * out[k][j] to out[i][j] for every
-    predecessor i and successor j != i, where S_k is k's off-diagonal row
-    sum.  Nothing is subtracted, so each entry has a small relative error at
-    any working precision (O'Cinneide 1993).  Returns None when an S_k or the
-    final total is zero or not finite (a float rate that underflows).
+    Decimal of the current context.  Censors states one at a time in a
+    Markowitz order: a heap holds one (cost, index) entry per state left,
+    the cost being its in-degree x out-degree off-diagonal links, and only
+    the top is checked.  A top entry whose stored cost is not the state's
+    current one goes back with the current cost; otherwise that state is
+    censored.  Nothing is pushed during a step, so a state whose cost fell
+    waits under its old one: the pick is the lowest index among the least
+    stored costs, not the exact minimum.  This is the elimination of
+    Grassmann, Taksar and Heyman: censoring k adds out[i][k] / S_k *
+    out[k][j] to out[i][j] for every predecessor i and successor j != i,
+    where S_k is k's off-diagonal row sum.  Nothing is subtracted, so each
+    entry has a small relative error at any working precision (O'Cinneide
+    1993).  Returns None when an S_k or the final total is zero or not
+    finite (a float rate that underflows).
     """
     out = {i: {j: num(a, den) for j, a in rows[i].items() if j != i} for i in members}
     inn: dict[int, set[int]] = {i: set() for i in members}
     for i, row in out.items():
         for j in row:
             inn[j].add(i)
-    cost = {i: len(inn[i]) * len(out[i]) for i in members}
-    buckets: dict[int, set[int]] = {}
-    for i, c in cost.items():
-        buckets.setdefault(c, set()).add(i)
+    heap = [(len(inn[i]) * len(out[i]), i) for i in members]
+    heapify(heap)
     zero = num(0, 1)
     steps = []
     finite = True
     while len(out) > 1:
-        low = min(buckets)
-        bucket = buckets[low]
-        k = min(bucket)
-        bucket.discard(k)
-        if not bucket:
-            del buckets[low]
-        del cost[k]
+        was, k = heap[0]
+        now = len(inn[k]) * len(out[k])
+        if now != was:
+            heapreplace(heap, (now, k))
+            continue
+        heappop(heap)
         preds = list(inn.pop(k))
         succs = out.pop(k)
         total = sum(succs.values())
@@ -465,15 +466,6 @@ def _eliminate(rows: Sequence[Mapping[int, int]], den: int, members: Sequence[in
             col.update(preds)
             col.discard(j)
         steps.append((k, preds, factors))
-        for i in {*preds, *succs}:
-            was, now = cost[i], len(inn[i]) * len(out[i])
-            if now != was:
-                bucket = buckets[was]
-                bucket.discard(i)
-                if not bucket:
-                    del buckets[was]
-                buckets.setdefault(now, set()).add(i)
-                cost[i] = now
     (root,) = out
     pi = {root: num(1, 1)}
     for k, preds, factors in reversed(steps):

@@ -11,8 +11,9 @@ import pytest
 
 import weyltasep
 
-from weyltasep import cli, walk
+from weyltasep import cli, closedform, walk
 from weyltasep.cli import main
+from weyltasep.ratio import R, fmt_ratio
 
 from oracles import dist_from_json_obj
 
@@ -64,6 +65,33 @@ def test_partition_decimal(capsys):
     assert code == 0
     text = out.strip()
     assert text == "793/36 (22.028)"  # exact value plus decimal companion
+
+
+def test_decimal_companion_of_a_value_past_every_float(capsys):
+    # z_b(600, 1) has 720 digits; the companion is the integer itself
+    code, out = run(capsys, "partition", "--model", "b", "--n", "600", "--n0", "1",
+                    "--decimal", "2")
+    assert code == 0
+    z = str(closedform.z_b(600, 1))
+    assert len(z) > 308 and out == f"{z} ({z}.00)\n"
+
+
+def test_decimal_companion_digits_are_the_rationals(capsys):
+    code, out = run(capsys, "limdir", "--kind", "b", "--n", "3", "--method", "lam",
+                    "--decimal", "30")
+    assert code == 0
+    assert out.split(", ")[1] == "1/5 (0.2" + "0" * 29 + ")"
+    assert out.split(", ")[2] == "1/3 (0." + "3" * 30 + ")\n"
+
+
+@pytest.mark.parametrize(
+    "val, digits, companion",
+    [(R(1, 8), 2, "0.12"), (R(3, 8), 2, "0.38"), (R(3, 20), 1, "0.2"), (R(1, 20), 1, "0.0"),
+     (R(-1, 100000), 3, "-0.000"), (R(-5, 2), 1, "-2.5"), (R(7), 2, "7.00"),
+     (R(793, 36), 3, "22.028")],
+)
+def test_decimal_companion_rounds_half_to_even(val, digits, companion):
+    assert cli._exact(val, digits) == f"{fmt_ratio(val)} ({companion})"
 
 
 def test_stationary_json_roundtrip(capsys):

@@ -508,6 +508,34 @@ def test_small_laws_never_reach_the_fallback(precisions, monkeypatch, build, siz
     assert certify(kernel, {kernel.index[s]: p for s, p in pi.items() if p})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: build_multi(WeylKind("B", 4), 4), id="B4"),
+        pytest.param(lambda: build_multi(WeylKind("Ccheck", 4), 4), id="Ccheck4"),
+        pytest.param(lambda: build_multi(WeylKind("D", 4), 4), id="D4"),
+        pytest.param(lambda: tworow.kernel(7, 1, PARAM_POINTS[0]), id="tworow-7-1"),
+        pytest.param(lambda: tworow.kernel(7, 2, PARAM_POINTS[0]), id="tworow-7-2"),
+        pytest.param(lambda: tworow.kernel(7, 2, PARAM_POINTS[2]), id="tworow-7-2-p2"),
+        pytest.param(lambda: build_multi(WeylKind("D", 5), 5), id="D5"),
+        pytest.param(lambda: build_multi(WeylKind("B", 5), 5), id="B5", marks=pytest.mark.slow),
+    ],
+)
+def test_float_elimination_keeps_an_eighth_of_its_error_bound(build):
+    # The pivot order is not the exact fewest-links one, so a worse order could
+    # grow the float error; every entry of the target's float law must stay
+    # within an eighth of the bound (k + 16) 2^-52 that exact_stationary reads
+    # it with, relative to the exact target law.
+    kernel = build()
+    members = [kernel.index[s] for s in closed_class(kernel)]
+    rows, den, solved, block, size = markov._lumped(kernel, members)
+    xs = markov._eliminate(rows, den, solved, markov._float)
+    pi = exact_stationary(kernel)
+    exact = {b: pi[kernel.states[i]] * size[b] for i, b in zip(members, block)}
+    bound = Fraction((len(solved) + 16) * 2.0**-52 / 8)
+    assert all(abs(Fraction(x) - exact[b]) <= bound * exact[b] for b, x in zip(solved, xs))
+
+
 # --- recovering rationals from perturbed floats ------------------------------
 
 
