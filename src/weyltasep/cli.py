@@ -16,7 +16,7 @@ from . import __version__
 from . import closedform as cf
 from . import tworow as tr
 from . import verify as verify_mod
-from .errors import InvalidCounts, NotIrreducible, WeylTasepError
+from .errors import InvalidCounts, WeylTasepError
 from .markov import exact_stationary
 from .models import (
     DStarParams,
@@ -120,7 +120,6 @@ def _params_from(args) -> DStarParams:
 
 def _cmd_stationary(args) -> int:
     kind = WeylKind(FAMILY_FLAGS[args.kind], args.n) if args.kind else None
-    guess = None
     if args.model == "multi":
         kernel = build_multi(kind, kind.n)
     elif args.model == "two":
@@ -128,15 +127,7 @@ def _cmd_stationary(args) -> int:
             raise InvalidCounts(f"need 0 <= n0 <= n, got {args.n0}")
         kernel = build_cut_chain(kind, (args.n0 + 1,))
     elif args.model == "dstar":
-        params = _params_from(args)
-        kernel = build_dstar(args.n, args.n0, params)
-        # The product form, used only once exact_stationary certifies it.  With
-        # both starred rates zero its class can be empty; the kernel then has
-        # more than one closed class, and the solver names their count.
-        try:
-            guess = tr.top_row_law(args.n, args.n0, params)
-        except NotIrreducible:
-            pass
+        kernel = build_dstar(args.n, args.n0, _params_from(args))
     elif args.model == "semiperm":
         kernel = build_semipermeable(args.n, args.n0, args.alpha, args.beta)
     else:  # tworow
@@ -146,7 +137,7 @@ def _cmd_stationary(args) -> int:
         out["dist"] = dist.to_json_obj()
         _emit(out, args)
         return 0
-    dist = exact_stationary(kernel, guess)
+    dist = exact_stationary(kernel)
     out = _meta(args, model=args.model, kind=args.kind, n=args.n, n0=args.n0)
     out["dist"] = dist.to_json_obj()
     _emit(out, args)

@@ -5,12 +5,11 @@ the holding mass included, summing to den.  A law is solved for only on a
 kernel with exactly one closed communicating class (:func:`closed_class`),
 and transient states get probability zero.
 
-A caller that knows a candidate law (a product form, say) passes it as a
-guess.  The guess is certified, never trusted: it is returned only when it
-passes the exact certificate below on the kernel passed in, and that law is
-the only one that can pass it, since one closed class leaves one invariant
-vector up to scale.  A certified guess skips the lumping and every
-elimination pass; a guess that fails costs the certificate and nothing else.
+A builder that knows a candidate law attaches it to the kernel (the
+two-row and starred kernels carry their product forms).  It is returned,
+with no lumping or elimination, only when it passes the exact certificate
+below, which no other law can pass: one closed class leaves one invariant
+vector up to scale.
 
 Otherwise the solver lumps the class first: splitter refinement finds its
 coarsest exactly lumpable partition, in which every state of a block gets
@@ -27,8 +26,7 @@ is the stationary law of an exact lumping (Buchholz 1994), and returned
 only after it passes the exact certificate on the kernel passed in: it
 sums to 1 and pi . P = pi over the rationals.  So a lumping can cost time
 but cannot make a law wrong.  At rank 4 every B/C/D cut chain of more
-than one state lumps, by 1.1 to 8 times (the full chains by 2, D's by 8);
-the two-row kernels at generic rates mostly stay discrete.
+than one state lumps, by 1.1 to 8 times (the full chains by 2, D's by 8).
 
 The bookkeeping around the solver is exact but avoids one Fraction
 operation per entry: a kernel built from moves adds integer edge weights
@@ -73,6 +71,8 @@ class Kernel:
     row must sum to 1 exactly.
     """
 
+    candidate: Callable[[], Mapping[State, object]] | None = None  # see build_kernel
+
     def __init__(self, states: Sequence[State], rows: Sequence[Mapping[int, object]]):
         self.states = tuple(states)
         self.index = _index(self.states)
@@ -87,17 +87,19 @@ class Kernel:
                 raise ValueError(f"row {i} does not sum to 1")
 
     @classmethod
-    def _from_checked(cls, states: tuple, index: dict, rows: list, den: int) -> "Kernel":
+    def _from_checked(cls, states: tuple, index: dict, rows: list, den: int,
+                      candidate=None) -> "Kernel":
         """A kernel from rows already known to be valid: positive integers summing to den."""
         kernel = cls.__new__(cls)
         kernel.states, kernel.index, kernel.rows, kernel.den = states, index, tuple(rows), den
+        kernel.candidate = candidate
         return kernel
 
     def __len__(self) -> int:
         return len(self.states)
 
     def restrict(self, keep: Iterable[State]) -> "Kernel":
-        """Sub-kernel on a closed set of states (rows must not leave it), over the same den."""
+        """Sub-kernel on a closed set of states (rows must not leave it), same den, no candidate."""
         keep_set = set(keep)
         states = tuple(s for s in self.states if s in keep_set)
         new_index = {self.index[s]: k for k, s in enumerate(states)}
@@ -114,13 +116,15 @@ def build_kernel(
     states: Sequence[State],
     moves: Callable[[int], Iterable[tuple[int, int]]],
     probs: Sequence[object],
+    candidate: Callable[[], Mapping[State, object]] | None = None,
 ) -> Kernel:
     """Assemble a kernel from index moves; leftover mass holds.
 
     moves(k) yields (target index, edge) for the state at index k, and a
     move has probability probs[edge].  The edge probabilities are brought
     to one denominator den once; each row adds integer weights per target,
-    and den minus the total holds.  Raises ValueError for a repeated state
+    and den minus the total holds.  :func:`exact_stationary` calls `candidate`
+    for a law to certify before solving.  Raises ValueError for a repeated state
     or a negative edge probability, and InvalidRates when the moves out of
     a state carry more than 1.
     """
@@ -146,7 +150,7 @@ def build_kernel(
         if total < den:
             row[k] = get(k, 0) + den - total
         rows.append(row)
-    return Kernel._from_checked(states, index, rows, den)
+    return Kernel._from_checked(states, index, rows, den, candidate)
 
 
 def closed_class(kernel: Kernel) -> tuple:
@@ -242,16 +246,15 @@ def _state_json(s):
     return s
 
 
-def exact_stationary(kernel: Kernel, guess: Mapping[State, object] | None = None) -> Dist:
+def exact_stationary(kernel: Kernel) -> Dist:
     """The unique stationary distribution, exactly.
 
     Requires a unique closed communicating class; transient states get
-    probability zero.  A guess, mapping states to anything Fraction
-    accepts (states it leaves out get zero), is certified, never trusted:
-    when every state it names is the kernel's and it passes the exact
-    certificate (sum 1 and pi . P = pi) on this kernel, it is returned over
-    the kernel's states in kernel order, and nothing below runs.  Any other
-    guess is dropped, and the law is solved for as with none.
+    probability zero.  The kernel's candidate law, if any (states it leaves
+    out get zero), is returned over the kernel's states in kernel order
+    when it names only the kernel's states and passes the exact certificate
+    (sum 1 and pi . P = pi); otherwise, or when the candidate raises
+    NotIrreducible, the law is solved for.
 
     The target is the class's quotient by its coarsest exact lumping, or
     the class itself (:func:`_lumped`).  Each pass runs one law step: the target's elimination (:func:`_eliminate`), its law
@@ -269,7 +272,11 @@ def exact_stationary(kernel: Kernel, guess: Mapping[State, object] | None = None
     a solver fault, and RuntimeError is raised.
     """
     members = [kernel.index[s] for s in closed_class(kernel)]
-    if guess is not None and all(s in kernel.index for s in guess):
+    try:
+        guess = kernel.candidate() if kernel.candidate else None
+    except NotIrreducible:  # no law can be formed: solve as with none
+        guess = None
+    if guess and all(s in kernel.index for s in guess):
         pi_idx = {kernel.index[s]: _rational(p) for s, p in guess.items()}
         if _is_stationary(kernel, pi_idx):
             return Dist({s: pi_idx.get(i, ZERO) for i, s in enumerate(kernel.states)})
@@ -293,7 +300,7 @@ def exact_stationary(kernel: Kernel, guess: Mapping[State, object] | None = None
     # of eliminations, so the bound counts the solved states.  On the B/C/D
     # full and cut chains of 192 to 3840 states (24 to 1920 solved) the
     # error stays 21 to 200 times below it, and on the two-row (7, n0)
-    # chains, which mostly do not lump, 15 to 80 times.
+    # chains, solved with no candidate, 15 to 80 times.
     k = len(solved)
     pi_idx = law(_float, (k + 16) * 2.0**-52)
     prec = 32

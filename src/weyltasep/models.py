@@ -151,7 +151,8 @@ def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
     Edges 1..n-1 are uniform.  A bulk edge swaps its two sites when they
     are in decreasing order; each outer edge reads its move from a table
     of its end, which also carries the boundary rates.  For n = 2 the
-    single edge would be both ends at once, and every state holds.
+    single edge would be both ends at once, and every state holds.  The
+    candidate law is :func:`tworow.top_row_law`.
     """
     states = dstar_states(n, n0)
     if not states:
@@ -179,7 +180,11 @@ def build_dstar(n: int, n0: int, params: DStarParams) -> Kernel:
         if hit is not None:
             yield index[w[:-2] + hit[0]], hit[1]
 
-    return build_kernel(states, moves, probs)
+    def candidate():  # imported when called: tworow imports this module
+        from .tworow import top_row_law
+        return top_row_law(n, n0, params)
+
+    return build_kernel(states, moves, probs, candidate)
 
 
 def star_chain(kind: WeylKind, n0: int) -> Kernel:

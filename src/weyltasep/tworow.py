@@ -17,8 +17,10 @@ path returning to height zero.  The wall maps move a conserved {1, -1}
 particle pair left or right along these paths; extended with a wall output
 they form a bijection of (configurations x walls), which yields the
 product-form stationary law computed by :func:`stationary`, and its top
-rows the starred chain's law (:func:`top_row_law`).  The maps are
-tabulated once per (n, n0), shared by :func:`kernel` and the checks.
+rows the starred chain's law (:func:`top_row_law`).  :func:`kernel` and
+``models.build_dstar`` carry these laws as candidates, so the solver
+certifies them instead of eliminating.  The maps are tabulated once per
+(n, n0), shared by :func:`kernel` and the checks.
 
 Each rule is written once: the scan step (:func:`_scan`, over the column
 set of each position) says which columns may follow and how they are
@@ -337,7 +339,10 @@ def _wall_maps(n: int, n0: int) -> tuple[tuple[tuple[int, str | None, int], ...]
 
 
 def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
-    """The two-row chain: a uniform wall choice, then the wall map at its rate."""
+    """The two-row chain: a uniform wall choice, then the wall map at its rate.
+
+    Its candidate law is the product form of :func:`stationary`.
+    """
     states = enumerate_configs(n, n0)
     if not states:
         raise InvalidCounts(f"empty configuration space n={n}, n0={n0}")
@@ -349,7 +354,7 @@ def kernel(n: int, n0: int, params: DStarParams) -> Kernel:
     def moves(k):  # a wall with no rule maps configuration k to itself
         return [(t, edge_of[rule]) for t, rule, _ in maps[k] if t != k]
 
-    return build_kernel(states, moves, probs)
+    return build_kernel(states, moves, probs, lambda: stationary(n, n0, params)[0])
 
 
 def _in_class(lab: LabelCounts, params: DStarParams) -> bool:

@@ -226,23 +226,14 @@ def suite_tworow(
              for p in PARAM_POINTS for rule, lab, back, back_lab in classes)
     _check(checks, "transfer-identity", ok, points=len(PARAM_POINTS))
 
-    ok = True
-    for n, n0 in stationary_cases:
-        for params in PARAM_POINTS:
-            ker = tr.kernel(n, n0, params)
-            if exact_stationary(ker) != tr.stationary(n, n0, params)[0]:
-                ok = False
+    # Each kernel carries its product form as a candidate, which comes back only
+    # if it passes the exact certificate; otherwise the kernel is solved, so a
+    # wrong product form still fails either check.
+    ok = all(exact_stationary(tr.kernel(n, n0, p)) == tr.stationary(n, n0, p)[0]
+             for n, n0 in stationary_cases for p in PARAM_POINTS)
     _check(checks, "product-form-vs-solve", ok, cases=list(map(list, stationary_cases)))
-
-    ok = True
-    for n in range(3, 6):
-        for n0 in range(0, min(n, 3) + 1):
-            for params in PARAM_POINTS:
-                # The law comes back only if it passes the certificate on the
-                # starred kernel; otherwise that kernel is solved and compared.
-                top = tr.top_row_law(n, n0, params)
-                if top != exact_stationary(build_dstar(n, n0, params), guess=top):
-                    ok = False
+    ok = all(exact_stationary(build_dstar(n, n0, p)) == tr.top_row_law(n, n0, p)
+             for n in range(3, 6) for n0 in range(min(n, 3) + 1) for p in PARAM_POINTS)
     _check(checks, "top-row-projection", ok)
 
     okb = okd = okc = True

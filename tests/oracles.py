@@ -36,7 +36,8 @@ multispecies law instead of read off the two-cut chains by
 inclusion-exclusion, the closed classes by reachability from every
 state instead of two searches, and the coarsest exact lumping by rounds
 of re-signing every state instead of splitter refinement.  It also keeps
-the helpers only tests use: a kernel's entries and rows as Fractions,
+the helpers only tests use: a kernel's entries and rows as Fractions, a
+copy of a kernel with another candidate law (or none, to run the solver),
 the full multispecies law (solved once per test run), site
 densities and hook sums read off it, the JSON decoder of a law,
 the reversal symmetry of two-species words, the linear action of a window,
@@ -46,6 +47,7 @@ window as the number of positive roots it sends to negative ones.
 """
 from __future__ import annotations
 
+import copy
 import heapq
 import itertools
 import math
@@ -66,7 +68,7 @@ from weyltasep.walk import fundamental_point
 from weyltasep.weyl import WeylKind, alcove_walls, inverse_act_theta, kac_weights, theta_raises
 
 
-# --- kernel entries as Fractions --------------------------------------------
+# --- kernel entries as Fractions, kernel candidates -------------------------
 
 
 def kernel_prob(kernel: Kernel, src, dst) -> R:
@@ -77,6 +79,13 @@ def kernel_prob(kernel: Kernel, src, dst) -> R:
 def kernel_row(kernel: Kernel, src) -> dict:
     """The row of src as state -> Fraction, its nonzero entries only."""
     return {kernel.states[j]: R(a, kernel.den) for j, a in kernel.rows[kernel.index[src]].items()}
+
+
+def with_candidate(kernel: Kernel, candidate=None) -> Kernel:
+    """A copy of the kernel that carries `candidate` instead of its own (None: no candidate)."""
+    twin = copy.copy(kernel)
+    twin.candidate = candidate
+    return twin
 
 
 # --- state spaces by brute enumeration -------------------------------------

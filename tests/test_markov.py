@@ -37,6 +37,7 @@ from oracles import (
     power_iteration,
     reversal_bijection,
     table_two_species_kernel,
+    with_candidate,
 )
 
 
@@ -477,7 +478,8 @@ def test_underflowing_rate_falls_back_to_decimal(precisions):
         (lambda: build_multi(WeylKind("B", 3), 3), (48, 24)),
         (lambda: build_multi(WeylKind("Ccheck", 3), 3), (48, 24)),
         (lambda: build_multi(WeylKind("D", 3), 3), (24, 5)),
-        (lambda: tworow.kernel(6, 2, PARAM_POINTS[0]), (165, 165)),
+        # with no candidate, or its product form would be certified unsolved
+        (lambda: with_candidate(tworow.kernel(6, 2, PARAM_POINTS[0])), (165, 165)),
         (lambda: build_multi(WeylKind("B", 4), 4), (384, 192)),
         (lambda: build_multi(WeylKind("Ccheck", 4), 4), (384, 192)),
         (lambda: build_multi(WeylKind("D", 4), 4), (192, 24)),
@@ -719,7 +721,7 @@ def test_fractions_are_stored_as_given():
     assert d["a"] is p and d["b"] is q
 
 
-# --- guesses: certified, never trusted ---------------------------------------
+# --- guesses carried as kernel candidates: certified, never trusted ----------
 
 
 def test_a_certified_guess_is_returned_in_kernel_order_without_a_solve(solver_runs):
@@ -727,7 +729,7 @@ def test_a_certified_guess_is_returned_in_kernel_order_without_a_solve(solver_ru
     law = exact_stationary(ker)
     assert solver_runs == [len(ker)]
     shuffled = dict(reversed(list(law.items())))
-    guessed = exact_stationary(ker, guess=shuffled)
+    guessed = exact_stationary(with_candidate(ker, lambda: shuffled))
     assert guessed == law and list(guessed) == list(ker.states)
     assert solver_runs == [len(ker)]
 
@@ -740,7 +742,7 @@ def test_a_guess_with_one_entry_moved_falls_back_to_the_solve(solver_runs):
     moved[s] -= law[s] / 2
     moved[t] += law[s] / 2
     assert moved != dict(law) and sum(moved.values()) == 1
-    assert exact_stationary(ker, guess=moved) == law
+    assert exact_stationary(with_candidate(ker, lambda: moved)) == law
     assert solver_runs == [len(ker)] * 2
 
 
@@ -748,7 +750,7 @@ def test_a_guess_naming_a_state_the_kernel_lacks_falls_back(solver_runs):
     ker = build_cut_chain(WeylKind("D", 3), (2,))
     law = exact_stationary(ker)
     for foreign in ((9, 9, 9), "x"):
-        assert exact_stationary(ker, guess={**law, foreign: ZERO}) == law
+        assert exact_stationary(with_candidate(ker, lambda: {**law, foreign: ZERO})) == law
     assert solver_runs == [len(ker)] * 3
 
 
@@ -756,6 +758,23 @@ def test_a_guess_does_not_change_the_closed_class_error():
     ker = build_dstar(2, 1, PARAM_POINTS[0])
     guess = tworow.top_row_law(2, 1, PARAM_POINTS[0])
     assert set(guess) == set(ker.states)
-    for given_guess in (None, guess):
+    for candidate in (None, lambda: guess, ker.candidate):
         with pytest.raises(NotIrreducible, match="^2 closed classes$"):
-            exact_stationary(ker, guess=given_guess)
+            exact_stationary(with_candidate(ker, candidate))
+
+
+def test_a_candidate_that_cannot_be_formed_counts_as_none(solver_runs):
+    ker = build_multi(WeylKind("B", 3), 3)
+    law = exact_stationary(ker)
+
+    def unformed():
+        raise NotIrreducible("no configurations in the restricted class")
+
+    assert exact_stationary(with_candidate(ker, unformed)) == law
+    assert solver_runs == [len(ker)] * 2
+
+
+def test_a_restricted_kernel_carries_no_candidate():
+    ker = build_dstar(5, 1, PARAM_POINTS[0])
+    assert ker.candidate is not None
+    assert ker.restrict(ker.states).candidate is None

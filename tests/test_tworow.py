@@ -1,4 +1,5 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from operator import itemgetter
 
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import weyltasep.markov as markov
+from weyltasep.closedform import z_semiperm
 from weyltasep.errors import (
     InvalidConfig,
     InvalidCounts,
@@ -14,11 +17,12 @@ from weyltasep.errors import (
     NotIrreducible,
     ZeroParameter,
 )
-from weyltasep.lumping import project_distribution
-from weyltasep.markov import exact_stationary
-from weyltasep.models import DStarParams, STAR, STAR_RATES, build_dstar
+from weyltasep.lumping import project_distribution, star_lift
+from weyltasep.markov import Dist, exact_stationary
+from weyltasep.models import DStarParams, STAR, STAR_RATES, build_dstar, build_semipermeable
 from weyltasep.ratio import R, ZERO
 from weyltasep.verify import PARAM_POINTS, suite_tworow
+from weyltasep.weyl import WeylKind
 import weyltasep.tworow as tr
 from weyltasep.tworow import (
     count_segment,
@@ -303,7 +307,7 @@ def test_product_form_equals_exact_solve(n, n0):
     for params in POINTS:
         dist, z = tr.stationary(n, n0, params)
         assert sum(dist.values(), ZERO) == 1
-        assert exact_stationary(tr.kernel(n, n0, params)) == dist
+        assert exact_stationary(oracles.with_candidate(tr.kernel(n, n0, params))) == dist
 
 
 def test_restricted_class_stationary():
@@ -315,7 +319,7 @@ def test_restricted_class_stationary():
     assert set(live) == {cfg(S, RISE, S), cfg(S, FALL, S)}
     assert all(p == R(1, 2) for p in live.values())
     assert z == 2
-    assert exact_stationary(tr.kernel(3, 0, params)) == dist
+    assert exact_stationary(oracles.with_candidate(tr.kernel(3, 0, params))) == dist
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -340,7 +344,7 @@ def test_kernel_rows_sum_to_one():
 def test_top_row_projection_matches_starred_chain(n, n0):
     for params in POINTS:
         top = project_distribution(tr.stationary(n, n0, params)[0], itemgetter(0))
-        assert top == exact_stationary(build_dstar(n, n0, params))
+        assert top == exact_stationary(oracles.with_candidate(build_dstar(n, n0, params)))
 
 
 def _law_or_message(solve):
@@ -361,21 +365,22 @@ def test_top_row_law_is_the_projected_two_row_law(params):
 
 
 def _guessed_and_solved(n, n0, params):
+    # The starred kernel carries top_row_law as its candidate; its copy with
+    # no candidate is solved.
     ker = build_dstar(n, n0, params)
-    guess = tr.top_row_law(n, n0, params)
-    return ker, exact_stationary(ker, guess=guess), exact_stationary(ker)
+    return ker, exact_stationary(ker), exact_stationary(oracles.with_candidate(ker))
 
 
 @pytest.mark.parametrize("params", POINTS, ids=[f"point{i}" for i in range(len(POINTS))])
 def test_the_top_row_law_certifies_the_starred_chain(params, solver_runs):
     for n in range(2, 6):
         for n0 in range(n + 1):
-            if (n, n0) == (2, 1):  # two closed classes, with or without the guess
+            if (n, n0) == (2, 1):  # two closed classes, with or without the candidate
                 continue
             solver_runs.clear()
             ker, guessed, solved = _guessed_and_solved(n, n0, params)
             assert guessed == solved and list(guessed) == list(ker.states), (n, n0)
-            assert len(solver_runs) == 1, (n, n0)  # only the call without a guess solved
+            assert len(solver_runs) == 1, (n, n0)  # only the call without a candidate solved
 
 
 def test_the_top_row_law_certifies_a_starred_chain_that_solves_in_decimal(solver_runs):
@@ -388,7 +393,53 @@ def test_the_top_row_law_certifies_the_starred_chain_at_9_sites(solver_runs):
     # Eliminating this chain takes a float pass and a decimal pass, about 12 s.
     ker = build_dstar(9, 3, POINTS[2])
     guess = tr.top_row_law(9, 3, POINTS[2])
-    assert exact_stationary(ker, guess=guess) == guess and solver_runs == []
+    assert exact_stationary(ker) == guess and solver_runs == []
+
+
+@pytest.mark.parametrize("params", PARAM_POINTS, ids=[f"point{i}" for i in range(len(PARAM_POINTS))])
+def test_two_row_and_starred_kernels_return_their_product_form_unsolved(
+        params, solver_runs, monkeypatch):
+    eliminated, certified = [], []
+    eliminate, certify = markov._eliminate, markov._is_stationary
+
+    def eliminate_spy(*args):
+        eliminated.append(args)
+        return eliminate(*args)
+
+    def certify_spy(ker, pi_idx):
+        certified.append(ker)
+        return certify(ker, pi_idx)
+
+    monkeypatch.setattr(markov, "_eliminate", eliminate_spy)
+    monkeypatch.setattr(markov, "_is_stationary", certify_spy)
+    for n in range(3, 8):
+        for n0 in range(n + 1):
+            for ker, law in ((tr.kernel(n, n0, params), tr.stationary(n, n0, params)[0]),
+                             (build_dstar(n, n0, params), tr.top_row_law(n, n0, params))):
+                certified.clear()
+                got = exact_stationary(ker)
+                assert got == law and list(got) == list(ker.states), (n, n0)
+                assert certified == [ker], (n, n0)
+    assert solver_runs == [] and eliminated == []
+
+
+SEMIPERM_RATES = [(R(2, 3), R(3, 5)), (R(1), R(1)), (R(9, 10), R(1, 7))]
+
+
+@pytest.mark.parametrize("alpha,beta", SEMIPERM_RATES, ids=["2/3,3/5", "1,1", "9/10,1/7"])
+def test_the_semipermeable_chain_is_the_lifted_two_row_model(alpha, beta):
+    # Z and the law of the semipermeable chain are those of the two-row model
+    # with both starred rates zero on n + 2 sites; the law lifts its words by
+    # star_lift at Ccheck, a border star splitting evenly between its words.
+    params = DStarParams(alpha, 0, beta, 0)
+    for n in range(1, 6):
+        kind = WeylKind("Ccheck", n)
+        for n0 in range(n + 1):
+            assert z_semiperm(n, n0, alpha, beta) == tr.partition_sum(n + 2, n0, params), (n, n0)
+            law = exact_stationary(build_semipermeable(n, n0, alpha, beta))
+            lifts = {u: star_lift(u, kind) for u in law}
+            top, share = tr.top_row_law(n + 2, n0, params), Counter(lifts.values())
+            assert law == Dist({u: top[v] / share[v] for u, v in lifts.items()}), (n, n0)
 
 
 def test_point_mass_projection():
@@ -662,5 +713,6 @@ def _law_or_error(solve):
 def test_product_form_equals_exact_solve_at_random_rates(size, params):
     n, n0 = size
     product = _law_or_error(lambda: tr.stationary(n, n0, params)[0])
-    solved = _law_or_error(lambda: exact_stationary(tr.kernel(n, n0, params)))
+    solved = _law_or_error(
+        lambda: exact_stationary(oracles.with_candidate(tr.kernel(n, n0, params))))
     assert product == solved
